@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check lint vet memlint memlint-per-check lint-fixtures build test race repro bench benchdiff fuzz soak soak-parallel soak-remote prof-smoke serve-smoke top-smoke loadtest fmt
+.PHONY: check lint vet memlint memlint-per-check lint-fixtures build test race repro bench benchdiff fuzz soak soak-remote prof-smoke serve-smoke top-smoke loadtest fmt
 
 check: lint build race repro benchdiff ## pre-merge gate: lint + build + race tests + reproduction (+ advisory benchdiff)
 
@@ -77,13 +77,6 @@ prof-smoke:
 SOAK_ROUNDS ?= 6
 soak:
 	$(GO) run ./scripts/soak -rounds $(SOAK_ROUNDS)
-
-# soak-parallel soaks the supervised sharded executor: random worker
-# kills mid-shard, whole-campaign kills resumed from the per-shard
-# journals, and a poison-unit quarantine phase — all byte-checked
-# against the sequential baseline (see docs/campaigns.md).
-soak-parallel:
-	$(GO) run ./scripts/soak -parallel -rounds $(SOAK_ROUNDS)
 
 # soak-remote soaks the lease-coordinated multi-process campaign with
 # real memworker processes and real signals: two workers SIGKILLed

@@ -23,7 +23,10 @@
 // signal stops at the next unit boundary and releases all held leases
 // (successors claim them immediately, no TTL wait); a second signal
 // exits right away with status 130 — completed units are already
-// fsynced and the abandoned leases expire on their own.
+// fsynced and the abandoned leases expire on their own. A unit that fails
+// (or panics) on every attempt is quarantined: the worker journals
+// everything else, lists the quarantined units in its closing output and
+// exits with the quarantine error.
 package main
 
 import (
@@ -195,14 +198,24 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	}
 	rep, err := campaign.RemoteWorker(cfg, opts, want.Platforms)
 	if rep != nil {
-		fmt.Fprintf(w, "memworker %s: %d units across %d claims, %d fenced, drained=%v\n",
-			rep.Owner, rep.Units, len(rep.Claimed), rep.Fenced, rep.Drained)
-		if rep.ObsErrors > 0 {
-			fmt.Fprintf(w, "memworker: warning: %d beacon/event writes failed; the fleet view of this worker is incomplete\n",
-				rep.ObsErrors)
-		}
+		writeReport(w, rep)
 	}
 	return err
+}
+
+// writeReport prints the worker's closing summary: its share of the
+// campaign, every unit it quarantined, and a warning when its fleet view
+// is incomplete.
+func writeReport(w io.Writer, rep *campaign.RemoteReport) {
+	fmt.Fprintf(w, "memworker %s: %d units across %d claims, %d fenced, drained=%v\n",
+		rep.Owner, rep.Units, len(rep.Claimed), rep.Fenced, rep.Drained)
+	for _, q := range rep.Quarantined {
+		fmt.Fprintf(w, "memworker: quarantined: %s\n", q.Error)
+	}
+	if rep.ObsErrors > 0 {
+		fmt.Fprintf(w, "memworker: warning: %d beacon/event writes failed; the fleet view of this worker is incomplete\n",
+			rep.ObsErrors)
+	}
 }
 
 // runMerge is the finalize path: wait for completion, merge every epoch

@@ -140,3 +140,22 @@ func TestManifestWantInheritsExisting(t *testing.T) {
 		t.Fatalf("explicit matching seed: %+v, %v", want, err)
 	}
 }
+
+// TestWriteReportListsQuarantine: the closing output names every unit
+// the worker gave up on, so an operator sees the poison without reading
+// the event journal.
+func TestWriteReportListsQuarantine(t *testing.T) {
+	var buf bytes.Buffer
+	writeReport(&buf, &campaign.RemoteReport{
+		Owner: lease.Owner{Host: "h", PID: 1, Token: "t"},
+		Units: 3,
+		Quarantined: []campaign.QuarantineRecord{
+			{Key: "unit|netbench|henri", Shard: 1, Attempts: 3, Error: "campaign: unit unit|netbench|henri (shard 1) failed after 3 attempts: boom"},
+		},
+	})
+	want := "memworker h/1/t: 3 units across 0 claims, 0 fenced, drained=false\n" +
+		"memworker: quarantined: campaign: unit unit|netbench|henri (shard 1) failed after 3 attempts: boom\n"
+	if buf.String() != want {
+		t.Fatalf("closing output:\n%q\nwant:\n%q", buf.String(), want)
+	}
+}

@@ -13,8 +13,8 @@
 //	paperfigs -fig 4           # just Figure 4 (CSV to stdout)
 //	paperfigs -out results/    # write all artifacts as files (CSV/JSON/txt)
 //	paperfigs -table 2 -replications 10   # Table II as mean ± 95% CI over 10 seeds
-//	paperfigs -workers 8 -shards run.shards -out results/
-//	                           # supervised sharded executor (docs/campaigns.md)
+//	paperfigs -workers 8 -shards run/ -out results/
+//	                           # 8 in-process lease workers over run/ (docs/campaigns.md)
 //	paperfigs -workers remote -shards run/ -out results/
 //	                           # finalize a memworker fleet's remote campaign
 //
@@ -23,10 +23,13 @@
 // SIGINT/SIGTERM stops the run cleanly (exit status 130; a second signal
 // exits immediately), and re-running the same command resumes where it
 // died with bit-identical artifacts (files under -out are also written
-// atomically and durably). With -shards the run instead journals into
-// per-worker shard journals under the given directory, supervised by a
-// restarting worker pool with poison-unit quarantine — the same resume
-// and byte-identity guarantees, but parallel (see docs/campaigns.md).
+// atomically and durably). With -shards the run is instead a lease
+// campaign in the given directory: -workers in-process lease workers —
+// the same workers memworker runs — journal the pipeline's units into
+// per-shard epoch journals, retry or quarantine failing units, and the
+// merged journal replays into byte-identical artifacts. The directory
+// resumes like a checkpoint and memtop -dir reads it (see
+// docs/campaigns.md).
 package main
 
 import (
@@ -73,7 +76,7 @@ func main() {
 	var workersFlag string
 	flag.StringVar(&workersFlag, "workers", "0", `parallel evaluations (0: GOMAXPROCS), or "remote": finalize a lease-coordinated multi-process campaign in -shards (docs/campaigns.md)`)
 	flag.IntVar(&o.replications, "replications", 1, "Monte-Carlo replication sweep: evaluate this many consecutive seeds and report Table II errors as mean ± 95% CI")
-	flag.StringVar(&o.shards, "shards", "", "run the evaluations on the supervised sharded executor, journaling per-worker shards into this directory (crash-safe, resumable; see docs/campaigns.md)")
+	flag.StringVar(&o.shards, "shards", "", "run the pipeline as a lease campaign in this directory on -workers in-process workers (crash-safe, resumable, readable by memtop -dir; see docs/campaigns.md)")
 	flag.BoolVar(&o.ascii, "plot", false, "render figures as ASCII charts instead of CSV")
 	var cli obs.CLI
 	cli.Register(flag.CommandLine, false)
@@ -169,10 +172,11 @@ func dispatch(ctx context.Context, w io.Writer, o options, j *checkpoint.Journal
 			names = append(names, p.Name)
 		}
 	}
-	results, rep, err := evaluate(ctx, o, j, reg, names)
+	art, err := evaluate(ctx, o, j, reg, names)
 	if err != nil {
 		return err
 	}
+	results, rep := art.Platforms, art.Replications
 	byName := map[string]*eval.PlatformResult{}
 	for _, r := range results {
 		byName[r.Platform] = r
@@ -205,7 +209,7 @@ func dispatch(ctx context.Context, w io.Writer, o options, j *checkpoint.Journal
 		}
 		return figure.WriteCSV(w)
 	case o.out != "":
-		return writeAll(w, o.out, results, byName, rep)
+		return writeAll(w, o.out, art, byName)
 	default:
 		if err := printAll(w, results, byName); err != nil {
 			return err
@@ -214,10 +218,11 @@ func dispatch(ctx context.Context, w io.Writer, o options, j *checkpoint.Journal
 	}
 }
 
-// evaluate runs the needed platform evaluations — on the supervised
-// sharded executor when -shards names a journal directory, on the plain
-// parallel sweep otherwise — plus the replication sweep when asked.
-func evaluate(ctx context.Context, o options, j *checkpoint.Journal, reg *obs.Registry, names []string) ([]*eval.PlatformResult, *campaign.ReplicationSummary, error) {
+// evaluate runs the needed platform evaluations — as a lease campaign
+// when -shards names a campaign directory, on the plain parallel sweep
+// otherwise — plus the replication sweep when asked. The artifacts carry
+// the effective seed: a remote campaign's comes from its manifest.
+func evaluate(ctx context.Context, o options, j *checkpoint.Journal, reg *obs.Registry, names []string) (*campaign.Artifacts, error) {
 	cfg := campaign.Config{
 		Seed:         o.seed,
 		Workers:      o.workers,
@@ -234,7 +239,7 @@ func evaluate(ctx context.Context, o options, j *checkpoint.Journal, reg *obs.Re
 		// campaign's manifest; only explicitly passed flags are pinned
 		// against it.
 		if o.shards == "" {
-			return nil, nil, fmt.Errorf("-workers remote requires -shards <campaign dir>")
+			return nil, fmt.Errorf("-workers remote requires -shards <campaign dir>")
 		}
 		rcfg := cfg
 		if !o.seedSet {
@@ -242,32 +247,28 @@ func evaluate(ctx context.Context, o options, j *checkpoint.Journal, reg *obs.Re
 		}
 		res, err := campaign.RemoteMerge(rcfg, campaign.RemoteOptions{Dir: o.shards}, nil)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return res.Artifacts.Platforms, res.Artifacts.Replications, nil
+		return res.Artifacts, nil
 	}
 	if o.shards != "" {
-		res, err := campaign.ShardedEvaluate(cfg, campaign.ShardOptions{Workers: o.workers, Dir: o.shards}, names)
+		res, err := campaign.RunLocal(cfg, campaign.RemoteOptions{Dir: o.shards}, names)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		var rep *campaign.ReplicationSummary
-		if res.Artifacts != nil {
-			rep = res.Artifacts.Replications
-		}
-		return res.Platforms, rep, nil
+		return res.Artifacts, nil
 	}
 	results, err := campaign.EvaluatePlatforms(cfg, names)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var rep *campaign.ReplicationSummary
+	art := &campaign.Artifacts{Seed: o.seed, Platforms: results}
 	if o.replications > 1 {
-		if rep, err = campaign.Replicate(cfg, names, results); err != nil {
-			return nil, nil, err
+		if art.Replications, err = campaign.Replicate(cfg, names, results); err != nil {
+			return nil, err
 		}
 	}
-	return results, rep, nil
+	return art, nil
 }
 
 // writeReplications renders the replication sweep table (a no-op without
@@ -357,7 +358,11 @@ func printAll(w io.Writer, results []*eval.PlatformResult, byName map[string]*ev
 	return nil
 }
 
-func writeAll(w io.Writer, dir string, results []*eval.PlatformResult, byName map[string]*eval.PlatformResult, rep *campaign.ReplicationSummary) error {
+// writeAll writes every artifact of art into dir; the per-platform
+// reports re-derive their ablations from a runner at art.Seed, the seed
+// the evaluations ran at.
+func writeAll(w io.Writer, dir string, art *campaign.Artifacts, byName map[string]*eval.PlatformResult) error {
+	results, rep := art.Platforms, art.Replications
 	if err := atomicio.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -424,7 +429,7 @@ func writeAll(w io.Writer, dir string, results []*eval.PlatformResult, byName ma
 			if err != nil {
 				return err
 			}
-			runner, err := bench.NewRunner(bench.Config{Platform: plat, Seed: 1})
+			runner, err := bench.NewRunner(bench.Config{Platform: plat, Seed: art.Seed})
 			if err != nil {
 				return err
 			}

@@ -7,24 +7,22 @@ import (
 	"path/filepath"
 	"testing"
 
+	"memcontention/internal/bench"
+	"memcontention/internal/campaign"
 	"memcontention/internal/checkpoint"
 	"memcontention/internal/obs"
+	"memcontention/internal/report"
+	"memcontention/internal/topology"
 )
 
 // TestOutKillResumeByteIdenticalArtifacts interrupts a -out run
 // mid-evaluation and asserts the resumed run writes artifact files byte
-// identical to an uninterrupted run's.
+// identical to an uninterrupted run's (the golden files).
 func TestOutKillResumeByteIdenticalArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full testbed evaluation")
 	}
 	base := t.TempDir()
-	freshDir := filepath.Join(base, "fresh")
-	var buf bytes.Buffer
-	if err := run(context.Background(), &buf, options{out: freshDir, seed: 1, workers: 2, replications: 1}, &checkpoint.CLI{}, &obs.CLI{}); err != nil {
-		t.Fatal(err)
-	}
-
 	jpath := filepath.Join(base, "run.ckpt")
 	j, err := checkpoint.Open(jpath)
 	if err != nil {
@@ -37,6 +35,7 @@ func TestOutKillResumeByteIdenticalArtifacts(t *testing.T) {
 			cancel()
 		}
 	}
+	var buf bytes.Buffer
 	resumedDir := filepath.Join(base, "resumed")
 	err = dispatch(ctx, &buf, options{out: resumedDir, seed: 1, workers: 2, replications: 1}, j, nil)
 	if !checkpoint.IsCanceled(err) {
@@ -50,27 +49,7 @@ func TestOutKillResumeByteIdenticalArtifacts(t *testing.T) {
 	if err := run(context.Background(), &buf, options{out: resumedDir, seed: 1, workers: 2, replications: 1}, ckpt, &obs.CLI{}); err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
-
-	entries, err := os.ReadDir(freshDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("no artifacts written")
-	}
-	for _, e := range entries {
-		want, err := os.ReadFile(filepath.Join(freshDir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(resumedDir, e.Name()))
-		if err != nil {
-			t.Fatalf("resumed run missing artifact %s: %v", e.Name(), err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("artifact %s differs between fresh and resumed run", e.Name())
-		}
-	}
+	assertSameDir(t, goldenDir, resumedDir)
 }
 
 func TestTable2ToWriter(t *testing.T) {
@@ -84,9 +63,11 @@ func TestTable2ToWriter(t *testing.T) {
 }
 
 // TestShardedOutMatchesSequential drives the -shards path end to end:
-// the supervised sharded executor must write -out artifacts byte
-// identical to the plain sequential run, and -replications must add the
-// replication summary artifacts.
+// the in-process lease campaign must write -out artifacts byte
+// identical to the plain sequential run, -replications must add the
+// replication summary artifacts, and the campaign directory must read
+// in the fleet monitor like any memworker fleet's: every unit done, one
+// drained worker per -workers.
 func TestShardedOutMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full testbed evaluation")
@@ -98,33 +79,61 @@ func TestShardedOutMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	shardedDir := filepath.Join(base, "sharded")
-	o := options{out: shardedDir, seed: 1, workers: 4, replications: 2, shards: filepath.Join(base, "run.shards")}
+	o := options{out: shardedDir, seed: 1, workers: 2, replications: 2, shards: filepath.Join(base, "run")}
 	if err := run(context.Background(), &buf, o, &checkpoint.CLI{}, &obs.CLI{}); err != nil {
 		t.Fatal(err)
 	}
+	assertSameDir(t, seqDir, shardedDir)
+	if _, err := os.Stat(filepath.Join(shardedDir, "replications.txt")); err != nil {
+		t.Fatalf("replicated run wrote no replications.txt: %v", err)
+	}
 
-	entries, err := os.ReadDir(seqDir)
+	rep, err := campaign.CollectFleet(campaign.FleetOptions{Dir: o.shards})
+	if err != nil || rep.Units == 0 || rep.Done != rep.Units || rep.Quarantined != 0 || rep.Manifest.Shards != 2 {
+		t.Fatalf("fleet report %+v (%v), want every unit done over 2 shards", rep, err)
+	}
+	drained := 0
+	for _, w := range rep.Workers {
+		if w.State == campaign.WorkerDrained {
+			drained++
+		}
+	}
+	if len(rep.Workers) != 2 || drained != 2 {
+		t.Fatalf("%d workers, %d drained; want 2 drained", len(rep.Workers), drained)
+	}
+}
+
+// TestSeedReachesReports: -seed drives the per-platform reports too, not
+// only the evaluations — each report must be report.Write over a runner
+// at the run's seed.
+func TestSeedReachesReports(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full testbed evaluation")
+	}
+	out := filepath.Join(t.TempDir(), "out")
+	if err := run(context.Background(), &bytes.Buffer{}, options{out: out, seed: 2, workers: 2, replications: 1}, &checkpoint.CLI{}, &obs.CLI{}); err != nil {
+		t.Fatal(err)
+	}
+	results, err := campaign.EvaluatePlatforms(campaign.Config{Seed: 2, Workers: 2}, campaign.TestbedNames())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawReplications := false
-	for _, e := range entries {
-		if e.Name() == "replications.txt" {
-			sawReplications = true
-		}
-		want, err := os.ReadFile(filepath.Join(seqDir, e.Name()))
+	for _, r := range results {
+		plat, err := topology.ByName(r.Platform)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(shardedDir, e.Name()))
+		runner, err := bench.NewRunner(bench.Config{Platform: plat, Seed: 2})
 		if err != nil {
-			t.Fatalf("sharded run missing artifact %s: %v", e.Name(), err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("artifact %s differs between sequential and sharded run", e.Name())
+		var want bytes.Buffer
+		if err := report.Write(&want, r, runner); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !sawReplications {
-		t.Fatal("replicated run wrote no replications.txt")
+		name := "report-" + r.Platform + ".txt"
+		if got := readDir(t, out)[name]; !bytes.Equal(want.Bytes(), got) || bytes.Equal(readDir(t, goldenDir)[name], got) {
+			t.Errorf("%s was not rendered at seed 2", name)
+		}
 	}
 }

@@ -48,6 +48,16 @@ const (
 	WorkerFailed = "failed"
 )
 
+// ShardProgress is one shard's completion state: a worker's view of the
+// shards it touched (in its beacon) or the fleet's view of every shard
+// (in memtop's report).
+type ShardProgress struct {
+	Shard       int `json:"shard"`
+	Done        int `json:"done"`
+	Pending     int `json:"pending"`
+	Quarantined int `json:"quarantined"`
+}
+
 // LeaseHolding is one lease a worker holds: the shard and the fencing
 // epoch it was acquired under.
 type LeaseHolding struct {
@@ -60,8 +70,7 @@ type WorkerStatus struct {
 	// Worker is the writer id (the lease owner token for memworker
 	// processes); it doubles as the beacon file stem.
 	Worker string `json:"worker"`
-	// Host and PID locate the process for operators (empty/0 for
-	// in-process executors).
+	// Host and PID locate the process for operators.
 	Host string `json:"host,omitempty"`
 	PID  int    `json:"pid,omitempty"`
 	// State is one of WorkerRunning, WorkerDrained, WorkerStopped,

@@ -41,7 +41,8 @@ import (
 type Config struct {
 	// Seed drives all measurement noise (default 1).
 	Seed uint64
-	// Workers bounds the evaluation worker pool (0: GOMAXPROCS).
+	// Workers bounds the evaluation worker pool, and is RunLocal's
+	// worker count (0: GOMAXPROCS).
 	Workers int
 	// Context cancels the campaign cooperatively at unit boundaries.
 	// Nil keeps every layer check-free.

@@ -17,9 +17,10 @@ import (
 // This file is the campaign event journal: an append-only, CRC32-framed
 // JSONL stream of fleet-level events (worker join/drain, lease claims,
 // fences, orphan takeovers, shard completions, unit quarantines). Every
-// writer — one memworker process, or the in-process sharded supervisor —
-// appends to its own file under <campaign-dir>/events/, so no two
-// processes ever interleave writes, and readers union all files into one
+// writer — one lease worker, whether a memworker process or one of
+// RunLocal's goroutines — appends to its own file under
+// <campaign-dir>/events/, so no two writers ever interleave, and readers
+// union all files into one
 // deterministic timeline: events sort by (time, worker, sequence), which
 // is a total order because sequence numbers are unique per writer.
 //
@@ -64,8 +65,9 @@ const (
 	// EventShardComplete: the worker holding the shard journaled its
 	// last pending unit.
 	EventShardComplete EventType = "shard-complete"
-	// EventUnitQuarantine: the in-process supervisor quarantined a
-	// poison unit (Key carries the unit key, Detail the error).
+	// EventUnitQuarantine: a worker quarantined a poison unit after
+	// its attempt budget ran out (Key carries the unit key, Detail the
+	// error).
 	EventUnitQuarantine EventType = "unit-quarantine"
 )
 
@@ -84,8 +86,8 @@ type Event struct {
 	TimeUnixNano int64 `json:"time_unix_nano"`
 	// Type classifies the event.
 	Type EventType `json:"type"`
-	// Worker identifies the writer (the lease owner token for memworker
-	// processes, a caller-chosen id for in-process runs).
+	// Worker identifies the writer: the lease owner token of the worker
+	// that wrote it.
 	Worker string `json:"worker"`
 	// Shard is the shard the event concerns, or WorkerScope (-1) for
 	// worker-level events.

@@ -9,16 +9,16 @@ import (
 	"memcontention/internal/obs"
 )
 
-// fleetObs bundles one executor's fleet-observability plane: its event
+// fleetObs bundles one worker's fleet-observability plane: its event
 // journal (events/<worker>.jsonl), its status beacon
-// (beacons/<worker>.json) and a rolling throughput window. Remote
-// workers and the in-process supervisor both speak through it, so
-// memtop sees one vocabulary regardless of how the campaign runs.
+// (beacons/<worker>.json) and a rolling throughput window. Every lease
+// worker speaks through it, memworker processes and RunLocal's
+// goroutines alike, so memtop sees one vocabulary regardless of how the
+// campaign runs.
 //
 // Observability must never kill a campaign: every emission failure is
 // swallowed into an error counter (surfaced as RemoteReport.ObsErrors)
-// instead of propagating. All methods are nil-receiver-safe, so
-// executors without a campaign directory simply pass nil.
+// instead of propagating. All methods are nil-receiver-safe.
 type fleetObs struct {
 	clock obs.Clock
 	reg   *obs.Registry
@@ -230,9 +230,9 @@ func (fo *fleetObs) shardComplete(h *lease.Held) {
 	fo.emit(EventShardComplete, h.Shard(), h.Epoch(), "", "")
 }
 
-// quarantined records a poison unit the in-process supervisor gave up
-// on: the shard view moves it from pending to quarantined and the event
-// carries the unit key and the final error.
+// quarantined records a poison unit the worker gave up on: the shard
+// view moves it from pending to quarantined and the event carries the
+// unit key and the final error.
 func (fo *fleetObs) quarantined(shard int, key, detail string) {
 	if fo == nil {
 		return

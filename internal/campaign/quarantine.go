@@ -14,32 +14,10 @@ import (
 	"memcontention/internal/atomicio"
 )
 
-// QuarantineFile is the report file a sharded campaign writes into its
-// shard directory when units exhaust their retry budget.
+// QuarantineFile is the report file an in-process campaign (RunLocal)
+// writes into its directory: the units its workers quarantined after
+// exhausting their retry budget, empty on a clean run.
 const QuarantineFile = "quarantine.jsonl"
-
-// UnitError is the structured failure of one experiment unit, following
-// the internal/faults convention (typed, field-addressable, unwrappable):
-// which unit, its home shard, how many attempts were burned, and the
-// underlying cause of the last attempt.
-type UnitError struct {
-	// Key is the unit's journal key.
-	Key string
-	// Shard is the unit's home shard (its hash assignment, not where a
-	// stolen attempt happened to run — the home shard is deterministic).
-	Shard int
-	// Attempts is the number of failed attempts, retries included.
-	Attempts int
-	// Err is the cause of the final attempt.
-	Err error
-}
-
-func (e *UnitError) Error() string {
-	return fmt.Sprintf("campaign: unit %s (shard %d) failed after %d attempts: %v", e.Key, e.Shard, e.Attempts, e.Err)
-}
-
-// Unwrap exposes the cause to errors.Is/As.
-func (e *UnitError) Unwrap() error { return e.Err }
 
 // QuarantineRecord is one quarantined unit as persisted in
 // quarantine.jsonl: everything needed to reproduce and triage the
@@ -51,15 +29,16 @@ type QuarantineRecord struct {
 	Error    string `json:"error"`
 }
 
-// QuarantineError reports a sharded campaign that completed its healthy
-// units but quarantined others; final artifacts cannot be assembled with
-// units missing, so the campaign surfaces this instead of silently
-// writing partial results. The per-unit detail is in Records and in the
-// quarantine.jsonl file at Path.
+// QuarantineError reports a worker (or an in-process campaign) that
+// journaled its healthy units but quarantined others; final artifacts
+// cannot be assembled with units missing, so the campaign surfaces this
+// instead of silently writing partial results. The per-unit detail is in
+// Records and, for RunLocal, in the quarantine.jsonl file at Path.
 type QuarantineError struct {
 	// Records are the quarantined units, sorted by key.
 	Records []QuarantineRecord
-	// Path is the quarantine.jsonl report location.
+	// Path is the quarantine.jsonl report location ("" for a single
+	// worker, which writes no report).
 	Path string
 }
 
@@ -68,8 +47,12 @@ func (e *QuarantineError) Error() string {
 	for i, r := range e.Records {
 		keys[i] = r.Key
 	}
-	return fmt.Sprintf("campaign: %d unit(s) quarantined after repeated failures (see %s): %s",
-		len(e.Records), e.Path, strings.Join(keys, ", "))
+	see := ""
+	if e.Path != "" {
+		see = " (see " + e.Path + ")"
+	}
+	return fmt.Sprintf("campaign: %d unit(s) quarantined after repeated failures%s: %s",
+		len(e.Records), see, strings.Join(keys, ", "))
 }
 
 // ErrQuarantined is the sentinel behind every QuarantineError, for
@@ -87,7 +70,7 @@ func (e *QuarantineError) Unwrap() error { return ErrQuarantined }
 // with "report lost".
 func writeQuarantine(path string, records []QuarantineRecord) error {
 	sorted := append([]QuarantineRecord(nil), records...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+	sortQuarantine(sorted)
 	var buf bytes.Buffer
 	for _, r := range sorted {
 		line, err := json.Marshal(r)
@@ -101,6 +84,11 @@ func writeQuarantine(path string, records []QuarantineRecord) error {
 		return fmt.Errorf("campaign: write quarantine report: %w", err)
 	}
 	return nil
+}
+
+// sortQuarantine orders records by unit key.
+func sortQuarantine(records []QuarantineRecord) {
+	sort.Slice(records, func(i, j int) bool { return records[i].Key < records[j].Key })
 }
 
 // ReadQuarantine loads a quarantine.jsonl report. A missing file is an

@@ -31,7 +31,8 @@ import (
 // journal files. A deposed zombie that is still running can only append
 // to its own dead-epoch file — harmless, because campaigns are
 // deterministic in (seed, config) and the merge unions epochs with
-// byte-equality conflict detection.
+// byte-equality conflict detection. RunLocal (local.go) runs the same
+// workers as goroutines of one process.
 
 // ManifestFile is the campaign manifest written into the campaign
 // directory: the (seed, platforms, shards, replications) tuple every
@@ -150,7 +151,7 @@ func EnsureManifest(dir string, want Manifest) (Manifest, error) {
 }
 
 // ParseWorkers parses a -workers flag value: a non-negative worker
-// count ("0", "8") for the in-process executors, or the literal
+// count ("0", "8") for the in-process run, or the literal
 // "remote" to finalize a lease-coordinated remote campaign
 // (docs/campaigns.md).
 func ParseWorkers(s string) (workers int, remote bool, err error) {
@@ -181,11 +182,9 @@ type RemoteOptions struct {
 	// Clock, Owner); Dir is filled in from the campaign directory. The
 	// zero value uses the lease defaults (15s TTL, 3s heartbeat).
 	Lease lease.Config
-	// MaxAttempts bounds in-process retries of a failing unit before the
-	// worker gives up on the campaign (default 3). Remote campaigns have
-	// no quarantine: a unit this worker cannot complete is left for
-	// another worker (or operator) — the lease is released, nothing is
-	// marked poisoned on disk.
+	// MaxAttempts bounds how often one unit may fail — an error or a
+	// panic — on this worker before the worker quarantines it and moves
+	// on to the next unit (default 3).
 	MaxAttempts int
 	// Backoff returns the delay before retry `attempt` (1-based); the
 	// default doubles from 10ms and saturates at 1s.
@@ -196,7 +195,8 @@ type RemoteOptions struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 	// Poll is the idle rescan interval: how often a worker with nothing
 	// claimable re-examines the shards, and how often the finalizer
-	// re-checks completion (default: the lease heartbeat interval).
+	// re-checks completion (default: the lease heartbeat interval;
+	// RunLocal's in-process workers default to 5ms).
 	Poll time.Duration
 	// UnitStart, when set, runs before each unit execution — after the
 	// fencing check, so a test that parks a worker here and lets its
@@ -205,6 +205,11 @@ type RemoteOptions struct {
 	UnitStart func(shard int, key string)
 	// UnitDone, when set, runs after each unit is durably journaled.
 	UnitDone func(shard int, key string)
+
+	// faultHook, when set, runs before each unit attempt (1-based) and
+	// may fail or panic it; the retry, panic and quarantine tests inject
+	// unit failures here.
+	faultHook func(key string, attempt int) error
 }
 
 func (o RemoteOptions) withDefaults() RemoteOptions {
@@ -263,6 +268,11 @@ type RemoteReport struct {
 	// Drained reports whether the worker observed the whole campaign
 	// complete (every unit journaled) before returning.
 	Drained bool
+	// Quarantined lists the units this worker gave up on after
+	// MaxAttempts failed attempts, sorted by key. The worker never runs
+	// them again; it journals everything else and then returns a
+	// *QuarantineError.
+	Quarantined []QuarantineRecord
 	// ObsErrors counts beacon and event-journal writes that failed.
 	// Observability never kills a worker — emission failures are counted
 	// here instead of propagating — but a nonzero count means memtop's
@@ -271,11 +281,13 @@ type RemoteReport struct {
 }
 
 // RemoteWorker joins the remote campaign in opts.Dir and works it until
-// every unit of every shard is journaled (Drained=true), the context is
-// canceled, or a unit fails MaxAttempts times. It scans the shards in
-// order, skips complete ones, claims unleased (or stale-leased) ones,
-// and for each claim executes the pending units into that claim's
-// epoch journal while a heartbeat goroutine renews the lease.
+// every unit of every shard is journaled (Drained=true) or the context
+// is canceled. It scans the shards in order, skips complete ones, claims
+// unleased (or stale-leased) ones, and for each claim executes the
+// pending units into that claim's epoch journal while a heartbeat
+// goroutine renews the lease. A unit that fails MaxAttempts times is
+// quarantined by this worker, which then returns a *QuarantineError
+// once every other unit is journaled.
 //
 // Crash safety falls out of the layering: a SIGKILLed worker leaves its
 // lease to go stale and its journal prefix intact; a canceled worker
@@ -315,11 +327,12 @@ func RemoteWorker(cfg Config, opts RemoteOptions, names []string) (*RemoteReport
 	// Funnel every exit through one final beacon + lifecycle event, so
 	// the fleet plane can tell a clean exit from a crash: a killed worker
 	// never reaches this and leaves a stale "running" beacon behind.
+	var qerr *QuarantineError
 	switch {
-	case err == nil && report.Drained:
-		fo.finish(WorkerDrained, EventWorkerDrain, "")
 	case err == nil:
-		fo.finish(WorkerStopped, EventWorkerStop, "")
+		fo.finish(WorkerDrained, EventWorkerDrain, "")
+	case errors.As(err, &qerr):
+		fo.finish(WorkerDrained, EventWorkerDrain, fmt.Sprintf("%d units quarantined", len(qerr.Records)))
 	case checkpoint.IsCanceled(err):
 		fo.finish(WorkerStopped, EventWorkerStop, "canceled")
 	default:
@@ -341,7 +354,7 @@ func remoteWork(ctx context.Context, cfg Config, opts RemoteOptions, set *checkp
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("campaign: remote worker: %w", err)
 			}
-			pending, err := pendingUnits(set, byShard[shard], shard)
+			pending, err := pendingUnits(set, byShard[shard], shard, report.Quarantined)
 			if err != nil {
 				return err
 			}
@@ -368,9 +381,9 @@ func remoteWork(ctx context.Context, cfg Config, opts RemoteOptions, set *checkp
 			// so the old owner's journals are closed and on disk; working
 			// from this second scan means healthy handoffs never execute
 			// a unit twice (only a fenced zombie's in-flight unit or a
-			// split-claim race can overlap, each into its own epoch file
-			// with byte-identical payloads).
-			pending, err = pendingUnits(set, byShard[shard], shard)
+			// split-claim race between processes can overlap, each into
+			// its own epoch file with byte-identical payloads).
+			pending, err = pendingUnits(set, byShard[shard], shard, report.Quarantined)
 			if err != nil {
 				held.Release()
 				fo.leaseDropped(held.Shard())
@@ -394,6 +407,9 @@ func remoteWork(ctx context.Context, cfg Config, opts RemoteOptions, set *checkp
 			}
 		}
 		if allDone {
+			if len(report.Quarantined) > 0 {
+				return &QuarantineError{Records: report.Quarantined}
+			}
 			report.Drained = true
 			return nil
 		}
@@ -465,22 +481,31 @@ func remoteSetup(cfg Config, opts RemoteOptions, names []string) (Config, Remote
 	return cfg, opts, man, set, nil
 }
 
-// pendingUnits returns the units of shard not yet journaled in any of
-// the shard's journal files (any epoch — completed work survives
-// takeover). A merge conflict here means journal corruption or a
-// nondeterminism bug and fails loudly, exactly like the final merge.
-func pendingUnits(set *checkpoint.ShardSet, units []unit, shard int) ([]unit, error) {
+// pendingUnits returns the units of shard this worker still has to
+// run: not journaled in any of the shard's journal files (any epoch —
+// completed work survives takeover) and not quarantined by it.
+func pendingUnits(set *checkpoint.ShardSet, units []unit, shard int, quarantined []QuarantineRecord) ([]unit, error) {
 	files, err := set.ShardFiles(shard)
 	if err != nil {
 		return nil, err
 	}
+	return unjournaled(files, units, quarantined)
+}
+
+// unjournaled returns the units journaled in none of files and not in
+// skip. A merge conflict here means journal corruption or a
+// nondeterminism bug and fails loudly, exactly like the final merge.
+func unjournaled(files []string, units []unit, skip []QuarantineRecord) ([]unit, error) {
 	entries, err := checkpoint.MergeShardFiles(files)
 	if err != nil {
 		return nil, err
 	}
-	done := make(map[string]bool, len(entries))
+	done := make(map[string]bool, len(entries)+len(skip))
 	for _, e := range entries {
 		done[e.Key] = true
+	}
+	for _, q := range skip {
+		done[q.Key] = true
 	}
 	var out []unit
 	for _, u := range units {
@@ -493,10 +518,11 @@ func pendingUnits(set *checkpoint.ShardSet, units []unit, shard int) ([]unit, er
 
 // runLeasedShard executes pending units under an acquired lease:
 // journal opened at the lease's epoch, heartbeat goroutine renewing on
-// the configured interval, fencing checked between units. It returns
-// the number of units completed and always closes the journal and
-// releases the lease (Release is a no-op on a fenced lease, so a new
-// owner's lease file is never disturbed).
+// the configured interval, fencing checked between units. A unit that
+// exhausts its attempts is quarantined into the report and the loop
+// moves on. It returns the number of units completed and always closes
+// the journal and releases the lease (Release is a no-op on a fenced
+// lease, so a new owner's lease file is never disturbed).
 func runLeasedShard(ctx context.Context, cfg Config, opts RemoteOptions, set *checkpoint.ShardSet,
 	held *lease.Held, heartbeat time.Duration, pending []unit, assigned int, fo *fleetObs, report *RemoteReport) (int, error) {
 	j, err := set.OpenEpochShard(held.Shard(), held.Epoch())
@@ -556,10 +582,13 @@ func runLeasedShard(ctx context.Context, cfg Config, opts RemoteOptions, set *ch
 		if err := runRemoteUnit(ctx, cfg, opts, j, u); err != nil {
 			if checkpoint.IsCanceled(err) {
 				runErr = fmt.Errorf("campaign: remote worker: %w", err)
-			} else {
-				runErr = &UnitError{Key: u.Key, Shard: held.Shard(), Attempts: opts.MaxAttempts, Err: err}
+				break
 			}
-			break
+			detail := fmt.Sprintf("campaign: unit %s (shard %d) failed after %d attempts: %v", u.Key, held.Shard(), opts.MaxAttempts, err)
+			report.Quarantined = append(report.Quarantined, QuarantineRecord{Key: u.Key, Shard: held.Shard(), Attempts: opts.MaxAttempts, Error: detail})
+			sortQuarantine(report.Quarantined)
+			fo.quarantined(held.Shard(), u.Key, detail)
+			continue
 		}
 		ran++
 		fo.unitDone(held.Shard())
@@ -596,33 +625,51 @@ func runLeasedShard(ctx context.Context, cfg Config, opts RemoteOptions, set *ch
 	return ran, relErr
 }
 
-// runRemoteUnit runs one unit with the in-process retry budget and
-// verifies it journaled its key (the same invariant the supervised
-// executor enforces: a completed unit can never vanish from the merge).
+// runRemoteUnit runs one unit with the worker's retry budget, backing
+// off between attempts. Cancellation ends it at once and charges
+// nothing; any other failure is charged to the attempt it ended.
 func runRemoteUnit(ctx context.Context, cfg Config, opts RemoteOptions, j *checkpoint.Journal, u unit) error {
 	var last error
-	for attempt := 0; attempt < opts.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if err := opts.Sleep(ctx, opts.Backoff(attempt)); err != nil {
+	for attempt := 1; attempt <= opts.MaxAttempts; attempt++ {
+		if attempt > 1 {
+			if err := opts.Sleep(ctx, opts.Backoff(attempt-1)); err != nil {
 				return err
 			}
 		}
-		wcfg := cfg
-		wcfg.Journal = j
-		wcfg.Workers = 1 // the unit is the parallelism grain
-		err := u.run(wcfg)
-		if err == nil {
-			if !j.Has(u.Key) {
-				return fmt.Errorf("campaign: unit %s completed without journaling its key", u.Key)
-			}
-			return nil
-		}
-		if checkpoint.IsCanceled(err) {
+		err := runAttempt(cfg, opts, j, u, attempt)
+		if err == nil || checkpoint.IsCanceled(err) {
 			return err
 		}
 		last = err
 	}
 	return last
+}
+
+// runAttempt runs one attempt of u into j and verifies it journaled its
+// key, so a completed unit can never vanish from the merge. A panic in
+// the unit becomes this attempt's error: one broken unit must not take
+// down the worker and every healthy unit it has yet to run.
+func runAttempt(cfg Config, opts RemoteOptions, j *checkpoint.Journal, u unit, attempt int) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("campaign: unit %s panicked: %v", u.Key, p)
+		}
+	}()
+	if opts.faultHook != nil {
+		if err := opts.faultHook(u.Key, attempt); err != nil {
+			return err
+		}
+	}
+	wcfg := cfg
+	wcfg.Journal = j
+	wcfg.Workers = 1 // the unit is the parallelism grain
+	if err := u.run(wcfg); err != nil {
+		return err
+	}
+	if !j.Has(u.Key) {
+		return fmt.Errorf("campaign: unit %s completed without journaling its key", u.Key)
+	}
+	return nil
 }
 
 // RemoteIncompleteError reports a finalize attempt on a campaign whose
@@ -637,6 +684,16 @@ type RemoteIncompleteError struct {
 func (e *RemoteIncompleteError) Error() string {
 	return fmt.Sprintf("campaign: remote campaign incomplete: %d units not journaled (first: %s)",
 		len(e.Missing), e.Missing[0])
+}
+
+// ShardResult is the outcome of a merged lease campaign.
+type ShardResult struct {
+	// Artifacts holds the assembled pipeline artifacts (nil when the
+	// campaign was interrupted or quarantined units).
+	Artifacts *Artifacts
+	// Workers holds the reports of RunLocal's in-process workers in
+	// start order (nil from RemoteMerge).
+	Workers []*RemoteReport
 }
 
 // RemoteMerge finalizes a remote campaign: it waits (polling on
@@ -698,12 +755,12 @@ func RemoteMerge(cfg Config, opts RemoteOptions, names []string) (*ShardResult, 
 		}
 	}
 
-	merged, err := mergeShardSet(opts.Dir)
+	merged, err := mergeShardSet(set, opts.Dir)
 	if err != nil {
 		return nil, err
 	}
 	defer merged.Close()
-	res := &ShardResult{Dir: opts.Dir}
+	res := &ShardResult{}
 	mcfg := cfg
 	mcfg.Journal = merged
 	mcfg.Context = nil // assembly reads the journal; nothing to cancel
@@ -722,19 +779,31 @@ func missingUnits(set *checkpoint.ShardSet, units []unit) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
+	left, err := unjournaled(paths, units, nil)
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]string, len(left))
+	for i, u := range left {
+		keys[i] = u.Key
+	}
+	return keys, nil
+}
+
+// mergeShardSet merges every shard journal of set into merged.ckpt in
+// its directory and opens it.
+func mergeShardSet(set *checkpoint.ShardSet, dir string) (*checkpoint.Journal, error) {
+	paths, err := set.Paths()
+	if err != nil {
+		return nil, err
+	}
 	entries, err := checkpoint.MergeShardFiles(paths)
 	if err != nil {
 		return nil, err
 	}
-	done := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		done[e.Key] = true
+	path := filepath.Join(dir, "merged.ckpt")
+	if err := checkpoint.WriteJournal(path, entries); err != nil {
+		return nil, err
 	}
-	var missing []string
-	for _, u := range units {
-		if !done[u.Key] {
-			missing = append(missing, u.Key)
-		}
-	}
-	return missing, nil
+	return checkpoint.Open(path)
 }

@@ -121,17 +121,13 @@ func TestRemoteWorkersConcurrentNoDoubleCharge(t *testing.T) {
 		}
 		total += reports[w].Units
 	}
-	// Leases serialise shard ownership, so every unit is executed at
-	// least once; a split-claim race (two workers passing the staleness
-	// check before either's lease write lands) may execute a unit twice,
-	// but always into distinct epoch journals with byte-identical
-	// payloads — the merge collapses them, so the *artifacts* are never
-	// double-charged. That is what the byte-identity check below proves.
-	if total < len(units) {
+	// Leases serialise shard ownership, and Acquire is serialized within
+	// a process, so workers sharing one process can never split-claim a
+	// shard: every unit runs exactly once. (Between processes a split
+	// claim may still run a unit twice until the loser's first
+	// heartbeat, into distinct epoch journals the merge collapses.)
+	if total != len(units) {
 		t.Fatalf("workers executed %d units, campaign has %d", total, len(units))
-	}
-	if total > len(units) {
-		t.Logf("split-claim overlap: %d executions for %d units (merge dedups)", total, len(units))
 	}
 
 	res, err := RemoteMerge(Config{Seed: 1}, RemoteOptions{Dir: dir, Shards: 4, Lease: remoteLease(clk), Sleep: tinySleep}, testNames)
@@ -242,6 +238,49 @@ func TestRemoteZombieFencedStillWriting(t *testing.T) {
 	assertSameArtifacts(t, want, readArtifacts(t, out))
 }
 
+// orphanShard plays a worker SIGKILLed mid-shard: it pins the campaign
+// in dir, acquires the lease of u's home shard, journals u into that
+// epoch and never releases — the lease is an orphan once clk passes the
+// TTL. It returns the shard and the campaign's units.
+func orphanShard(t *testing.T, dir string, clk *remoteClock, shards int) (int, []unit) {
+	t.Helper()
+	cfg := Config{Seed: 1}.withDefaults()
+	if _, err := EnsureManifest(dir, Manifest{Seed: 1, Platforms: testNames, Shards: shards}); err != nil {
+		t.Fatal(err)
+	}
+	units, err := pipelineUnits(cfg, testNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := homeShard(units[0].Key, shards)
+	lcfg := remoteLease(clk)
+	lcfg.Dir = filepath.Join(dir, LeaseDir)
+	mgr, err := lease.NewManager(lcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := mgr.Acquire(shard, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := checkpoint.OpenShardSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := set.OpenEpochShard(shard, held.Epoch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Journal = j
+	if err := units[0].run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return shard, units
+}
+
 // TestRemoteOrphanTakeover models a SIGKILLed worker: a lease acquired
 // and never released, a partial epoch journal left behind. A fresh
 // worker must wait out nothing (the TTL already elapsed on the shared
@@ -251,44 +290,7 @@ func TestRemoteOrphanTakeover(t *testing.T) {
 	clk := newRemoteClock()
 	dir := filepath.Join(t.TempDir(), "campaign")
 	cfg := Config{Seed: 1}.withDefaults()
-
-	man, err := EnsureManifest(dir, Manifest{Seed: 1, Platforms: testNames, Shards: 1, Replications: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	units, err := pipelineUnits(cfg, man.Platforms)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The "killed" worker: lease held, one unit journaled, then nothing.
-	lcfg := remoteLease(clk)
-	lcfg.Dir = filepath.Join(dir, LeaseDir)
-	mgr, err := lease.NewManager(lcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	held, err := mgr.Acquire(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, err := checkpoint.OpenShardSet(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := set.OpenEpochShard(0, held.Epoch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcfg := cfg
-	wcfg.Journal = j
-	if err := units[0].run(wcfg); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// No Release: the process is gone. Its lease must time out.
+	_, units := orphanShard(t, dir, clk, 1)
 
 	clk.Advance(3 * time.Second)
 	rep, err := RemoteWorker(cfg, RemoteOptions{Dir: dir, Shards: 1, Lease: remoteLease(clk), Sleep: tinySleep}, testNames)
@@ -301,6 +303,10 @@ func TestRemoteOrphanTakeover(t *testing.T) {
 	if rep.Units != len(units)-1 {
 		t.Fatalf("successor executed %d units, want %d (the orphan's journaled unit must survive takeover)",
 			rep.Units, len(units)-1)
+	}
+	set, err := checkpoint.OpenShardSet(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if max, err := set.MaxEpoch(0); err != nil || max < 2 {
 		t.Fatalf("takeover epoch %d (%v), want >= 2", max, err)

@@ -13,8 +13,8 @@ import (
 // result, it doubles as the journal key the unit records under, and it
 // hashes to the unit's deterministic home shard. run executes the unit
 // against the worker's Config (shard journal attached) and must record
-// Key in cfg.Journal before returning nil — the supervisor verifies
-// this, so a completed unit can never silently vanish from the merge.
+// Key in cfg.Journal before returning nil — the worker verifies this,
+// so a completed unit can never silently vanish from the merge.
 type unit struct {
 	Key string
 	run func(cfg Config) error
@@ -22,8 +22,9 @@ type unit struct {
 
 // homeShard assigns a unit to its deterministic home shard: an FNV-64a
 // hash of the key modulo the shard count. The assignment depends only on
-// (key, shards), so a resumed campaign with the same worker count lands
-// every unit on the shard already holding its partial nested records.
+// (key, shards), and the manifest pins the shard count, so a resumed
+// campaign lands every unit on the shard already holding its partial
+// nested records.
 func homeShard(key string, shards int) int {
 	h := fnv.New64a()
 	h.Write([]byte(key))
@@ -54,8 +55,8 @@ func evalUnit(cfg Config, name string, seed uint64) (unit, error) {
 
 // netbenchUnit builds the ping-pong sweep unit. The per-size points
 // journal individually inside the driver; the marker entry recorded
-// under the unit key makes sweep completion visible to the supervisor
-// and the merge.
+// under the unit key makes sweep completion visible to the workers and
+// the merge.
 func netbenchUnit(names []string) unit {
 	key := "unit|netbench|" + names[0]
 	return unit{
@@ -84,21 +85,15 @@ func crossCheckUnit(cfg Config, names []string) unit {
 	}
 }
 
-// evalUnits enumerates the evaluation units of a campaign in
+// pipelineUnits enumerates the full Table II pipeline as units, in
 // deterministic order: every platform at the base seed, then — when
 // cfg.Replications > 1 — every platform again at each replication seed
-// (base+1, base+2, ...). The base-seed evaluations double as replication
-// 0, so a replicated campaign never measures the base seed twice.
-func evalUnits(cfg Config, names []string) ([]unit, error) {
+// (base+1, base+2, ...), then the network sweep and the DES cross-check.
+// The base-seed evaluations double as replication 0, so a replicated
+// campaign never measures the base seed twice.
+func pipelineUnits(cfg Config, names []string) ([]unit, error) {
 	var units []unit
-	for _, name := range names {
-		u, err := evalUnit(cfg, name, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		units = append(units, u)
-	}
-	for _, seed := range replicationSeeds(cfg)[1:] {
+	for _, seed := range replicationSeeds(cfg) {
 		for _, name := range names {
 			u, err := evalUnit(cfg, name, seed)
 			if err != nil {
@@ -106,17 +101,6 @@ func evalUnits(cfg Config, names []string) ([]unit, error) {
 			}
 			units = append(units, u)
 		}
-	}
-	return units, nil
-}
-
-// pipelineUnits enumerates the full Table II pipeline as units: all
-// evaluations (replications included), the network sweep and the DES
-// cross-check.
-func pipelineUnits(cfg Config, names []string) ([]unit, error) {
-	units, err := evalUnits(cfg, names)
-	if err != nil {
-		return nil, err
 	}
 	units = append(units, netbenchUnit(names), crossCheckUnit(cfg, names))
 	return units, nil

@@ -18,11 +18,11 @@ func TestParseShardFile(t *testing.T) {
 		{"shard-0012.ckpt", 12, 0, true},
 		{"shard-0003.e7.ckpt", 3, 7, true},
 		{"shard-0003.e18446744073709551615.ckpt", 3, 18446744073709551615, true},
-		{"shard-0003.e0.ckpt", 0, 0, false},   // epoch 0 is not a valid epoch file
-		{"shard-0003.eX.ckpt", 0, 0, false},   // non-numeric epoch
-		{"shard--001.ckpt", 0, 0, false},      // negative shard
-		{"shard-0003.e7.lease", 0, 0, false},  // wrong suffix
-		{"merged.ckpt", 0, 0, false},          // wrong prefix
+		{"shard-0003.e0.ckpt", 0, 0, false},  // epoch 0 is not a valid epoch file
+		{"shard-0003.eX.ckpt", 0, 0, false},  // non-numeric epoch
+		{"shard--001.ckpt", 0, 0, false},     // negative shard
+		{"shard-0003.e7.lease", 0, 0, false}, // wrong suffix
+		{"merged.ckpt", 0, 0, false},         // wrong prefix
 		{"quarantine.jsonl", 0, 0, false},
 	}
 	for _, tc := range cases {
@@ -49,7 +49,8 @@ func TestEpochShardPathsAndMaxEpoch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	j0, err := set.OpenShard(0)
+	// A plain, epoch-less journal still counts for its shard.
+	j0, err := Open(filepath.Join(dir, "shard-0000.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,16 +14,16 @@ import (
 )
 
 // shardPrefix and shardSuffix frame the file names of per-shard journals
-// inside a ShardSet directory: shard-0000.ckpt, shard-0001.ckpt, ...
+// inside a ShardSet directory: shard-0000.e1.ckpt, shard-0001.e3.ckpt, ...
 const (
 	shardPrefix = "shard-"
 	shardSuffix = ".ckpt"
 )
 
 // ShardSet manages the per-shard journals of one sharded campaign: a
-// directory holding shard-NNNN.ckpt journal files, one per worker, each
-// with the full CRC32 + torn-tail-recovery durability of a single
-// Journal. The set is the unit of resume — a killed parallel campaign
+// directory holding one shard-NNNN.eK.ckpt journal file per (shard,
+// lease epoch), each with the full CRC32 + torn-tail-recovery durability
+// of a single Journal. The set is the unit of resume — a killed campaign
 // reopens the same directory and the union of all shard journals tells
 // it which experiment units are already done, wherever they ran.
 type ShardSet struct {
@@ -42,42 +42,21 @@ func OpenShardSet(dir string) (*ShardSet, error) {
 	return &ShardSet{dir: dir}, nil
 }
 
-// Dir reports the shard-set directory ("" for a nil set).
-func (s *ShardSet) Dir() string {
-	if s == nil {
-		return ""
-	}
-	return s.dir
-}
-
-// ShardPath returns the journal path of shard i.
-func (s *ShardSet) ShardPath(i int) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s%04d%s", shardPrefix, i, shardSuffix))
-}
-
-// OpenShard opens (or creates) the journal of shard i, recovering any
-// torn tail exactly like Open.
-func (s *ShardSet) OpenShard(i int) (*Journal, error) {
-	if i < 0 {
-		return nil, fmt.Errorf("checkpoint: negative shard index %d", i)
-	}
-	return Open(s.ShardPath(i))
-}
-
 // EpochShardPath returns the journal path of shard i under fencing
-// epoch e: shard-0003.e7.ckpt. Remote multi-process campaigns journal
-// into epoch-suffixed files — each (shard, epoch) pair has exactly one
-// owner ever (internal/lease claims epochs O_EXCL), so no two processes
-// can interleave appends into the same journal, and a deposed zombie's
+// epoch e: shard-0003.e7.ckpt. Lease campaigns journal into
+// epoch-suffixed files — each (shard, epoch) pair has exactly one owner
+// ever (internal/lease claims epochs O_EXCL), so no two workers can
+// interleave appends into the same journal, and a deposed zombie's
 // late appends land in its own dead-epoch file. Paths() lists epoch
-// files alongside plain shard journals and MergeShards unions them all:
+// files alongside any plain shard journals and MergeShards unions them all:
 // campaigns are deterministic in (seed, config), so duplicate keys
 // across epochs carry byte-identical payloads and merge cleanly.
 func (s *ShardSet) EpochShardPath(i int, e uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s%04d.e%d%s", shardPrefix, i, e, shardSuffix))
 }
 
-// OpenEpochShard opens (or creates) the epoch-e journal of shard i.
+// OpenEpochShard opens (or creates) the epoch-e journal of shard i,
+// recovering any torn tail exactly like Open.
 func (s *ShardSet) OpenEpochShard(i int, e uint64) (*Journal, error) {
 	if i < 0 {
 		return nil, fmt.Errorf("checkpoint: negative shard index %d", i)
@@ -89,8 +68,9 @@ func (s *ShardSet) OpenEpochShard(i int, e uint64) (*Journal, error) {
 }
 
 // ParseShardFile decomposes a shard-journal file name into its shard
-// index and epoch (0 for a plain, epoch-less journal as written by the
-// in-process sharded executor). Non-journal names report ok=false.
+// index and epoch (0 for a plain, epoch-less shard-NNNN.ckpt name: no
+// current writer produces one, but such journals still count and merge).
+// Non-journal names report ok=false.
 func ParseShardFile(name string) (shard int, epoch uint64, ok bool) {
 	if !strings.HasPrefix(name, shardPrefix) || !strings.HasSuffix(name, shardSuffix) {
 		return 0, 0, false
@@ -170,9 +150,9 @@ func (s *ShardSet) Paths() ([]string, error) {
 // MergeShards reads every given shard-journal image tolerantly (exactly
 // like Open: a torn or corrupt tail ends that shard's valid prefix and
 // the remainder is ignored) and merges the entries by key. The same key
-// appearing in several shards is legal — work stealing and worker
-// restarts can complete a re-run of a unit whose first attempt died
-// after journaling nested sub-units elsewhere — but only when every copy
+// appearing in several shards is legal — a takeover can complete a
+// re-run of a unit whose first owner died after journaling nested
+// sub-units into its own epoch file — but only when every copy
 // carries byte-identical payloads; campaigns are deterministic in
 // (seed, config), so differing payloads mean corruption or a
 // nondeterminism bug and merging must fail loudly rather than pick one.

@@ -28,16 +28,13 @@ func TestShardSetPathsAndOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if set.Dir() != dir {
-		t.Fatalf("Dir() = %q", set.Dir())
-	}
 	paths, err := set.Paths()
 	if err != nil || len(paths) != 0 {
 		t.Fatalf("fresh set has paths %v (err %v)", paths, err)
 	}
 	// Open shards out of order; Paths lists them sorted.
 	for _, i := range []int{2, 0} {
-		j, err := set.OpenShard(i)
+		j, err := set.OpenEpochShard(i, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,11 +53,11 @@ func TestShardSetPathsAndOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{set.ShardPath(0), set.ShardPath(2)}
+	want := []string{set.EpochShardPath(0, 1), set.EpochShardPath(2, 1)}
 	if len(paths) != 2 || paths[0] != want[0] || paths[1] != want[1] {
 		t.Fatalf("Paths() = %v, want %v", paths, want)
 	}
-	if _, err := set.OpenShard(-1); err == nil {
+	if _, err := set.OpenEpochShard(-1, 1); err == nil {
 		t.Fatal("negative shard index accepted")
 	}
 	if _, err := OpenShardSet(""); err == nil {
@@ -73,7 +70,7 @@ func TestMergeShardsDedupeSortAndTolerance(t *testing.T) {
 	e2 := Entry{Key: "a", Payload: []byte(`{"x":2}`)}
 	e3 := Entry{Key: "c", Payload: []byte(`[3]`)}
 	img1 := encodeLines(t, e1, e2)
-	// Shard 2 re-records e2 identically (a stolen re-run), adds e3, and
+	// Shard 2 re-records e2 identically (a re-run after takeover), adds e3, and
 	// ends in a torn tail that merging must tolerate.
 	img2 := append(encodeLines(t, e2, e3), []byte("7f000000 {\"key\":\"torn")...)
 
@@ -106,14 +103,14 @@ func TestMergeShardFilesAndWriteJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		j, err := set.OpenShard(i)
+		j, err := set.OpenEpochShard(i, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Record("shared", "same"); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Record(set.ShardPath(i), i); err != nil {
+		if err := j.Record(set.EpochShardPath(i, 1), i); err != nil {
 			t.Fatal(err)
 		}
 		if err := j.Close(); err != nil {

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -337,6 +338,8 @@ func TestEpochFloorCoversCorruptLease(t *testing.T) {
 // journal file; the verify-after-write in Acquire then settles the race
 // by epoch order, so losers get ErrHeld instead of a second live
 // ownership. At least one claimant must win. Run under -race.
+// (Claimants in one process are serialized outright; see
+// TestInProcessAcquireExactlyOneWinner.)
 func TestSplitClaimEpochUniqueness(t *testing.T) {
 	clock := newManualClock()
 	dir := t.TempDir()
@@ -375,6 +378,38 @@ func TestSplitClaimEpochUniqueness(t *testing.T) {
 	}
 	if winners == 0 {
 		t.Fatal("every claimant lost: the race must elect at least one owner")
+	}
+}
+
+// TestInProcessAcquireExactlyOneWinner races several Managers of one
+// process — the in-process workers of a campaign — on one free shard.
+// Exactly one may win every round: a second winner would run the shard
+// until its first heartbeat renewal, seconds after an in-process
+// campaign has finished. Run under -race.
+func TestInProcessAcquireExactlyOneWinner(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		clock, dir := newManualClock(), t.TempDir()
+		var wins atomic.Int32
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < 6; i++ {
+			m := mustManager(t, testConfig(t, dir, clock, fmt.Sprintf("owner-%d", i)))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, err := m.Acquire(0, 0); err == nil {
+					wins.Add(1)
+				} else if !errors.Is(err, ErrHeld) {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := wins.Load(); n != 1 {
+			t.Fatalf("round %d: %d managers acquired the same free shard, want exactly 1", round, n)
+		}
 	}
 }
 

@@ -231,6 +231,17 @@ func (m *Manager) Inspect(shard int) (Lease, State, error) {
 	return l, StateLive, nil
 }
 
+// acquireMu serializes Acquire across every Manager of this process,
+// from the first Inspect to the verify read. Managers in one process —
+// the in-process workers of one campaign — would otherwise split-claim
+// a free shard: both pass the liveness check, both write, both verify
+// before the other's write lands, and both run the shard until the
+// loser's first heartbeat renewal fences it, which comes long after a
+// millisecond-scale campaign has finished. Across processes nothing
+// changes: claim markers, the verify read and, at worst, the first
+// heartbeat renewal settle those races.
+var acquireMu sync.Mutex
+
 // Acquire claims shard for this manager's owner. A live lease under
 // another owner returns ErrHeld (wrapped with the owner and age, for
 // diagnostics). A free, stale or corrupt lease is taken over: the new
@@ -245,6 +256,8 @@ func (m *Manager) Acquire(shard int, epochFloor uint64) (*Held, error) {
 	if shard < 0 {
 		return nil, fmt.Errorf("lease: negative shard %d", shard)
 	}
+	acquireMu.Lock()
+	defer acquireMu.Unlock()
 	prev, state, err := m.Inspect(shard)
 	if err != nil {
 		return nil, err
@@ -282,6 +295,7 @@ func (m *Manager) Acquire(shard int, epochFloor uint64) (*Held, error) {
 	// away (the burned claim marker keeps our epoch unique forever, so
 	// even this aborted acquisition can never share a journal file).
 	// The residual window — both verify before the other's write lands —
+	// only exists between processes (acquireMu closes it within one); it
 	// closes at the first heartbeat renewal, and epoch-suffixed journals
 	// make it harmless meanwhile.
 	if cur, state, err := m.Inspect(shard); err != nil {

@@ -12,19 +12,11 @@
 // after the fsync would leave. The torn-tail round additionally chops
 // bytes off the journal to model a kill mid-write.
 //
-// With -parallel the harness additionally soaks the supervised sharded
-// executor (docs/campaigns.md): it kills random workers mid-shard (the
-// supervisor must restart them and re-enqueue their units), kills the
-// whole parallel campaign at unit boundaries and resumes it from the
-// shard journals, and poisons a unit to prove it lands in
-// quarantine.jsonl — asserting after every phase that the artifacts are
-// byte-identical to the sequential baseline.
-//
 // With -remote the harness instead soaks the lease-coordinated
 // multi-process campaign with real memworker processes and real signals
 // (SIGKILL, SIGSTOP/SIGCONT) — see remote.go.
 //
-// Usage: go run ./scripts/soak [-rounds 6] [-seed 1] [-parallel|-remote] [-v]
+// Usage: go run ./scripts/soak [-rounds 6] [-seed 1] [-remote] [-v]
 package main
 
 import (
@@ -35,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"memcontention/internal/campaign"
 	"memcontention/internal/checkpoint"
@@ -58,7 +49,6 @@ func logf(format string, args ...any) {
 func main() {
 	rounds := flag.Int("rounds", 6, "minimum interruptions per scenario")
 	seed := flag.Uint64("seed", 1, "seed for the kill points and the campaign noise")
-	parallel := flag.Bool("parallel", false, "soak the supervised sharded executor instead of the sequential pipeline")
 	remote := flag.Bool("remote", false, "soak the lease-coordinated multi-process campaign (real memworker processes and signals)")
 	flag.BoolVar(&verbose, "v", false, "log every kill and resume")
 	flag.Parse()
@@ -67,8 +57,6 @@ func main() {
 	switch {
 	case *remote:
 		err = soakRemote(*seed)
-	case *parallel:
-		err = soakParallel(*rounds, *seed)
 	default:
 		err = soak(*rounds, *seed)
 	}
@@ -198,187 +186,6 @@ func soakScenario(name string, plan *faults.Plan, rounds int, seed uint64) error
 		return err
 	}
 	fmt.Printf("soak: %s ok — %d kills (incl. torn + corrupt journal), artifacts byte-identical\n", name, kills)
-	return nil
-}
-
-// soakParallel soaks the supervised sharded executor in three phases,
-// each checked byte for byte against the sequential baseline:
-//
-//  1. worker churn — random workers are killed mid-shard at least
-//     `rounds` times; the supervisor restarts each one and re-enqueues
-//     its unit,
-//  2. whole-campaign kills — the parallel campaign is canceled at unit
-//     boundaries and resumed from its shard journals until it completes,
-//     with at least `rounds` kills,
-//  3. poison quarantine — one unit fails every attempt, must land in
-//     quarantine.jsonl, and the campaign must recover completely once
-//     the poison clears.
-func soakParallel(rounds int, seed uint64) error {
-	dir, err := os.MkdirTemp("", "memcontention-soak-parallel-*")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	baseline, err := campaign.Pipeline(campaign.Config{Seed: seed}, platforms)
-	if err != nil {
-		return fmt.Errorf("baseline pipeline: %w", err)
-	}
-	baseDir := filepath.Join(dir, "baseline")
-	if err := baseline.Write(baseDir); err != nil {
-		return err
-	}
-	const workers = 4
-
-	// Phase 1: worker churn. Each campaign run kills workers at seeded
-	// random unit starts (the stream is guarded — workers consult the
-	// hook concurrently); runs repeat on fresh shard sets until at least
-	// `rounds` kills have been absorbed, every run byte-checked.
-	var mu sync.Mutex
-	killPoints := rng.New(seed, "soak|parallel|workers")
-	kills, restarts := 0, 0
-	for attempt := 0; kills < rounds; attempt++ {
-		if attempt > 10*rounds+100 {
-			return fmt.Errorf("only %d worker kills after %d campaigns, want >= %d", kills, attempt, rounds)
-		}
-		res, err := campaign.ShardedPipeline(campaign.Config{Seed: seed}, campaign.ShardOptions{
-			Workers: workers,
-			Dir:     filepath.Join(dir, fmt.Sprintf("churn-%d.shards", attempt)),
-			KillHook: func(shard int, key string) bool {
-				mu.Lock()
-				defer mu.Unlock()
-				if kills < rounds && killPoints.Intn(2) == 0 {
-					kills++
-					logf("  [parallel] kill %d: worker %d holding %s", kills, shard, key)
-					return true
-				}
-				return false
-			},
-		}, platforms)
-		if err != nil {
-			return fmt.Errorf("worker-churn campaign %d: %w", attempt, err)
-		}
-		restarts += res.Progress.Restarts
-		churnDir := filepath.Join(dir, fmt.Sprintf("churn-%d", attempt))
-		if err := res.Artifacts.Write(churnDir); err != nil {
-			return err
-		}
-		if err := compareDirs(baseDir, churnDir); err != nil {
-			return fmt.Errorf("worker churn campaign %d: %w", attempt, err)
-		}
-	}
-	if restarts < rounds {
-		return fmt.Errorf("only %d worker restarts for %d kills", restarts, kills)
-	}
-	fmt.Printf("soak: parallel worker churn ok — %d kills, %d restarts, artifacts byte-identical\n",
-		kills, restarts)
-
-	// Phase 2: whole-campaign kill-and-resume over persistent shard
-	// sets. One sequence = kill the parallel campaign at seeded unit
-	// boundaries and resume from the same shard directory until it
-	// completes; sequences repeat on fresh shard sets until at least
-	// `rounds` whole-campaign kills have been soaked, each completed
-	// sequence byte-checked.
-	campaignKills := 0
-	boundaryPoints := rng.New(seed, "soak|parallel|campaign")
-	for sequence := 0; campaignKills < rounds; sequence++ {
-		if sequence > 10*rounds+100 {
-			return fmt.Errorf("only %d campaign kills after %d sequences, want >= %d", campaignKills, sequence, rounds)
-		}
-		shardDir := filepath.Join(dir, fmt.Sprintf("resume-%d.shards", sequence))
-		var final *campaign.ShardResult
-		for attempt := 0; ; attempt++ {
-			if attempt > 10*rounds+100 {
-				return fmt.Errorf("parallel campaign did not complete after %d attempts", attempt)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			opts := campaign.ShardOptions{Workers: workers, Dir: shardDir}
-			if campaignKills < rounds {
-				done := 0
-				killAfter := 1 + boundaryPoints.Intn(3)
-				opts.UnitDone = func(completed int) {
-					mu.Lock()
-					defer mu.Unlock()
-					done++
-					if done >= killAfter {
-						cancel()
-					}
-				}
-			}
-			final, err = campaign.ShardedPipeline(campaign.Config{Seed: seed, Context: ctx}, opts, platforms)
-			cancel()
-			if err == nil {
-				logf("  [parallel] sequence %d attempt %d: completed (%d campaign kills so far)",
-					sequence, attempt, campaignKills)
-				break
-			}
-			if !checkpoint.IsCanceled(err) {
-				return fmt.Errorf("attempt %d: parallel campaign failed mid-soak: %w", attempt, err)
-			}
-			campaignKills++
-			logf("  [parallel] sequence %d attempt %d: campaign killed with %d/%d units done",
-				sequence, attempt, final.Progress.Done, final.Progress.Units)
-		}
-		resumeDir := filepath.Join(dir, fmt.Sprintf("resume-%d", sequence))
-		if err := final.Artifacts.Write(resumeDir); err != nil {
-			return err
-		}
-		if err := compareDirs(baseDir, resumeDir); err != nil {
-			return fmt.Errorf("campaign kill-and-resume sequence %d: %w", sequence, err)
-		}
-	}
-	fmt.Printf("soak: parallel kill-and-resume ok — %d campaign kills, artifacts byte-identical\n", campaignKills)
-
-	// Phase 3: poison quarantine, then recovery after the poison clears.
-	poisonDir := filepath.Join(dir, "poison.shards")
-	poisoned := ""
-	_, err = campaign.ShardedPipeline(campaign.Config{Seed: seed}, campaign.ShardOptions{
-		Workers:     workers,
-		Dir:         poisonDir,
-		MaxAttempts: 2,
-		FaultHook: func(key string, attempt int) error {
-			mu.Lock()
-			defer mu.Unlock()
-			if poisoned == "" {
-				poisoned = key
-			}
-			if key == poisoned {
-				return errors.New("soak: injected poison")
-			}
-			return nil
-		},
-	}, platforms)
-	var qerr *campaign.QuarantineError
-	if !errors.As(err, &qerr) {
-		return fmt.Errorf("poisoned campaign should quarantine, got: %w", err)
-	}
-	if len(qerr.Records) != 1 || qerr.Records[0].Key != poisoned {
-		return fmt.Errorf("quarantine = %+v, want exactly %q", qerr.Records, poisoned)
-	}
-	disk, err := campaign.ReadQuarantine(poisonDir)
-	if err != nil {
-		return fmt.Errorf("read quarantine report: %w", err)
-	}
-	if len(disk) != 1 || disk[0].Key != poisoned {
-		return fmt.Errorf("quarantine.jsonl = %+v, want %q", disk, poisoned)
-	}
-	logf("  [parallel] quarantined %s after %d attempts", disk[0].Key, disk[0].Attempts)
-	// Poison cleared: the same shard set resumes and completes fully.
-	cured, err := campaign.ShardedPipeline(campaign.Config{Seed: seed}, campaign.ShardOptions{
-		Workers: workers,
-		Dir:     poisonDir,
-	}, platforms)
-	if err != nil {
-		return fmt.Errorf("recovery after quarantine: %w", err)
-	}
-	curedDir := filepath.Join(dir, "cured")
-	if err := cured.Artifacts.Write(curedDir); err != nil {
-		return err
-	}
-	if err := compareDirs(baseDir, curedDir); err != nil {
-		return fmt.Errorf("post-quarantine recovery: %w", err)
-	}
-	fmt.Printf("soak: parallel quarantine ok — %s isolated in quarantine.jsonl, recovery byte-identical\n", poisoned)
 	return nil
 }
 
