@@ -67,7 +67,10 @@ fuzz:
 
 # prof-smoke runs memprof on the seeded overlap scenario and validates
 # the Perfetto export byte-for-byte against the golden file (regenerate
-# after intended changes with `go test ./cmd/memprof -run Golden -update`).
+# after intended changes with `go test ./cmd/memprof -run Golden -update`),
+# and checks that `memprof -load` of a trace recorded through a plain
+# trace.Recorder (memmodel's -trace path) reproduces the live critical
+# path (TestMemprofLoadsRecorderTrace).
 prof-smoke:
 	$(GO) test -run 'TestMemprof' -count=1 ./cmd/memprof/
 

@@ -10,7 +10,6 @@ import (
 	"memcontention/internal/kernels"
 	"memcontention/internal/mpi"
 	"memcontention/internal/obs"
-	"memcontention/internal/prof"
 	"memcontention/internal/simnet"
 	"memcontention/internal/units"
 )
@@ -104,10 +103,11 @@ type Cluster struct {
 	machines []*simnet.Machine
 	reg      *obs.Registry
 	observer engine.FlowObserver
-	profiler *prof.Profiler
-	plan     *faults.Plan
-	res      mpi.Resilience
-	ran      bool
+	// spans is the observer when it also records causal spans.
+	spans obs.SpanRecorder
+	plan  *faults.Plan
+	res   mpi.Resilience
+	ran   bool
 }
 
 // NewCluster builds n identical machines of the named built-in platform.
@@ -167,37 +167,22 @@ func (c *Cluster) WithRegistry(r *obs.Registry) *Cluster {
 func (c *Cluster) Registry() *obs.Registry { return c.reg }
 
 // WithObserver installs a flow observer (for example a trace.Recorder)
-// on every machine's flow manager. It returns the cluster for chaining.
+// on every machine's flow manager. An observer that also implements
+// obs.SpanRecorder — trace.Recorder does — becomes the causal span
+// recorder of every simulation layer too (memory flows, fabric transfers
+// and, during Run, MPI operations and ranks), producing one timeline that
+// interleaves flow events with the span forest. Without one (the
+// default) every layer's span hook stays nil, preserving the
+// allocation-free hot path. It returns the cluster for chaining.
 func (c *Cluster) WithObserver(o engine.FlowObserver) *Cluster {
 	c.observer = o
+	c.spans, _ = o.(obs.SpanRecorder)
 	for _, m := range c.machines {
 		m.Flows.SetObserver(o)
 	}
+	c.fabric.SetSpanRecorder(c.spans)
 	return c
 }
-
-// WithProfiler attaches a contention attribution profiler: it becomes the
-// flow observer of every machine and the causal span recorder of every
-// simulation layer (memory flows, fabric transfers, MPI operations and
-// ranks), producing one timeline that interleaves flow events with the
-// span forest. A nil profiler (the default) keeps every layer's span hook
-// nil, preserving the allocation-free unprofiled hot path. It returns the
-// cluster for chaining.
-func (c *Cluster) WithProfiler(p *prof.Profiler) *Cluster {
-	c.profiler = p
-	if p == nil {
-		return c
-	}
-	c.WithObserver(p)
-	for _, m := range c.machines {
-		m.Flows.SetSpanRecorder(p)
-	}
-	c.fabric.SetSpanRecorder(p)
-	return c
-}
-
-// Profiler returns the attached profiler (nil when none).
-func (c *Cluster) Profiler() *prof.Profiler { return c.profiler }
 
 // WithFaults arms a fault plan on the cluster: the plan's timed events
 // are injected during Run, deterministically (same seed + same plan =
@@ -259,9 +244,7 @@ func (c *Cluster) Run(ranksPerMachine int, main func(*RankCtx)) (simSeconds floa
 	if err := world.SetResilience(c.res); err != nil {
 		return 0, err
 	}
-	if c.profiler != nil {
-		world.SetSpanRecorder(c.profiler)
-	}
+	world.SetSpanRecorder(c.spans)
 	if c.plan != nil {
 		inj, err := faults.New(c.plan)
 		if err != nil {

@@ -107,13 +107,12 @@ func run(ctx context.Context, w io.Writer, o options, ckpt *checkpoint.CLI, cli 
 		man.Notes = map[string]string{"source": o.load}
 		fmt.Fprintf(w, "loaded %d events from %s\n\n", len(events), o.load)
 	} else {
-		p := prof.Attach(rec)
 		cfg := campaign.Config{
 			Seed:     o.seed,
 			Context:  ctx,
 			Journal:  j,
 			Registry: reg,
-			Profiler: p,
+			Recorder: rec,
 		}
 		if ckpt.Path != "" {
 			cfg.SpanStore = prof.NewSpanStore(ckpt.Path + ".spans")
@@ -122,7 +121,7 @@ func run(ctx context.Context, w io.Writer, o options, ckpt *checkpoint.CLI, cli 
 		if xerr != nil {
 			return xerr
 		}
-		events = p.Events()
+		events = rec.Events()
 		fmt.Fprintf(w, "profiled overlap scenario on %s: %.6f simulated seconds, %d events\n\n",
 			o.platform, xc.SimSeconds, len(events))
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"memcontention/internal/campaign"
 	"memcontention/internal/checkpoint"
 	"memcontention/internal/obs"
 	"memcontention/internal/prof"
@@ -136,6 +137,39 @@ func TestMemprofLoad(t *testing.T) {
 	loadedCP := section(t, loaded, "== critical path")
 	if liveCP != loadedCP {
 		t.Errorf("critical path diverged between live and -load runs:\nlive:\n%s\nloaded:\n%s", liveCP, loadedCP)
+	}
+}
+
+// TestMemprofLoadsRecorderTrace pins the one-trace promise: the
+// cross-check recorded through a plain campaign.Config.Recorder —
+// memmodel's -trace path — carries the causal spans, so -load of it
+// reports the same critical path and makespan as the live run.
+func TestMemprofLoadsRecorderTrace(t *testing.T) {
+	rec := trace.NewRecorder()
+	if _, err := campaign.CrossCheck(campaign.Config{Seed: 1, Recorder: rec}, "henri"); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "memmodel.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.WriteJSONL(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	live := profileRun(t, options{platform: "henri", seed: 1, top: 5, width: 40}, &checkpoint.CLI{}, &obs.CLI{})
+	loaded := profileRun(t, options{load: path, top: 5, width: 40}, &checkpoint.CLI{}, &obs.CLI{})
+	liveCP := section(t, live, "== critical path")
+	loadedCP := section(t, loaded, "== critical path")
+	if strings.Contains(loadedCP, "(0 spans") {
+		t.Fatalf("recorder trace carries no spans:\n%s", loadedCP)
+	}
+	if liveCP != loadedCP {
+		t.Errorf("critical path of the recorder trace differs from the live run:\nlive:\n%s\nloaded:\n%s", liveCP, loadedCP)
 	}
 }
 

@@ -155,9 +155,7 @@ func DefaultConfig() *Config {
 			"memcontention/internal/obs.Counter",
 			"memcontention/internal/obs.Gauge",
 			"memcontention/internal/obs.Histogram",
-			"memcontention/internal/obs.Span",
 			"memcontention/internal/trace.Recorder",
-			"memcontention/internal/prof.Profiler",
 			"memcontention/internal/faults.Plan",
 			"memcontention/internal/checkpoint.Journal",
 		},
@@ -188,7 +186,6 @@ func DefaultConfig() *Config {
 		},
 		SinkTypes: []string{
 			"memcontention/internal/trace.Recorder",
-			"memcontention/internal/prof.Profiler",
 			"memcontention/internal/export.Table",
 		},
 		BlockingCalls: []string{

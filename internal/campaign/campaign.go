@@ -51,12 +51,10 @@ type Config struct {
 	Journal *checkpoint.Journal
 	// Registry receives telemetry from every layer; nil disables it.
 	Registry *obs.Registry
-	// Recorder, when set, receives trace events from the DES cross-check.
+	// Recorder, when set, receives the DES cross-check's trace: flow
+	// events, causal spans and the overlap marks.
 	Recorder *trace.Recorder
-	// Profiler, when set, records causal spans from the DES cross-check
-	// (it supersedes Recorder as the trace sink for that unit).
-	Profiler *prof.Profiler
-	// SpanStore, when set with Profiler, persists each trace-producing
+	// SpanStore, when set with Recorder, persists each trace-producing
 	// unit's event slice under its journal key: a resumed campaign
 	// re-ingests the cached slice instead of re-running, so the stitched
 	// trace is byte-identical to an uninterrupted recording.
@@ -206,16 +204,16 @@ func CrossCheck(cfg Config, platform string) (*CrossCheckResult, error) {
 			return nil, fmt.Errorf("campaign: journal entry %s: %w", key, err)
 		} else if ok {
 			// Stitch the cached unit's span file instead of re-running:
-			// the profiler re-ingests the slice and advances its span-id
+			// the recorder re-ingests the slice and advances its span-id
 			// allocator past it, so later units never collide and the
 			// merged trace matches an uninterrupted run byte for byte.
-			if cfg.Profiler != nil && cfg.SpanStore != nil {
+			if cfg.Recorder != nil && cfg.SpanStore != nil {
 				events, found, err := cfg.SpanStore.Load(key)
 				if err != nil {
 					return nil, err
 				}
 				if found {
-					cfg.Profiler.Ingest(events)
+					cfg.Recorder.Ingest(events)
 				}
 			}
 			return &cached, nil
@@ -230,12 +228,8 @@ func CrossCheck(cfg Config, platform string) (*CrossCheckResult, error) {
 		return nil, err
 	}
 	cluster.WithRegistry(cfg.Registry)
-	eventsBefore := 0
-	switch {
-	case cfg.Profiler != nil:
-		cluster.WithProfiler(cfg.Profiler)
-		eventsBefore = cfg.Profiler.Recorder().EventCount()
-	case cfg.Recorder != nil:
+	eventsBefore := cfg.Recorder.EventCount()
+	if cfg.Recorder != nil {
 		cluster.WithObserver(cfg.Recorder)
 	}
 	if cfg.Context != nil {
@@ -256,14 +250,6 @@ func CrossCheck(cfg Config, platform string) (*CrossCheckResult, error) {
 	if cores < 1 {
 		cores = 1
 	}
-	var rec interface {
-		MarkAt(at float64, label string)
-	} = cfg.Recorder
-	if cfg.Profiler != nil {
-		rec = cfg.Profiler
-	} else if cfg.Recorder == nil {
-		rec = nil
-	}
 	secs, runErr := cluster.Run(1, func(ctx *memcontention.RankCtx) {
 		switch ctx.Rank() {
 		case 0:
@@ -273,9 +259,7 @@ func CrossCheck(cfg Config, platform string) (*CrossCheckResult, error) {
 				Cores:  topo.SocketSet(0).Take(cores),
 				Node:   0,
 			}
-			if rec != nil {
-				rec.MarkAt(ctx.Now(), "overlap-start")
-			}
+			cfg.Recorder.MarkAt(ctx.Now(), "overlap-start")
 			req, err := ctx.Irecv(1, tag, msg, 0)
 			if err != nil {
 				panic(err)
@@ -286,9 +270,7 @@ func CrossCheck(cfg Config, platform string) (*CrossCheckResult, error) {
 			if _, err := ctx.Wait(req); err != nil {
 				panic(err)
 			}
-			if rec != nil {
-				rec.MarkAt(ctx.Now(), "overlap-end")
-			}
+			cfg.Recorder.MarkAt(ctx.Now(), "overlap-end")
 		case 1:
 			if err := ctx.Send(0, tag, msg, 0, nil); err != nil {
 				panic(err)
@@ -313,8 +295,8 @@ func CrossCheck(cfg Config, platform string) (*CrossCheckResult, error) {
 	// a kill between the two re-runs the unit on resume (overwriting the
 	// span file), never the reverse, so a journaled unit always has its
 	// spans and a resumed campaign stitches a byte-identical trace.
-	if cfg.Profiler != nil && cfg.SpanStore != nil {
-		unit := cfg.Profiler.Events()[eventsBefore:]
+	if cfg.Recorder != nil && cfg.SpanStore != nil {
+		unit := cfg.Recorder.Events()[eventsBefore:]
 		if err := cfg.SpanStore.Save(key, unit); err != nil {
 			return nil, err
 		}

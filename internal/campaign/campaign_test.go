@@ -297,24 +297,24 @@ func TestTestbedNames(t *testing.T) {
 	}
 }
 
-// TestCrossCheckSpanStitchResume: profiled cross-check units on two
+// TestCrossCheckSpanStitchResume: recorded cross-check units on two
 // platforms form one merged trace. Killing the campaign after the first
-// unit and resuming with a fresh profiler must stitch the cached unit's
+// unit and resuming with a fresh recorder must stitch the cached unit's
 // span file and record the second live, producing a trace byte-identical
 // to an uninterrupted run — including span ids, which the resumed
-// profiler advances past the stitched slice.
+// recorder advances past the stitched slice.
 func TestCrossCheckSpanStitchResume(t *testing.T) {
 	dir := t.TempDir()
 	units := []string{"henri", "dahu"}
-	run := func(j *checkpoint.Journal, p *prof.Profiler, store *prof.SpanStore, n int) {
+	run := func(j *checkpoint.Journal, p *trace.Recorder, store *prof.SpanStore, n int) {
 		t.Helper()
 		for _, name := range units[:n] {
-			if _, err := CrossCheck(Config{Journal: j, Profiler: p, SpanStore: store}, name); err != nil {
+			if _, err := CrossCheck(Config{Journal: j, Recorder: p, SpanStore: store}, name); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	encode := func(p *prof.Profiler) []byte {
+	encode := func(p *trace.Recorder) []byte {
 		t.Helper()
 		var buf bytes.Buffer
 		if err := trace.WriteEventsJSONL(&buf, p.Events()); err != nil {
@@ -329,7 +329,7 @@ func TestCrossCheckSpanStitchResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer jRef.Close()
-	pRef := prof.New()
+	pRef := trace.NewRecorder()
 	run(jRef, pRef, prof.NewSpanStore(filepath.Join(dir, "ref.journal.spans")), 2)
 	want := encode(pRef)
 	if len(want) == 0 {
@@ -343,7 +343,7 @@ func TestCrossCheckSpanStitchResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run(j1, prof.New(), store, 1)
+	run(j1, trace.NewRecorder(), store, 1)
 	if err := j1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestCrossCheckSpanStitchResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := prof.New()
+	p2 := trace.NewRecorder()
 	run(j2, p2, store, 2)
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestCrossCheckSpanStitchResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j3.Close()
-	p3 := prof.New()
+	p3 := trace.NewRecorder()
 	run(j3, p3, store, 2)
 	if !bytes.Equal(encode(p3), want) {
 		t.Error("fully cached replay differs from uninterrupted recording")

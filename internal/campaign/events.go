@@ -82,7 +82,7 @@ type Event struct {
 	// merged fleet timeline.
 	Seq uint64 `json:"seq"`
 	// TimeUnixNano is the event instant on the writer's injected clock
-	// (wall clock in production, obs.SimClock in tests).
+	// (wall clock in production, a stepping fake clock in tests).
 	TimeUnixNano int64 `json:"time_unix_nano"`
 	// Type classifies the event.
 	Type EventType `json:"type"`

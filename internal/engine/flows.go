@@ -41,9 +41,9 @@ type Flows struct {
 	// machine is the id reported to the observer and span recorder
 	// (SetMachine; 0 for single-machine simulations).
 	machine int
-	// spans, when set, receives one causal span per flow, attributed
-	// with the stream's kind, node and traversed links. Nil costs one
-	// comparison per flow.
+	// spans is the observer when it also records spans: it receives
+	// one causal span per flow, attributed with the stream's kind, node
+	// and traversed links. Nil costs one comparison per flow.
 	spans obs.SpanRecorder
 	// limiter, when set, caps each stream's solved rate (fault
 	// injection: NIC stalls, core slowdowns). Nil costs nothing.
@@ -52,8 +52,14 @@ type Flows struct {
 	m flowInstruments
 }
 
-// SetObserver installs a flow observer (nil removes it).
-func (f *Flows) SetObserver(o FlowObserver) { f.observer = o }
+// SetObserver installs a flow observer (nil removes it). An observer
+// that also implements obs.SpanRecorder, such as trace.Recorder, records
+// causal spans too: every flow started afterwards opens a "flow" span
+// and closes it on completion.
+func (f *Flows) SetObserver(o FlowObserver) {
+	f.observer = o
+	f.spans, _ = o.(obs.SpanRecorder)
+}
 
 // SetMachine sets the machine id reported with every observer and span
 // notification. simnet.NewMachine calls it; standalone flow managers
@@ -62,11 +68,6 @@ func (f *Flows) SetMachine(id int) { f.machine = id }
 
 // Machine reports the flow manager's machine id.
 func (f *Flows) Machine() int { return f.machine }
-
-// SetSpanRecorder installs a causal span recorder: every flow started
-// afterwards opens a "flow" span on begin and closes it on completion
-// (nil removes it, leaving in-flight spans unclosed).
-func (f *Flows) SetSpanRecorder(sr obs.SpanRecorder) { f.spans = sr }
 
 // RateLimiter rescales a stream's solved rate: it receives the stream and
 // the solver-granted rate (GB/s) and returns the rate actually applied
@@ -147,15 +148,15 @@ func (f *Flows) System() *memsys.System { return f.sys }
 
 // Start begins a transfer of size bytes described by the stream template
 // (its ID field is overwritten with a fresh unique ID). It may be called
-// from process or scheduler context. It panics on solver errors, which can
-// only arise from malformed streams — a programming error.
+// from process or scheduler context. A stream the solver rejects fails
+// the simulation: Sim.Run returns the solver's error.
 func (f *Flows) Start(st memsys.Stream, size units.ByteSize) *Handle {
 	return f.StartWithParent(st, size, 0)
 }
 
 // StartWithParent begins a transfer like Start, additionally parenting
-// the flow's causal span under parent (0 = root) when a span recorder is
-// attached. simnet parents the two DMA flows of a message under its
+// the flow's causal span under parent (0 = root) when the observer
+// records spans. simnet parents the two DMA flows of a message under its
 // transfer span; MPI parents compute flows under the compute phase.
 func (f *Flows) StartWithParent(st memsys.Stream, size units.ByteSize, parent obs.SpanID) *Handle {
 	f.nextID++
@@ -280,7 +281,8 @@ func (f *Flows) resolve() {
 	sort.Slice(streams, func(i, j int) bool { return streams[i].ID < streams[j].ID })
 	alloc, err := f.sys.Solve(streams)
 	if err != nil {
-		panic(fmt.Sprintf("engine: flow solve failed: %v", err))
+		f.sim.fail(fmt.Errorf("engine: flow solve failed: %w", err))
+		return
 	}
 	f.m.rateResolves.Inc()
 	f.m.solverStreams.Add(float64(len(streams)))

@@ -1,9 +1,13 @@
 package engine
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
+	"memcontention/internal/bench"
+	"memcontention/internal/kernels"
 	"memcontention/internal/memsys"
 	"memcontention/internal/topology"
 	"memcontention/internal/units"
@@ -153,6 +157,113 @@ func TestFlowsMatchSteadyStateSolver(t *testing.T) {
 	})
 	if err := sim.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// rateProbe is a FlowObserver keeping the applied rates of the last
+// re-solve.
+type rateProbe struct{ last map[int]float64 }
+
+func (r *rateProbe) FlowStarted(int, int, memsys.Stream, float64, float64) {}
+func (r *rateProbe) FlowFinished(int, int, float64, float64)               {}
+func (r *rateProbe) RatesResolved(_ int, _ float64, rates map[int]float64) { r.last = rates }
+
+// TestFlowsMatchSolveBitForBit is the differential check of the DES
+// against the steady-state solver. On every built-in platform, for every
+// placement and n ∈ {1, half, all} cores of socket 0 plus one comm
+// stream, long transfers started at t = 0 must run at exactly — bit for
+// bit — the rates memsys.Solve grants the same streams.
+func TestFlowsMatchSolveBitForBit(t *testing.T) {
+	kern := kernels.New(kernels.NTMemset)
+	for _, plat := range topology.Testbed() {
+		hw, err := memsys.ProfileFor(plat.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := memsys.New(plat, hw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cores := plat.CoresOfSocket(0)
+		for _, pl := range bench.AllPlacements(plat) {
+			for _, n := range []int{1, len(cores) / 2, len(cores)} {
+				// Flow ids are handed out from 1 in start order, so
+				// these are the ids the flow manager gives the streams.
+				streams, err := kernels.Assignment{Kernel: kern, Cores: cores[:n], Node: pl.Comp}.Streams(sys, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				streams = append(streams, memsys.Stream{ID: n + 1, Kind: memsys.KindComm, Node: pl.Comm})
+				want, err := sys.Solve(streams)
+				if err != nil {
+					t.Fatal(err)
+				}
+				flows := NewFlows(NewSim(), sys)
+				probe := &rateProbe{}
+				flows.SetObserver(probe)
+				for _, st := range streams {
+					flows.Start(st, units.GiB)
+				}
+				if len(probe.last) != len(streams) {
+					t.Fatalf("%s %v n=%d: last re-solve covered %d flows, want %d", plat.Name, pl, n, len(probe.last), len(streams))
+				}
+				for _, st := range streams {
+					got, exp := probe.last[st.ID], want.Rate(st.ID)
+					if math.Float64bits(got) != math.Float64bits(exp) {
+						t.Errorf("%s %v n=%d: %s stream %d runs at %v GB/s, Solve grants %v",
+							plat.Name, pl, n, st.Kind, st.ID, got, exp)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSolveErrorFailsRun: a stream the solver rejects (henri has no NUMA
+// node 9) fails the run with the solver's error wrapped, whether the
+// transfer starts in scheduler or in process context — never a panic.
+func TestSolveErrorFailsRun(t *testing.T) {
+	bad := memsys.Stream{Kind: memsys.KindComm, Node: 9}
+	for _, tc := range []struct {
+		name  string
+		start func(*Sim, *Flows)
+	}{
+		{"scheduler", func(sim *Sim, flows *Flows) {
+			sim.At(0, func() { flows.Start(bad, units.MiB) })
+		}},
+		{"process", func(sim *Sim, flows *Flows) {
+			sim.Spawn("p", func(*Proc) { flows.Start(bad, units.MiB) })
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim, flows, sys := newFlowsSim(t)
+			first := bad
+			first.ID = 1 // the id Start hands the first flow
+			_, solveErr := sys.Solve([]memsys.Stream{first})
+			if solveErr == nil {
+				t.Fatal("solver accepted a stream on henri's node 9")
+			}
+			tc.start(sim, flows)
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("Run panicked: %v", r)
+					}
+				}()
+				err = sim.Run()
+			}()
+			if err == nil {
+				t.Fatal("Run succeeded despite the solver error")
+			}
+			wrapped := false
+			for e := err; e != nil; e = errors.Unwrap(e) {
+				wrapped = wrapped || e.Error() == solveErr.Error()
+			}
+			if !wrapped || strings.Contains(err.Error(), "panicked") {
+				t.Errorf("Run error %q does not wrap the solver's %q", err, solveErr)
+			}
+		})
 	}
 }
 

@@ -201,8 +201,8 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	s.At(s.now, func() {
 		go func() {
 			defer func() {
-				if r := recover(); r != nil && s.failure == nil {
-					s.failure = fmt.Errorf("engine: process %q panicked: %v", name, r)
+				if r := recover(); r != nil {
+					s.fail(fmt.Errorf("engine: process %q panicked: %v", name, r))
 				}
 				p.done = true
 				s.yield <- struct{}{}
@@ -212,6 +212,14 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 		<-s.yield // wait until the new process parks or finishes
 	})
 	return p
+}
+
+// fail records err as the simulation's failure; the first one wins. Run
+// returns it once the current event has finished.
+func (s *Sim) fail(err error) {
+	if s.failure == nil {
+		s.failure = err
+	}
 }
 
 // park suspends the calling process and returns control to the scheduler.
@@ -418,7 +426,8 @@ func (s *Sim) waitStates() []WaitState {
 }
 
 // Run executes the simulation until no events remain. It returns an error
-// if a process panicked, if processes remain parked with no pending event
+// if a process panicked, if the flow solver rejected a stream (wrapping
+// the solver's error), if processes remain parked with no pending event
 // that could wake them (*DeadlockError), or if an armed watchdog budget is
 // exceeded (*BudgetError).
 func (s *Sim) Run() error {
@@ -428,7 +437,7 @@ func (s *Sim) Run() error {
 	s.running = true
 	defer func() { s.running = false }()
 
-	for s.events.Len() > 0 {
+	for s.failure == nil && s.events.Len() > 0 {
 		if s.done != nil {
 			select {
 			case <-s.done:
@@ -454,9 +463,9 @@ func (s *Sim) Run() error {
 		s.m.eventsFired.Inc()
 		s.m.virtualTime.Set(s.now)
 		e.fire()
-		if s.failure != nil {
-			return s.failure
-		}
+	}
+	if s.failure != nil {
+		return s.failure
 	}
 	if stuck := s.waitStates(); len(stuck) > 0 {
 		return &DeadlockError{At: s.now, Stuck: stuck}

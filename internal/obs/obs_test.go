@@ -165,29 +165,6 @@ func TestExponentialBuckets(t *testing.T) {
 	}
 }
 
-func TestSpanTiming(t *testing.T) {
-	virtual := 0.0
-	r := NewRegistry()
-	h := r.Histogram("memcontention_test_phase_seconds", "", DurationBuckets(), nil)
-	sp := StartSpan("phase").WithVirtualClock(func() float64 { return virtual }).ObserveVirtual(h)
-	virtual = 2.5
-	timing := sp.End()
-	if timing.Name != "phase" || timing.Virtual != 2.5 {
-		t.Errorf("timing = %+v, want Virtual 2.5", timing)
-	}
-	if timing.Wall < 0 {
-		t.Errorf("wall time negative: %v", timing.Wall)
-	}
-	if h.Count() != 1 || h.Sum() != 2.5 {
-		t.Errorf("histogram got count=%d sum=%v, want 1/2.5", h.Count(), h.Sum())
-	}
-	// Nil span: inert.
-	var nilSpan *Span
-	if got := nilSpan.WithVirtualClock(func() float64 { return 1 }).ObserveVirtual(h).End(); got != (Timing{}) {
-		t.Errorf("nil span End = %+v, want zero", got)
-	}
-}
-
 func TestManifestVersionAndAttach(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("memcontention_test_ops_total", "", nil).Add(3)

@@ -1,9 +1,9 @@
 package obs
 
 // SpanID identifies one causal span. IDs are allocated sequentially by
-// whoever records the spans (a profiler, a span tree), so two identical
-// simulation runs number their spans identically and span-bearing exports
-// stay byte-deterministic. 0 is the nil span: "no parent" / "no span".
+// the recorder (trace.Recorder), so two identical simulation runs number
+// their spans identically and span-bearing exports stay
+// byte-deterministic. 0 is the nil span: "no parent" / "no span".
 type SpanID int64
 
 // SpanAttrs carries the resource attribution of a causal span: which
@@ -35,7 +35,9 @@ func NoRank() SpanAttrs { return SpanAttrs{Rank: -1, Node: -1} }
 
 // SpanRecorder receives causal span lifecycle events from the simulation
 // layers: the engine's flow manager (memory flows), simnet (fabric
-// transfers) and MPI (operations, barriers, compute phases, ranks). A nil
+// transfers) and MPI (operations, barriers, compute phases, ranks). It is
+// a capability of the flow observer: installing an observer that also
+// implements SpanRecorder (trace.Recorder does) turns spans on. A nil
 // SpanRecorder field means "spans off"; every producer guards with one
 // nil check, so the unprofiled hot path stays allocation-free.
 //

@@ -1,3 +1,18 @@
+// Package prof is the contention attribution profiler: it turns the raw
+// event stream of a simulated run into causal spans (rank → MPI operation
+// → fabric transfer → memory flow), per-link bandwidth-share timelines,
+// and a critical-path report naming the chain of waits that bounds the
+// makespan — the simulated counterpart of the interference analyses the
+// paper's authors performed on their testbed traces.
+//
+// The recording side is trace.Recorder, installed on a cluster with
+// Cluster.WithObserver: it is the flow observer and the causal span
+// recorder of every layer, so flow events and spans share one
+// time-ordered timeline that round-trips through the JSONL format. All
+// analyses here (Timeline, SpanTree, WritePerfetto) work on plain
+// []trace.Event, so they run equally on a live recording or on a trace
+// file loaded from disk; SpanStore persists per-unit slices of it for
+// campaign resume.
 package prof
 
 import (
@@ -211,7 +226,7 @@ func AttributeSteps(steps []Step) []Attribution {
 // line in time order.
 func FormatCriticalPath(steps []Step) string {
 	if len(steps) == 0 {
-		return "(no spans: run without a profiler attached?)\n"
+		return "(no spans: recorded without a trace.Recorder observer?)\n"
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%12s %12s %10s  %-10s %s\n", "from (ms)", "to (ms)", "dur (ms)", "category", "span")

@@ -18,9 +18,9 @@ import (
 )
 
 // profiledClusterRun executes a two-machine halo-style exchange (send
-// 8 MiB while the receiver computes) with the profiler attached to every
-// layer, and returns the profiler and the simulated makespan.
-func profiledClusterRun(t testing.TB, platform string) (*Profiler, float64) {
+// 8 MiB while the receiver computes) with a recorder attached to every
+// layer, and returns the recorder and the simulated makespan.
+func profiledClusterRun(t testing.TB, platform string) (*trace.Recorder, float64) {
 	t.Helper()
 	plat, err := topology.ByName(platform)
 	if err != nil {
@@ -35,7 +35,7 @@ func profiledClusterRun(t testing.TB, platform string) (*Profiler, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := New()
+	p := trace.NewRecorder()
 	var machines []*simnet.Machine
 	for i := 0; i < 2; i++ {
 		m, err := simnet.NewMachine(sim, i, plat, hw)
@@ -46,7 +46,6 @@ func profiledClusterRun(t testing.TB, platform string) (*Profiler, float64) {
 			t.Fatal(err)
 		}
 		m.Flows.SetObserver(p)
-		m.Flows.SetSpanRecorder(p)
 		machines = append(machines, m)
 	}
 	fabric.SetSpanRecorder(p)
@@ -202,7 +201,7 @@ func TestTraceRoundTripAnalyses(t *testing.T) {
 }
 
 func TestIngestAdvancesSpanIDs(t *testing.T) {
-	p := New()
+	p := trace.NewRecorder()
 	p.Ingest([]trace.Event{
 		{At: 0, Kind: trace.SpanBegin, Span: 5, Label: "old", Cat: "rank", Attrs: obs.NoRank()},
 		{At: 1, Kind: trace.SpanEnd, Span: 5},

@@ -13,9 +13,9 @@ import (
 )
 
 // calibrationRun replays one §III calibration scenario — a single comm
-// stream against a single compute stream on one machine, with the
-// profiler attached — and returns the profiler.
-func calibrationRun(t *testing.T, platform string, compNode, commNode int) *Profiler {
+// stream against a single compute stream on one machine, with a recorder
+// attached — and returns the recorder.
+func calibrationRun(t *testing.T, platform string, compNode, commNode int) *trace.Recorder {
 	t.Helper()
 	plat, err := topology.ByName(platform)
 	if err != nil {
@@ -31,9 +31,8 @@ func calibrationRun(t *testing.T, platform string, compNode, commNode int) *Prof
 	}
 	sim := engine.NewSim()
 	flows := engine.NewFlows(sim, sys)
-	p := New()
+	p := trace.NewRecorder()
 	flows.SetObserver(p)
-	flows.SetSpanRecorder(p)
 	sim.Spawn("main", func(pr *engine.Proc) {
 		comm := flows.Start(memsys.Stream{Kind: memsys.KindComm, Node: topology.NodeID(commNode)}, 32*units.MiB)
 		comp := flows.Start(memsys.Stream{Kind: memsys.KindCompute, Core: 0, Node: topology.NodeID(compNode), Demand: 5}, 64*units.MiB)

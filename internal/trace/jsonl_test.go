@@ -93,12 +93,24 @@ func TestJSONLSchemaAndCount(t *testing.T) {
 			if _, ok := ev["label"]; !ok {
 				t.Errorf("mark line %d missing label: %s", i+1, line)
 			}
+		case "span-begin":
+			// A flow span: identity plus the stream's attribution.
+			for _, field := range []string{"span", "label", "cat", "flow", "stream", "node", "links"} {
+				if _, ok := ev[field]; !ok {
+					t.Errorf("span-begin line %d missing %q: %s", i+1, field, line)
+				}
+			}
+		case "span-end":
+			if _, ok := ev["span"]; !ok {
+				t.Errorf("span-end line %d missing span: %s", i+1, line)
+			}
 		default:
 			t.Errorf("line %d has unknown kind %q", i+1, kind)
 		}
 	}
-	if kinds["flow-start"] != 2 || kinds["flow-end"] != 2 || kinds["mark"] != 1 {
-		t.Errorf("kind histogram %v, want 2 starts, 2 ends, 1 mark", kinds)
+	if kinds["flow-start"] != 2 || kinds["flow-end"] != 2 || kinds["mark"] != 1 ||
+		kinds["span-begin"] != 2 || kinds["span-end"] != 2 {
+		t.Errorf("kind histogram %v, want 2 starts, 2 ends, 1 mark, 2 span begins, 2 span ends", kinds)
 	}
 }
 

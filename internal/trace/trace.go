@@ -1,7 +1,9 @@
 // Package trace records what happens inside a simulation: flow lifetimes,
-// rate changes, and per-stream-kind accounting. It implements
-// engine.FlowObserver, so attaching a Recorder to a machine's flow manager
-// produces a timeline that can be rendered as text or summarised — the
+// rate changes, causal spans and per-stream-kind accounting. A Recorder
+// implements engine.FlowObserver and obs.SpanRecorder, so attaching one
+// to a cluster (or to a single flow manager) produces one timeline that
+// interleaves flow events with the span forest. It can be rendered as
+// text, summarised, exported as JSONL, or analysed by internal/prof — the
 // simulated equivalent of the execution traces the paper's authors used in
 // their companion study of interferences.
 package trace
@@ -36,12 +38,13 @@ const (
 	// all completed units journaled, ready to be resumed.
 	Checkpoint
 	// SpanBegin opens a causal span (an MPI operation, a fabric transfer,
-	// a memory flow, a compute phase) recorded by internal/prof.
+	// a memory flow, a compute phase).
 	SpanBegin
 	// SpanEnd closes a causal span.
 	SpanEnd
-	// Instant is a point-in-time profiler annotation carrying resource
-	// attribution (unlike Mark, which is a bare label).
+	// Instant is a point-in-time annotation carrying resource
+	// attribution (unlike Mark, which is a bare label). Traces written
+	// by earlier versions may carry it; no producer emits it today.
 	Instant
 )
 
@@ -128,6 +131,7 @@ type flowKey struct {
 
 // flowRecord aggregates one flow's life.
 type flowRecord struct {
+	key      flowKey
 	stream   memsys.Stream
 	bytes    float64
 	start    float64
@@ -140,9 +144,19 @@ type flowRecord struct {
 // (storage is allocated lazily), so a Mark or a render before any flow
 // starts is always safe. Recorders are not safe for concurrent use — the
 // engine is cooperative, so this is never needed.
+//
+// A Recorder is the one trace hook a simulation needs: it implements
+// engine.FlowObserver, obs.SpanRecorder and the fault layer's Marker
+// interface. Span ids are handed out in call order, so with the
+// deterministic engine two identical runs produce byte-identical traces.
 type Recorder struct {
 	events []Event
-	flows  map[flowKey]*flowRecord
+	// flows holds every flow's record in start order, so aggregates sum
+	// in a fixed order; open indexes the unfinished ones by identity.
+	flows []*flowRecord
+	open  map[flowKey]*flowRecord
+	// span is the last span id handed out or ingested.
+	span obs.SpanID
 	// MaxEvents bounds memory (0 = unbounded); once exceeded, further
 	// RateChange events are dropped (lifecycle events are always kept).
 	// The first drop appends one Mark event labelled TruncatedLabel and
@@ -155,9 +169,7 @@ type Recorder struct {
 }
 
 // NewRecorder creates an empty recorder.
-func NewRecorder() *Recorder {
-	return &Recorder{flows: make(map[flowKey]*flowRecord)}
-}
+func NewRecorder() *Recorder { return &Recorder{} }
 
 // SetRegistry registers the recorder's instruments in reg: the
 // memcontention_trace_dropped_total counter tracks events lost to the
@@ -179,30 +191,29 @@ func (r *Recorder) Truncated() bool {
 	return r.truncated
 }
 
-// ensureFlows lazily allocates the flow map, keeping the zero-value
-// Recorder usable.
-func (r *Recorder) ensureFlows() {
-	if r.flows == nil {
-		r.flows = make(map[flowKey]*flowRecord)
-	}
-}
-
-// Append records one event, maintaining the per-flow bookkeeping and the
-// MaxEvents bound. It is the single ingestion point: the FlowObserver
-// methods, the profiler and trace stitching all funnel through it, so a
-// replayed event stream reconstructs the same recorder state as the
-// original run.
+// Append records one event, maintaining the per-flow bookkeeping, the
+// span-id allocator and the MaxEvents bound. It is the single ingestion
+// point: the FlowObserver and SpanRecorder methods and trace stitching
+// all funnel through it, so a replayed event stream reconstructs the
+// same recorder state as the original run.
 func (r *Recorder) Append(ev Event) {
 	if r == nil {
 		return
 	}
 	switch ev.Kind {
 	case FlowStart:
-		r.ensureFlows()
-		r.flows[flowKey{ev.Machine, ev.FlowID}] = &flowRecord{stream: ev.Stream, bytes: ev.Bytes, start: ev.At}
+		key := flowKey{ev.Machine, ev.FlowID}
+		fr := &flowRecord{key: key, stream: ev.Stream, bytes: ev.Bytes, start: ev.At}
+		if r.open == nil {
+			r.open = make(map[flowKey]*flowRecord)
+		}
+		r.flows = append(r.flows, fr)
+		r.open[key] = fr
 	case FlowEnd:
-		if fr := r.flows[flowKey{ev.Machine, ev.FlowID}]; fr != nil {
+		key := flowKey{ev.Machine, ev.FlowID}
+		if fr := r.open[key]; fr != nil {
 			fr.end, fr.finished, fr.avgRate = ev.At, true, ev.AvgRate
+			delete(r.open, key)
 		}
 	case RateChange:
 		if r.MaxEvents > 0 && len(r.events) >= r.MaxEvents {
@@ -210,11 +221,16 @@ func (r *Recorder) Append(ev Event) {
 			return
 		}
 	}
+	if ev.Span > r.span {
+		r.span = ev.Span
+	}
 	r.events = append(r.events, ev)
 }
 
 // Ingest replays a recorded event stream through Append, e.g. to stitch
-// per-unit span files back into one recorder on campaign resume.
+// per-unit span files back into one recorder on campaign resume. The
+// span-id allocator advances past every ingested span, so spans recorded
+// afterwards never collide with the stitched ones.
 func (r *Recorder) Ingest(events []Event) {
 	for _, ev := range events {
 		r.Append(ev)
@@ -261,6 +277,29 @@ func (r *Recorder) RatesResolved(machine int, at float64, rates map[int]float64)
 		sort.Slice(ev.Rates, func(i, j int) bool { return ev.Rates[i].Flow < ev.Rates[j].Flow })
 	}
 	r.Append(ev)
+}
+
+// BeginSpan implements obs.SpanRecorder: it opens a span under parent
+// (0 = root) and returns its id, the next one in call order (0 on a nil
+// recorder).
+func (r *Recorder) BeginSpan(parent obs.SpanID, name, category string, at float64, attrs obs.SpanAttrs) obs.SpanID {
+	if r == nil {
+		return 0
+	}
+	r.Append(Event{
+		At: at, Kind: SpanBegin,
+		Span: r.span + 1, Parent: parent,
+		Label: name, Cat: category, Attrs: attrs,
+	})
+	return r.span
+}
+
+// EndSpan implements obs.SpanRecorder.
+func (r *Recorder) EndSpan(id obs.SpanID, at float64) {
+	if r == nil || id == 0 {
+		return
+	}
+	r.Append(Event{At: at, Kind: SpanEnd, Span: id})
 }
 
 // MarkAt adds a user annotation at the given simulated time.
@@ -314,7 +353,9 @@ type Summary struct {
 	PeakActive   int
 }
 
-// Summarize computes per-kind statistics over finished flows.
+// Summarize computes per-kind statistics over finished flows. Sums
+// accumulate in flow-start order, so repeated calls — and a recorder
+// rebuilt by Ingest — agree bit for bit.
 func (r *Recorder) Summarize(kind memsys.StreamKind) Summary {
 	if r == nil {
 		return Summary{MinRate: 0}
@@ -413,17 +454,13 @@ func (r *Recorder) Gantt(width int) string {
 	if width < 10 {
 		width = 10
 	}
-	type bar struct {
-		key flowKey
-		fr  *flowRecord
-	}
-	var bars []bar
+	var bars []*flowRecord
 	var tMax float64
-	for key, fr := range r.flows {
+	for _, fr := range r.flows {
 		if !fr.finished {
 			continue
 		}
-		bars = append(bars, bar{key, fr})
+		bars = append(bars, fr)
 		if fr.end > tMax {
 			tMax = fr.end
 		}
@@ -431,9 +468,9 @@ func (r *Recorder) Gantt(width int) string {
 	if tMax == 0 || len(bars) == 0 {
 		return "(no finished flows)\n"
 	}
-	sort.Slice(bars, func(i, j int) bool {
-		if bars[i].fr.start != bars[j].fr.start {
-			return bars[i].fr.start < bars[j].fr.start
+	sort.SliceStable(bars, func(i, j int) bool {
+		if bars[i].start != bars[j].start {
+			return bars[i].start < bars[j].start
 		}
 		if bars[i].key.machine != bars[j].key.machine {
 			return bars[i].key.machine < bars[j].key.machine
@@ -441,22 +478,22 @@ func (r *Recorder) Gantt(width int) string {
 		return bars[i].key.id < bars[j].key.id
 	})
 	var b strings.Builder
-	for _, bb := range bars {
-		startCol := int(bb.fr.start / tMax * float64(width))
-		endCol := int(bb.fr.end / tMax * float64(width))
+	for _, fr := range bars {
+		startCol := int(fr.start / tMax * float64(width))
+		endCol := int(fr.end / tMax * float64(width))
 		if endCol <= startCol {
 			endCol = startCol + 1
 		}
 		glyph := byte('=')
-		if bb.fr.stream.Kind == memsys.KindComm {
+		if fr.stream.Kind == memsys.KindComm {
 			glyph = '~'
 		}
 		fmt.Fprintf(&b, "#%-4d |%s%s%s| %s\n",
-			bb.key.id,
+			fr.key.id,
 			strings.Repeat(" ", startCol),
 			strings.Repeat(string(glyph), endCol-startCol),
 			strings.Repeat(" ", width-endCol),
-			units.ByteSize(bb.fr.bytes))
+			units.ByteSize(fr.bytes))
 	}
 	return b.String()
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -10,6 +11,12 @@ import (
 	"memcontention/internal/obs"
 	"memcontention/internal/topology"
 	"memcontention/internal/units"
+)
+
+// A Recorder is the one trace hook: flow observer and span recorder.
+var (
+	_ engine.FlowObserver = (*Recorder)(nil)
+	_ obs.SpanRecorder    = (*Recorder)(nil)
 )
 
 // recordedRun executes a small two-flow simulation with a recorder
@@ -99,6 +106,111 @@ func TestSummarize(t *testing.T) {
 	}
 	if comm.PeakActive != 2 {
 		t.Errorf("peak active = %d, want 2", comm.PeakActive)
+	}
+}
+
+// TestSummarizeDeterministic: the per-kind sums must not depend on map
+// iteration order. Float addition is not associative, so with many
+// flows a different order changes the last bits of MeanRate and
+// BusyTime; repeated calls and a recorder rebuilt by Ingest must agree
+// bit for bit.
+func TestSummarizeDeterministic(t *testing.T) {
+	kinds := []memsys.StreamKind{memsys.KindComm, memsys.KindCompute}
+	rec := NewRecorder()
+	id := 0
+	for i := 0; i < 16; i++ {
+		for _, kind := range kinds {
+			id++
+			start := float64(i) * 1.3e-4
+			rec.FlowStarted(i%2, id, memsys.Stream{Kind: kind}, float64(id+1)*3.3e6, start)
+			rec.FlowFinished(i%2, id, start+float64(id)*7.1e-4, 10/float64(id+2))
+		}
+	}
+	replay := NewRecorder()
+	replay.Ingest(rec.Events())
+	bits := func(s Summary) [2]uint64 {
+		return [2]uint64{math.Float64bits(s.MeanRate), math.Float64bits(s.BusyTime)}
+	}
+	for _, kind := range kinds {
+		want := rec.Summarize(kind)
+		if want.Finished != 16 {
+			t.Fatalf("%s: %d finished flows, want 16", kind, want.Finished)
+		}
+		for i := 0; i < 200; i++ {
+			if got := rec.Summarize(kind); bits(got) != bits(want) || got != want {
+				t.Fatalf("%s: call %d gave %+v, first call %+v", kind, i+2, got, want)
+			}
+		}
+		if got := replay.Summarize(kind); bits(got) != bits(want) || got != want {
+			t.Errorf("%s: ingested replay gave %+v, recording %+v", kind, got, want)
+		}
+	}
+}
+
+// TestRecorderSpanIDsInCallOrder: span ids come from one allocator in
+// call order, parents are recorded as given, and two identical call
+// sequences produce byte-identical traces.
+func TestRecorderSpanIDsInCallOrder(t *testing.T) {
+	build := func() *Recorder {
+		rec := NewRecorder()
+		root := rec.BeginSpan(0, "rank 0", "rank", 0, obs.NoRank())
+		op := rec.BeginSpan(root, "send→1", "mpi", 0.5, obs.NoRank())
+		rec.FlowStarted(0, 1, memsys.Stream{Kind: memsys.KindComm}, 1024, 0.5)
+		flow := rec.BeginSpan(op, "flow #1", "flow", 0.5,
+			obs.SpanAttrs{Rank: -1, Flow: 1, Stream: "comm", Links: []string{"pcie", "node0"}})
+		rec.FlowFinished(0, 1, 1, 2)
+		rec.EndSpan(flow, 1)
+		rec.EndSpan(op, 1)
+		barrier := rec.BeginSpan(root, "barrier", "mpi", 1, obs.NoRank())
+		rec.EndSpan(barrier, 1.5)
+		rec.EndSpan(root, 1.5)
+		return rec
+	}
+	rec := build()
+	type link struct{ span, parent obs.SpanID }
+	var got []link
+	ends := 0
+	for _, ev := range rec.Events() {
+		switch ev.Kind {
+		case SpanBegin:
+			got = append(got, link{ev.Span, ev.Parent})
+		case SpanEnd:
+			ends++
+		}
+	}
+	want := []link{{1, 0}, {2, 1}, {3, 2}, {4, 1}}
+	if len(got) != len(want) || ends != len(want) {
+		t.Fatalf("spans %v with %d ends, want %v each ended", got, ends, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("span %d: (id, parent) = %v, want %v", i, got[i], want[i])
+		}
+	}
+	var a, b bytes.Buffer
+	if err := rec.WriteJSONL(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := build().WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("identical span sequences produced different traces:\n%s\nvs\n%s", a.String(), b.String())
+	}
+}
+
+// TestNilRecorderSpans: a nil recorder is an inert span recorder, and
+// ending span 0 (a span begun while spans were off) records nothing.
+func TestNilRecorderSpans(t *testing.T) {
+	var nilRec *Recorder
+	if id := nilRec.BeginSpan(0, "rank 0", "rank", 0, obs.NoRank()); id != 0 {
+		t.Errorf("nil recorder handed out span %d, want 0", id)
+	}
+	nilRec.EndSpan(1, 1)
+	rec := NewRecorder()
+	rec.EndSpan(0, 1)
+	if n := rec.EventCount(); n != 0 {
+		t.Errorf("EndSpan(0) recorded %d events, want 0", n)
 	}
 }
 

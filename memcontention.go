@@ -76,8 +76,10 @@ type (
 	// Registry collects telemetry instruments (counters, gauges,
 	// histograms) and exports them as Prometheus text or JSON.
 	Registry = obs.Registry
-	// TraceRecorder records flow lifecycle events for timeline rendering
-	// and JSONL export; install it with Cluster.WithObserver.
+	// TraceRecorder records flow lifecycle events and causal spans
+	// (memory flows, fabric transfers, MPI operations, ranks) on one
+	// timeline for rendering, JSONL export and critical-path analysis;
+	// install it with Cluster.WithObserver.
 	TraceRecorder = trace.Recorder
 	// RunManifest describes a run (tool, version, platform, seed,
 	// instruments) for reproducibility records.
@@ -139,7 +141,8 @@ func NewBenchRunner(cfg BenchConfig) (*BenchRunner, error) { return bench.NewRun
 // BenchConfig.Registry or Cluster.WithRegistry to collect metrics.
 func NewRegistry() *Registry { return obs.NewRegistry() }
 
-// NewTraceRecorder creates a flow-event recorder for Cluster.WithObserver.
+// NewTraceRecorder creates a flow-event and span recorder for
+// Cluster.WithObserver.
 func NewTraceRecorder() *TraceRecorder { return trace.NewRecorder() }
 
 // Calibrate runs the two sample benchmarks on a built-in platform and
