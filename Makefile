@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz '^FuzzLeaseDecode$$' -fuzztime $(FUZZTIME) ./internal/lease/
 	$(GO) test -fuzz '^FuzzDecodeEvents$$' -fuzztime $(FUZZTIME) ./internal/campaign/
+	$(GO) test -fuzz '^FuzzSolve$$' -fuzztime $(FUZZTIME) ./internal/memsys/
 
 # prof-smoke runs memprof on the seeded overlap scenario and validates
 # the Perfetto export byte-for-byte against the golden file (regenerate

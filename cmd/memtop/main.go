@@ -1,11 +1,10 @@
 // Command memtop is the fleet monitor of a campaign directory: it joins
-// the worker status beacons (beacons/), the campaign event journal
-// (events/), the shard journals and the lease files (leases/) into one
-// consistent live view — which workers are alive, which leases are
-// stale or fenced, how many units are done, pending and quarantined,
-// and the campaign's ETA at the fleet's current throughput. It is
-// strictly read-only: pointing it at a live campaign never perturbs the
-// workers it observes.
+// the campaign event journal (events/), the shard journals and the lease
+// files (leases/) into one consistent live view — which workers are
+// alive, which leases are stale or fenced, how many units are done,
+// pending and quarantined, and the campaign's ETA at the fleet's current
+// throughput. It is strictly read-only: pointing it at a live campaign
+// never perturbs the workers it observes.
 //
 // Usage:
 //
@@ -16,11 +15,13 @@
 //	memtop -dir run/ -serve :9090    # Prometheus plane: memcontention_fleet_*
 //	memtop -dir run/ -lease-ttl 2s   # match a campaign running short leases
 //
-// Unit counts come from the shard journals — the same ground truth
-// `memworker -merge` consumes — never from beacons, so memtop's totals
-// always agree with the merged artifacts. With -serve, the obs.Live
-// plane (/metrics, /metrics.json, /healthz, /readyz) recomputes the
-// fleet report on every scrape.
+// Done counts come from the shard journals — the same ground truth
+// `memworker -merge` consumes — never from events, so memtop's totals
+// always agree with the merged artifacts. A running worker reads as
+// stale once neither an event nor a lease heartbeat of it is newer than
+// the lease TTL plus grace. With -serve, the obs.Live plane (/metrics,
+// /metrics.json, /healthz, /readyz) recomputes the fleet report on
+// every scrape.
 package main
 
 import (
@@ -49,7 +50,6 @@ type options struct {
 	serve   string
 	ttl     time.Duration
 	grace   time.Duration
-	stale   time.Duration
 
 	// clock drives every age computation; tests inject a manual clock
 	// for byte-deterministic reports (nil: obs.WallClock).
@@ -81,7 +81,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&o.serve, "serve", "", "serve the live metrics plane (memcontention_fleet_*) on this address")
 	fs.DurationVar(&o.ttl, "lease-ttl", 0, "lease TTL the campaign runs with, for staleness judgement (default 15s)")
 	fs.DurationVar(&o.grace, "lease-grace", 0, "staleness grace past the TTL (default TTL/2; negative: none)")
-	fs.DurationVar(&o.stale, "stale", 0, "age after which a running beacon is presumed crashed (default TTL+grace)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -103,7 +102,6 @@ func collect(o options) (*campaign.FleetReport, error) {
 		Dir:   o.dir,
 		TTL:   o.ttl,
 		Grace: o.grace,
-		Stale: o.stale,
 		Clock: o.clock,
 	})
 }

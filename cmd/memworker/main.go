@@ -213,7 +213,7 @@ func writeReport(w io.Writer, rep *campaign.RemoteReport) {
 		fmt.Fprintf(w, "memworker: quarantined: %s\n", q.Error)
 	}
 	if rep.ObsErrors > 0 {
-		fmt.Fprintf(w, "memworker: warning: %d beacon/event writes failed; the fleet view of this worker is incomplete\n",
+		fmt.Fprintf(w, "memworker: warning: %d event writes failed; the fleet view of this worker is incomplete\n",
 			rep.ObsErrors)
 	}
 }

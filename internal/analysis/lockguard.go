@@ -13,10 +13,10 @@ import (
 // struct fields: an annotated field may only be read or written while
 // the named sibling mutex is held on the same receiver path.
 //
-//	type fleetObs struct {
+//	type Held struct {
 //		mu sync.Mutex
 //		// memlint:guard mu
-//		errs int
+//		fenced bool
 //	}
 //
 // The check is an intraprocedural lock-set walk (tracking mu.Lock(),

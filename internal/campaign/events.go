@@ -15,21 +15,22 @@ import (
 )
 
 // This file is the campaign event journal: an append-only, CRC32-framed
-// JSONL stream of fleet-level events (worker join/drain, lease claims,
-// fences, orphan takeovers, shard completions, unit quarantines). Every
-// writer — one lease worker, whether a memworker process or one of
-// RunLocal's goroutines — appends to its own file under
-// <campaign-dir>/events/, so no two writers ever interleave, and readers
-// union all files into one
-// deterministic timeline: events sort by (time, worker, sequence), which
-// is a total order because sequence numbers are unique per writer.
+// JSONL stream of fleet-level events (worker join/drain/stop/fail, lease
+// claims, renewal failures, fences, orphan takeovers, unit completions,
+// shard completions, unit quarantines). Every writer — one lease worker,
+// whether a memworker process or one of RunLocal's goroutines — appends
+// to its own file under <campaign-dir>/events/, so no two writers ever
+// interleave, and readers union all files into one deterministic
+// timeline: events sort by (time, worker, sequence), which is a total
+// order because sequence numbers are unique per writer.
 //
 // Events are observability, not coordination: the campaign's correctness
 // never depends on them (leases and shard journals carry the real
-// state), but an operator reconstructing "what happened to shard 3"
-// after a night of churn depends on them completely. They use the same
-// single-line CRC32 framing as checkpoint journals so a torn tail is
-// detected and skipped rather than trusted.
+// state). They are, however, the only record a worker writes about
+// itself: the fleet view (fleet.go) derives every worker's state,
+// counters and throughput from them. They use the same single-line
+// CRC32 framing as checkpoint journals so a torn tail is detected and
+// skipped rather than trusted.
 
 // EventsDir is the subdirectory of a campaign directory holding the
 // per-writer event journals.
@@ -42,14 +43,17 @@ const eventsSuffix = ".jsonl"
 type EventType string
 
 const (
-	// EventWorkerJoin: a worker process entered the campaign.
+	// EventWorkerJoin: a worker process entered the campaign; Detail is
+	// its lease owner identity (host/pid/token).
 	EventWorkerJoin EventType = "worker-join"
 	// EventWorkerDrain: a worker observed the whole campaign complete
 	// and exited cleanly.
 	EventWorkerDrain EventType = "worker-drain"
-	// EventWorkerStop: a worker exited cleanly without observing the
-	// drain (cancellation, unit failure); Detail says why.
+	// EventWorkerStop: a worker was canceled (first SIGINT/SIGTERM) and
+	// exited cleanly without observing the drain.
 	EventWorkerStop EventType = "worker-stop"
+	// EventWorkerFail: a worker exited on an error; Detail carries it.
+	EventWorkerFail EventType = "worker-fail"
 	// EventLeaseClaim: a worker acquired a shard's lease (Epoch carries
 	// the fencing epoch it claimed).
 	EventLeaseClaim EventType = "lease-claim"
@@ -62,6 +66,9 @@ const (
 	// lease left by a dead (or frozen) owner; Detail names the deposed
 	// owner when it was decodable.
 	EventOrphanTakeover EventType = "orphan-takeover"
+	// EventUnitDone: a worker durably journaled one unit (Key) into the
+	// shard's journal at Epoch.
+	EventUnitDone EventType = "unit-done"
 	// EventShardComplete: the worker holding the shard journaled its
 	// last pending unit.
 	EventShardComplete EventType = "shard-complete"
@@ -72,7 +79,7 @@ const (
 )
 
 // WorkerScope is the Shard value of events that concern a whole worker
-// rather than one shard (join, drain, stop).
+// rather than one shard (join, drain, stop, fail).
 const WorkerScope = -1
 
 // Event is one entry of the campaign event journal.

@@ -157,7 +157,7 @@ func TestEventLogRejectsUnsafeWorkerIDs(t *testing.T) {
 	}
 }
 
-// TestEventJournalByteDeterministic proves the beacon/event plane's
+// TestEventJournalByteDeterministic proves the event journal's
 // determinism claim: two writers emitting the same events at the same
 // clock readings produce byte-identical journals.
 func TestEventJournalByteDeterministic(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
@@ -14,10 +15,12 @@ import (
 )
 
 // This file is the fleet aggregator behind cmd/memtop: a strictly
-// read-only view over one campaign directory that joins every
-// observability surface the executors write — worker status beacons,
-// the campaign event journal, the shard journals and the lease files —
-// into one consistent report. It never creates, touches or locks
+// read-only view over one campaign directory that joins everything the
+// lease workers write — the campaign event journal, the shard journals
+// and the lease files — into one consistent report. Workers keep no
+// status document of their own: each worker's state, counters and
+// throughput are derived from its events, and its leases and liveness
+// from the lease files. The aggregator never creates, touches or locks
 // anything, so an operator can point it at a live campaign without
 // perturbing the workers it observes.
 
@@ -28,41 +31,83 @@ type FleetOptions struct {
 	Dir string
 	// TTL and Grace judge lease staleness, exactly like the workers'
 	// lease.Config (zero: the lease defaults, 15s TTL with TTL/2 grace;
-	// negative Grace means none). Campaigns running with shortened
-	// leases — the soak harness — must pass their own values or live
-	// zombies misread as healthy.
+	// negative Grace means none), and the same TTL+Grace bound marks a
+	// running worker stale. Campaigns running with shortened leases —
+	// the soak harness — must pass their own values or live zombies
+	// misread as healthy.
 	TTL   time.Duration
 	Grace time.Duration
-	// Stale bounds how old a "running" beacon may be before the worker
-	// is presumed crashed (0: TTL+Grace, the same bound leases use).
-	Stale time.Duration
 	// Clock supplies "now" for every age computation (nil:
 	// obs.WallClock).
 	Clock obs.Clock
 }
 
-func (o FleetOptions) withDefaults() FleetOptions {
-	lcfg := lease.Config{TTL: o.TTL, Grace: o.Grace}.WithDefaults()
-	o.TTL = lcfg.TTL
-	o.Grace = lcfg.Grace
-	if o.Stale == 0 {
-		o.Stale = o.TTL + o.Grace
-	}
-	if o.Clock == nil {
-		o.Clock = obs.WallClock
-	}
-	return o
+// Worker states, read from a worker's last lifecycle event. A running
+// worker goes stale when its signs of life stop; the terminal states
+// are trustworthy forever.
+const (
+	// WorkerRunning: the worker joined and has not exited (worker-join).
+	WorkerRunning = "running"
+	// WorkerDrained: the worker observed the whole campaign complete and
+	// exited cleanly (worker-drain).
+	WorkerDrained = "drained"
+	// WorkerStopped: the worker was canceled — first SIGINT/SIGTERM —
+	// and exited cleanly (worker-stop).
+	WorkerStopped = "stopped"
+	// WorkerFailed: the worker exited on an error (worker-fail, whose
+	// Detail says which unit or lease operation failed).
+	WorkerFailed = "failed"
+)
+
+// fleetRateWindow is the span a worker's throughput is measured over:
+// long enough that a multi-second unit still registers, short enough
+// that a stalled worker reads 0 within a minute.
+const fleetRateWindow = 30 * time.Second
+
+// ShardProgress is one shard's completion state in the fleet report.
+type ShardProgress struct {
+	Shard       int `json:"shard"`
+	Done        int `json:"done"`
+	Pending     int `json:"pending"`
+	Quarantined int `json:"quarantined"`
 }
 
-// FleetWorker is one worker's beacon joined with its liveness
-// assessment.
+// LeaseHolding is one lease a worker holds: the shard and the fencing
+// epoch it was acquired under.
+type LeaseHolding struct {
+	Shard int    `json:"shard"`
+	Epoch uint64 `json:"epoch"`
+}
+
+// FleetWorker is one worker as its event journal and the lease files
+// describe it at collection time.
 type FleetWorker struct {
-	WorkerStatus
-	// AgeSeconds is collection time minus the beacon's last update.
+	// Worker is the writer id of the worker's event journal: its lease
+	// owner token.
+	Worker string `json:"worker"`
+	// Owner is the host/pid/token identity its join event names.
+	Owner string `json:"owner,omitempty"`
+	// State is one of WorkerRunning, WorkerDrained, WorkerStopped,
+	// WorkerFailed: the worker's last lifecycle event.
+	State string `json:"state"`
+	// StartedUnixNano is the worker's first event. UpdatedUnixNano is
+	// its newest sign of life: its newest event or lease heartbeat.
+	StartedUnixNano int64 `json:"started_unix_nano"`
+	UpdatedUnixNano int64 `json:"updated_unix_nano"`
+	// Units, Fenced and RenewErrors count the worker's unit-done,
+	// lease-fence and lease-renew-failure events.
+	Units       int `json:"units"`
+	Fenced      int `json:"fenced"`
+	RenewErrors int `json:"renew_errors"`
+	// UnitsPerSec is the worker's unit-done events in the last
+	// fleetRateWindow, per second.
+	UnitsPerSec float64 `json:"units_per_sec"`
+	// Leases lists the lease files naming the worker, sorted by shard.
+	Leases []LeaseHolding `json:"leases,omitempty"`
+	// AgeSeconds is collection time minus UpdatedUnixNano.
 	AgeSeconds float64 `json:"age_seconds"`
-	// Stale marks a "running" beacon older than the staleness bound:
-	// the worker crashed, hung or was SIGKILLed — it never wrote its
-	// terminal beacon.
+	// Stale marks a running worker with no sign of life for TTL+Grace:
+	// it crashed, hung or was SIGKILLed before it could record its exit.
 	Stale bool `json:"stale,omitempty"`
 }
 
@@ -84,10 +129,11 @@ type EventCount struct {
 }
 
 // FleetReport is the joined point-in-time view of a campaign fleet.
-// Unit counts come from the shard journals (the ground truth the merge
-// uses), never from beacons — a crashed worker's unreported units still
+// Done counts come from the shard journals (the ground truth the merge
+// uses), never from events — a crashed worker's unreported units still
 // count, and memtop's totals therefore always agree with what
-// `memworker -merge` will produce.
+// `memworker -merge` will produce. A unit no journal holds counts as
+// quarantined once any worker emitted unit-quarantine for it.
 type FleetReport struct {
 	Dir               string          `json:"dir"`
 	GeneratedUnixNano int64           `json:"generated_unix_nano"`
@@ -99,9 +145,9 @@ type FleetReport struct {
 	Shards            []ShardProgress `json:"shards"`
 	Workers           []FleetWorker   `json:"workers,omitempty"`
 	Leases            []FleetLease    `json:"leases,omitempty"`
-	// UnitsPerSec sums the rolling throughput of the live running
-	// workers; ETASeconds divides the pending count by it (0 when the
-	// fleet is idle — no ETA is representable).
+	// UnitsPerSec sums the throughput of the live running workers;
+	// ETASeconds divides the pending count by it (0 when the fleet is
+	// idle — no ETA is representable).
 	UnitsPerSec float64      `json:"units_per_sec"`
 	ETASeconds  float64      `json:"eta_seconds,omitempty"`
 	Events      []EventCount `json:"events,omitempty"`
@@ -112,14 +158,14 @@ type FleetReport struct {
 
 // CollectFleet builds the fleet report of the campaign in o.Dir. The
 // campaign manifest must exist (a directory without one is not a
-// campaign); every other surface degrades gracefully — no beacons, no
-// events and no leases are all valid states of a finished or not yet
-// started campaign.
+// campaign); every other surface degrades gracefully — no events and no
+// leases are both valid states of a finished or not yet started
+// campaign.
 func CollectFleet(o FleetOptions) (*FleetReport, error) {
 	if o.Dir == "" {
 		return nil, fmt.Errorf("campaign: fleet report needs a campaign directory")
 	}
-	o = o.withDefaults()
+	lcfg := lease.Config{TTL: o.TTL, Grace: o.Grace, Clock: o.Clock}.WithDefaults()
 	man, err := LoadManifest(o.Dir)
 	if err != nil {
 		return nil, err
@@ -133,22 +179,32 @@ func CollectFleet(o FleetOptions) (*FleetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	quar, err := ReadQuarantine(o.Dir)
+	timeline, err := ReadEvents(o.Dir)
 	if err != nil {
 		return nil, err
 	}
-	quarKeys := make(map[string]bool, len(quar))
-	for _, q := range quar {
-		quarKeys[q.Key] = true
+	infos, err := lease.Scan(filepath.Join(o.Dir, LeaseDir), lcfg.TTL, lcfg.Grace, lcfg.Clock)
+	if err != nil {
+		return nil, err
 	}
 
-	now := o.Clock()
+	counts := make(map[EventType]int)
+	quarantined := make(map[string]bool)
+	for _, e := range timeline {
+		counts[e.Type]++
+		if e.Type == EventUnitQuarantine {
+			quarantined[e.Key] = true
+		}
+	}
+	now := lcfg.Clock()
 	rep := &FleetReport{
 		Dir:               o.Dir,
 		GeneratedUnixNano: now.UnixNano(),
 		Manifest:          man,
 		Units:             len(units),
 		Shards:            make([]ShardProgress, man.Shards),
+		Workers:           fleetWorkers(timeline, infos, now, lcfg.TTL+lcfg.Grace),
+		Timeline:          timeline,
 	}
 	for i := range rep.Shards {
 		rep.Shards[i].Shard = i
@@ -159,7 +215,7 @@ func CollectFleet(o FleetOptions) (*FleetReport, error) {
 		case done[u.Key]:
 			sp.Done++
 			rep.Done++
-		case quarKeys[u.Key]:
+		case quarantined[u.Key]:
 			sp.Quarantined++
 			rep.Quarantined++
 		default:
@@ -167,50 +223,21 @@ func CollectFleet(o FleetOptions) (*FleetReport, error) {
 			rep.Pending++
 		}
 	}
-
-	beacons, err := ReadBeacons(o.Dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, b := range beacons {
-		age := now.Sub(time.Unix(0, b.UpdatedUnixNano))
-		w := FleetWorker{
-			WorkerStatus: b,
-			AgeSeconds:   age.Seconds(),
-			Stale:        b.State == WorkerRunning && age > o.Stale,
-		}
-		rep.Workers = append(rep.Workers, w)
-		if b.State == WorkerRunning && !w.Stale {
-			rep.UnitsPerSec += b.UnitsPerSec
+	for _, w := range rep.Workers {
+		if w.State == WorkerRunning && !w.Stale {
+			rep.UnitsPerSec += w.UnitsPerSec
 		}
 	}
 	if rep.UnitsPerSec > 0 && rep.Pending > 0 {
 		rep.ETASeconds = float64(rep.Pending) / rep.UnitsPerSec
-	}
-
-	infos, err := lease.Scan(filepath.Join(o.Dir, LeaseDir), o.TTL, o.Grace, o.Clock)
-	if err != nil {
-		return nil, err
 	}
 	for _, in := range infos {
 		fl := FleetLease{Shard: in.Shard, State: string(in.State), AgeSeconds: in.Age.Seconds()}
 		if in.State != lease.StateCorrupt {
 			fl.Owner = in.Lease.Owner.String()
 			fl.Epoch = in.Lease.Epoch
-		} else {
-			fl.AgeSeconds = 0
 		}
 		rep.Leases = append(rep.Leases, fl)
-	}
-
-	timeline, err := ReadEvents(o.Dir)
-	if err != nil {
-		return nil, err
-	}
-	rep.Timeline = timeline
-	counts := make(map[EventType]int)
-	for _, e := range timeline {
-		counts[e.Type]++
 	}
 	for _, t := range eventTypeOrder {
 		if counts[t] > 0 {
@@ -220,6 +247,60 @@ func CollectFleet(o FleetOptions) (*FleetReport, error) {
 	return rep, nil
 }
 
+// fleetWorkers folds the timeline into one row per worker, sorted by
+// worker id, and attaches the lease files naming each worker. Every
+// worker joins before it claims, so a lease whose owner has no events
+// (its journal writes failed) appears only in the report's lease list.
+func fleetWorkers(timeline []Event, infos []lease.Info, now time.Time, staleAfter time.Duration) []FleetWorker {
+	byID := make(map[string]*FleetWorker)
+	var ids []string
+	for _, e := range timeline {
+		w := byID[e.Worker]
+		if w == nil {
+			w = &FleetWorker{Worker: e.Worker, State: WorkerRunning, StartedUnixNano: e.TimeUnixNano}
+			byID[e.Worker] = w
+			ids = append(ids, e.Worker)
+		}
+		w.UpdatedUnixNano = max(w.UpdatedUnixNano, e.TimeUnixNano)
+		switch e.Type {
+		case EventWorkerJoin:
+			w.State, w.Owner = WorkerRunning, e.Detail
+		case EventWorkerDrain:
+			w.State = WorkerDrained
+		case EventWorkerStop:
+			w.State = WorkerStopped
+		case EventWorkerFail:
+			w.State = WorkerFailed
+		case EventUnitDone:
+			w.Units++
+			if now.Sub(time.Unix(0, e.TimeUnixNano)) < fleetRateWindow {
+				w.UnitsPerSec++
+			}
+		case EventLeaseFence:
+			w.Fenced++
+		case EventLeaseRenewFailure:
+			w.RenewErrors++
+		}
+	}
+	for _, in := range infos {
+		if w := byID[in.Lease.Owner.Token]; w != nil {
+			w.Leases = append(w.Leases, LeaseHolding{Shard: in.Shard, Epoch: in.Lease.Epoch})
+			w.UpdatedUnixNano = max(w.UpdatedUnixNano, in.Lease.HeartbeatUnixNano)
+		}
+	}
+	sort.Strings(ids)
+	workers := make([]FleetWorker, len(ids))
+	for i, id := range ids {
+		w := byID[id]
+		w.UnitsPerSec /= fleetRateWindow.Seconds()
+		age := now.Sub(time.Unix(0, w.UpdatedUnixNano))
+		w.AgeSeconds = age.Seconds()
+		w.Stale = w.State == WorkerRunning && age > staleAfter
+		workers[i] = *w
+	}
+	return workers
+}
+
 // eventTypeOrder fixes the rendering order of event counts: lifecycle,
 // lease machinery, completion — the order an operator reads a campaign's
 // story in.
@@ -227,10 +308,12 @@ var eventTypeOrder = []EventType{
 	EventWorkerJoin,
 	EventWorkerDrain,
 	EventWorkerStop,
+	EventWorkerFail,
 	EventLeaseClaim,
 	EventOrphanTakeover,
 	EventLeaseRenewFailure,
 	EventLeaseFence,
+	EventUnitDone,
 	EventShardComplete,
 	EventUnitQuarantine,
 }
@@ -281,10 +364,10 @@ func (r *FleetReport) Publish(reg *obs.Registry) {
 	}
 	for _, state := range []string{WorkerRunning, WorkerDrained, WorkerStopped, WorkerFailed} {
 		reg.Gauge("memcontention_fleet_workers",
-			"Campaign workers by beacon state.", obs.L{"state": state}).Set(float64(workerStates[state]))
+			"Campaign workers by lifecycle state.", obs.L{"state": state}).Set(float64(workerStates[state]))
 	}
 	reg.Gauge("memcontention_fleet_workers_stale",
-		"Workers whose running beacon is older than the staleness bound (presumed crashed).", nil).Set(float64(stale))
+		"Running workers with no event or lease heartbeat for TTL+grace (presumed crashed).", nil).Set(float64(stale))
 
 	leaseStates := map[string]int{}
 	for _, l := range r.Leases {
@@ -299,7 +382,7 @@ func (r *FleetReport) Publish(reg *obs.Registry) {
 	reg.Gauge("memcontention_fleet_units_done", "Units journaled somewhere in the shard set.", nil).Set(float64(r.Done))
 	reg.Gauge("memcontention_fleet_units_pending", "Units not yet journaled or quarantined.", nil).Set(float64(r.Pending))
 	reg.Gauge("memcontention_fleet_units_quarantined", "Units quarantined as poison.", nil).Set(float64(r.Quarantined))
-	reg.Gauge("memcontention_fleet_units_per_sec", "Summed rolling throughput of the live workers.", nil).Set(r.UnitsPerSec)
+	reg.Gauge("memcontention_fleet_units_per_sec", "Summed 30s throughput of the live workers.", nil).Set(r.UnitsPerSec)
 	reg.Gauge("memcontention_fleet_eta_seconds", "Pending units over fleet throughput (0: no live throughput).", nil).Set(r.ETASeconds)
 
 	for _, t := range eventTypeOrder {

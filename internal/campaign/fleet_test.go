@@ -2,14 +2,18 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"memcontention/internal/lease"
 	"memcontention/internal/obs"
 )
 
@@ -63,13 +67,13 @@ func TestCollectFleetDrainedCampaign(t *testing.T) {
 	}
 	w := rep.Workers[0]
 	if w.State != WorkerDrained || w.Stale {
-		t.Fatalf("drained worker beacon: %+v", w)
+		t.Fatalf("drained worker: %+v", w)
 	}
-	if w.Worker != wrep.Owner.Token {
-		t.Fatalf("beacon identity %q, worker token %q", w.Worker, wrep.Owner.Token)
+	if w.Worker != wrep.Owner.Token || w.Owner != wrep.Owner.String() {
+		t.Fatalf("worker identity %q (%q), worker owner %v", w.Worker, w.Owner, wrep.Owner)
 	}
 	if w.Units != wrep.Units || w.Fenced != 0 || len(w.Leases) != 0 {
-		t.Fatalf("terminal beacon content: %+v", w)
+		t.Fatalf("drained worker counters: %+v", w)
 	}
 
 	if len(rep.Leases) != 0 {
@@ -91,6 +95,9 @@ func TestCollectFleetDrainedCampaign(t *testing.T) {
 	}
 	if counts[EventWorkerJoin] != 1 || counts[EventWorkerDrain] != 1 {
 		t.Fatalf("lifecycle events: %+v", rep.Events)
+	}
+	if counts[EventUnitDone] != wrep.Units {
+		t.Fatalf("%d unit-done events for %d units", counts[EventUnitDone], wrep.Units)
 	}
 	if counts[EventLeaseClaim] != len(wrep.Claimed) {
 		t.Fatalf("%d claim events for %d claims", counts[EventLeaseClaim], len(wrep.Claimed))
@@ -133,6 +140,24 @@ func TestCollectFleetEmptyAndMissingCampaign(t *testing.T) {
 	}
 }
 
+// emitEvents writes one worker's event journal under dir, each event
+// stamped at the clock's current instant.
+func emitEvents(t *testing.T, dir, worker string, clk *remoteClock, events ...Event) {
+	t.Helper()
+	log, err := OpenEventLog(dir, worker, clk.Now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		if err := log.Emit(e.Type, e.Shard, e.Epoch, e.Key, e.Detail); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCollectFleetStaleWorkerAndQuarantine(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "campaign")
 	man := Manifest{Seed: 1, Platforms: testNames, Shards: 4}
@@ -144,37 +169,19 @@ func TestCollectFleetStaleWorkerAndQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	poison := units[0].Key
+	join := Event{Type: EventWorkerJoin, Shard: WorkerScope}
+	done := Event{Type: EventUnitDone, Shard: 0, Epoch: 1, Key: "k"}
 
+	// A SIGKILLed worker's journal ends without an exit event; once its
+	// newest event is older than the staleness bound the fleet flags it
+	// and stops trusting its throughput.
 	clk := newRemoteClock()
-	start := clk.Now()
-	// A SIGKILLed worker leaves a running beacon that ages without
-	// updates; past the staleness bound the fleet flags it and stops
-	// trusting its throughput.
-	if err := WriteBeacon(dir, WorkerStatus{
-		Worker:          "deadbeef",
-		State:           WorkerRunning,
-		StartedUnixNano: start.UnixNano(),
-		UpdatedUnixNano: start.UnixNano(),
-		UnitsPerSec:     4,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteBeacon(dir, WorkerStatus{
-		Worker:          "livebeef",
-		State:           WorkerRunning,
-		StartedUnixNano: start.UnixNano(),
-		UpdatedUnixNano: start.Add(5 * time.Second).UnixNano(),
-		UnitsPerSec:     2,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeQuarantine(filepath.Join(dir, QuarantineFile), []QuarantineRecord{
-		{Key: poison, Shard: homeShard(poison, man.Shards), Attempts: 2, Error: "boom"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-
+	emitEvents(t, dir, "deadbeef", clk, join, done, done, done,
+		Event{Type: EventUnitQuarantine, Shard: homeShard(poison, man.Shards), Key: poison, Detail: "boom"})
+	emitEvents(t, dir, "failbeef", clk, join, Event{Type: EventWorkerFail, Shard: WorkerScope, Detail: "boom"})
 	clk.Advance(5 * time.Second)
+	emitEvents(t, dir, "livebeef", clk, join, done, done)
+
 	rep, err := CollectFleet(FleetOptions{Dir: dir, TTL: time.Second, Grace: -1, Clock: clk.Now})
 	if err != nil {
 		t.Fatal(err)
@@ -189,18 +196,114 @@ func TestCollectFleetStaleWorkerAndQuarantine(t *testing.T) {
 	for _, w := range rep.Workers {
 		byName[w.Worker] = w
 	}
-	if !byName["deadbeef"].Stale {
-		t.Fatalf("5s-old running beacon not stale: %+v", byName["deadbeef"])
+	if w := byName["deadbeef"]; w.State != WorkerRunning || !w.Stale || w.Units != 3 || w.AgeSeconds != 5 {
+		t.Fatalf("5s-old running worker not stale: %+v", w)
 	}
-	if byName["livebeef"].Stale {
-		t.Fatalf("fresh running beacon marked stale: %+v", byName["livebeef"])
+	if w := byName["failbeef"]; w.State != WorkerFailed || w.Stale {
+		t.Fatalf("failed worker: %+v", w)
+	}
+	if w := byName["livebeef"]; w.State != WorkerRunning || w.Stale || w.UnitsPerSec != 2/fleetRateWindow.Seconds() {
+		t.Fatalf("fresh running worker: %+v", w)
 	}
 	// Only the live worker's throughput counts toward the ETA.
-	if rep.UnitsPerSec != 2 {
-		t.Fatalf("fleet throughput %v, want the live worker's 2", rep.UnitsPerSec)
+	if want := byName["livebeef"].UnitsPerSec; rep.UnitsPerSec != want || rep.ETASeconds != float64(rep.Pending)/want {
+		t.Fatalf("fleet throughput %v, ETA %v; want the live worker's %v", rep.UnitsPerSec, rep.ETASeconds, want)
 	}
-	if want := float64(rep.Pending) / 2; rep.ETASeconds != want {
-		t.Fatalf("ETA %v, want %v", rep.ETASeconds, want)
+
+	// A live lease heartbeat keeps a worker that emits nothing (one long
+	// unit) from going stale, and lists the lease on its row.
+	mgr, err := lease.NewManager(lease.Config{Dir: filepath.Join(dir, LeaseDir), TTL: time.Second,
+		Heartbeat: 100 * time.Millisecond, Grace: -1, Clock: clk.Now,
+		Owner: lease.Owner{Host: "test", PID: 1, Token: "deadbeef"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mgr.Acquire(2, 0); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = CollectFleet(FleetOptions{Dir: dir, TTL: time.Second, Grace: -1, Clock: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range rep.Workers {
+		if w.Worker == "deadbeef" && (w.Stale || len(w.Leases) != 1 || w.Leases[0] != (LeaseHolding{Shard: 2, Epoch: 1})) {
+			t.Fatalf("heartbeating worker: %+v", w)
+		}
+	}
+}
+
+// TestCollectFleetCountsWorkerQuarantines: memworker processes write no
+// quarantine.jsonl, so a unit two workers gave up on is quarantined in
+// the fleet view through their unit-quarantine events alone.
+func TestCollectFleetCountsWorkerQuarantines(t *testing.T) {
+	clk := newRemoteClock()
+	poison := "unit|netbench|" + testNames[0]
+	opts := RemoteOptions{Dir: filepath.Join(t.TempDir(), "campaign"), Shards: 4, Lease: remoteLease(clk),
+		Sleep: tinySleep, MaxAttempts: 2, faultHook: poisonHook(poison)}
+	for i := 0; i < 2; i++ {
+		rep, err := RemoteWorker(Config{Seed: 1}, opts, testNames)
+		if !errors.Is(err, ErrQuarantined) || len(rep.Quarantined) != 1 {
+			t.Fatalf("worker %d: err = %v, quarantined %+v; want the poison unit", i, err, rep.Quarantined)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(opts.Dir, QuarantineFile)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("lease workers wrote %s (%v)", QuarantineFile, err)
+	}
+	rep, err := CollectFleet(FleetOptions{Dir: opts.Dir, TTL: time.Second, Grace: -1, Clock: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Quarantined != 1 || rep.Pending != 0 || rep.Done != rep.Units-1 {
+		t.Fatalf("fleet counts: %d done, %d pending, %d quarantined of %d; want the poison unit quarantined",
+			rep.Done, rep.Pending, rep.Quarantined, rep.Units)
+	}
+	if sp := rep.Shards[homeShard(poison, 4)]; sp.Quarantined != 1 || sp.Pending != 0 {
+		t.Fatalf("poison unit's home shard: %+v", sp)
+	}
+	if len(rep.Workers) != 2 || rep.Workers[0].State != WorkerDrained || rep.Workers[1].State != WorkerDrained {
+		t.Fatalf("workers: %+v, want two drained", rep.Workers)
+	}
+}
+
+// TestFleetObsFinishClassifiesExit: each way a worker can end maps to
+// one lifecycle event, and the fleet view reads it back as a state.
+func TestFleetObsFinishClassifiesExit(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "campaign")
+	if _, err := EnsureManifest(dir, Manifest{Seed: 1, Platforms: testNames, Shards: 2}); err != nil {
+		t.Fatal(err)
+	}
+	clk := newRemoteClock()
+	exits := map[string]error{
+		"w0": nil,
+		"w1": &QuarantineError{Records: []QuarantineRecord{{Key: "k"}}},
+		"w2": fmt.Errorf("campaign: remote worker: %w", context.Canceled),
+		"w3": errors.New("journal: disk full"),
+	}
+	for _, id := range []string{"w0", "w1", "w2", "w3"} {
+		fo, err := newFleetObs(dir, lease.Owner{Host: "test", PID: 1, Token: id}, clk.Now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fo.finish(exits[id])
+		if fo.errors() != 0 {
+			t.Fatalf("%s: %d event writes failed", id, fo.errors())
+		}
+	}
+	rep, err := CollectFleet(FleetOptions{Dir: dir, TTL: time.Second, Grace: -1, Clock: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, w := range rep.Workers {
+		got = append(got, w.Worker+":"+w.State+":"+w.Owner)
+	}
+	want := []string{"w0:drained:test/1/w0", "w1:drained:test/1/w1", "w2:stopped:test/1/w2", "w3:failed:test/1/w3"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("worker states %v, want %v", got, want)
+	}
+	last := rep.Timeline[len(rep.Timeline)-1]
+	if last.Type != EventWorkerFail || last.Detail != "journal: disk full" {
+		t.Fatalf("failing worker's last event %+v, want worker-fail with the error", last)
 	}
 }
 
@@ -303,21 +406,4 @@ func TestCollectFleetNilSafety(t *testing.T) {
 	var rep *FleetReport
 	rep.Publish(obs.NewRegistry())
 	(&FleetReport{}).Publish(nil)
-}
-
-// TestCollectFleetRejectsCorruptQuarantine confirms collection surfaces
-// (rather than swallows) a malformed quarantine report.
-func TestCollectFleetRejectsCorruptQuarantine(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "campaign")
-	if _, err := EnsureManifest(dir, Manifest{Seed: 1, Platforms: testNames, Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, QuarantineFile), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := CollectFleet(FleetOptions{Dir: dir}); err == nil {
-		t.Fatal("corrupt quarantine report collected cleanly")
-	} else if errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("wrong error class: %v", err)
-	}
 }

@@ -276,8 +276,8 @@ func TestShardedCampaignMetrics(t *testing.T) {
 }
 
 // TestShardedPipelineFleetPlane: every in-process worker joins the
-// fleet plane like a memworker process — its own beacon and event
-// journal — so memtop reads the directory during and after the run.
+// fleet plane like a memworker process — its own event journal — so
+// memtop reads the directory during and after the run.
 func TestShardedPipelineFleetPlane(t *testing.T) {
 	clk := newRemoteClock()
 	opts := localOpts(t, clk)
@@ -300,7 +300,7 @@ func TestShardedPipelineFleetPlane(t *testing.T) {
 		counts[c.Type] = c.Count
 	}
 	if units != n || counts[EventWorkerJoin] != 4 || counts[EventWorkerDrain] != 4 {
-		t.Fatalf("beacons count %d of %d units; lifecycle events %v", units, n, counts)
+		t.Fatalf("unit-done events count %d of %d units; lifecycle events %v", units, n, counts)
 	}
 }
 
@@ -341,8 +341,10 @@ func TestShardedPipelineFleetPlaneQuarantine(t *testing.T) {
 
 // TestShardedPipelineBeaconDeterministic runs the same single-worker
 // campaign twice under one manual clock and identity and compares the
-// beacon and event-journal bytes. (With several workers, who claims
-// which shard is up to the scheduler.)
+// bytes of the worker's event journal, the only record it writes about
+// itself (the name predates the journal taking over from the status
+// beacon). With several workers, who claims which shard is up to the
+// scheduler.
 func TestShardedPipelineBeaconDeterministic(t *testing.T) {
 	var files [2][]byte
 	for i := range files {
@@ -350,16 +352,14 @@ func TestShardedPipelineBeaconDeterministic(t *testing.T) {
 		opts.Shards = 4
 		opts.Lease.Owner = lease.Owner{Host: "test", PID: 1, Token: "sup"}
 		runLocal(t, Config{Seed: 1, Workers: 1}, opts)
-		for _, name := range []string{filepath.Join(BeaconsDir, "sup-0.json"), filepath.Join(EventsDir, "sup-0.jsonl")} {
-			data, err := os.ReadFile(filepath.Join(opts.Dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			files[i] = append(files[i], data...)
+		data, err := os.ReadFile(filepath.Join(opts.Dir, EventsDir, "sup-0.jsonl"))
+		if err != nil {
+			t.Fatal(err)
 		}
+		files[i] = data
 	}
 	if !bytes.Equal(files[0], files[1]) {
-		t.Fatalf("fleet plane differs across identical runs:\n%s\n%s", files[0], files[1])
+		t.Fatalf("event journal differs across identical runs:\n%s\n%s", files[0], files[1])
 	}
 }
 

@@ -273,10 +273,10 @@ type RemoteReport struct {
 	// them again; it journals everything else and then returns a
 	// *QuarantineError.
 	Quarantined []QuarantineRecord
-	// ObsErrors counts beacon and event-journal writes that failed.
-	// Observability never kills a worker — emission failures are counted
-	// here instead of propagating — but a nonzero count means memtop's
-	// view of this worker is incomplete.
+	// ObsErrors counts event-journal writes that failed. Observability
+	// never kills a worker — emission failures are counted here instead
+	// of propagating — but a nonzero count means memtop's view of this
+	// worker is incomplete.
 	ObsErrors int
 }
 
@@ -316,35 +316,21 @@ func RemoteWorker(cfg Config, opts RemoteOptions, names []string) (*RemoteReport
 	if err != nil {
 		return nil, err
 	}
-	owner := mgr.Owner()
-	fo, err := newFleetObs(opts.Dir, owner.Token, owner.Host, owner.PID, lcfg.WithDefaults().Clock, cfg.Registry)
+	fo, err := newFleetObs(opts.Dir, mgr.Owner(), lcfg.WithDefaults().Clock)
 	if err != nil {
 		return nil, err
 	}
-	fo.join()
-	report := &RemoteReport{Owner: owner}
+	report := &RemoteReport{Owner: mgr.Owner()}
 	err = remoteWork(cfg.ctx(), cfg, opts, set, mgr, fo, byShard, report)
-	// Funnel every exit through one final beacon + lifecycle event, so
-	// the fleet plane can tell a clean exit from a crash: a killed worker
-	// never reaches this and leaves a stale "running" beacon behind.
-	var qerr *QuarantineError
-	switch {
-	case err == nil:
-		fo.finish(WorkerDrained, EventWorkerDrain, "")
-	case errors.As(err, &qerr):
-		fo.finish(WorkerDrained, EventWorkerDrain, fmt.Sprintf("%d units quarantined", len(qerr.Records)))
-	case checkpoint.IsCanceled(err):
-		fo.finish(WorkerStopped, EventWorkerStop, "canceled")
-	default:
-		fo.finish(WorkerFailed, EventWorkerStop, err.Error())
-	}
+	// Funnel every exit through one lifecycle event, so the fleet view
+	// can tell a clean exit from a crash.
+	fo.finish(err)
 	report.ObsErrors = fo.errors()
 	return report, err
 }
 
 // remoteWork is RemoteWorker's scan-claim-execute loop, separated so
-// every exit path funnels through the caller's final beacon and
-// lifecycle event.
+// every exit path funnels through the caller's lifecycle event.
 func remoteWork(ctx context.Context, cfg Config, opts RemoteOptions, set *checkpoint.ShardSet,
 	mgr *lease.Manager, fo *fleetObs, byShard [][]unit, report *RemoteReport) error {
 	for {
@@ -386,18 +372,15 @@ func remoteWork(ctx context.Context, cfg Config, opts RemoteOptions, set *checkp
 			pending, err = pendingUnits(set, byShard[shard], shard, report.Quarantined)
 			if err != nil {
 				held.Release()
-				fo.leaseDropped(held.Shard())
 				return err
 			}
 			if len(pending) == 0 {
-				relErr := held.Release()
-				fo.leaseDropped(held.Shard())
-				if relErr != nil {
-					return relErr
+				if err := held.Release(); err != nil {
+					return err
 				}
 				continue
 			}
-			ran, rerr := runLeasedShard(ctx, cfg, opts, set, held, mgr.Heartbeat(), pending, len(byShard[shard]), fo, report)
+			ran, rerr := runLeasedShard(ctx, cfg, opts, set, held, mgr.Heartbeat(), pending, fo, report)
 			report.Units += ran
 			if rerr != nil {
 				return rerr
@@ -524,15 +507,13 @@ func unjournaled(files []string, units []unit, skip []QuarantineRecord) ([]unit,
 // the journal and releases the lease (Release is a no-op on a fenced
 // lease, so a new owner's lease file is never disturbed).
 func runLeasedShard(ctx context.Context, cfg Config, opts RemoteOptions, set *checkpoint.ShardSet,
-	held *lease.Held, heartbeat time.Duration, pending []unit, assigned int, fo *fleetObs, report *RemoteReport) (int, error) {
+	held *lease.Held, heartbeat time.Duration, pending []unit, fo *fleetObs, report *RemoteReport) (int, error) {
 	j, err := set.OpenEpochShard(held.Shard(), held.Epoch())
 	if err != nil {
 		held.Release()
-		fo.leaseDropped(held.Shard())
 		return 0, err
 	}
 	j.SetRegistry(cfg.Registry)
-	fo.shardView(held.Shard(), assigned-len(pending), len(pending))
 
 	// The heartbeat goroutine sleeps first — Acquire just wrote a fresh
 	// heartbeat — then renews until fenced or stopped. Its counters are
@@ -559,10 +540,8 @@ func runLeasedShard(ctx context.Context, cfg Config, opts RemoteOptions, set *ch
 					return
 				}
 				renewErrs++
-				fo.renewFailure(held.Shard(), held.Epoch(), err)
-				continue
+				fo.emit(EventLeaseRenewFailure, held.Shard(), held.Epoch(), "", err.Error())
 			}
-			fo.tick()
 		}
 	}()
 
@@ -587,11 +566,11 @@ func runLeasedShard(ctx context.Context, cfg Config, opts RemoteOptions, set *ch
 			detail := fmt.Sprintf("campaign: unit %s (shard %d) failed after %d attempts: %v", u.Key, held.Shard(), opts.MaxAttempts, err)
 			report.Quarantined = append(report.Quarantined, QuarantineRecord{Key: u.Key, Shard: held.Shard(), Attempts: opts.MaxAttempts, Error: detail})
 			sortQuarantine(report.Quarantined)
-			fo.quarantined(held.Shard(), u.Key, detail)
+			fo.emit(EventUnitQuarantine, held.Shard(), 0, u.Key, detail)
 			continue
 		}
 		ran++
-		fo.unitDone(held.Shard())
+		fo.emit(EventUnitDone, held.Shard(), held.Epoch(), u.Key, "")
 		if opts.UnitDone != nil {
 			opts.UnitDone(held.Shard(), u.Key)
 		}
@@ -606,15 +585,12 @@ func runLeasedShard(ctx context.Context, cfg Config, opts RemoteOptions, set *ch
 	fenced := held.Fenced()
 	if fenced {
 		report.Fenced++
-		fo.fenced(held)
+		fo.emit(EventLeaseFence, held.Shard(), held.Epoch(), "", "")
 	}
 	cerr := j.Close()
 	relErr := held.Release()
-	if !fenced {
-		fo.leaseDropped(held.Shard())
-	}
 	if runErr == nil && cerr == nil && relErr == nil && !fenced && ran == len(pending) {
-		fo.shardComplete(held)
+		fo.emit(EventShardComplete, held.Shard(), held.Epoch(), "", "")
 	}
 	if runErr != nil {
 		return ran, runErr

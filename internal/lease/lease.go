@@ -4,8 +4,9 @@
 // timestamp. Workers acquire a shard's lease before executing its
 // experiment units, renew it on a heartbeat interval while they run, and
 // release it when the shard is drained. A worker that stops renewing —
-// killed, hung, partitioned — goes stale after TTL+grace and any other
-// process may take the shard over with a bumped epoch; the deposed
+// killed, hung, partitioned — goes stale after TTL+grace (at once when
+// it was a process of the observer's host that has exited) and any
+// other process may take the shard over with a bumped epoch; the deposed
 // owner, should it come back to life, discovers the higher epoch at its
 // next renewal (ErrFenced) and stops. Until then its journal appends
 // land in an epoch-suffixed shard file that nobody else writes, so a
@@ -71,9 +72,9 @@ func SelfOwner() (Owner, error) {
 // Lease is the durable claim on one shard: who owns it, under which
 // fencing epoch, and when the owner last proved it was alive.
 type Lease struct {
-	Shard int   `json:"shard"`
+	Shard int    `json:"shard"`
 	Epoch uint64 `json:"epoch"`
-	Owner Owner `json:"owner"`
+	Owner Owner  `json:"owner"`
 	// HeartbeatUnixNano is the owner's last renewal instant on the
 	// manager's clock (wall clock in production). Staleness is judged
 	// against it: now - heartbeat > TTL+grace means the owner is gone.

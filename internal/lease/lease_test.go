@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"os/exec"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -284,6 +285,47 @@ func TestZombieClobberRecovery(t *testing.T) {
 	// A's renew now sees the higher epoch and fences.
 	if err := ha.Renew(); !errors.Is(err, ErrFenced) {
 		t.Fatalf("zombie Renew after clobber = %v, want ErrFenced", err)
+	}
+}
+
+// TestSameHostDeadOwnerIsStale: a lease with a fresh heartbeat whose
+// owner is a process of this host that has exited is stale at once, so
+// a rival takes it over without waiting out TTL+grace; a lease whose
+// owner is still running (this test's parent) stays live.
+func TestSameHostDeadOwnerIsStale(t *testing.T) {
+	host, err := os.Hostname()
+	if err != nil {
+		t.Skipf("no hostname to match owners against: %v", err)
+	}
+	child := exec.Command(os.Args[0], "-test.run=^$")
+	if err := child.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		pid  int
+		want State
+	}{{child.Process.Pid, StateStale}, {os.Getppid(), StateLive}} {
+		dir := t.TempDir()
+		clk := newManualClock()
+		cfg := testConfig(t, dir, clk, "owner")
+		cfg.Owner = Owner{Host: host, PID: tc.pid, Token: "owner"}
+		if _, err := mustManager(t, cfg).Acquire(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		infos, err := Scan(dir, time.Second, -1, clk.Now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(infos) != 1 || infos[0].State != tc.want {
+			t.Fatalf("owner pid %d: scan %+v, want %s", tc.pid, infos, tc.want)
+		}
+		h, err := mustManager(t, testConfig(t, dir, clk, "rival")).Acquire(0, 0)
+		switch {
+		case tc.want == StateStale && (err != nil || h.Epoch() != 2 || !h.TookOver() || h.Deposed().PID != tc.pid):
+			t.Fatalf("exited owner pid %d: acquire = %v, %v; want a takeover at epoch 2", tc.pid, h, err)
+		case tc.want == StateLive && !errors.Is(err, ErrHeld):
+			t.Fatalf("running owner pid %d: acquire err = %v, want ErrHeld", tc.pid, err)
+		}
 	}
 }
 

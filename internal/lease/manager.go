@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"memcontention/internal/atomicio"
@@ -202,8 +203,9 @@ const (
 	// StateLive: a decodable lease with a fresh heartbeat.
 	StateLive State = "live"
 	// StateStale: a decodable lease whose heartbeat is older than
-	// TTL+grace — the owner is presumed dead and the shard can be
-	// taken over.
+	// TTL+grace, or whose owner is a process of this host that has
+	// exited — the owner is presumed dead and the shard can be taken
+	// over.
 	StateStale State = "stale"
 	// StateCorrupt: the lease file exists but does not decode (torn
 	// write, garbage, wild fields). Treated exactly like StateStale by
@@ -225,10 +227,38 @@ func (m *Manager) Inspect(shard int) (Lease, State, error) {
 	if derr != nil {
 		return Lease{}, StateCorrupt, nil
 	}
-	if m.cfg.Clock().Sub(l.Heartbeat()) > m.cfg.TTL+m.cfg.Grace {
+	if m.cfg.stale(l, m.cfg.Clock()) {
 		return l, StateStale, nil
 	}
 	return l, StateLive, nil
+}
+
+// stale reports whether l's owner is presumed dead at now: its heartbeat
+// is older than TTL+Grace, or it is a process of this host that has
+// exited. The second test lets a crashed owner's shard be taken over at
+// once instead of after TTL+Grace.
+func (c Config) stale(l Lease, now time.Time) bool {
+	return now.Sub(l.Heartbeat()) > c.TTL+c.Grace || ownerExited(l.Owner)
+}
+
+// ownerExited reports whether o names a process of this host, other than
+// this process, that no longer exists. Only a definite "no such process"
+// counts: a permission error, a zombie, a failed probe or another host
+// all read as alive. A wrong guess is harmless — epoch fencing deposes a
+// live owner whose shard was taken over at its next heartbeat.
+func ownerExited(o Owner) bool {
+	if o.PID <= 0 || o.PID == os.Getpid() {
+		return false
+	}
+	if host, err := os.Hostname(); err != nil || host != o.Host {
+		return false
+	}
+	p, err := os.FindProcess(o.PID)
+	if err != nil {
+		return false
+	}
+	defer p.Release()
+	return errors.Is(p.Signal(syscall.Signal(0)), os.ErrProcessDone)
 }
 
 // acquireMu serializes Acquire across every Manager of this process,

@@ -28,10 +28,11 @@ type Info struct {
 // or touching anything — the read-only counterpart to Manager for
 // monitors like memtop, which must never perturb the fleet they
 // observe. Staleness is judged exactly like Manager.Inspect: a
-// heartbeat older than ttl+grace is stale. Zero ttl uses the default
-// 15s; zero grace uses ttl/2 (negative: none); a nil clock uses
-// obs.WallClock. A missing directory scans as empty — a campaign that
-// has not started is not an error to look at.
+// heartbeat older than ttl+grace, or an owner process of this host that
+// has exited, is stale. Zero ttl uses the default 15s; zero grace uses
+// ttl/2 (negative: none); a nil clock uses obs.WallClock. A missing
+// directory scans as empty — a campaign that has not started is not an
+// error to look at.
 func Scan(dir string, ttl, grace time.Duration, clock obs.Clock) ([]Info, error) {
 	cfg := Config{Dir: dir, TTL: ttl, Grace: grace, Clock: clock}.withDefaults()
 	entries, err := os.ReadDir(dir)
@@ -66,7 +67,7 @@ func Scan(dir string, ttl, grace time.Duration, clock obs.Clock) ([]Info, error)
 		} else {
 			info.Lease = l
 			info.Age = now.Sub(l.Heartbeat())
-			if info.Age > cfg.TTL+cfg.Grace {
+			if cfg.stale(l, now) {
 				info.State = StateStale
 			} else {
 				info.State = StateLive

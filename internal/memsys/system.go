@@ -155,18 +155,17 @@ func (s *System) checkStreams(streams []Stream) error {
 		if int(st.Node) < 0 || int(st.Node) >= s.plat.NNodes() {
 			return fmt.Errorf("memsys: stream %d targets node %d out of range", st.ID, st.Node)
 		}
+		// A NaN demand would poison every rate on its node, and +Inf
+		// would turn the proportional split into Inf/Inf.
+		if !(st.Demand >= 0) || math.IsInf(st.Demand, 1) {
+			return fmt.Errorf("memsys: stream %d has demand %v, want a finite value >= 0", st.ID, st.Demand)
+		}
 		switch st.Kind {
 		case KindCompute:
 			if int(st.Core) < 0 || int(st.Core) >= s.plat.NCores() {
 				return fmt.Errorf("memsys: compute stream %d issued by core %d out of range", st.ID, st.Core)
 			}
-			if st.Demand < 0 {
-				return fmt.Errorf("memsys: stream %d has negative demand", st.ID)
-			}
 		case KindComm:
-			if st.Demand < 0 {
-				return fmt.Errorf("memsys: stream %d has negative demand", st.ID)
-			}
 		default:
 			return fmt.Errorf("memsys: stream %d has unknown kind %d", st.ID, int(st.Kind))
 		}

@@ -3,7 +3,7 @@ package obs
 import "time"
 
 // Clock supplies wall timestamps. Injecting one makes time-stamped
-// artifacts (campaign beacons and event journals, fleet reports)
+// artifacts (campaign event journals, fleet reports)
 // byte-reproducible: two identical runs that share a clock emit
 // identical timestamps.
 type Clock func() time.Time

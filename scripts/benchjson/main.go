@@ -1,6 +1,8 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // stable JSON document on stdout, suitable for committing as a benchmark
 // baseline (see BENCH_baseline.json) and diffing across changes.
+// Benchmark names are recorded without the "-N" GOMAXPROCS suffix `go
+// test` appends, so runs on machines with different core counts compare.
 //
 // Usage:
 //
@@ -60,7 +62,7 @@ func parse(sc *bufio.Scanner) ([]Result, error) {
 		if err != nil {
 			continue // "Benchmark..." headers without a result column
 		}
-		r := Result{Package: pkg, Name: fields[0], Iterations: iters}
+		r := Result{Package: pkg, Name: trimProcs(fields[0]), Iterations: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -78,4 +80,17 @@ func parse(sc *bufio.Scanner) ([]Result, error) {
 		results = append(results, r)
 	}
 	return results, sc.Err()
+}
+
+// trimProcs strips the trailing "-N" GOMAXPROCS suffix from a benchmark
+// name ("BenchmarkPredict-2" -> "BenchmarkPredict"). `go test` omits the
+// suffix when GOMAXPROCS is 1, so a sub-benchmark name that itself ends
+// in "-<digits>" would lose that part there; name sub-benchmarks
+// "n=64", not "n-64".
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 || strings.TrimRight(name[i+1:], "0123456789") != "" {
+		return name
+	}
+	return name[:i]
 }

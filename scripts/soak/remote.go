@@ -45,7 +45,10 @@ const (
 	// staleWait is how long the harness waits after the last signal
 	// before starting the takeover worker: the TTL plus the default
 	// grace (TTL/2), plus one heartbeat that may have landed just
-	// before the signal, plus margin for slow CI runners.
+	// before the signal, plus margin for slow CI runners. The reaped
+	// SIGKILL victims' leases read stale at once (their owners are
+	// exited processes of this host); the wait is for the frozen
+	// zombie, whose process lives on.
 	staleWait = remoteTTL + remoteTTL/2 + remoteHeartbeat + 750*time.Millisecond
 
 	// unitDelay throttles the doomed workers so every signal lands
@@ -435,9 +438,10 @@ func memtopJSON(bin, runDir string) (*fleetDoc, error) {
 }
 
 // assertMidChurnView checks the fleet view while the churn is at its
-// worst: every worker that ever joined shows a stale running beacon,
-// every surviving lease is stale, and nothing is done yet (the doomed
-// workers were all interrupted before their first journal append).
+// worst: every worker that ever joined reads as running but stale (no
+// exit event, no fresh event or lease heartbeat), every surviving lease
+// is stale, and nothing is done yet (the doomed workers were all
+// interrupted before their first journal append).
 func assertMidChurnView(bin, runDir string) error {
 	doc, err := memtopJSON(bin, runDir)
 	if err != nil {
@@ -471,9 +475,9 @@ func assertMidChurnView(bin, runDir string) error {
 }
 
 // assertFinalFleetView checks the drained campaign: memtop's unit counts
-// agree with the merged ground truth, the beacons tell who drained and
-// who crashed, and the merged timeline carries every claim, takeover,
-// fence and shard completion exactly once.
+// agree with the merged ground truth, the lifecycle events tell who
+// drained and who crashed, and the merged timeline carries every claim,
+// takeover, fence and shard completion exactly once.
 func assertFinalFleetView(bin, runDir string, mergedUnits, wantFences int) error {
 	doc, err := memtopJSON(bin, runDir)
 	if err != nil {
