@@ -2,20 +2,28 @@
 
 GO ?= go
 
-.PHONY: check lint vet memlint memlint-per-check lint-fixtures build test race repro bench benchdiff fuzz soak soak-remote prof-smoke serve-smoke top-smoke loadtest fmt
+.PHONY: check lint vet gofmt memlint memlint-per-check lint-fixtures build test race repro bench benchdiff fuzz soak soak-remote prof-smoke serve-smoke top-smoke loadtest fmt
 
 check: lint build race repro benchdiff ## pre-merge gate: lint + build + race tests + reproduction (+ advisory benchdiff)
 
-# lint is the static-analysis gate: go vet plus the repo's own memlint
+# lint is the static-analysis gate: go vet, gofmt, plus the repo's own memlint
 # suite (determinism, maprange, nilhook, durable, errhygiene, and the
 # whole-module concurrency checks lockguard/goleak/ctxflow — see
 # docs/static-analysis.md). memlint exits 0 on a clean tree, 1 on
 # findings, 2 on usage/load errors; `go run` caches the memlint build in
 # the standard Go build cache, so repeat runs only pay for analysis.
-lint: vet memlint
+lint: vet gofmt memlint
 
 vet:
 	$(GO) vet ./...
+
+# gofmt fails when gofmt would change a Go file of a package `go list
+# ./...` reports. It is handed each package's files, not its directory:
+# on a directory gofmt would descend into testdata/, where the suppress*
+# analyzer fixtures are unformatted on purpose.
+gofmt:
+	@out=$$(gofmt -l $$($(GO) list -f '{{.Dir}}/*.go' ./...)); \
+	if [ -n "$$out" ]; then echo "gofmt: run make fmt, these files are not formatted:"; echo "$$out"; exit 1; fi
 
 memlint:
 	$(GO) run ./cmd/memlint ./...
@@ -101,7 +109,7 @@ bench:
 # Advisory in `make check` (leading `-`): shared runners are noisy, so a
 # flagged regression means "measure properly before merging", not
 # "blocked" (see docs/observability.md).
-BENCHDIFF_PATTERN ?= BenchmarkClusterHaloExchange$$|BenchmarkTable1Platforms$$|BenchmarkPredict$$|BenchmarkSolver$$
+BENCHDIFF_PATTERN ?= BenchmarkClusterHaloExchange$$|BenchmarkTable1Platforms$$|BenchmarkTable2Errors$$|BenchmarkPredict$$|BenchmarkSolver$$|BenchmarkSolve$$|BenchmarkMeasurePoint$$
 benchdiff:
 	-$(GO) test -bench '$(BENCHDIFF_PATTERN)' -benchmem -run '^$$' ./... \
 		| $(GO) run ./scripts/benchjson \
@@ -128,4 +136,4 @@ loadtest:
 	$(GO) run ./scripts/loadgen -duration $(LOAD_DURATION) -workers 16 -qps-budget 5000 -p99-budget 5ms
 
 fmt:
-	gofmt -l -w .
+	gofmt -l -w $$($(GO) list -f '{{.Dir}}/*.go' ./...)

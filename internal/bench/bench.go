@@ -131,8 +131,13 @@ func (c *Curve) Series(name string) ([]float64, error) {
 
 // Runner executes benchmark campaigns on one machine.
 type Runner struct {
-	cfg     Config
-	sys     *memsys.System
+	cfg Config
+	sys *memsys.System
+	// comp holds, per NUMA node, the kernel streams of every socket-0 core
+	// with data on that node; MeasurePoint solves prefixes of them. Built
+	// by NewRunner and read-only afterwards, like every Runner field
+	// MeasurePoint reads, so campaign workers may share a runner.
+	comp    [][]memsys.Stream
 	m       benchInstruments
 	done    <-chan struct{}
 	journal *checkpoint.Journal
@@ -175,6 +180,15 @@ func NewRunner(cfg Config) (*Runner, error) {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
 	r := &Runner{cfg: cfg, sys: sys, m: newBenchInstruments(cfg.Registry)}
+	if cores := cfg.Platform.CoresOfSocket(0); len(cores) > 0 {
+		r.comp = make([][]memsys.Stream, cfg.Platform.NNodes())
+		for node := range r.comp {
+			a := kernels.Assignment{Kernel: cfg.Kernel, Cores: cores, Node: topology.NodeID(node)}
+			if r.comp[node], err = a.Streams(sys, 0); err != nil {
+				return nil, fmt.Errorf("bench: %w", err)
+			}
+		}
+	}
 	if cfg.Context != nil {
 		r.done = cfg.Context.Done()
 	}
@@ -236,47 +250,43 @@ func (r *Runner) System() *memsys.System { return r.sys }
 // runner inherit it.
 func (r *Runner) Registry() *obs.Registry { return r.cfg.Registry }
 
-// computeStreams builds the weak-scaling kernel streams for n cores of
-// socket 0 with data on node.
-func (r *Runner) computeStreams(n int, node topology.NodeID) ([]memsys.Stream, error) {
-	cores := r.cfg.Platform.CoresOfSocket(0)
-	if n < 1 || n > len(cores) {
-		return nil, fmt.Errorf("bench: n=%d out of range [1,%d]", n, len(cores))
-	}
-	a := kernels.Assignment{Kernel: r.cfg.Kernel, Cores: cores[:n], Node: node}
-	return a.Streams(r.sys, 0)
-}
-
-// commStreams builds the communication stream(s) for data on node. IDs
-// start above any compute stream id.
-func (r *Runner) commStreams(node topology.NodeID) []memsys.Stream {
-	streams := []memsys.Stream{{
-		ID:   1 << 20,
-		Kind: memsys.KindComm,
-		Node: node,
-	}}
+// layout returns, in one fresh slice, the communication stream(s) for
+// data on node followed by comp, so that set[:nComm], set[nComm:] and set
+// are the comm-alone, compute-alone and parallel stream sets (the solver
+// does not depend on order). Comm IDs start above any compute stream id.
+func (r *Runner) layout(node topology.NodeID, comp []memsys.Stream) (set []memsys.Stream, nComm int) {
+	set = make([]memsys.Stream, 0, 2+len(comp))
+	set = append(set, memsys.Stream{ID: 1 << 20, Kind: memsys.KindComm, Node: node})
 	if r.cfg.Bidirectional {
 		// Ping-pong: the NIC simultaneously reads outgoing data from
 		// the same node (§VI future work).
-		streams = append(streams, memsys.Stream{
-			ID:   1<<20 + 1,
-			Kind: memsys.KindComm,
-			Node: node,
-		})
+		set = append(set, memsys.Stream{ID: 1<<20 + 1, Kind: memsys.KindComm, Node: node})
 	}
-	return streams
+	nComm = len(set)
+	return append(set, comp...), nComm
 }
 
-// noise returns the averaged multiplicative noise factor for a metric.
-func (r *Runner) noise(pl model.Placement, n int, metric string, rel float64) float64 {
+// noiseKey is the label of a point's noise streams up to the metric name:
+// the bytes of fmt.Sprintf("%s|%s|%s|n=%d|", platform, kernel, pl, n),
+// hashed without building the string.
+func (r *Runner) noiseKey(pl model.Placement, n int) rng.Key {
+	return rng.Label(r.cfg.Platform.Name).Str("|").Str(r.cfg.Kernel.String()).
+		Str("|comp@").Int(int(pl.Comp)).Str("/comm@").Int(int(pl.Comm)).
+		Str("|n=").Int(n).Str("|")
+}
+
+// noise returns the averaged multiplicative noise factor of the metric
+// whose full label key spells: the mean of Repeats jitter draws, draw K
+// from the child stream labelled "repK".
+func (r *Runner) noise(key rng.Key, rel float64) float64 {
 	if rel <= 0 {
 		return 1
 	}
-	label := fmt.Sprintf("%s|%s|%s|n=%d|%s", r.cfg.Platform.Name, r.cfg.Kernel, pl, n, metric)
-	s := rng.New(r.cfg.Seed, label)
+	s, rep := key.Stream(r.cfg.Seed), rng.Label("rep")
 	sum := 0.0
-	for rep := 0; rep < r.cfg.Repeats; rep++ {
-		sum += s.Derive(fmt.Sprintf("rep%d", rep)).Jitter(rel)
+	for k := 0; k < r.cfg.Repeats; k++ {
+		c := s.Child(rep.Int(k))
+		sum += c.Jitter(rel)
 	}
 	return sum / float64(r.cfg.Repeats)
 }
@@ -299,31 +309,16 @@ func (r *Runner) commNoiseRel() float64 {
 
 // MeasurePoint runs the three benchmark steps for one core count.
 func (r *Runner) MeasurePoint(pl model.Placement, n int) (Point, error) {
-	comp, err := r.computeStreams(n, pl.Comp)
-	if err != nil {
+	if nMax := r.cfg.Platform.CoresPerSocket(); n < 1 || n > nMax {
+		return Point{}, fmt.Errorf("bench: n=%d out of range [1,%d]", n, nMax)
+	}
+	if err := r.checkPlacement(pl); err != nil {
 		return Point{}, err
 	}
-	comm := r.commStreams(pl.Comm)
-
-	aloneComp, err := r.sys.Solve(comp)
+	set, nComm := r.layout(pl.Comm, r.comp[pl.Comp][:n])
+	pt, err := r.measure(pl, n, set, nComm, "")
 	if err != nil {
-		return Point{}, fmt.Errorf("bench: compute-alone solve: %w", err)
-	}
-	aloneComm, err := r.sys.Solve(comm)
-	if err != nil {
-		return Point{}, fmt.Errorf("bench: comm-alone solve: %w", err)
-	}
-	par, err := r.sys.Solve(append(append([]memsys.Stream(nil), comp...), comm...))
-	if err != nil {
-		return Point{}, fmt.Errorf("bench: parallel solve: %w", err)
-	}
-
-	pt := Point{
-		N:         n,
-		CompAlone: aloneComp.ComputeTotal * r.noise(pl, n, "comp_alone", r.compNoiseRel()),
-		CommAlone: aloneComm.CommTotal * r.noise(pl, n, "comm_alone", r.commNoiseRel()),
-		CompPar:   par.ComputeTotal * r.noise(pl, n, "comp_par", r.compNoiseRel()),
-		CommPar:   par.CommTotal * r.noise(pl, n, "comm_par", r.commNoiseRel()),
+		return Point{}, err
 	}
 	r.m.points.Inc()
 	r.m.solves.Add(3)
@@ -332,13 +327,51 @@ func (r *Runner) MeasurePoint(pl model.Placement, n int) (Point, error) {
 	return pt, nil
 }
 
+// measure solves the three stream sets of one point, laid out by layout
+// with nComm comm streams first, and applies each bandwidth's noise.
+// variant ("" or "mixed") prefixes the noise labels and error messages.
+func (r *Runner) measure(pl model.Placement, n int, set []memsys.Stream, nComm int, variant string) (Point, error) {
+	errPrefix, metric := "bench: ", ""
+	if variant != "" {
+		errPrefix, metric = "bench: "+variant+" ", variant+"_"
+	}
+	aloneComp, err := r.sys.SolveInto(set[nComm:], nil)
+	if err != nil {
+		return Point{}, fmt.Errorf("%scompute-alone solve: %w", errPrefix, err)
+	}
+	aloneComm, err := r.sys.SolveInto(set[:nComm], nil)
+	if err != nil {
+		return Point{}, fmt.Errorf("%scomm-alone solve: %w", errPrefix, err)
+	}
+	par, err := r.sys.SolveInto(set, nil)
+	if err != nil {
+		return Point{}, fmt.Errorf("%sparallel solve: %w", errPrefix, err)
+	}
+	key := r.noiseKey(pl, n).Str(metric)
+	return Point{
+		N:         n,
+		CompAlone: aloneComp.ComputeTotal * r.noise(key.Str("comp_alone"), r.compNoiseRel()),
+		CommAlone: aloneComm.CommTotal * r.noise(key.Str("comm_alone"), r.commNoiseRel()),
+		CompPar:   par.ComputeTotal * r.noise(key.Str("comp_par"), r.compNoiseRel()),
+		CommPar:   par.CommTotal * r.noise(key.Str("comm_par"), r.commNoiseRel()),
+	}, nil
+}
+
+// checkPlacement rejects a placement naming a node the platform lacks.
+func (r *Runner) checkPlacement(pl model.Placement) error {
+	if nodes := r.cfg.Platform.NNodes(); int(pl.Comp) >= nodes || int(pl.Comm) >= nodes || pl.Comp < 0 || pl.Comm < 0 {
+		return fmt.Errorf("bench: placement %v out of range for %d nodes", pl, nodes)
+	}
+	return nil
+}
+
 // RunPlacement sweeps n = 1..cores(socket 0) for one placement. With a
 // journal attached (WithJournal) a placement completed by an earlier,
 // interrupted run is returned from the journal instead of re-measured,
 // and each fresh curve is journaled durably before being returned.
 func (r *Runner) RunPlacement(pl model.Placement) (*Curve, error) {
-	if int(pl.Comp) >= r.cfg.Platform.NNodes() || int(pl.Comm) >= r.cfg.Platform.NNodes() || pl.Comp < 0 || pl.Comm < 0 {
-		return nil, fmt.Errorf("bench: placement %v out of range for %d nodes", pl, r.cfg.Platform.NNodes())
+	if err := r.checkPlacement(pl); err != nil {
+		return nil, err
 	}
 	key := fmt.Sprintf("%s|pl=%s", r.scope, pl)
 	if r.journal != nil {

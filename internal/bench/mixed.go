@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"memcontention/internal/kernels"
-	"memcontention/internal/memsys"
 	"memcontention/internal/model"
 	"memcontention/internal/topology"
 )
@@ -54,34 +53,15 @@ func (r *Runner) MeasureMixedPoint(pl model.Placement, n int) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	comm := r.commStreams(pl.Comm)
-
-	aloneComp, err := r.sys.Solve(comp)
-	if err != nil {
-		return Point{}, fmt.Errorf("bench: mixed compute-alone solve: %w", err)
-	}
-	aloneComm, err := r.sys.Solve(comm)
-	if err != nil {
-		return Point{}, fmt.Errorf("bench: mixed comm-alone solve: %w", err)
-	}
-	par, err := r.sys.Solve(append(append([]memsys.Stream(nil), comp...), comm...))
-	if err != nil {
-		return Point{}, fmt.Errorf("bench: mixed parallel solve: %w", err)
-	}
-	return Point{
-		N:         n,
-		CompAlone: aloneComp.ComputeTotal * r.noise(pl, n, "mixed_comp_alone", r.compNoiseRel()),
-		CommAlone: aloneComm.CommTotal * r.noise(pl, n, "mixed_comm_alone", r.commNoiseRel()),
-		CompPar:   par.ComputeTotal * r.noise(pl, n, "mixed_comp_par", r.compNoiseRel()),
-		CommPar:   par.CommTotal * r.noise(pl, n, "mixed_comm_par", r.commNoiseRel()),
-	}, nil
+	set, nComm := r.layout(pl.Comm, comp)
+	return r.measure(pl, n, set, nComm, "mixed")
 }
 
 // RunMixedPlacement sweeps n = 1..NCores (both sockets) for one placement
 // with interleaved core selection.
 func (r *Runner) RunMixedPlacement(pl model.Placement) (*Curve, error) {
-	if int(pl.Comp) >= r.cfg.Platform.NNodes() || int(pl.Comm) >= r.cfg.Platform.NNodes() || pl.Comp < 0 || pl.Comm < 0 {
-		return nil, fmt.Errorf("bench: placement %v out of range", pl)
+	if err := r.checkPlacement(pl); err != nil {
+		return nil, err
 	}
 	nMax := r.cfg.Platform.NCores()
 	curve := &Curve{

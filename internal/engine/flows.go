@@ -3,7 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"memcontention/internal/memsys"
 	"memcontention/internal/obs"
@@ -50,6 +50,12 @@ type Flows struct {
 	limiter RateLimiter
 	// m holds the optional instruments; nil instruments record nothing.
 	m flowInstruments
+	// ids, streams and rates are resolve's scratch, reused across
+	// re-solves: the active flow ids in ascending order, their streams and
+	// their solved rates, position for position.
+	ids     []int
+	streams []memsys.Stream
+	rates   []float64
 }
 
 // SetObserver installs a flow observer (nil removes it). An observer
@@ -271,21 +277,18 @@ func (f *Flows) resolve() {
 	if len(f.active) == 0 {
 		return
 	}
-	ids := make([]int, 0, len(f.active))
-	streams := make([]memsys.Stream, 0, len(f.active))
-	for id, fl := range f.active {
-		ids = append(ids, id)
-		streams = append(streams, fl.stream)
+	f.ids = f.sortedIDs()
+	f.streams = f.streams[:0]
+	for _, id := range f.ids {
+		f.streams = append(f.streams, f.active[id].stream)
 	}
-	sort.Ints(ids)
-	sort.Slice(streams, func(i, j int) bool { return streams[i].ID < streams[j].ID })
-	alloc, err := f.sys.Solve(streams)
-	if err != nil {
+	f.rates = slices.Grow(f.rates[:0], len(f.ids))[:len(f.ids)]
+	if _, err := f.sys.SolveInto(f.streams, f.rates); err != nil {
 		f.sim.fail(fmt.Errorf("engine: flow solve failed: %w", err))
 		return
 	}
 	f.m.rateResolves.Inc()
-	f.m.solverStreams.Add(float64(len(streams)))
+	f.m.solverStreams.Add(float64(len(f.streams)))
 	nextAt := math.Inf(1)
 	now := f.sim.Now()
 	// applied collects the rates the flows actually run at — after the
@@ -293,11 +296,11 @@ func (f *Flows) resolve() {
 	// injection. Only built when someone is listening.
 	var applied map[int]float64
 	if f.observer != nil {
-		applied = make(map[int]float64, len(ids))
+		applied = make(map[int]float64, len(f.ids))
 	}
-	for _, id := range ids {
+	for i, id := range f.ids {
 		fl := f.active[id]
-		fl.rate = alloc.Rate(id)
+		fl.rate = f.rates[i]
 		if f.limiter != nil {
 			fl.rate = f.limiter(fl.stream, fl.rate)
 			if fl.rate < 0 || math.IsNaN(fl.rate) {
@@ -330,13 +333,9 @@ func (f *Flows) resolve() {
 func (f *Flows) onCompletion() {
 	f.pending = nil
 	f.integrate()
-	ids := make([]int, 0, len(f.active))
-	for id := range f.active {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+	f.ids = f.sortedIDs()
 	const eps = 1 // byte: guards float roundoff
-	for _, id := range ids {
+	for _, id := range f.ids {
 		fl := f.active[id]
 		if fl.remaining <= eps {
 			fl.moved += fl.remaining
@@ -361,6 +360,17 @@ func (f *Flows) onCompletion() {
 		}
 	}
 	f.resolve()
+}
+
+// sortedIDs returns the active flow ids in ascending order, in the
+// reused ids buffer.
+func (f *Flows) sortedIDs() []int {
+	ids := f.ids[:0]
+	for id := range f.active {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // ActiveCount reports the number of in-progress transfers.

@@ -30,15 +30,15 @@ func FuzzLeaseDecode(f *testing.F) {
 	f.Add(append(append([]byte{}, good...), good...)) // two records
 	f.Add([]byte(""))
 	f.Add([]byte("garbage, not a lease"))
-	f.Add([]byte("deadbeef {\"shard\":0}\n"))                        // wrong CRC
-	f.Add([]byte("zzzzzzzz {\"shard\":0}\n"))                        // non-hex CRC
-	f.Add([]byte("0" + string(good)))                               // shifted framing
+	f.Add([]byte("deadbeef {\"shard\":0}\n")) // wrong CRC
+	f.Add([]byte("zzzzzzzz {\"shard\":0}\n")) // non-hex CRC
+	f.Add([]byte("0" + string(good)))         // shifted framing
 	f.Add(frameFuzz(`{"shard":0,"epoch":0,"owner":{"host":"","pid":0,"token":"t"},"heartbeat_unix_nano":0}`))
 	f.Add(frameFuzz(`{"shard":-4,"epoch":1,"owner":{"host":"","pid":0,"token":"t"},"heartbeat_unix_nano":0}`))
 	f.Add(frameFuzz(`{"shard":0,"epoch":18446744073709551615,"owner":{"host":"","pid":0,"token":"t"},"heartbeat_unix_nano":0}`)) // future/overflow epoch
-	f.Add(frameFuzz(`{"shard":0,"epoch":1,"owner":{"host":"","pid":0,"token":"t"},"heartbeat_unix_nano":9223372036854775807}`)) // extreme timestamp
-	f.Add(frameFuzz(`{"shard":0,"epoch":1,"owner":{"host":"","pid":0,"token":"t"},"heartbeat_unix_nano":1e999}`))               // NaN/Inf-shaped number
-	f.Add(frameFuzz(`{"shard":0,"epoch":1,"owner":{"host":"","pid":0,"token":"t"},"heartbeat_unix_nano":0,"extra":true}`))      // unknown field
+	f.Add(frameFuzz(`{"shard":0,"epoch":1,"owner":{"host":"","pid":0,"token":"t"},"heartbeat_unix_nano":9223372036854775807}`))  // extreme timestamp
+	f.Add(frameFuzz(`{"shard":0,"epoch":1,"owner":{"host":"","pid":0,"token":"t"},"heartbeat_unix_nano":1e999}`))                // NaN/Inf-shaped number
+	f.Add(frameFuzz(`{"shard":0,"epoch":1,"owner":{"host":"","pid":0,"token":"t"},"heartbeat_unix_nano":0,"extra":true}`))       // unknown field
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := Decode(data)

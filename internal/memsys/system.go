@@ -1,9 +1,10 @@
 package memsys
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"memcontention/internal/topology"
 )
@@ -49,15 +50,21 @@ type Stream struct {
 	Demand float64
 }
 
+// Totals aggregates the granted bandwidth per stream kind (GB/s), each
+// summed in ascending stream-ID order.
+type Totals struct {
+	ComputeTotal float64
+	CommTotal    float64
+	// Total sums every stream's rate (not ComputeTotal + CommTotal,
+	// which may round differently).
+	Total float64
+}
+
 // Allocation is the solver's result: the bandwidth granted to each stream.
 type Allocation struct {
 	// Rates maps stream ID to granted bandwidth (GB/s).
 	Rates map[int]float64
-	// ComputeTotal and CommTotal aggregate the granted bandwidth per
-	// kind; Total is their sum.
-	ComputeTotal float64
-	CommTotal    float64
-	Total        float64
+	Totals
 }
 
 // Rate returns the granted bandwidth of a stream (0 for unknown IDs).
@@ -102,109 +109,148 @@ func (s *System) CommDemand(node topology.NodeID) float64 {
 	return s.prof.NominalComm(node)
 }
 
-// nodeGroup collects the streams hitting one memory controller.
-type nodeGroup struct {
-	node    topology.NodeID
-	compute []int // indices into the Solve stream slice
-	comm    []int
-	nLocal  int // compute accessors on the node's socket
-	nRemote int // compute accessors crossing the link
-}
-
 // Solve assigns a bandwidth to every stream according to the arbitration
 // policy described in the package comment. It is deterministic: the result
-// depends only on the stream set (IDs included), never on slice order.
+// depends only on the stream set (IDs included), never on slice order. It
+// is SolveInto plus the Rates map.
 func (s *System) Solve(streams []Stream) (*Allocation, error) {
-	if err := s.checkStreams(streams); err != nil {
+	rates := make([]float64, len(streams))
+	t, err := s.SolveInto(streams, rates)
+	if err != nil {
 		return nil, err
 	}
-	// Work on an ID-sorted copy so the solve is order-independent.
-	ordered := append([]Stream(nil), streams...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID < ordered[j].ID })
-
-	rates := make(map[int]float64, len(ordered))
-	groups := s.groupByNode(ordered)
-
-	for _, g := range groups {
-		s.solveNode(ordered, g, rates)
-	}
-	s.applyMeshPressure(ordered, rates)
-	s.applyLinkCap(ordered, rates)
-	s.applyPCIeCap(ordered, rates)
-
-	alloc := &Allocation{Rates: rates}
-	for _, st := range ordered {
-		r := rates[st.ID]
-		alloc.Total += r
-		if st.Kind == KindCompute {
-			alloc.ComputeTotal += r
-		} else {
-			alloc.CommTotal += r
-		}
+	alloc := &Allocation{Rates: make(map[int]float64, len(streams)), Totals: t}
+	for i, st := range streams {
+		alloc.Rates[st.ID] = rates[i]
 	}
 	return alloc, nil
 }
 
-func (s *System) checkStreams(streams []Stream) error {
-	seen := make(map[int]bool, len(streams))
-	for _, st := range streams {
-		if seen[st.ID] {
-			return fmt.Errorf("memsys: duplicate stream id %d", st.ID)
+// stackStreams is the largest stream set SolveInto solves in stack
+// scratch; a larger one spills a single scratch slice to the heap.
+const stackStreams = 128
+
+// slot is one stream's place in the ID-sorted order SolveInto works in.
+type slot struct {
+	i    int32   // index into the caller's stream slice
+	mesh bool    // comm stream on a node no compute stream targets
+	rate float64 // granted bandwidth (GB/s)
+}
+
+// SolveInto is the solver core Solve wraps, without the Rates map: it
+// writes the rate granted to streams[i] to rates[i], in input order, and
+// returns the per-kind totals. rates must hold len(streams) elements, or
+// be nil when only the totals are wanted.
+//
+// Every floating-point sum runs over the streams in ascending-ID order,
+// whatever their order in the slice, so rates and totals are bit-identical
+// for any permutation of the same set. Sets of up to stackStreams (128)
+// streams are sorted and solved in fixed-size stack scratch and cost no
+// allocation; a larger set spills one scratch slice to the heap. System
+// holds no mutable state, so SolveInto is safe for concurrent use.
+func (s *System) SolveInto(streams []Stream, rates []float64) (Totals, error) {
+	if rates != nil && len(rates) != len(streams) {
+		return Totals{}, fmt.Errorf("memsys: %d rates for %d streams", len(rates), len(streams))
+	}
+	for i := range streams {
+		if err := s.checkStream(&streams[i]); err != nil {
+			return Totals{}, err
 		}
-		seen[st.ID] = true
-		if int(st.Node) < 0 || int(st.Node) >= s.plat.NNodes() {
-			return fmt.Errorf("memsys: stream %d targets node %d out of range", st.ID, st.Node)
+	}
+	var buf [stackStreams]slot
+	o := buf[:0]
+	if len(streams) > len(buf) {
+		o = make([]slot, 0, len(streams))
+	}
+	for i := range streams {
+		o = append(o, slot{i: int32(i)})
+	}
+	slices.SortFunc(o, func(a, b slot) int { return cmp.Compare(streams[a.i].ID, streams[b.i].ID) })
+	for k := 1; k < len(o); k++ {
+		if id := streams[o[k].i].ID; id == streams[o[k-1].i].ID {
+			return Totals{}, fmt.Errorf("memsys: duplicate stream id %d", id)
 		}
-		// A NaN demand would poison every rate on its node, and +Inf
-		// would turn the proportional split into Inf/Inf.
-		if !(st.Demand >= 0) || math.IsInf(st.Demand, 1) {
-			return fmt.Errorf("memsys: stream %d has demand %v, want a finite value >= 0", st.ID, st.Demand)
+	}
+
+	for node, ok := nextNode(streams, -1); ok; node, ok = nextNode(streams, node) {
+		s.solveNode(streams, o, node)
+	}
+	s.applyMeshPressure(streams, o)
+	s.applyLinkCap(streams, o)
+	s.applyPCIeCap(streams, o)
+
+	var t Totals
+	for _, sl := range o {
+		t.Total += sl.rate
+		if streams[sl.i].Kind == KindCompute {
+			t.ComputeTotal += sl.rate
+		} else {
+			t.CommTotal += sl.rate
 		}
-		switch st.Kind {
-		case KindCompute:
-			if int(st.Core) < 0 || int(st.Core) >= s.plat.NCores() {
-				return fmt.Errorf("memsys: compute stream %d issued by core %d out of range", st.ID, st.Core)
-			}
-		case KindComm:
-		default:
-			return fmt.Errorf("memsys: stream %d has unknown kind %d", st.ID, int(st.Kind))
+		if rates != nil {
+			rates[sl.i] = sl.rate
 		}
+	}
+	return t, nil
+}
+
+func (s *System) checkStream(st *Stream) error {
+	if int(st.Node) < 0 || int(st.Node) >= s.plat.NNodes() {
+		return fmt.Errorf("memsys: stream %d targets node %d out of range", st.ID, st.Node)
+	}
+	// A NaN demand would poison every rate on its node, and +Inf would
+	// turn the proportional split into Inf/Inf.
+	if !(st.Demand >= 0) || math.IsInf(st.Demand, 1) {
+		return fmt.Errorf("memsys: stream %d has demand %v, want a finite value >= 0", st.ID, st.Demand)
+	}
+	switch st.Kind {
+	case KindCompute:
+		if int(st.Core) < 0 || int(st.Core) >= s.plat.NCores() {
+			return fmt.Errorf("memsys: compute stream %d issued by core %d out of range", st.ID, st.Core)
+		}
+	case KindComm:
+	default:
+		return fmt.Errorf("memsys: stream %d has unknown kind %d", st.ID, int(st.Kind))
 	}
 	return nil
 }
 
-func (s *System) groupByNode(ordered []Stream) []*nodeGroup {
-	byNode := make(map[topology.NodeID]*nodeGroup)
-	for i, st := range ordered {
-		g := byNode[st.Node]
-		if g == nil {
-			g = &nodeGroup{node: st.Node}
-			byNode[st.Node] = g
-		}
-		if st.Kind == KindCompute {
-			g.compute = append(g.compute, i)
-			if s.plat.CrossesLink(s.plat.Cores[st.Core].Socket, st.Node) {
-				g.nRemote++
-			} else {
-				g.nLocal++
-			}
-		} else {
-			g.comm = append(g.comm, i)
+// nextNode returns the lowest NUMA node above after that a stream
+// targets, so the per-controller pass visits exactly the loaded nodes in
+// ascending order.
+func nextNode(streams []Stream, after topology.NodeID) (topology.NodeID, bool) {
+	next, ok := topology.NodeID(0), false
+	for i := range streams {
+		if nd := streams[i].Node; nd > after && (!ok || nd < next) {
+			next, ok = nd, true
 		}
 	}
-	groups := make([]*nodeGroup, 0, len(byNode))
-	for _, g := range byNode {
-		groups = append(groups, g)
+	return next, ok
+}
+
+// computeDemand is a compute stream's demand: its own, or the core's
+// kernel rate against its node when it leaves Demand at zero.
+func (s *System) computeDemand(st *Stream) float64 {
+	if st.Demand != 0 {
+		return st.Demand
 	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].node < groups[j].node })
-	return groups
+	return s.ComputeDemand(st.Core, st.Node)
+}
+
+// commDemand is a comm stream's demand before the quirk factor: its own,
+// or the NIC's nominal rate for its node when it leaves Demand at zero.
+func (s *System) commDemand(st *Stream) float64 {
+	if st.Demand != 0 {
+		return st.Demand
+	}
+	return s.CommDemand(st.Node)
 }
 
 // commFactor reports the quirk factor applied to a comm stream's demand:
 // on platforms whose network is sensitive to the computation side (pyxis),
 // the NIC slows down when every concurrent computation works on the other
-// socket.
-func (s *System) commFactor(ordered []Stream, commNode topology.NodeID) float64 {
+// socket. It looks at the whole set, in any order.
+func (s *System) commFactor(streams []Stream, commNode topology.NodeID) float64 {
 	f := s.prof.Quirks.CrossSocketCommFactor
 	if f == 0 || f == 1 {
 		return 1
@@ -214,7 +260,7 @@ func (s *System) commFactor(ordered []Stream, commNode topology.NodeID) float64 
 		return 1
 	}
 	sawCompute, allOtherSocket := false, true
-	for _, st := range ordered {
+	for _, st := range streams {
 		if st.Kind != KindCompute {
 			continue
 		}
@@ -237,10 +283,6 @@ func (s *System) commFactor(ordered []Stream, commNode topology.NodeID) float64 
 type blendEnv struct {
 	local, remote   Envelope
 	nLocal, nRemote int
-}
-
-func pickEnv(local, remote Envelope, g *nodeGroup) blendEnv {
-	return blendEnv{local: local, remote: remote, nLocal: g.nLocal, nRemote: g.nRemote}
 }
 
 func (b blendEnv) at(n float64) float64 {
@@ -309,35 +351,46 @@ func (s *System) commReserve(env blendEnv, n int, perCore, commDemand float64, l
 	return reserve
 }
 
-func (s *System) solveNode(ordered []Stream, g *nodeGroup, rates map[int]float64) {
+// solveNode arbitrates the streams one memory controller serves: two
+// walks over the ID-sorted slots, one to sum the demands and one to grant
+// the rates. Each grant splits the kind's aggregate among its streams in
+// proportion to their demands, never above any stream's demand (with
+// equal demands an even split; the split leaves slack only when the
+// aggregate exceeds the total demand, and then every stream gets its full
+// demand).
+func (s *System) solveNode(streams []Stream, o []slot, node topology.NodeID) {
 	q := s.prof.Quirks
-	n := g.nLocal + g.nRemote
+	cf := s.commFactor(streams, node)
 
-	// Aggregate compute demand against this controller.
-	var compDemand float64
-	for _, i := range g.compute {
-		d := ordered[i].Demand
-		if d == 0 {
-			d = s.ComputeDemand(ordered[i].Core, g.node)
+	// Aggregate compute and comm demand against this controller (comm at
+	// its nominal rate, locality- and quirk-adjusted).
+	var compDemand, commDemand float64
+	nLocal, nRemote, nComm := 0, 0, 0
+	for _, sl := range o {
+		st := &streams[sl.i]
+		if st.Node != node {
+			continue
 		}
-		compDemand += d
+		if st.Kind == KindCompute {
+			compDemand += s.computeDemand(st)
+			if s.plat.CrossesLink(s.plat.Cores[st.Core].Socket, node) {
+				nRemote++
+			} else {
+				nLocal++
+			}
+		} else {
+			commDemand += s.commDemand(st) * cf
+			nComm++
+		}
 	}
-	capCore := pickEnv(s.prof.Caps.CoreLocal, s.prof.Caps.CoreRemote, g).at(float64(n))
+	n := nLocal + nRemote
+	caps := s.prof.Caps
+	capCore := blendEnv{caps.CoreLocal, caps.CoreRemote, nLocal, nRemote}.at(float64(n))
 	compAgg := softmin(compDemand, capCore, q.SoftSaturationGB)
 
-	// Aggregate comm demand (nominal rate, locality- and quirk-adjusted).
-	var commDemand float64
-	for _, i := range g.comm {
-		d := ordered[i].Demand
-		if d == 0 {
-			d = s.CommDemand(g.node)
-		}
-		commDemand += d * s.commFactor(ordered, g.node)
-	}
-
 	commAgg := 0.0
-	if len(g.comm) > 0 {
-		mixEnv := pickEnv(s.prof.Caps.MixLocal, s.prof.Caps.MixRemote, g)
+	if nComm > 0 {
+		mixEnv := blendEnv{caps.MixLocal, caps.MixRemote, nLocal, nRemote}
 		capMix := mixEnv.at(float64(n))
 		perCore := 0.0
 		if n > 0 {
@@ -346,52 +399,38 @@ func (s *System) solveNode(ordered []Stream, g *nodeGroup, rates map[int]float64
 		// The NIC's share: its nominal demand, gradually decayed once
 		// the system is past the saturation onset, never below the
 		// guaranteed floor, and physically bounded by the controller.
-		commAgg = math.Min(s.commReserve(mixEnv, n, perCore, commDemand, g.nRemote == 0), capMix)
+		commAgg = math.Min(s.commReserve(mixEnv, n, perCore, commDemand, nRemote == 0), capMix)
 		// The cores get what the controller has left.
 		compAgg = math.Min(compAgg, math.Max(0, capMix-commAgg))
 	}
 
-	distribute(ordered, g.compute, compAgg, rates, func(st Stream) float64 {
-		if st.Demand != 0 {
-			return st.Demand
+	compScale, commScale := splitScale(compAgg, compDemand), splitScale(commAgg, commDemand)
+	for k := range o {
+		st := &streams[o[k].i]
+		if st.Node != node {
+			continue
 		}
-		return s.ComputeDemand(st.Core, g.node)
-	})
-	distribute(ordered, g.comm, commAgg, rates, func(st Stream) float64 {
-		d := st.Demand
-		if d == 0 {
-			d = s.CommDemand(g.node)
+		if st.Kind == KindCompute {
+			o[k].rate = s.computeDemand(st) * compScale
+		} else {
+			o[k].rate = s.commDemand(st) * cf * commScale
+			o[k].mesh = n == 0
 		}
-		return d * s.commFactor(ordered, g.node)
-	})
+	}
 }
 
-// distribute splits an aggregate grant among streams proportionally to
-// their demands, never exceeding any stream's demand. (With equal demands
-// this is an even split; with unequal demands the proportional split can
-// leave slack only when the aggregate exceeds total demand, in which case
-// every stream is granted its full demand.)
-func distribute(ordered []Stream, idx []int, agg float64, rates map[int]float64, demand func(Stream) float64) {
-	if len(idx) == 0 {
-		return
-	}
-	total := 0.0
-	for _, i := range idx {
-		total += demand(ordered[i])
-	}
+// splitScale is the factor that splits an aggregate grant agg among
+// streams whose demands sum to total: proportional, capped at 1, and 0
+// when the streams demand nothing.
+func splitScale(agg, total float64) float64 {
 	if total <= 0 {
-		for _, i := range idx {
-			rates[ordered[i].ID] = 0
-		}
-		return
+		return 0
 	}
 	scale := agg / total
 	if scale > 1 {
 		scale = 1
 	}
-	for _, i := range idx {
-		rates[ordered[i].ID] = demand(ordered[i]) * scale
-	}
+	return scale
 }
 
 // applyMeshPressure models contention between NIC DMA and core traffic
@@ -409,8 +448,7 @@ func distribute(ordered []Stream, idx []int, agg float64, rates map[int]float64,
 // n computing cores, never below the guaranteed NIC floor. Platforms with
 // CommFloorFrac = 1 (occigen) are therefore exempt, matching the paper's
 // observation that occigen never throttles communications.
-func (s *System) applyMeshPressure(ordered []Stream, rates map[int]float64) {
-	computeNodes := make(map[topology.NodeID]bool)
+func (s *System) applyMeshPressure(streams []Stream, o []slot) {
 	// Mesh occupancy is driven by the requests the cores *issue*, not
 	// by the bandwidth they are granted: a core streaming to a remote
 	// node is latency-bound and holds as many mesh slots as a local
@@ -419,15 +457,12 @@ func (s *System) applyMeshPressure(ordered []Stream, rates map[int]float64) {
 	occDemand := 0.0
 	nCompute := 0
 	allLocalClass := true
-	for _, st := range ordered {
+	for _, sl := range o {
+		st := &streams[sl.i]
 		if st.Kind != KindCompute {
 			continue
 		}
-		computeNodes[st.Node] = true
-		d := st.Demand
-		if d == 0 {
-			d = s.ComputeDemand(st.Core, st.Node)
-		}
+		d := s.computeDemand(st)
 		if s.plat.CrossesLink(s.plat.Cores[st.Core].Socket, st.Node) {
 			allLocalClass = false
 			d *= s.prof.PerCoreLocal / s.prof.PerCoreRemote
@@ -438,21 +473,18 @@ func (s *System) applyMeshPressure(ordered []Stream, rates map[int]float64) {
 	if nCompute == 0 {
 		return
 	}
-	var cross []int
+	nCross := 0
 	curSum, floorSum := 0.0, 0.0
-	for i, st := range ordered {
-		if st.Kind != KindComm || computeNodes[st.Node] {
+	for _, sl := range o {
+		if !sl.mesh {
 			continue
 		}
-		cross = append(cross, i)
-		curSum += rates[st.ID]
-		d := st.Demand
-		if d == 0 {
-			d = s.CommDemand(st.Node)
-		}
-		floorSum += s.prof.CommFloorFrac * d * s.commFactor(ordered, st.Node)
+		st := &streams[sl.i]
+		nCross++
+		curSum += sl.rate
+		floorSum += s.prof.CommFloorFrac * s.commDemand(st) * s.commFactor(streams, st.Node)
 	}
-	if len(cross) == 0 || curSum <= 0 {
+	if nCross == 0 || curSum <= 0 {
 		return
 	}
 	n := float64(nCompute)
@@ -469,28 +501,30 @@ func (s *System) applyMeshPressure(ordered []Stream, rates map[int]float64) {
 		target = 0
 	}
 	scale := target / curSum
-	for _, i := range cross {
-		rates[ordered[i].ID] *= scale
+	for k := range o {
+		if o[k].mesh {
+			o[k].rate *= scale
+		}
 	}
 }
 
 // applyLinkCap enforces the inter-socket link capacity: every stream whose
 // path crosses sockets shares LinkCap; excess is removed proportionally.
-func (s *System) applyLinkCap(ordered []Stream, rates map[int]float64) {
-	var crossing []int
+func (s *System) applyLinkCap(streams []Stream, o []slot) {
 	totalCross := 0.0
-	for i, st := range ordered {
-		if s.crossesLink(st) {
-			crossing = append(crossing, i)
-			totalCross += rates[st.ID]
+	for _, sl := range o {
+		if s.crossesLink(streams[sl.i]) {
+			totalCross += sl.rate
 		}
 	}
 	if totalCross <= s.prof.LinkCap || totalCross == 0 {
 		return
 	}
 	scale := s.prof.LinkCap / totalCross
-	for _, i := range crossing {
-		rates[ordered[i].ID] *= scale
+	for k := range o {
+		if s.crossesLink(streams[o[k].i]) {
+			o[k].rate *= scale
+		}
 	}
 }
 
@@ -525,20 +559,20 @@ func (s *System) Links(st Stream) []string {
 }
 
 // applyPCIeCap bounds the sum of NIC DMA streams by the PCIe capacity.
-func (s *System) applyPCIeCap(ordered []Stream, rates map[int]float64) {
-	var comm []int
+func (s *System) applyPCIeCap(streams []Stream, o []slot) {
 	total := 0.0
-	for i, st := range ordered {
-		if st.Kind == KindComm {
-			comm = append(comm, i)
-			total += rates[st.ID]
+	for _, sl := range o {
+		if streams[sl.i].Kind == KindComm {
+			total += sl.rate
 		}
 	}
 	if total <= s.prof.PCIeCap || total == 0 {
 		return
 	}
 	scale := s.prof.PCIeCap / total
-	for _, i := range comm {
-		rates[ordered[i].ID] *= scale
+	for k := range o {
+		if streams[o[k].i].Kind == KindComm {
+			o[k].rate *= scale
+		}
 	}
 }

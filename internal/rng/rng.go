@@ -7,7 +7,10 @@
 // property that makes the whole reproduction bit-for-bit stable.
 package rng
 
-import "math"
+import (
+	"math"
+	"strconv"
+)
 
 // splitmix64 advances the state and returns the next 64-bit value.
 // Reference: Steele, Lea, Flood — "Fast splittable pseudorandom number
@@ -20,18 +23,46 @@ func splitmix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// hashString folds a label into a 64-bit key (FNV-1a).
-func hashString(s string) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
+// FNV-1a parameters (64-bit).
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnv1a folds the bytes of b into the FNV-1a hash h.
+func fnv1a[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= fnvPrime
 	}
 	return h
+}
+
+// Key is a stream label hashed (FNV-1a) while it is built, piece by
+// piece. FNV-1a consumes bytes in sequence, so a key assembled from
+// pieces is the key of their concatenation: Label("rep").Int(3) keys the
+// same streams as the label "rep3", without building the string.
+type Key struct{ h uint64 }
+
+// Label starts a key with the piece s.
+func Label(s string) Key { return Key{fnv1a(fnvOffset, s)} }
+
+// Str appends the piece s.
+func (k Key) Str(s string) Key { return Key{fnv1a(k.h, s)} }
+
+// Int appends the decimal form of v, as fmt's %d writes it.
+func (k Key) Int(v int) Key {
+	var buf [20]byte // len("-9223372036854775808")
+	return Key{fnv1a(k.h, strconv.AppendInt(buf[:0], int64(v), 10))}
+}
+
+// Stream returns, by value, the stream keyed by seed and the label:
+// New(seed, label) without the heap.
+func (k Key) Stream(seed uint64) Stream {
+	s := Stream{state: seed ^ k.h}
+	// Warm up so that closely related keys diverge immediately.
+	splitmix64(&s.state)
+	return s
 }
 
 // Stream is a deterministic random stream. The zero value is a valid stream
@@ -43,18 +74,19 @@ type Stream struct {
 // New returns a stream keyed by seed and label. Streams with different
 // labels are statistically independent.
 func New(seed uint64, label string) *Stream {
-	s := &Stream{state: seed ^ hashString(label)}
-	// Warm up so that closely related keys diverge immediately.
-	splitmix64(&s.state)
-	return s
+	s := Label(label).Stream(seed)
+	return &s
 }
 
 // Derive returns a child stream keyed by an extra label, leaving s untouched.
 func (s *Stream) Derive(label string) *Stream {
-	c := &Stream{state: s.state ^ hashString(label)}
-	splitmix64(&c.state)
-	return c
+	c := s.Child(Label(label))
+	return &c
 }
+
+// Child returns, by value, the child stream keyed by k, leaving s
+// untouched: Derive without the heap.
+func (s *Stream) Child(k Key) Stream { return k.Stream(s.state) }
 
 // Uint64 returns the next raw 64-bit value.
 func (s *Stream) Uint64() uint64 { return splitmix64(&s.state) }

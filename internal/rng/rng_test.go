@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -140,5 +141,32 @@ func TestJitterCentered(t *testing.T) {
 	}
 	if math.Abs(sum/n-1) > 0.005 {
 		t.Errorf("jitter mean = %v, want ≈1", sum/n)
+	}
+}
+
+// TestKeyMatchesLabel: a key fed piece by piece (strings and decimal
+// ints) gives bit-identical streams to New and Derive on the label the
+// pieces spell, for the noise labels of internal/bench.
+func TestKeyMatchesLabel(t *testing.T) {
+	metrics := []string{"comp_alone", "comm_alone", "comp_par", "comm_par",
+		"mixed_comp_alone", "mixed_comm_alone", "mixed_comp_par", "mixed_comm_par"}
+	for _, v := range []int{0, 9, 10, 64, 1 << 20, -1, math.MinInt64} {
+		for _, metric := range metrics {
+			label := fmt.Sprintf("henri|nt-memset|comp@%d/comm@%d|n=%d|%s", v, v+1, v, metric)
+			key := Label("henri").Str("|nt-memset|comp@").Int(v).Str("/comm@").Int(v + 1).
+				Str("|n=").Int(v).Str("|").Str(metric)
+			if key != Label(label) {
+				t.Fatalf("key of %q differs from the label's", label)
+			}
+			parent := New(42, label)
+			got := key.Stream(42)
+			if got != *parent {
+				t.Fatalf("%q: Key.Stream differs from New", label)
+			}
+			rep := fmt.Sprintf("rep%d", v)
+			if child := got.Child(Label("rep").Int(v)); child != *parent.Derive(rep) {
+				t.Fatalf("%q: Child(%s) differs from Derive", label, rep)
+			}
+		}
 	}
 }
