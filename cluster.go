@@ -8,6 +8,7 @@ import (
 	"memcontention/internal/faults"
 	"memcontention/internal/hwloc"
 	"memcontention/internal/kernels"
+	"memcontention/internal/memsys"
 	"memcontention/internal/mpi"
 	"memcontention/internal/obs"
 	"memcontention/internal/simnet"
@@ -135,9 +136,13 @@ func NewCustomCluster(plat *Platform, prof *HardwareProfile, n int) (*Cluster, e
 	if err != nil {
 		return nil, err
 	}
+	sys, err := memsys.New(plat, prof)
+	if err != nil {
+		return nil, err
+	}
 	c := &Cluster{sim: sim, fabric: fabric}
 	for i := 0; i < n; i++ {
-		m, err := simnet.NewMachine(sim, i, plat, prof)
+		m, err := simnet.NewMachine(sim, i, sys)
 		if err != nil {
 			return nil, err
 		}

@@ -30,12 +30,16 @@ type FlowObserver interface {
 // transfers progress simultaneously at the rates the memsys solver grants
 // them; rates are re-solved whenever a transfer starts or completes.
 type Flows struct {
-	sim    *Sim
-	sys    *memsys.System
-	active map[int]*flow
+	sim *Sim
+	sys *memsys.System
+	// active holds the in-progress transfers in ascending id order: ids
+	// only grow, so a start appends and a completion compacts in place.
+	active []*flow
 	nextID int
-	// pending is the scheduled "next completion" event.
-	pending *Timer
+	// pending is the scheduled "next completion" event, and complete is
+	// onCompletion bound once, so scheduling it allocates only the event.
+	pending  *Timer
+	complete func()
 	// observer, when set, is notified of flow lifecycle events.
 	observer FlowObserver
 	// machine is the id reported to the observer and span recorder
@@ -50,10 +54,9 @@ type Flows struct {
 	limiter RateLimiter
 	// m holds the optional instruments; nil instruments record nothing.
 	m flowInstruments
-	// ids, streams and rates are resolve's scratch, reused across
-	// re-solves: the active flow ids in ascending order, their streams and
-	// their solved rates, position for position.
-	ids     []int
+	// streams and rates are resolve's scratch, reused across re-solves:
+	// the active flows' streams and their solved rates, position for
+	// position.
 	streams []memsys.Stream
 	rates   []float64
 }
@@ -125,12 +128,13 @@ func (f *Flows) SetRegistry(r *obs.Registry) {
 
 // flow is one in-progress transfer.
 type flow struct {
+	id        int
 	stream    memsys.Stream
 	remaining float64 // bytes
 	rate      float64 // GB/s, last solved
 	started   float64 // sim time
 	touched   float64 // sim time of the last progress integration
-	done      *Signal
+	done      Signal
 	finished  bool
 	completed float64    // sim time at completion
 	moved     float64    // bytes completed so far (for AvgRate)
@@ -140,13 +144,13 @@ type flow struct {
 // Handle identifies an active or completed transfer.
 type Handle struct {
 	fl *flow
-	f  *Flows
-	id int
 }
 
 // NewFlows returns a flow manager bound to sim and sys.
 func NewFlows(sim *Sim, sys *memsys.System) *Flows {
-	return &Flows{sim: sim, sys: sys, active: make(map[int]*flow)}
+	f := &Flows{sim: sim, sys: sys}
+	f.complete = f.onCompletion
+	return f
 }
 
 // System returns the underlying memory system.
@@ -169,13 +173,14 @@ func (f *Flows) StartWithParent(st memsys.Stream, size units.ByteSize, parent ob
 	id := f.nextID
 	st.ID = id
 	fl := &flow{
+		id:        id,
 		stream:    st,
 		remaining: float64(size.Bytes()),
 		started:   f.sim.Now(),
-		done:      f.sim.NewSignal(),
+		done:      Signal{sim: f.sim},
 	}
 	f.integrate()
-	f.active[id] = fl
+	f.active = append(f.active, fl)
 	f.m.started.Inc()
 	f.m.activeFlows.Set(float64(len(f.active)))
 	if f.observer != nil {
@@ -192,7 +197,7 @@ func (f *Flows) StartWithParent(st memsys.Stream, size units.ByteSize, parent ob
 		})
 	}
 	f.resolve()
-	return &Handle{fl: fl, f: f, id: id}
+	return &Handle{fl: fl}
 }
 
 // TransferAndWait starts a transfer and parks the calling process until it
@@ -277,12 +282,11 @@ func (f *Flows) resolve() {
 	if len(f.active) == 0 {
 		return
 	}
-	f.ids = f.sortedIDs()
 	f.streams = f.streams[:0]
-	for _, id := range f.ids {
-		f.streams = append(f.streams, f.active[id].stream)
+	for _, fl := range f.active {
+		f.streams = append(f.streams, fl.stream)
 	}
-	f.rates = slices.Grow(f.rates[:0], len(f.ids))[:len(f.ids)]
+	f.rates = slices.Grow(f.rates[:0], len(f.active))[:len(f.active)]
 	if _, err := f.sys.SolveInto(f.streams, f.rates); err != nil {
 		f.sim.fail(fmt.Errorf("engine: flow solve failed: %w", err))
 		return
@@ -296,10 +300,9 @@ func (f *Flows) resolve() {
 	// injection. Only built when someone is listening.
 	var applied map[int]float64
 	if f.observer != nil {
-		applied = make(map[int]float64, len(f.ids))
+		applied = make(map[int]float64, len(f.active))
 	}
-	for i, id := range f.ids {
-		fl := f.active[id]
+	for i, fl := range f.active {
 		fl.rate = f.rates[i]
 		if f.limiter != nil {
 			fl.rate = f.limiter(fl.stream, fl.rate)
@@ -308,7 +311,7 @@ func (f *Flows) resolve() {
 			}
 		}
 		if applied != nil {
-			applied[id] = fl.rate
+			applied[fl.id] = fl.rate
 		}
 		if fl.rate > 0 {
 			eta := now + fl.remaining/(fl.rate*units.BytesPerGB)
@@ -325,52 +328,45 @@ func (f *Flows) resolve() {
 		// wakes the simulation, Run reports a deadlock.
 		return
 	}
-	f.pending = f.sim.At(nextAt, f.onCompletion)
+	f.pending = f.sim.At(nextAt, f.complete)
 }
 
 // onCompletion fires when the earliest flow(s) finish: it integrates
-// progress, completes every drained flow, and re-solves the rest.
+// progress, completes every drained flow in ascending id order, and
+// re-solves the rest.
 func (f *Flows) onCompletion() {
 	f.pending = nil
 	f.integrate()
-	f.ids = f.sortedIDs()
 	const eps = 1 // byte: guards float roundoff
-	for _, id := range f.ids {
-		fl := f.active[id]
-		if fl.remaining <= eps {
-			fl.moved += fl.remaining
-			fl.remaining = 0
-			fl.finished = true
-			fl.completed = f.sim.Now()
-			delete(f.active, id)
-			avg := 0.0
-			if d := fl.completed - fl.started; d > 0 {
-				avg = fl.moved / units.BytesPerGB / d
-			}
-			f.m.finished.Inc()
-			f.m.activeFlows.Set(float64(len(f.active)))
-			f.m.avgRate.Observe(avg)
-			if f.observer != nil {
-				f.observer.FlowFinished(f.machine, id, fl.completed, avg)
-			}
-			if f.spans != nil && fl.span != 0 {
-				f.spans.EndSpan(fl.span, fl.completed)
-			}
-			fl.done.Fire()
+	live, left := f.active[:0], len(f.active)
+	for _, fl := range f.active {
+		if fl.remaining > eps {
+			live = append(live, fl)
+			continue
 		}
+		fl.moved += fl.remaining
+		fl.remaining = 0
+		fl.finished = true
+		fl.completed = f.sim.Now()
+		left--
+		avg := 0.0
+		if d := fl.completed - fl.started; d > 0 {
+			avg = fl.moved / units.BytesPerGB / d
+		}
+		f.m.finished.Inc()
+		f.m.activeFlows.Set(float64(left))
+		f.m.avgRate.Observe(avg)
+		if f.observer != nil {
+			f.observer.FlowFinished(f.machine, fl.id, fl.completed, avg)
+		}
+		if f.spans != nil && fl.span != 0 {
+			f.spans.EndSpan(fl.span, fl.completed)
+		}
+		fl.done.Fire()
 	}
+	clear(f.active[len(live):])
+	f.active = live
 	f.resolve()
-}
-
-// sortedIDs returns the active flow ids in ascending order, in the
-// reused ids buffer.
-func (f *Flows) sortedIDs() []int {
-	ids := f.ids[:0]
-	for id := range f.active {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 // ActiveCount reports the number of in-progress transfers.

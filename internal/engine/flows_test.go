@@ -3,12 +3,14 @@ package engine
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"memcontention/internal/bench"
 	"memcontention/internal/kernels"
 	"memcontention/internal/memsys"
+	"memcontention/internal/obs"
 	"memcontention/internal/topology"
 	"memcontention/internal/units"
 )
@@ -219,6 +221,96 @@ func TestFlowsMatchSolveBitForBit(t *testing.T) {
 	}
 }
 
+// finishProbe records each FlowFinished id with the active-flows gauge at
+// that moment, and for each re-solve the ids RatesResolved reports and
+// the manager's active flow ids, in the order it holds them.
+type finishProbe struct {
+	flows    *Flows
+	gauge    *obs.Gauge
+	finished []int
+	steps    []float64
+	rated    [][]int
+	active   [][]int
+}
+
+func (r *finishProbe) FlowStarted(int, int, memsys.Stream, float64, float64) {}
+func (r *finishProbe) FlowFinished(_, id int, _, _ float64) {
+	r.finished = append(r.finished, id)
+	r.steps = append(r.steps, r.gauge.Value())
+}
+func (r *finishProbe) RatesResolved(_ int, _ float64, rates map[int]float64) {
+	var rated, active []int
+	for id := range rates {
+		rated = append(rated, id)
+	}
+	slices.Sort(rated)
+	for _, fl := range r.flows.active {
+		active = append(active, fl.id)
+	}
+	r.rated = append(r.rated, rated)
+	r.active = append(r.active, active)
+}
+
+// TestSimultaneousCompletionsInIDOrder: five equal compute flows start
+// together; flows 2 and 4 are short and finish first, then flows 1, 3
+// and 5 finish in one event. Completions come in ascending id order, the
+// active-flows gauge steps down once per flow, and the flows that remain
+// keep ascending order in the next re-solve.
+func TestSimultaneousCompletionsInIDOrder(t *testing.T) {
+	sim, flows, sys := newFlowsSim(t)
+	reg := obs.NewRegistry()
+	flows.SetRegistry(reg)
+	probe := &finishProbe{flows: flows, gauge: reg.Gauge("memcontention_engine_active_flows", "", nil)}
+	flows.SetObserver(probe)
+	cores := sys.Platform().CoresOfSocket(0)
+	sim.Spawn("main", func(p *Proc) {
+		var hs []*Handle
+		for i := 1; i <= 5; i++ {
+			size := 4 * units.MiB
+			if i%2 == 0 {
+				size = units.MiB
+			}
+			hs = append(hs, flows.Start(memsys.Stream{Kind: memsys.KindCompute, Core: cores[i], Node: 0, Demand: 5}, size))
+		}
+		for _, h := range hs {
+			h.Wait(p)
+		}
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{2, 4, 1, 3, 5}; !slices.Equal(probe.finished, want) {
+		t.Errorf("flows finished in order %v, want %v", probe.finished, want)
+	}
+	if want := []float64{4, 3, 2, 1, 0}; !slices.Equal(probe.steps, want) {
+		t.Errorf("active-flows gauge stepped %v, want %v", probe.steps, want)
+	}
+	if n := len(probe.rated); n != 6 || !slices.Equal(probe.rated[n-1], []int{1, 3, 5}) {
+		t.Errorf("re-solves rated %v, want five starts then [1 3 5]", probe.rated)
+	}
+	for i, ids := range probe.active {
+		if !slices.Equal(ids, probe.rated[i]) {
+			t.Errorf("re-solve %d: active flows held as %v, want ascending %v", i, ids, probe.rated[i])
+		}
+	}
+}
+
+// TestFlowsResolveAllocs: with no observer, a re-solve allocates only
+// its completion event.
+func TestFlowsResolveAllocs(t *testing.T) {
+	sim, flows, sys := newFlowsSim(t)
+	for _, core := range sys.Platform().CoresOfSocket(0)[:8] {
+		flows.Start(memsys.Stream{Kind: memsys.KindCompute, Core: core, Node: 0}, units.GiB)
+	}
+	flows.Start(memsys.Stream{Kind: memsys.KindComm, Node: 0}, units.GiB)
+	// Every re-solve leaves its cancelled predecessor in the event heap;
+	// room for all of them keeps the heap's growth out of the count.
+	sim.events = slices.Grow(sim.events, 256)
+	if got := testing.AllocsPerRun(100, flows.Refresh); got != 1 {
+		t.Errorf("a re-solve allocates %v, want 1", got)
+	}
+}
+
 // TestSolveErrorFailsRun: a stream the solver rejects (henri has no NUMA
 // node 9) fails the run with the solver's error wrapped, whether the
 // transfer starts in scheduler or in process context — never a panic.
@@ -328,5 +420,40 @@ func TestManySmallFlowsDrain(t *testing.T) {
 	}
 	if count != len(cores) {
 		t.Errorf("drained %d flows, want %d", count, len(cores))
+	}
+}
+
+// BenchmarkFlowsChurn times the re-solve loop alone, without process
+// switches: one henri System built outside the timed loop, and 16
+// overlapping flows with staggered sizes started at t = 0, so that every
+// start and every finish re-solves the active set.
+func BenchmarkFlowsChurn(b *testing.B) {
+	prof, err := memsys.ProfileFor("henri")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := memsys.New(topology.Henri(), prof)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cores := sys.Platform().CoresOfSocket(0)
+	streams := make([]memsys.Stream, 16)
+	for i := range streams {
+		streams[i] = memsys.Stream{Kind: memsys.KindCompute, Core: cores[i], Node: topology.NodeID(i % 2)}
+		if i%4 == 3 {
+			streams[i] = memsys.Stream{Kind: memsys.KindComm, Node: topology.NodeID(i % 2)}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim := NewSim()
+		flows := NewFlows(sim, sys)
+		for k, st := range streams {
+			flows.Start(st, units.ByteSize(k+1)*units.MiB)
+		}
+		if err := sim.Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

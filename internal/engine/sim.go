@@ -24,19 +24,8 @@ import (
 	"memcontention/internal/obs"
 )
 
-// event is a scheduled callback. Events at equal times fire in scheduling
-// order (seq), which keeps the simulation deterministic.
-type event struct {
-	time float64
-	seq  int64
-	fire func()
-	// cancelled events stay in the heap but do nothing when popped.
-	cancelled bool
-	index     int
-}
-
-// eventHeap orders events by (time, seq).
-type eventHeap []*event
+// eventHeap orders scheduled events by (time, seq).
+type eventHeap []*Timer
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -45,15 +34,8 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Timer)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -119,33 +101,47 @@ func NewSim() *Sim {
 func (s *Sim) Now() float64 { return s.now }
 
 // At schedules fn to run in scheduler context at absolute time t (clamped
-// to now). It returns a handle that can cancel the event.
-func (s *Sim) At(t float64, fn func()) *Timer {
-	if t < s.now {
+// to now; a NaN time means now). It returns a handle that can cancel the
+// event.
+func (s *Sim) At(t float64, fn func()) *Timer { return s.schedule(t, fn, nil) }
+
+// After schedules fn after a delay d >= 0 (a negative or NaN delay means
+// zero).
+func (s *Sim) After(d float64, fn func()) *Timer { return s.At(s.now+d, fn) }
+
+// schedule queues one event at time t that calls fn or, when p is set,
+// wakes the parked process p. A time before now or NaN means now, which
+// is how After and Sleep treat a negative or NaN delay. The event is the
+// only allocation.
+func (s *Sim) schedule(t float64, fn func(), p *Proc) *Timer {
+	if !(t >= s.now) {
 		t = s.now
 	}
-	e := &event{time: t, seq: s.seq, fire: fn}
+	e := &Timer{time: t, seq: s.seq, fire: fn, proc: p}
 	s.seq++
 	heap.Push(&s.events, e)
-	return &Timer{ev: e}
+	return e
 }
 
-// After schedules fn after a delay d >= 0.
-func (s *Sim) After(d float64, fn func()) *Timer {
-	if d < 0 || math.IsNaN(d) {
-		d = 0
-	}
-	return s.At(s.now+d, fn)
+// Timer is a scheduled event, and the handle that cancels it. Events at
+// equal times fire in scheduling order (seq), which keeps the simulation
+// deterministic.
+type Timer struct {
+	time float64
+	seq  int64
+	// fire runs in scheduler context; when proc is set the event wakes
+	// that process instead.
+	fire func()
+	proc *Proc
+	// cancelled events stay in the heap but do nothing when popped.
+	cancelled bool
 }
-
-// Timer is a cancellable scheduled event.
-type Timer struct{ ev *event }
 
 // Cancel prevents the event from firing. Cancelling a fired or already
 // cancelled timer is a no-op.
 func (t *Timer) Cancel() {
-	if t != nil && t.ev != nil {
-		t.ev.cancelled = true
+	if t != nil {
+		t.cancelled = true
 	}
 }
 
@@ -248,7 +244,7 @@ func (s *Sim) wake(p *Proc) {
 // zero, which still yields to the scheduler once).
 func (p *Proc) Sleep(d float64) {
 	s := p.sim
-	s.After(d, func() { s.wake(p) })
+	s.schedule(s.now+d, nil, p)
 	p.SetWaitReason("sleep")
 	p.park()
 }
@@ -270,14 +266,14 @@ func (sg *Signal) Wait(p *Proc) {
 }
 
 // Fire wakes every current waiter (in wait order) at the current time.
-// It may be called from process or scheduler context.
+// It may be called from process or scheduler context. Each wake-up is one
+// scheduled event; the waiter list keeps its storage for the next Wait.
 func (sg *Signal) Fire() {
-	waiters := sg.waiters
-	sg.waiters = nil
-	for _, w := range waiters {
-		w := w
-		sg.sim.At(sg.sim.now, func() { sg.sim.wake(w) })
+	for _, w := range sg.waiters {
+		sg.sim.schedule(sg.sim.now, nil, w)
 	}
+	clear(sg.waiters)
+	sg.waiters = sg.waiters[:0]
 }
 
 // WaitState describes one blocked process: its name, why it parked (as
@@ -397,9 +393,6 @@ func (s *Sim) SetBudget(maxSimTime float64, maxEvents int64) {
 	s.maxEvents = maxEvents
 }
 
-// EventsFired reports the number of events executed so far.
-func (s *Sim) EventsFired() int64 { return s.fired }
-
 // waitStates lists every unfinished process's wait state, name-sorted.
 func (s *Sim) waitStates() []WaitState {
 	var stuck []WaitState
@@ -445,7 +438,7 @@ func (s *Sim) Run() error {
 			default:
 			}
 		}
-		e := heap.Pop(&s.events).(*event)
+		e := heap.Pop(&s.events).(*Timer)
 		if e.cancelled {
 			continue
 		}
@@ -462,7 +455,11 @@ func (s *Sim) Run() error {
 		s.fired++
 		s.m.eventsFired.Inc()
 		s.m.virtualTime.Set(s.now)
-		e.fire()
+		if e.proc != nil {
+			s.wake(e.proc)
+		} else {
+			e.fire()
+		}
 	}
 	if s.failure != nil {
 		return s.failure

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -66,6 +68,70 @@ func TestAfterClampsNegative(t *testing.T) {
 	}
 	if at != 0 {
 		t.Errorf("negative delay must clamp to now, fired at %v", at)
+	}
+}
+
+// TestAtClampsNaN: a NaN time means now, as a NaN delay does for After,
+// so simulated time never becomes NaN.
+func TestAtClampsNaN(t *testing.T) {
+	s := NewSim()
+	var at []float64
+	for _, when := range []float64{1, math.NaN(), 0.5} {
+		s.At(when, func() { at = append(at, s.Now()) })
+	}
+	s.After(math.NaN(), func() { at = append(at, s.Now()) })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []float64{0, 0, 0.5, 1}; !slices.Equal(at, want) || s.Now() != 1 {
+		t.Errorf("events fired at %v, ending at %v; want %v, ending at 1", at, s.Now(), want)
+	}
+}
+
+// TestSimAtAllocs: scheduling and firing an event allocates the event
+// and nothing else.
+func TestSimAtAllocs(t *testing.T) {
+	s := NewSim()
+	fn := func() {}
+	got := testing.AllocsPerRun(100, func() {
+		s.At(s.Now()+1, fn)
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 1 {
+		t.Errorf("At plus firing allocates %v, want 1", got)
+	}
+}
+
+// TestSignalFireAllocs: a Signal.Fire wake-up costs one allocation, the
+// event that carries the woken process. Two processes ping-pong over two
+// signals; the difference between 200 and 100 rounds (two wake-ups
+// each) cancels the set-up.
+func TestSignalFireAllocs(t *testing.T) {
+	run := func(rounds int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			s := NewSim()
+			ping, pong := s.NewSignal(), s.NewSignal()
+			s.Spawn("b", func(p *Proc) {
+				for i := 0; i < rounds; i++ {
+					ping.Wait(p)
+					pong.Fire()
+				}
+			})
+			s.Spawn("a", func(p *Proc) {
+				for i := 0; i < rounds; i++ {
+					ping.Fire()
+					pong.Wait(p)
+				}
+			})
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if got := (run(200) - run(100)) / 200; got != 1 {
+		t.Errorf("a Signal.Fire wake-up allocates %v, want 1", got)
 	}
 }
 
@@ -312,5 +378,31 @@ func TestBackgroundContextIsFree(t *testing.T) {
 	s2.SetContext(nil)
 	if err := s2.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkSimEvents times the scheduler alone: two processes ping-pong
+// over two signals 64 times, one of them sleeping on a timer each round.
+func BenchmarkSimEvents(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewSim()
+		ping, pong := s.NewSignal(), s.NewSignal()
+		s.Spawn("b", func(p *Proc) {
+			for k := 0; k < 64; k++ {
+				ping.Wait(p)
+				pong.Fire()
+			}
+		})
+		s.Spawn("a", func(p *Proc) {
+			for k := 0; k < 64; k++ {
+				p.Sleep(1e-6)
+				ping.Fire()
+				pong.Wait(p)
+			}
+		})
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

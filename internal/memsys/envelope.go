@@ -72,6 +72,31 @@ func (e Envelope) At(n float64) float64 {
 	return v
 }
 
+// envTable is an Envelope tabulated at whole stream counts: at[n] holds
+// env.At(float64(n)). The solver only evaluates envelopes at whole counts,
+// so a lookup replaces the softplus; counts past the table fall back to
+// env.At.
+type envTable struct {
+	env Envelope
+	at  []float64
+}
+
+// tabulate fills table with e at 0..len(table)-1.
+func tabulate(e Envelope, table []float64) envTable {
+	for n := range table {
+		table[n] = e.At(float64(n))
+	}
+	return envTable{env: e, at: table}
+}
+
+// eval returns env.At(float64(n)) for n >= 0 streams.
+func (t *envTable) eval(n int) float64 {
+	if n < len(t.at) {
+		return t.at[n]
+	}
+	return t.env.At(float64(n))
+}
+
 // Flat returns a constant-capacity envelope.
 func Flat(cap float64) Envelope { return Envelope{Plateau: cap} }
 

@@ -149,3 +149,33 @@ func TestSoftmin(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEnvelopeTables: on every built-in profile, each of New's four
+// envelope tables holds exactly — bit for bit — Envelope.At at 0..NCores
+// streams, and a count past the table falls back to the same value.
+func TestEnvelopeTables(t *testing.T) {
+	forEachSystem(t, func(name string, sys *System) {
+		nc := sys.Platform().NCores()
+		caps := sys.Profile().Caps
+		for _, c := range []struct {
+			env   string
+			want  Envelope
+			table *envTable
+		}{
+			{"CoreLocal", caps.CoreLocal, &sys.coreLocal},
+			{"CoreRemote", caps.CoreRemote, &sys.coreRemote},
+			{"MixLocal", caps.MixLocal, &sys.mixLocal},
+			{"MixRemote", caps.MixRemote, &sys.mixRemote},
+		} {
+			if len(c.table.at) != nc+1 {
+				t.Fatalf("%s %s: %d entries, want %d", name, c.env, len(c.table.at), nc+1)
+			}
+			for n := 0; n <= nc+64; n++ {
+				got, want := c.table.eval(n), c.want.At(float64(n))
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s %s at %d streams: %v, Envelope.At gives %v", name, c.env, n, got, want)
+				}
+			}
+		}
+	})
+}

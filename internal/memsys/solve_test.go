@@ -120,3 +120,22 @@ func BenchmarkSolve(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNew times building a System, envelope tables included, on
+// each of the six built-in platforms.
+func BenchmarkNew(b *testing.B) {
+	for _, plat := range topology.Testbed() {
+		prof, err := ProfileFor(plat.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(plat.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(plat, prof); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -75,9 +75,15 @@ func (a *Allocation) Rate(id int) float64 { return a.Rates[id] }
 type System struct {
 	plat *topology.Platform
 	prof *Profile
+	// coreLocal, coreRemote, mixLocal and mixRemote are prof.Caps'
+	// envelopes, tabulated at 0..NCores streams.
+	coreLocal, coreRemote, mixLocal, mixRemote envTable
 }
 
-// New builds a memory system, validating profile against platform.
+// New builds a memory system, validating profile against platform. It
+// snapshots the profile's capacity envelopes (Caps) into lookup tables,
+// so a profile must be changed before New, not after: the System keeps
+// solving with the envelopes it was built with.
 func New(plat *topology.Platform, prof *Profile) (*System, error) {
 	if err := plat.Validate(); err != nil {
 		return nil, fmt.Errorf("memsys: invalid platform: %w", err)
@@ -85,7 +91,16 @@ func New(plat *topology.Platform, prof *Profile) (*System, error) {
 	if err := prof.Validate(plat); err != nil {
 		return nil, fmt.Errorf("memsys: invalid profile for %s: %w", plat.Name, err)
 	}
-	return &System{plat: plat, prof: prof}, nil
+	m := plat.NCores() + 1
+	tab := make([]float64, 4*m)
+	return &System{
+		plat:       plat,
+		prof:       prof,
+		coreLocal:  tabulate(prof.Caps.CoreLocal, tab[:m:m]),
+		coreRemote: tabulate(prof.Caps.CoreRemote, tab[m:2*m:2*m]),
+		mixLocal:   tabulate(prof.Caps.MixLocal, tab[2*m:3*m:3*m]),
+		mixRemote:  tabulate(prof.Caps.MixRemote, tab[3*m:]),
+	}, nil
 }
 
 // Platform returns the underlying platform.
@@ -281,19 +296,19 @@ func (s *System) commFactor(streams []Stream, commNode topology.NodeID) float64 
 // curve when every one crosses the link, and a count-weighted blend for
 // the mixed case the paper leaves to future work.
 type blendEnv struct {
-	local, remote   Envelope
+	local, remote   *envTable
 	nLocal, nRemote int
 }
 
-func (b blendEnv) at(n float64) float64 {
+func (b blendEnv) at(n int) float64 {
 	switch {
 	case b.nRemote == 0:
-		return b.local.At(n)
+		return b.local.eval(n)
 	case b.nLocal == 0:
-		return b.remote.At(n)
+		return b.remote.eval(n)
 	default:
 		l, r := float64(b.nLocal), float64(b.nRemote)
-		return (l*b.local.At(n) + r*b.remote.At(n)) / (l + r)
+		return (l*b.local.eval(n) + r*b.remote.eval(n)) / (l + r)
 	}
 }
 
@@ -322,7 +337,7 @@ func (s *System) commReserve(env blendEnv, n int, perCore, commDemand float64, l
 		// plus the comm demand exceeds the capacity envelope.
 		onset := n + 1
 		for k := 1; k <= n; k++ {
-			if float64(k)*perCore+commDemand > env.at(float64(k)) {
+			if float64(k)*perCore+commDemand > env.at(k) {
 				onset = k
 				break
 			}
@@ -384,14 +399,13 @@ func (s *System) solveNode(streams []Stream, o []slot, node topology.NodeID) {
 		}
 	}
 	n := nLocal + nRemote
-	caps := s.prof.Caps
-	capCore := blendEnv{caps.CoreLocal, caps.CoreRemote, nLocal, nRemote}.at(float64(n))
+	capCore := blendEnv{&s.coreLocal, &s.coreRemote, nLocal, nRemote}.at(n)
 	compAgg := softmin(compDemand, capCore, q.SoftSaturationGB)
 
 	commAgg := 0.0
 	if nComm > 0 {
-		mixEnv := blendEnv{caps.MixLocal, caps.MixRemote, nLocal, nRemote}
-		capMix := mixEnv.at(float64(n))
+		mixEnv := blendEnv{&s.mixLocal, &s.mixRemote, nLocal, nRemote}
+		capMix := mixEnv.at(n)
 		perCore := 0.0
 		if n > 0 {
 			perCore = compDemand / float64(n)
@@ -487,11 +501,10 @@ func (s *System) applyMeshPressure(streams []Stream, o []slot) {
 	if nCross == 0 || curSum <= 0 {
 		return
 	}
-	n := float64(nCompute)
-	occupancy := math.Min(occDemand, s.prof.Caps.CoreLocal.At(n))
-	capacityLeft := s.prof.Caps.MixLocal.At(n) - occupancy
-	env := blendEnv{local: s.prof.Caps.MixLocal, nLocal: 1}
-	reserve := s.commReserve(env, nCompute, occDemand/n, curSum, allLocalClass)
+	occupancy := math.Min(occDemand, s.coreLocal.eval(nCompute))
+	capacityLeft := s.mixLocal.eval(nCompute) - occupancy
+	env := blendEnv{local: &s.mixLocal, nLocal: 1}
+	reserve := s.commReserve(env, nCompute, occDemand/float64(nCompute), curSum, allLocalClass)
 	target := math.Min(curSum, math.Min(capacityLeft, reserve))
 	target = math.Max(target, floorSum)
 	if target >= curSum {

@@ -27,9 +27,13 @@ func newWorld(t *testing.T, nMachines, ranksPer int) (*engine.Sim, *World) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys, err := memsys.New(plat, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var machines []*simnet.Machine
 	for i := 0; i < nMachines; i++ {
-		m, err := simnet.NewMachine(sim, i, plat, prof)
+		m, err := simnet.NewMachine(sim, i, sys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,9 +328,9 @@ func TestNewWorldValidation(t *testing.T) {
 	if _, err := NewWorld(sim, fabric, nil, 1); err == nil {
 		t.Error("no machines must fail")
 	}
-	plat := topology.Henri()
 	prof, _ := memsys.ProfileFor("henri")
-	m, _ := simnet.NewMachine(sim, 0, plat, prof)
+	sys, _ := memsys.New(topology.Henri(), prof)
+	m, _ := simnet.NewMachine(sim, 0, sys)
 	if _, err := NewWorld(sim, fabric, []*simnet.Machine{m}, 0); err == nil {
 		t.Error("zero ranks per machine must fail")
 	}

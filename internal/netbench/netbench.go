@@ -139,9 +139,13 @@ func pingPongOne(cfg Config, size units.ByteSize) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
+	sys, err := memsys.New(cfg.Platform, cfg.Profile)
+	if err != nil {
+		return Point{}, err
+	}
 	var machines []*simnet.Machine
 	for i := 0; i < 2; i++ {
-		m, err := simnet.NewMachine(sim, i, cfg.Platform, cfg.Profile)
+		m, err := simnet.NewMachine(sim, i, sys)
 		if err != nil {
 			return Point{}, err
 		}

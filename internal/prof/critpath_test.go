@@ -35,10 +35,14 @@ func profiledClusterRun(t testing.TB, platform string) (*trace.Recorder, float64
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys, err := memsys.New(plat, hw)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := trace.NewRecorder()
 	var machines []*simnet.Machine
 	for i := 0; i < 2; i++ {
-		m, err := simnet.NewMachine(sim, i, plat, hw)
+		m, err := simnet.NewMachine(sim, i, sys)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,13 +74,13 @@ type Machine struct {
 	Topo  *hwloc.Topology
 }
 
-// NewMachine assembles a machine inside the simulation.
-func NewMachine(sim *engine.Sim, id int, plat *topology.Platform, prof *memsys.Profile) (*Machine, error) {
-	sys, err := memsys.New(plat, prof)
-	if err != nil {
-		return nil, fmt.Errorf("simnet: machine %d: %w", id, err)
-	}
-	topo, err := hwloc.FromPlatform(plat)
+// NewMachine assembles a machine of memory system sys inside the
+// simulation. Machines of the same platform and profile share one
+// System (memcontention.NewCustomCluster and netbench build one per
+// simulation): a System holds no mutable state, and each machine's flow
+// manager simulates its own flows over it.
+func NewMachine(sim *engine.Sim, id int, sys *memsys.System) (*Machine, error) {
+	topo, err := hwloc.FromPlatform(sys.Platform())
 	if err != nil {
 		return nil, fmt.Errorf("simnet: machine %d: %w", id, err)
 	}

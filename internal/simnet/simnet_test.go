@@ -22,9 +22,13 @@ func twoMachines(t *testing.T, wire, latency float64) (*engine.Sim, *Fabric, *Ma
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys, err := memsys.New(plat, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ms [2]*Machine
 	for i := range ms {
-		m, err := NewMachine(sim, i, plat, prof)
+		m, err := NewMachine(sim, i, sys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,9 +85,7 @@ func TestWireRateBounds(t *testing.T) {
 
 func TestDeliverErrors(t *testing.T) {
 	sim, fabric, m0, m1 := twoMachines(t, 12.1, 0)
-	plat := topology.Henri()
-	prof, _ := memsys.ProfileFor("henri")
-	detached, err := NewMachine(sim, 7, plat, prof)
+	detached, err := NewMachine(sim, 7, m0.Sys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +125,12 @@ func TestFabricValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plat := topology.Henri()
 	prof, _ := memsys.ProfileFor("henri")
-	m, err := NewMachine(sim, 0, plat, prof)
+	sys, err := memsys.New(topology.Henri(), prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(sim, 0, sys)
 	if err != nil {
 		t.Fatal(err)
 	}

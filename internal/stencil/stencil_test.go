@@ -33,9 +33,13 @@ func (tc *testCluster) Run(ranksPerMachine int, main func(*mpi.Ctx)) (float64, e
 	if err != nil {
 		return 0, err
 	}
+	sys, err := memsys.New(tc.plat, prof)
+	if err != nil {
+		return 0, err
+	}
 	var machines []*simnet.Machine
 	for i := 0; i < tc.machines; i++ {
-		m, err := simnet.NewMachine(sim, i, tc.plat, prof)
+		m, err := simnet.NewMachine(sim, i, sys)
 		if err != nil {
 			return 0, err
 		}

@@ -83,27 +83,44 @@ func Occigen() *Platform {
 		MustBuild()
 }
 
+// testbed lists the constructor of every platform of Table I under its
+// name, in the table's order, so a lookup by name builds one platform.
+var testbed = []struct {
+	name  string
+	build func() *Platform
+}{
+	{"henri", Henri},
+	{"henri-subnuma", HenriSubnuma},
+	{"dahu", Dahu},
+	{"diablo", Diablo},
+	{"pyxis", Pyxis},
+	{"occigen", Occigen},
+}
+
 // Testbed returns every platform of Table I, in the table's order.
 func Testbed() []*Platform {
-	return []*Platform{Henri(), HenriSubnuma(), Dahu(), Diablo(), Pyxis(), Occigen()}
+	ps := make([]*Platform, len(testbed))
+	for i, b := range testbed {
+		ps[i] = b.build()
+	}
+	return ps
 }
 
 // Names returns the sorted names of the built-in platforms.
 func Names() []string {
-	ps := Testbed()
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.Name
+	names := make([]string, len(testbed))
+	for i, b := range testbed {
+		names[i] = b.name
 	}
 	sort.Strings(names)
 	return names
 }
 
-// ByName returns the built-in platform with the given name.
+// ByName builds the built-in platform with the given name.
 func ByName(name string) (*Platform, error) {
-	for _, p := range Testbed() {
-		if p.Name == name {
-			return p, nil
+	for _, b := range testbed {
+		if b.name == name {
+			return b.build(), nil
 		}
 	}
 	return nil, fmt.Errorf("topology: unknown platform %q (known: %v)", name, Names())

@@ -2,6 +2,8 @@ package topology
 
 import (
 	"encoding/json"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -169,6 +171,23 @@ func TestByName(t *testing.T) {
 		if names[i-1] >= names[i] {
 			t.Error("Names() must be sorted")
 		}
+	}
+	// ByName builds one platform from its own name table: it must agree
+	// with Testbed on every platform, and Names with Testbed's names.
+	var built []string
+	for _, want := range Testbed() {
+		got, err := ByName(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) differs from Testbed's platform", want.Name)
+		}
+		built = append(built, want.Name)
+	}
+	sort.Strings(built)
+	if !reflect.DeepEqual(names, built) {
+		t.Errorf("Names() = %v, Testbed names %v", names, built)
 	}
 }
 
