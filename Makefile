@@ -73,6 +73,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzLeaseDecode$$' -fuzztime $(FUZZTIME) ./internal/lease/
 	$(GO) test -fuzz '^FuzzDecodeEvents$$' -fuzztime $(FUZZTIME) ./internal/campaign/
 	$(GO) test -fuzz '^FuzzSolve$$' -fuzztime $(FUZZTIME) ./internal/memsys/
+	$(GO) test -fuzz '^FuzzIndentJSON$$' -fuzztime $(FUZZTIME) ./internal/export/
 
 # prof-smoke runs memprof on the seeded overlap scenario and validates
 # the Perfetto export byte-for-byte against the golden file (regenerate
@@ -109,7 +110,7 @@ bench:
 # Advisory in `make check` (leading `-`): shared runners are noisy, so a
 # flagged regression means "measure properly before merging", not
 # "blocked" (see docs/observability.md).
-BENCHDIFF_PATTERN ?= BenchmarkClusterHaloExchange$$|BenchmarkTable1Platforms$$|BenchmarkTable2Errors$$|BenchmarkPredict$$|BenchmarkSolver$$|BenchmarkSolve$$|BenchmarkMeasurePoint$$|BenchmarkFlowsChurn$$|BenchmarkSimEvents$$
+BENCHDIFF_PATTERN ?= BenchmarkClusterHaloExchange$$|BenchmarkTable1Platforms$$|BenchmarkTable2Errors$$|BenchmarkPredict$$|BenchmarkSolver$$|BenchmarkSolve$$|BenchmarkMeasurePoint$$|BenchmarkFlowsChurn$$|BenchmarkSimEvents$$|BenchmarkRenderArtifacts$$
 benchdiff:
 	-$(GO) test -bench '$(BENCHDIFF_PATTERN)' -benchmem -run '^$$' ./... \
 		| $(GO) run ./scripts/benchjson \

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"memcontention/internal/checkpoint"
+	"memcontention/internal/export"
 	"memcontention/internal/lease"
 	"memcontention/internal/obs"
 )
@@ -246,11 +247,11 @@ func TestShardedEvaluateReplicationsMatchSequential(t *testing.T) {
 	}
 	cfg.Workers = 6
 	res := runLocal(t, cfg, localOpts(t, newRemoteClock()))
-	wj, err := marshal(want)
+	wj, err := export.MarshalIndent(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gj, err := marshal(res.Artifacts.Replications)
+	gj, err := export.MarshalIndent(res.Artifacts.Replications)
 	if err != nil {
 		t.Fatal(err)
 	}

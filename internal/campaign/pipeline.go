@@ -2,12 +2,12 @@ package campaign
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 
 	"memcontention/internal/atomicio"
 	"memcontention/internal/eval"
+	"memcontention/internal/export"
 	"memcontention/internal/netbench"
 )
 
@@ -81,9 +81,9 @@ func (a *Artifacts) Write(dir string) error {
 	}
 	files := []artifactFile{
 		{"table2.txt", func() ([]byte, error) { return table.Bytes(), nil }},
-		{"table2.json", func() ([]byte, error) { return marshal(a.Platforms) }},
-		{"netbench.json", func() ([]byte, error) { return marshal(a.Netbench) }},
-		{"crosscheck.json", func() ([]byte, error) { return marshal(a.CrossCheck) }},
+		{"table2.json", func() ([]byte, error) { return export.MarshalIndent(a.Platforms) }},
+		{"netbench.json", func() ([]byte, error) { return export.MarshalIndent(a.Netbench) }},
+		{"crosscheck.json", func() ([]byte, error) { return export.MarshalIndent(a.CrossCheck) }},
 	}
 	if a.Replications != nil {
 		var reptxt bytes.Buffer
@@ -92,7 +92,7 @@ func (a *Artifacts) Write(dir string) error {
 		}
 		files = append(files,
 			artifactFile{"replications.txt", func() ([]byte, error) { return reptxt.Bytes(), nil }},
-			artifactFile{"replications.json", func() ([]byte, error) { return marshal(a.Replications) }},
+			artifactFile{"replications.json", func() ([]byte, error) { return export.MarshalIndent(a.Replications) }},
 		)
 	}
 	for _, f := range files {
@@ -105,12 +105,4 @@ func (a *Artifacts) Write(dir string) error {
 		}
 	}
 	return nil
-}
-
-func marshal(v any) ([]byte, error) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }

@@ -1,8 +1,11 @@
 package eval
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"memcontention/internal/export"
 	"memcontention/internal/model"
@@ -37,9 +40,9 @@ type Figure struct {
 // FigureFor assembles the figure dataset from a platform evaluation.
 // name is the paper's figure label (e.g. "figure3").
 func FigureFor(name string, r *PlatformResult) *Figure {
-	fig := &Figure{Name: name, Platform: r.Platform}
+	fig := &Figure{Name: name, Platform: r.Platform, Subplots: make([]FigureSubplot, 0, len(r.Placements))}
 	for _, pr := range r.Placements {
-		sp := FigureSubplot{Placement: pr.Placement, IsSample: pr.IsSample}
+		sp := FigureSubplot{Placement: pr.Placement, IsSample: pr.IsSample, Points: make([]FigurePoint, 0, len(pr.Measured.Points))}
 		for i, pt := range pr.Measured.Points {
 			sp.Points = append(sp.Points, FigurePoint{
 				N:         pt.N,
@@ -56,24 +59,61 @@ func FigureFor(name string, r *PlatformResult) *Figure {
 	return fig
 }
 
-// WriteCSV emits the figure as one flat CSV (subplot columns included).
+const figureHeader = "platform,comp_node,comm_node,is_sample,n," +
+	"comp_alone,comm_alone,comp_par,comm_par,pred_comp,pred_comm\n"
+
+// WriteCSV emits the figure as one flat CSV (subplot columns included),
+// built in one buffer and written once.
 func (f *Figure) WriteCSV(w io.Writer) error {
-	t := export.NewTable("",
-		"platform", "comp_node", "comm_node", "is_sample", "n",
-		"comp_alone", "comm_alone", "comp_par", "comm_par", "pred_comp", "pred_comm")
+	platform, err := csvField(f.Platform)
+	if err != nil {
+		return err
+	}
+	rows := 0
+	for _, sp := range f.Subplots {
+		rows += len(sp.Points)
+	}
+	b := make([]byte, 0, len(figureHeader)+rows*(len(platform)+csvRowBytes))
+	b = append(b, figureHeader...)
 	for _, sp := range f.Subplots {
 		for _, p := range sp.Points {
-			t.AddRow(
-				f.Platform,
-				fmt.Sprint(int(sp.Placement.Comp)), fmt.Sprint(int(sp.Placement.Comm)),
-				fmt.Sprint(sp.IsSample), fmt.Sprint(p.N),
-				export.GBs(p.CompAlone), export.GBs(p.CommAlone),
-				export.GBs(p.CompPar), export.GBs(p.CommPar),
-				export.GBs(p.PredComp), export.GBs(p.PredComm),
-			)
+			b = append(append(b, platform...), ',')
+			b = append(strconv.AppendInt(b, int64(sp.Placement.Comp), 10), ',')
+			b = append(strconv.AppendInt(b, int64(sp.Placement.Comm), 10), ',')
+			b = append(strconv.AppendBool(b, sp.IsSample), ',')
+			b = strconv.AppendInt(b, int64(p.N), 10)
+			b = appendGBsCells(b, p.CompAlone, p.CommAlone, p.CompPar, p.CommPar, p.PredComp, p.PredComm)
 		}
 	}
-	return t.WriteCSV(w)
+	_, err = w.Write(b)
+	return err
+}
+
+// csvRowBytes is a generous size for one CSV row past its platform field;
+// a wider row only costs a regrowth of the buffer.
+const csvRowBytes = 96
+
+// appendGBsCells appends each value as a ",%.2f" cell and ends the row.
+func appendGBsCells(b []byte, vals ...float64) []byte {
+	for _, v := range vals {
+		b = export.AppendGBs(append(b, ','), v)
+	}
+	return append(b, '\n')
+}
+
+// csvField renders s as one CSV field, quoted exactly as encoding/csv
+// quotes it: platform names come from user platform files.
+func csvField(s string) (string, error) {
+	var b strings.Builder
+	cw := csv.NewWriter(&b)
+	if err := cw.Write([]string{s}); err != nil {
+		return "", err
+	}
+	cw.Flush()
+	if err := cw.Error(); err != nil {
+		return "", err
+	}
+	return strings.TrimSuffix(b.String(), "\n"), nil
 }
 
 // StackedPoint is one x position of the Figure 2 stacked representation:
@@ -125,15 +165,19 @@ func StackedFor(r *PlatformResult, pl model.Placement) (*Stacked, error) {
 	return nil, fmt.Errorf("eval: placement %v not in results for %s", pl, r.Platform)
 }
 
-// WriteCSV emits the stacked dataset.
+const stackedHeader = "n,comp_par,comm_par,total_par,comp_alone,model_T\n"
+
+// WriteCSV emits the stacked dataset, built in one buffer and written
+// once.
 func (s *Stacked) WriteCSV(w io.Writer) error {
-	t := export.NewTable("", "n", "comp_par", "comm_par", "total_par", "comp_alone", "model_T")
+	b := make([]byte, 0, len(stackedHeader)+len(s.Points)*csvRowBytes)
+	b = append(b, stackedHeader...)
 	for _, p := range s.Points {
-		t.AddRow(fmt.Sprint(p.N),
-			export.GBs(p.CompPar), export.GBs(p.CommPar), export.GBs(p.TotalPar),
-			export.GBs(p.CompAlone), export.GBs(p.PredTotalT))
+		b = strconv.AppendInt(b, int64(p.N), 10)
+		b = appendGBsCells(b, p.CompPar, p.CommPar, p.TotalPar, p.CompAlone, p.PredTotalT)
 	}
-	return t.WriteCSV(w)
+	_, err := w.Write(b)
+	return err
 }
 
 // FigureNameFor maps platform names to the paper's figure numbering.

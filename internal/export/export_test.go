@@ -3,6 +3,8 @@ package export
 import (
 	"encoding/csv"
 	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -69,14 +71,6 @@ func TestTableString(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tab := NewTable("", "a", "b")
-	tab.AddRowf("", 1.5, "x")
-	if tab.Rows[0][0] != "1.5" || tab.Rows[0][1] != "x" {
-		t.Errorf("AddRowf row = %v", tab.Rows[0])
-	}
-}
-
 func TestWriteJSON(t *testing.T) {
 	var b strings.Builder
 	if err := WriteJSON(&b, map[string]int{"x": 1}); err != nil {
@@ -98,7 +92,12 @@ func TestFormatters(t *testing.T) {
 	if Pct(3.456) != "3.46 %" {
 		t.Errorf("Pct = %q", Pct(3.456))
 	}
-	if GBs(10.125) != "10.12" && GBs(10.125) != "10.13" {
+	for _, v := range []float64{0, 2.675, -0.001, 100, math.NaN()} {
+		if got, want := Pct(v), fmt.Sprintf("%.2f %%", v); got != want {
+			t.Errorf("Pct(%v) = %q, want %q", v, got, want)
+		}
+	}
+	if GBs(10.125) != "10.12" { // 10.125 is exact in binary: the tie rounds to even
 		t.Errorf("GBs = %q", GBs(10.125))
 	}
 }

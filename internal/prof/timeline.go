@@ -186,18 +186,6 @@ func dropRate(rates []trace.FlowRate, flow int) []trace.FlowRate {
 // Flow returns one flow's reconstruction (nil when unknown).
 func (tl *Timeline) Flow(machine, id int) *FlowInfo { return tl.flows[flowKey{machine, id}] }
 
-// KindGB sums the decimal gigabytes moved by one stream kind on one
-// machine, from the rate integrals.
-func (tl *Timeline) KindGB(machine int, kind string) float64 {
-	var total float64
-	for _, fi := range tl.Flows {
-		if fi.Machine == machine && fi.Kind == kind {
-			total += fi.MovedGB
-		}
-	}
-	return total
-}
-
 // LinkUtilization aggregates traffic per memory-system link, in
 // deterministic (machine, link) order.
 func (tl *Timeline) LinkUtilization() []LinkUtil {

@@ -30,9 +30,6 @@ func (b Bandwidth) GBps() float64 { return float64(b) }
 // BytesPerSecond reports the bandwidth in bytes per second.
 func (b Bandwidth) BytesPerSecond() float64 { return float64(b) * BytesPerGB }
 
-// IsZero reports whether the bandwidth is exactly zero.
-func (b Bandwidth) IsZero() bool { return b == 0 }
-
 // Valid reports whether the bandwidth is finite and non-negative.
 func (b Bandwidth) Valid() bool {
 	f := float64(b)
@@ -43,11 +40,6 @@ func (b Bandwidth) Valid() bool {
 // e.g. "12.10 GB/s".
 func (b Bandwidth) String() string {
 	return fmt.Sprintf("%.2f GB/s", float64(b))
-}
-
-// Within reports whether b and other differ by at most tol (absolute, GB/s).
-func (b Bandwidth) Within(other Bandwidth, tol float64) bool {
-	return math.Abs(float64(b)-float64(other)) <= tol
 }
 
 // ParseBandwidth parses strings such as "12.5", "12.5GB/s", "12.5 GB/s",
