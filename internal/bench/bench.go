@@ -134,8 +134,9 @@ type Runner struct {
 	cfg Config
 	sys *memsys.System
 	// comp holds, per NUMA node, the kernel streams of every socket-0 core
-	// with data on that node; MeasurePoint solves prefixes of them. Built
-	// by NewRunner and read-only afterwards, like every Runner field
+	// with data on that node, in ascending-ID order; MeasurePoint lays out
+	// a prefix of them and the comm stream(s) in stack scratch. Built by
+	// NewRunner and read-only afterwards, like every Runner field
 	// MeasurePoint reads, so campaign workers may share a runner.
 	comp    [][]memsys.Stream
 	m       benchInstruments
@@ -250,20 +251,26 @@ func (r *Runner) System() *memsys.System { return r.sys }
 // runner inherit it.
 func (r *Runner) Registry() *obs.Registry { return r.cfg.Registry }
 
-// layout returns, in one fresh slice, the communication stream(s) for
-// data on node followed by comp, so that set[:nComm], set[nComm:] and set
-// are the comm-alone, compute-alone and parallel stream sets (the solver
-// does not depend on order). Comm IDs start above any compute stream id.
-func (r *Runner) layout(node topology.NodeID, comp []memsys.Stream) (set []memsys.Stream, nComm int) {
-	set = make([]memsys.Stream, 0, 2+len(comp))
+// stackSet is the largest point layout MeasurePoint keeps on the stack:
+// a socket of up to 32 cores, the largest of the testbed, plus two comm
+// streams. A larger layout costs one allocation.
+const stackSet = 34
+
+// layout lays out a point's streams in dst's backing array (growing it
+// when too short): comp, then the communication stream(s) for data on
+// node, so that set[:nComp], set[nComp:] and set are the compute-alone,
+// comm-alone and parallel stream sets. Comm IDs start above any compute
+// stream id, so all three sets are in ascending-ID order, which the
+// solver takes without sorting.
+func (r *Runner) layout(dst []memsys.Stream, node topology.NodeID, comp []memsys.Stream) (set []memsys.Stream, nComp int) {
+	set = append(dst[:0], comp...)
 	set = append(set, memsys.Stream{ID: 1 << 20, Kind: memsys.KindComm, Node: node})
 	if r.cfg.Bidirectional {
 		// Ping-pong: the NIC simultaneously reads outgoing data from
 		// the same node (§VI future work).
 		set = append(set, memsys.Stream{ID: 1<<20 + 1, Kind: memsys.KindComm, Node: node})
 	}
-	nComm = len(set)
-	return append(set, comp...), nComm
+	return set, len(comp)
 }
 
 // noiseKey is the label of a point's noise streams up to the metric name:
@@ -315,8 +322,9 @@ func (r *Runner) MeasurePoint(pl model.Placement, n int) (Point, error) {
 	if err := r.checkPlacement(pl); err != nil {
 		return Point{}, err
 	}
-	set, nComm := r.layout(pl.Comm, r.comp[pl.Comp][:n])
-	pt, err := r.measure(pl, n, set, nComm, "")
+	var buf [stackSet]memsys.Stream
+	set, nComp := r.layout(buf[:0], pl.Comm, r.comp[pl.Comp][:n])
+	pt, err := r.measure(pl, n, set, nComp, "")
 	if err != nil {
 		return Point{}, err
 	}
@@ -328,18 +336,18 @@ func (r *Runner) MeasurePoint(pl model.Placement, n int) (Point, error) {
 }
 
 // measure solves the three stream sets of one point, laid out by layout
-// with nComm comm streams first, and applies each bandwidth's noise.
+// with nComp compute streams first, and applies each bandwidth's noise.
 // variant ("" or "mixed") prefixes the noise labels and error messages.
-func (r *Runner) measure(pl model.Placement, n int, set []memsys.Stream, nComm int, variant string) (Point, error) {
+func (r *Runner) measure(pl model.Placement, n int, set []memsys.Stream, nComp int, variant string) (Point, error) {
 	errPrefix, metric := "bench: ", ""
 	if variant != "" {
 		errPrefix, metric = "bench: "+variant+" ", variant+"_"
 	}
-	aloneComp, err := r.sys.SolveInto(set[nComm:], nil)
+	aloneComp, err := r.sys.SolveInto(set[:nComp], nil)
 	if err != nil {
 		return Point{}, fmt.Errorf("%scompute-alone solve: %w", errPrefix, err)
 	}
-	aloneComm, err := r.sys.SolveInto(set[:nComm], nil)
+	aloneComm, err := r.sys.SolveInto(set[nComp:], nil)
 	if err != nil {
 		return Point{}, fmt.Errorf("%scomm-alone solve: %w", errPrefix, err)
 	}

@@ -53,8 +53,8 @@ func (r *Runner) MeasureMixedPoint(pl model.Placement, n int) (Point, error) {
 	if err != nil {
 		return Point{}, err
 	}
-	set, nComm := r.layout(pl.Comm, comp)
-	return r.measure(pl, n, set, nComm, "mixed")
+	set, nComp := r.layout(nil, pl.Comm, comp)
+	return r.measure(pl, n, set, nComp, "mixed")
 }
 
 // RunMixedPlacement sweeps n = 1..NCores (both sockets) for one placement

@@ -238,3 +238,18 @@ func TestCalibrateModelWithOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkCalibrateRunner times the calibration layer on henri: a fresh
+// runner, its two sample sweeps and the parameter fit per iteration.
+func BenchmarkCalibrateRunner(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r, err := bench.NewRunner(bench.Config{Platform: topology.Henri(), Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := CalibrateRunner(r); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -211,3 +211,15 @@ func TestTestbedConfigs(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkEvaluatePlatform times the evaluation layer on henri: a fresh
+// runner, calibration, every placement's sweep and its error scoring per
+// iteration.
+func BenchmarkEvaluatePlatform(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := EvaluatePlatform(bench.Config{Platform: topology.Henri(), Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -18,6 +18,26 @@
 // pyxis' locality-sensitive unstable network, ARM's soft saturation).
 // The quirks are what make the analytical model's predictions err by a few
 // percent instead of matching the simulator exactly.
+//
+// System.SolveInto applies the policy as a fixed sequence of proportional
+// stages, one pass over the streams each, whatever the node count:
+//
+//  1. validation, in input order;
+//  2. classification: each stream's demand, kind and link crossing, and
+//     per memory controller the compute and comm demand sums and the
+//     local, remote and comm stream counts;
+//  3. per-controller arbitration on those sums alone (capacity envelope,
+//     CPU priority, the NIC's decaying reserve above its floor), then
+//     every stream's share of its kind's grant, proportional to demand;
+//  4. mesh pressure on comm streams whose node serves no compute stream;
+//  5. the inter-socket link cap on every stream crossing sockets;
+//  6. the PCIe cap on the NIC's streams, then the totals.
+//
+// Every floating-point sum runs over the streams in ascending-ID order,
+// whatever their order in the caller's slice, so rates and totals are
+// bit-identical for any permutation of the same set. A set whose IDs
+// already ascend is solved in place of a sorted copy; only other orders
+// pay a sort.
 package memsys
 
 import (

@@ -12,8 +12,9 @@ import (
 // over all six built-in profiles: rates are finite, non-negative and
 // never above their demand; the inter-socket link, PCIe and every
 // memory controller stay within capacity; the result does not depend
-// on stream order; and a non-finite demand is an error. The NIC floor
-// is not asserted: the link and PCIe caps apply after it by design.
+// on stream order and matches the reference solver bit for bit; and a
+// non-finite demand is an error. The NIC floor is not asserted: the
+// link and PCIe caps apply after it by design.
 func FuzzSolve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 0, 0, 0, 0})                        // one compute stream at its default demand
@@ -132,6 +133,8 @@ func checkSolve(t *testing.T, sys *System, streams []Stream) {
 	if err != nil {
 		t.Fatalf("%s: shuffled Solve: %v", name, err)
 	}
+	compareSolve(t, sys, streams)
+	compareSolve(t, sys, shuffled)
 	for _, st := range streams {
 		if a, b := alloc.Rate(st.ID), again.Rate(st.ID); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("%s: stream %d got %v, %v after shuffling", name, st.ID, a, b)
@@ -147,5 +150,6 @@ func checkSolve(t *testing.T, sys *System, streams []Stream) {
 		if _, err := sys.Solve(poisoned); err == nil {
 			t.Fatalf("%s: a %v demand solved without error", name, bad)
 		}
+		compareSolve(t, sys, poisoned)
 	}
 }

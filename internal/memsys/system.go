@@ -145,11 +145,37 @@ func (s *System) Solve(streams []Stream) (*Allocation, error) {
 // scratch; a larger one spills a single scratch slice to the heap.
 const stackStreams = 128
 
-// slot is one stream's place in the ID-sorted order SolveInto works in.
+// smallStreams bounds the sets solved in a smaller stack buffer, so a
+// few-stream solve does not zero stackStreams slots it never uses.
+const smallStreams = 32
+
+// stackNodes is the largest NUMA node count whose per-controller
+// aggregates SolveInto keeps on the stack.
+const stackNodes = 8
+
+// slot is one stream's place in the ascending-ID order SolveInto works in.
 type slot struct {
-	i    int32   // index into the caller's stream slice
-	mesh bool    // comm stream on a node no compute stream targets
-	rate float64 // granted bandwidth (GB/s)
+	d     float64 // demand (GB/s), before the cross-socket comm factor
+	rate  float64 // granted bandwidth (GB/s)
+	i     int32   // index into the caller's stream slice
+	flags uint8   // slotComm, slotCross, slotMesh
+}
+
+// Slot flags.
+const (
+	slotComm  uint8 = 1 << iota // NIC DMA stream
+	slotCross                   // data path crosses the inter-socket link
+	slotMesh                    // comm stream on a node no compute stream targets
+)
+
+// controller aggregates the streams one memory controller (NUMA node)
+// serves.
+type controller struct {
+	cf                     float64 // cross-socket factor of comm demand on the node
+	compDemand, commDemand float64 // demand sums, comm demand times cf
+	compScale, commScale   float64 // share of its demand each kind is granted
+	nLocal, nRemote, nComm int32
+	comp                   bool // a compute stream targets the node
 }
 
 // SolveInto is the solver core Solve wraps, without the Rates map: it
@@ -157,51 +183,178 @@ type slot struct {
 // returns the per-kind totals. rates must hold len(streams) elements, or
 // be nil when only the totals are wanted.
 //
-// Every floating-point sum runs over the streams in ascending-ID order,
-// whatever their order in the slice, so rates and totals are bit-identical
-// for any permutation of the same set. Sets of up to stackStreams (128)
-// streams are sorted and solved in fixed-size stack scratch and cost no
+// It makes the fixed sequence of passes the package comment lists over
+// one slot per stream in ascending-ID order. A set whose IDs already
+// ascend, as engine.Flows and bench.Runner pass theirs, is taken in
+// input order; any other order is sorted by ID first. Sets of up to
+// stackStreams (128) streams on platforms of up to stackNodes (8) NUMA
+// nodes are solved in stack scratch sized to the set and cost no
 // allocation; a larger set spills one scratch slice to the heap. System
 // holds no mutable state, so SolveInto is safe for concurrent use.
 func (s *System) SolveInto(streams []Stream, rates []float64) (Totals, error) {
 	if rates != nil && len(rates) != len(streams) {
 		return Totals{}, fmt.Errorf("memsys: %d rates for %d streams", len(rates), len(streams))
 	}
+	switch n := len(streams); {
+	case n <= smallStreams:
+		var buf [smallStreams]slot
+		return s.solve(streams, rates, buf[:n])
+	case n <= stackStreams:
+		var buf [stackStreams]slot
+		return s.solve(streams, rates, buf[:n])
+	default:
+		return s.solve(streams, rates, make([]slot, n))
+	}
+}
+
+// solve is SolveInto over o, a zeroed slot per stream.
+func (s *System) solve(streams []Stream, rates []float64, o []slot) (Totals, error) {
+	nn := s.plat.NNodes()
+	var buf [stackNodes]controller
+	ctl := buf[:min(nn, stackNodes)]
+	if nn > stackNodes {
+		ctl = make([]controller, nn)
+	}
+
+	// Validation, in input order, before anything is solved. It also
+	// notes whether the IDs ascend and which nodes hold compute data.
+	ascending := true
 	for i := range streams {
-		if err := s.checkStream(&streams[i]); err != nil {
+		st := &streams[i]
+		if err := s.checkStream(st); err != nil {
 			return Totals{}, err
 		}
+		if i > 0 && st.ID <= streams[i-1].ID {
+			ascending = false
+		}
+		if st.Kind == KindCompute {
+			ctl[st.Node].comp = true
+		}
+		o[i].i = int32(i)
 	}
-	var buf [stackStreams]slot
-	o := buf[:0]
-	if len(streams) > len(buf) {
-		o = make([]slot, 0, len(streams))
-	}
-	for i := range streams {
-		o = append(o, slot{i: int32(i)})
-	}
-	slices.SortFunc(o, func(a, b slot) int { return cmp.Compare(streams[a.i].ID, streams[b.i].ID) })
-	for k := 1; k < len(o); k++ {
-		if id := streams[o[k].i].ID; id == streams[o[k-1].i].ID {
-			return Totals{}, fmt.Errorf("memsys: duplicate stream id %d", id)
+	if !ascending {
+		slices.SortFunc(o, func(a, b slot) int { return cmp.Compare(streams[a.i].ID, streams[b.i].ID) })
+		for k := 1; k < len(o); k++ {
+			if id := streams[o[k].i].ID; id == streams[o[k-1].i].ID {
+				return Totals{}, fmt.Errorf("memsys: duplicate stream id %d", id)
+			}
 		}
 	}
+	s.commFactors(ctl)
 
-	for node, ok := nextNode(streams, -1); ok; node, ok = nextNode(streams, node) {
-		s.solveNode(streams, o, node)
-	}
-	s.applyMeshPressure(streams, o)
-	s.applyLinkCap(streams, o)
-	s.applyPCIeCap(streams, o)
-
-	var t Totals
-	for _, sl := range o {
-		t.Total += sl.rate
-		if streams[sl.i].Kind == KindCompute {
-			t.ComputeTotal += sl.rate
+	// Classification: each slot takes its stream's demand (a zero Demand
+	// means the core's kernel rate against its node, or the NIC's nominal
+	// rate for its node), kind and link crossing; each controller sums
+	// its compute and comm demand and counts its local, remote and comm
+	// streams. Mesh occupancy is driven by the requests the cores
+	// *issue*, not by the bandwidth they are granted: a core streaming to
+	// a remote node is latency-bound and holds as many mesh slots as a
+	// local stream would, so its occupancy counts its local-equivalent
+	// demand.
+	plat, prof := s.plat, s.prof
+	remoteOcc := prof.PerCoreLocal / prof.PerCoreRemote
+	occDemand, nCompute, allLocalClass := 0.0, 0, true
+	for k := range o {
+		sl := &o[k]
+		st := &streams[sl.i]
+		c := &ctl[st.Node]
+		sock := plat.Nodes[st.Node].Socket
+		sl.d = st.Demand
+		if st.Kind == KindCompute {
+			if sl.d == 0 {
+				sl.d = s.ComputeDemand(st.Core, st.Node)
+			}
+			cross := plat.Cores[st.Core].Socket != sock
+			c.compDemand += sl.d
+			occ := sl.d
+			if cross {
+				sl.flags = slotCross
+				c.nRemote++
+				occ *= remoteOcc
+				allLocalClass = false
+			} else {
+				c.nLocal++
+			}
+			occDemand += occ
+			nCompute++
 		} else {
-			t.CommTotal += sl.rate
+			if sl.d == 0 {
+				sl.d = s.CommDemand(st.Node)
+			}
+			sl.flags = slotComm
+			if plat.NIC.Socket != sock {
+				sl.flags |= slotCross
+			}
+			c.commDemand += sl.d * c.cf
+			c.nComm++
 		}
+	}
+
+	for n := range ctl {
+		if c := &ctl[n]; c.nLocal+c.nRemote+c.nComm > 0 {
+			s.arbitrate(c)
+		}
+	}
+
+	// Rates: each stream's share of its controller's grant to its kind.
+	// A comm stream on a node no compute stream targets is a mesh stream,
+	// summed for mesh pressure.
+	meshSum, meshFloor := 0.0, 0.0
+	for k := range o {
+		sl := &o[k]
+		c := &ctl[streams[sl.i].Node]
+		if sl.flags&slotComm == 0 {
+			sl.rate = sl.d * c.compScale
+			continue
+		}
+		sl.rate = sl.d * c.cf * c.commScale
+		if !c.comp {
+			sl.flags |= slotMesh
+			meshSum += sl.rate
+			meshFloor += prof.CommFloorFrac * sl.d * c.cf
+		}
+	}
+
+	// Mesh pressure on the mesh streams, then the link sum.
+	meshScale := s.meshScale(nCompute, occDemand, allLocalClass, meshSum, meshFloor)
+	linkSum := 0.0
+	for k := range o {
+		sl := &o[k]
+		if sl.flags&slotMesh != 0 {
+			sl.rate *= meshScale
+		}
+		if sl.flags&slotCross != 0 {
+			linkSum += sl.rate
+		}
+	}
+
+	// The inter-socket link cap: every stream whose path crosses sockets
+	// shares LinkCap, and the excess is removed proportionally. Then the
+	// PCIe sum.
+	linkScale := capScale(linkSum, prof.LinkCap)
+	pcieSum := 0.0
+	for k := range o {
+		sl := &o[k]
+		if sl.flags&slotCross != 0 {
+			sl.rate *= linkScale
+		}
+		if sl.flags&slotComm != 0 {
+			pcieSum += sl.rate
+		}
+	}
+
+	// The PCIe cap on the NIC's DMA streams, then the totals.
+	pcieScale := capScale(pcieSum, prof.PCIeCap)
+	var t Totals
+	for k := range o {
+		sl := &o[k]
+		if sl.flags&slotComm != 0 {
+			sl.rate *= pcieScale
+			t.CommTotal += sl.rate
+		} else {
+			t.ComputeTotal += sl.rate
+		}
+		t.Total += sl.rate
 		if rates != nil {
 			rates[sl.i] = sl.rate
 		}
@@ -230,65 +383,34 @@ func (s *System) checkStream(st *Stream) error {
 	return nil
 }
 
-// nextNode returns the lowest NUMA node above after that a stream
-// targets, so the per-controller pass visits exactly the loaded nodes in
-// ascending order.
-func nextNode(streams []Stream, after topology.NodeID) (topology.NodeID, bool) {
-	next, ok := topology.NodeID(0), false
-	for i := range streams {
-		if nd := streams[i].Node; nd > after && (!ok || nd < next) {
-			next, ok = nd, true
-		}
+// commFactors sets each controller's comm factor. On platforms whose
+// network is sensitive to the computation side (pyxis), the NIC slows
+// down when every concurrent computation works on the other socket: comm
+// demand on a node is scaled by Quirks.CrossSocketCommFactor when some
+// compute stream runs and none targets a node of that node's socket.
+func (s *System) commFactors(ctl []controller) {
+	for n := range ctl {
+		ctl[n].cf = 1
 	}
-	return next, ok
-}
-
-// computeDemand is a compute stream's demand: its own, or the core's
-// kernel rate against its node when it leaves Demand at zero.
-func (s *System) computeDemand(st *Stream) float64 {
-	if st.Demand != 0 {
-		return st.Demand
-	}
-	return s.ComputeDemand(st.Core, st.Node)
-}
-
-// commDemand is a comm stream's demand before the quirk factor: its own,
-// or the NIC's nominal rate for its node when it leaves Demand at zero.
-func (s *System) commDemand(st *Stream) float64 {
-	if st.Demand != 0 {
-		return st.Demand
-	}
-	return s.CommDemand(st.Node)
-}
-
-// commFactor reports the quirk factor applied to a comm stream's demand:
-// on platforms whose network is sensitive to the computation side (pyxis),
-// the NIC slows down when every concurrent computation works on the other
-// socket. It looks at the whole set, in any order.
-func (s *System) commFactor(streams []Stream, commNode topology.NodeID) float64 {
 	f := s.prof.Quirks.CrossSocketCommFactor
 	if f == 0 || f == 1 {
-		return 1
+		return
 	}
-	commSocket, err := s.plat.SocketOfNode(commNode)
-	if err != nil {
-		return 1
-	}
-	sawCompute, allOtherSocket := false, true
-	for _, st := range streams {
-		if st.Kind != KindCompute {
-			continue
+	nodes := s.plat.Nodes
+	for n := range ctl {
+		sawCompute, allOtherSocket := false, true
+		for m := range ctl {
+			if ctl[m].comp {
+				sawCompute = true
+				if nodes[m].Socket == nodes[n].Socket {
+					allOtherSocket = false
+				}
+			}
 		}
-		sawCompute = true
-		sock, err := s.plat.SocketOfNode(st.Node)
-		if err == nil && sock == commSocket {
-			allOtherSocket = false
+		if sawCompute && allOtherSocket {
+			ctl[n].cf = f
 		}
 	}
-	if sawCompute && allOtherSocket {
-		return f
-	}
-	return 1
 }
 
 // blendEnv evaluates the class-appropriate envelope for a group: the local
@@ -348,7 +470,7 @@ func (s *System) commReserve(env blendEnv, n int, perCore, commDemand float64, l
 		// resident kernels) do not trigger it.
 		hardStreaming := perCore >= 0.8*s.prof.PerCoreLocal
 		if q.EarlyCommStart > 0 && localClass && hardStreaming && q.EarlyCommStart < onset {
-			pre := math.Min(float64(n), float64(onset-1)) - float64(q.EarlyCommStart) + 1
+			pre := min(float64(n), float64(onset-1)) - float64(q.EarlyCommStart) + 1
 			if pre > 0 {
 				reserve -= q.EarlyCommRate * pre
 			}
@@ -366,71 +488,36 @@ func (s *System) commReserve(env blendEnv, n int, perCore, commDemand float64, l
 	return reserve
 }
 
-// solveNode arbitrates the streams one memory controller serves: two
-// walks over the ID-sorted slots, one to sum the demands and one to grant
-// the rates. Each grant splits the kind's aggregate among its streams in
+// arbitrate grants one memory controller's bandwidth from its aggregates:
+// the cores' demand bounded by the compute envelope (softly on pyxis),
+// the NIC its reserve, and the cores no more than the controller has
+// left beside it. Each kind's grant is split among its streams in
 // proportion to their demands, never above any stream's demand (with
 // equal demands an even split; the split leaves slack only when the
-// aggregate exceeds the total demand, and then every stream gets its full
-// demand).
-func (s *System) solveNode(streams []Stream, o []slot, node topology.NodeID) {
-	q := s.prof.Quirks
-	cf := s.commFactor(streams, node)
-
-	// Aggregate compute and comm demand against this controller (comm at
-	// its nominal rate, locality- and quirk-adjusted).
-	var compDemand, commDemand float64
-	nLocal, nRemote, nComm := 0, 0, 0
-	for _, sl := range o {
-		st := &streams[sl.i]
-		if st.Node != node {
-			continue
-		}
-		if st.Kind == KindCompute {
-			compDemand += s.computeDemand(st)
-			if s.plat.CrossesLink(s.plat.Cores[st.Core].Socket, node) {
-				nRemote++
-			} else {
-				nLocal++
-			}
-		} else {
-			commDemand += s.commDemand(st) * cf
-			nComm++
-		}
-	}
+// grant exceeds the total demand, and then every stream gets its full
+// demand): arbitrate leaves the two split factors in c.
+func (s *System) arbitrate(c *controller) {
+	nLocal, nRemote := int(c.nLocal), int(c.nRemote)
 	n := nLocal + nRemote
 	capCore := blendEnv{&s.coreLocal, &s.coreRemote, nLocal, nRemote}.at(n)
-	compAgg := softmin(compDemand, capCore, q.SoftSaturationGB)
+	compAgg := softmin(c.compDemand, capCore, s.prof.Quirks.SoftSaturationGB)
 
 	commAgg := 0.0
-	if nComm > 0 {
+	if c.nComm > 0 {
 		mixEnv := blendEnv{&s.mixLocal, &s.mixRemote, nLocal, nRemote}
 		capMix := mixEnv.at(n)
 		perCore := 0.0
 		if n > 0 {
-			perCore = compDemand / float64(n)
+			perCore = c.compDemand / float64(n)
 		}
 		// The NIC's share: its nominal demand, gradually decayed once
 		// the system is past the saturation onset, never below the
 		// guaranteed floor, and physically bounded by the controller.
-		commAgg = math.Min(s.commReserve(mixEnv, n, perCore, commDemand, nRemote == 0), capMix)
+		commAgg = min(s.commReserve(mixEnv, n, perCore, c.commDemand, nRemote == 0), capMix)
 		// The cores get what the controller has left.
-		compAgg = math.Min(compAgg, math.Max(0, capMix-commAgg))
+		compAgg = min(compAgg, max(0, capMix-commAgg))
 	}
-
-	compScale, commScale := splitScale(compAgg, compDemand), splitScale(commAgg, commDemand)
-	for k := range o {
-		st := &streams[o[k].i]
-		if st.Node != node {
-			continue
-		}
-		if st.Kind == KindCompute {
-			o[k].rate = s.computeDemand(st) * compScale
-		} else {
-			o[k].rate = s.commDemand(st) * cf * commScale
-			o[k].mesh = n == 0
-		}
-	}
+	c.compScale, c.commScale = splitScale(compAgg, c.compDemand), splitScale(commAgg, c.commDemand)
 }
 
 // splitScale is the factor that splits an aggregate grant agg among
@@ -447,8 +534,14 @@ func splitScale(agg, total float64) float64 {
 	return scale
 }
 
-// applyMeshPressure models contention between NIC DMA and core traffic
-// that do NOT share a memory controller. On real machines the two stream
+// meshScale is the factor mesh pressure applies to the mesh streams, comm
+// streams on nodes no compute stream targets, whose rates sum to meshSum
+// and whose NIC floors sum to meshFloor, when nCompute compute streams
+// issue occDemand of mesh occupancy (allLocalClass when none crosses the
+// link).
+//
+// Mesh pressure models contention between NIC DMA and core traffic that
+// do NOT share a memory controller. On real machines the two stream
 // families still meet in the socket mesh / caching agents, so
 // communications are throttled by concurrent computations in (almost)
 // every placement, not only same-node ones — this is why the paper's
@@ -462,83 +555,33 @@ func splitScale(agg, total float64) float64 {
 // n computing cores, never below the guaranteed NIC floor. Platforms with
 // CommFloorFrac = 1 (occigen) are therefore exempt, matching the paper's
 // observation that occigen never throttles communications.
-func (s *System) applyMeshPressure(streams []Stream, o []slot) {
-	// Mesh occupancy is driven by the requests the cores *issue*, not
-	// by the bandwidth they are granted: a core streaming to a remote
-	// node is latency-bound and holds as many mesh slots as a local
-	// stream would, so its occupancy is counted at its local-equivalent
-	// demand.
-	occDemand := 0.0
-	nCompute := 0
-	allLocalClass := true
-	for _, sl := range o {
-		st := &streams[sl.i]
-		if st.Kind != KindCompute {
-			continue
-		}
-		d := s.computeDemand(st)
-		if s.plat.CrossesLink(s.plat.Cores[st.Core].Socket, st.Node) {
-			allLocalClass = false
-			d *= s.prof.PerCoreLocal / s.prof.PerCoreRemote
-		}
-		occDemand += d
-		nCompute++
+func (s *System) meshScale(nCompute int, occDemand float64, allLocalClass bool, meshSum, meshFloor float64) float64 {
+	if nCompute == 0 || meshSum <= 0 {
+		return 1
 	}
-	if nCompute == 0 {
-		return
-	}
-	nCross := 0
-	curSum, floorSum := 0.0, 0.0
-	for _, sl := range o {
-		if !sl.mesh {
-			continue
-		}
-		st := &streams[sl.i]
-		nCross++
-		curSum += sl.rate
-		floorSum += s.prof.CommFloorFrac * s.commDemand(st) * s.commFactor(streams, st.Node)
-	}
-	if nCross == 0 || curSum <= 0 {
-		return
-	}
-	occupancy := math.Min(occDemand, s.coreLocal.eval(nCompute))
+	occupancy := min(occDemand, s.coreLocal.eval(nCompute))
 	capacityLeft := s.mixLocal.eval(nCompute) - occupancy
 	env := blendEnv{local: &s.mixLocal, nLocal: 1}
-	reserve := s.commReserve(env, nCompute, occDemand/float64(nCompute), curSum, allLocalClass)
-	target := math.Min(curSum, math.Min(capacityLeft, reserve))
-	target = math.Max(target, floorSum)
-	if target >= curSum {
-		return
+	reserve := s.commReserve(env, nCompute, occDemand/float64(nCompute), meshSum, allLocalClass)
+	target := min(meshSum, capacityLeft, reserve)
+	target = max(target, meshFloor)
+	if target >= meshSum {
+		return 1
 	}
 	if target < 0 {
 		target = 0
 	}
-	scale := target / curSum
-	for k := range o {
-		if o[k].mesh {
-			o[k].rate *= scale
-		}
-	}
+	return target / meshSum
 }
 
-// applyLinkCap enforces the inter-socket link capacity: every stream whose
-// path crosses sockets shares LinkCap; excess is removed proportionally.
-func (s *System) applyLinkCap(streams []Stream, o []slot) {
-	totalCross := 0.0
-	for _, sl := range o {
-		if s.crossesLink(streams[sl.i]) {
-			totalCross += sl.rate
-		}
+// capScale is the factor that brings streams whose rates sum to total
+// within a shared capacity: the excess removed proportionally, or 1 when
+// they fit.
+func capScale(total, capacity float64) float64 {
+	if total <= capacity || total == 0 {
+		return 1
 	}
-	if totalCross <= s.prof.LinkCap || totalCross == 0 {
-		return
-	}
-	scale := s.prof.LinkCap / totalCross
-	for k := range o {
-		if s.crossesLink(streams[o[k].i]) {
-			o[k].rate *= scale
-		}
-	}
+	return capacity / total
 }
 
 // crossesLink reports whether a stream's data path traverses the
@@ -556,8 +599,8 @@ func (s *System) crossesLink(st Stream) bool {
 
 // Links names the shared resources a stream's data path occupies, in
 // traversal order from the issuer to the memory: "pcie" (NIC DMA
-// streams, bounded by applyPCIeCap), "xlink" (the inter-socket link,
-// bounded by applyLinkCap) and "node<N>" (the memory controller of the
+// streams, bounded by the PCIe cap), "xlink" (the inter-socket link,
+// bounded by the link cap) and "node<N>" (the memory controller of the
 // data's NUMA node). Profilers use it to attribute bandwidth shares per
 // contended resource.
 func (s *System) Links(st Stream) []string {
@@ -569,23 +612,4 @@ func (s *System) Links(st Stream) []string {
 		links = append(links, "xlink")
 	}
 	return append(links, fmt.Sprintf("node%d", st.Node))
-}
-
-// applyPCIeCap bounds the sum of NIC DMA streams by the PCIe capacity.
-func (s *System) applyPCIeCap(streams []Stream, o []slot) {
-	total := 0.0
-	for _, sl := range o {
-		if streams[sl.i].Kind == KindComm {
-			total += sl.rate
-		}
-	}
-	if total <= s.prof.PCIeCap || total == 0 {
-		return
-	}
-	scale := s.prof.PCIeCap / total
-	for k := range o {
-		if streams[o[k].i].Kind == KindComm {
-			o[k].rate *= scale
-		}
-	}
 }

@@ -207,26 +207,6 @@ func ArgmaxTolerant(xs []float64, relTol float64) int {
 	return idx
 }
 
-// ArgmaxLastTolerant returns the index of the *last* element within relTol of
-// the maximum — the right edge of a plateau. Empty input returns -1.
-func ArgmaxLastTolerant(xs []float64, relTol float64) int {
-	m, idx := Max(xs)
-	if idx < 0 {
-		return -1
-	}
-	if m <= 0 {
-		return idx
-	}
-	thresh := m * (1 - relTol)
-	last := idx
-	for i, x := range xs {
-		if x >= thresh {
-			last = i
-		}
-	}
-	return last
-}
-
 // SlopeBetween returns the per-step slope of ys between indices i and j,
 // i.e. (ys[j]−ys[i])/(j−i). It returns 0 when i == j.
 func SlopeBetween(ys []float64, i, j int) float64 {

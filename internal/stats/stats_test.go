@@ -126,9 +126,6 @@ func TestArgmaxTolerant(t *testing.T) {
 	if i := ArgmaxTolerant(xs, 0); i != 3 {
 		t.Errorf("ArgmaxTolerant(tol=0) = %d, want 3 (strict max)", i)
 	}
-	if i := ArgmaxLastTolerant(xs, 0.005); i != 3 {
-		t.Errorf("ArgmaxLastTolerant = %d, want 3", i)
-	}
 	if ArgmaxTolerant(nil, 0.01) != -1 {
 		t.Error("empty input must return -1")
 	}
