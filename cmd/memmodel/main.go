@@ -41,7 +41,6 @@ import (
 	"memcontention/internal/campaign"
 	"memcontention/internal/checkpoint"
 	"memcontention/internal/engine"
-	"memcontention/internal/eval"
 	"memcontention/internal/export"
 	"memcontention/internal/model"
 	"memcontention/internal/obs"
@@ -53,15 +52,12 @@ import (
 type options struct {
 	platform         string
 	seed             uint64
-	seedSet          bool // -seed given explicitly (pins a remote campaign's seed)
 	jsonOut, predict bool
 	n, comp, comm    int
 	faultsPath       string
 	robust           bool
 	robustTrials     int
 	workers          int
-	remote           bool
-	shards           string
 	replications     int
 }
 
@@ -77,25 +73,13 @@ func main() {
 	flag.StringVar(&o.faultsPath, "faults", "", "fault plan JSON file: run the DES cross-check under this plan")
 	flag.BoolVar(&o.robust, "robust", false, "print how calibration errors degrade with benchmark noise")
 	flag.IntVar(&o.robustTrials, "robust-trials", 5, "noise realizations per amplitude for -robust")
-	var workersFlag string
-	flag.StringVar(&workersFlag, "workers", "0", `parallel evaluations for -replications (0: GOMAXPROCS), or "remote": finalize a lease-coordinated multi-process campaign in -shards (docs/campaigns.md)`)
-	flag.StringVar(&o.shards, "shards", "", "campaign directory for -workers remote")
+	flag.IntVar(&o.workers, "workers", 0, "parallel evaluations for -replications (0: GOMAXPROCS)")
 	flag.IntVar(&o.replications, "replications", 1, "Monte-Carlo replication sweep: evaluate this many consecutive seeds and print the platform's Table II errors as mean ± 95% CI")
 	var cli obs.CLI
 	cli.Register(flag.CommandLine, true)
 	var ckpt checkpoint.CLI
 	ckpt.Register(flag.CommandLine)
 	flag.Parse()
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			o.seedSet = true
-		}
-	})
-	var perr error
-	if o.workers, o.remote, perr = campaign.ParseWorkers(workersFlag); perr != nil {
-		fmt.Fprintln(os.Stderr, "memmodel:", perr)
-		os.Exit(2)
-	}
 
 	ctx, stop := checkpoint.SignalContext()
 	err := run(ctx, os.Stdout, o, &ckpt, &cli)
@@ -108,8 +92,8 @@ func main() {
 // run opens the journal and executes the command core; split from main so
 // tests can drive the full logic with their own context and journal.
 func run(ctx context.Context, w io.Writer, o options, ckpt *checkpoint.CLI, cli *obs.CLI) error {
-	if o.remote {
-		return remoteFinalize(ctx, w, o)
+	if o.workers < 0 {
+		return fmt.Errorf("-workers %d: must be a non-negative worker count (0: GOMAXPROCS)", o.workers)
 	}
 	j, err := ckpt.Open()
 	if err != nil {
@@ -117,39 +101,6 @@ func run(ctx context.Context, w io.Writer, o options, ckpt *checkpoint.CLI, cli 
 	}
 	defer j.Close()
 	return modelCampaign(ctx, w, j, o, cli)
-}
-
-// remoteFinalize is the -workers remote path: wait for a memworker
-// fleet to complete the campaign in -shards, merge every shard journal
-// (all fencing epochs) and print the assembled Table II (plus the
-// replication summary when the campaign ran one). The platform list,
-// seed and replication width come from the campaign's manifest; an
-// explicitly conflicting -seed or -replications is rejected with the
-// exact disagreement.
-func remoteFinalize(ctx context.Context, w io.Writer, o options) error {
-	if o.shards == "" {
-		return errors.New("-workers remote requires -shards <campaign dir>")
-	}
-	seed := o.seed
-	if !o.seedSet {
-		seed = 0 // inherit the manifest's seed
-	}
-	res, err := campaign.RemoteMerge(campaign.Config{
-		Seed:         seed,
-		Replications: o.replications,
-		Context:      ctx,
-	}, campaign.RemoteOptions{Dir: o.shards}, nil)
-	if err != nil {
-		return err
-	}
-	if err := eval.Table2(res.Artifacts.Platforms).WriteText(w); err != nil {
-		return err
-	}
-	if rep := res.Artifacts.Replications; rep != nil {
-		fmt.Fprintln(w)
-		return rep.Table().WriteText(w)
-	}
-	return nil
 }
 
 func modelCampaign(ctx context.Context, w io.Writer, j *checkpoint.Journal, o options, cli *obs.CLI) (err error) {

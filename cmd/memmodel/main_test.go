@@ -106,4 +106,8 @@ func TestReplicationSweepOutput(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), again.Bytes()) {
 		t.Fatal("replication sweep is not deterministic")
 	}
+	o.workers = -1
+	if err := run(context.Background(), &bytes.Buffer{}, o, &checkpoint.CLI{}, &obs.CLI{}); err == nil {
+		t.Fatal("a negative -workers must be rejected")
+	}
 }

@@ -14,24 +14,25 @@
 //	                                    # pin parameters when starting fresh
 //	memworker -dir run/ -lease-ttl 30s -heartbeat 5s
 //	memworker -dir run/ -merge -out results/
-//	                                    # finalize: wait, merge, write artifacts
+//	                                    # finalize: wait, merge, print Table II,
+//	                                    # write every artifact paperfigs -out writes
 //
 // The first worker to touch the directory writes campaign.json pinning
-// (seed, platforms, shards, replications); joining workers inherit it,
-// and explicitly conflicting flags are rejected with the exact
-// disagreement. SIGINT/SIGTERM shuts down in two stages: the first
-// signal stops at the next unit boundary and releases all held leases
-// (successors claim them immediately, no TTL wait); a second signal
-// exits right away with status 130 — completed units are already
-// fsynced and the abandoned leases expire on their own. A unit that fails
-// (or panics) on every attempt is quarantined: the worker journals
-// everything else, lists the quarantined units in its closing output and
-// exits with the quarantine error.
+// (seed, platforms, shards, replications); joining workers and the
+// finalizer inherit every parameter they do not set, and explicitly
+// conflicting flags are rejected with the exact disagreement.
+// SIGINT/SIGTERM shuts down in two stages: the first signal stops at the
+// next unit boundary and releases all held leases (successors claim them
+// immediately, no TTL wait); a second signal exits right away with status
+// 130 — completed units are already fsynced and the abandoned leases
+// expire on their own. A unit that fails (or panics) on every attempt is
+// quarantined: the worker journals everything else, lists the
+// quarantined units in its closing output and exits with the quarantine
+// error.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,6 +43,7 @@ import (
 
 	"memcontention/internal/campaign"
 	"memcontention/internal/checkpoint"
+	"memcontention/internal/eval"
 	"memcontention/internal/lease"
 	"memcontention/internal/topology"
 )
@@ -58,11 +60,6 @@ type options struct {
 	merge        bool
 	out          string
 	unitDelay    time.Duration
-
-	// set records which flags were given explicitly, so a joining
-	// worker only argues with the manifest about values the user
-	// actually asked for.
-	set map[string]bool
 }
 
 func main() {
@@ -84,22 +81,23 @@ func main() {
 func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	var o options
 	fs.StringVar(&o.dir, "dir", "", "campaign directory (required): shard journals, leases/, campaign.json")
-	fs.Uint64Var(&o.seed, "seed", 1, "measurement noise seed (pinned by campaign.json once the campaign exists)")
-	fs.StringVar(&o.platforms, "platforms", "", "comma-separated platform names (default: the full testbed; pinned by campaign.json)")
-	fs.IntVar(&o.shards, "shard-count", 0, "number of shards (0: GOMAXPROCS; pinned by campaign.json)")
-	fs.IntVar(&o.replications, "replications", 1, "Monte-Carlo replication sweep width (pinned by campaign.json)")
+	fs.Uint64Var(&o.seed, "seed", 0, "measurement noise seed (default: the campaign's; 1 for a new campaign)")
+	fs.StringVar(&o.platforms, "platforms", "", "comma-separated platform names (default: the campaign's; the full testbed for a new campaign)")
+	fs.IntVar(&o.shards, "shard-count", 0, "number of shards (default: the campaign's; GOMAXPROCS for a new campaign)")
+	fs.IntVar(&o.replications, "replications", 0, "Monte-Carlo replication sweep width (default: the campaign's; 1 for a new campaign)")
 	fs.DurationVar(&o.ttl, "lease-ttl", 0, "lease time-to-live: how long after its last heartbeat a worker is presumed dead (default 15s)")
 	fs.DurationVar(&o.heartbeat, "heartbeat", 0, "lease renewal interval (default TTL/5; must be < TTL/3)")
 	fs.BoolVar(&o.merge, "merge", false, "finalize instead of working: wait for every unit, merge all shard journals, assemble artifacts")
-	fs.StringVar(&o.out, "out", "", "with -merge: write the pipeline artifacts into this directory")
+	fs.StringVar(&o.out, "out", "", "with -merge: write every artifact into this directory")
 	fs.DurationVar(&o.unitDelay, "unit-delay", 0, "test throttle: sleep this long before each unit (gives kill-based harnesses a window)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	o.set = map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
 	if o.dir == "" {
 		return o, fmt.Errorf("-dir is required: the campaign directory is the rendezvous point")
+	}
+	if o.out != "" && !o.merge {
+		return o, fmt.Errorf("-out needs -merge: a worker journals units, only the finalizer writes artifacts")
 	}
 	if fs.NArg() > 0 {
 		return o, fmt.Errorf("unexpected arguments: %v", fs.Args())
@@ -107,44 +105,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	return o, nil
 }
 
-// manifestWant assembles the manifest this invocation asks for: the
-// existing campaign.json where present (the campaign's authority),
-// overridden only by flags the user passed explicitly — so joining with
-// plain `memworker -dir run/` always agrees, while an explicit
-// conflicting flag is rejected by EnsureManifest with the exact field.
-func manifestWant(o options) (campaign.Manifest, error) {
-	want := campaign.Manifest{
-		Seed:         o.seed,
-		Platforms:    splitPlatforms(o.platforms),
-		Shards:       o.shards,
-		Replications: normReplications(o.replications),
-	}
-	have, err := campaign.LoadManifest(o.dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			if len(want.Platforms) == 0 {
-				want.Platforms = campaign.TestbedNames()
-			}
-			return want, nil
-		}
-		return campaign.Manifest{}, err
-	}
-	if !o.set["seed"] {
-		want.Seed = have.Seed
-	}
-	if !o.set["platforms"] {
-		want.Platforms = have.Platforms
-	}
-	if !o.set["shard-count"] || o.shards == 0 {
-		want.Shards = have.Shards
-	}
-	if !o.set["replications"] {
-		want.Replications = have.Replications
-	}
-	return want, nil
-}
-
-// splitPlatforms parses the -platforms list ("" means default testbed).
+// splitPlatforms parses the -platforms list ("" means the campaign's).
 func splitPlatforms(s string) []string {
 	if s == "" {
 		return nil
@@ -158,23 +119,11 @@ func splitPlatforms(s string) []string {
 	return names
 }
 
-// normReplications maps the CLI convention (0 and 1 both mean a single
-// replication) onto the manifest's canonical form.
-func normReplications(r int) int {
-	if r <= 1 {
-		return 0
-	}
-	return r
-}
-
 // run executes the worker (or finalizer) core; split from main so tests
 // can drive the full logic with their own context and output sink.
 func run(ctx context.Context, w io.Writer, o options) error {
-	want, err := manifestWant(o)
-	if err != nil {
-		return err
-	}
-	for _, name := range want.Platforms {
+	names := splitPlatforms(o.platforms)
+	for _, name := range names {
 		if _, err := topology.ByName(name); err != nil {
 			return err
 		}
@@ -187,16 +136,19 @@ func run(ctx context.Context, w io.Writer, o options) error {
 	if err := lcfg.Validate(); err != nil {
 		return err
 	}
-	cfg := campaign.Config{Seed: want.Seed, Replications: want.Replications, Context: ctx}
-	opts := campaign.RemoteOptions{Dir: o.dir, Shards: want.Shards, Lease: lcfg}
+	// Flags left unset are zero, and RemoteWorker and RemoteMerge take
+	// every zero parameter from campaign.json (the campaign defaults when
+	// the directory is new).
+	cfg := campaign.Config{Seed: o.seed, Replications: o.replications, Context: ctx}
+	opts := campaign.RemoteOptions{Dir: o.dir, Shards: o.shards, Lease: lcfg}
 	if o.unitDelay > 0 {
 		opts.UnitStart = func(shard int, key string) { time.Sleep(o.unitDelay) }
 	}
 
 	if o.merge {
-		return runMerge(w, cfg, opts, want, o.out)
+		return runMerge(w, cfg, opts, names, o.out)
 	}
-	rep, err := campaign.RemoteWorker(cfg, opts, want.Platforms)
+	rep, err := campaign.RemoteWorker(cfg, opts, names)
 	if rep != nil {
 		writeReport(w, rep)
 	}
@@ -219,25 +171,31 @@ func writeReport(w io.Writer, rep *campaign.RemoteReport) {
 }
 
 // runMerge is the finalize path: wait for completion, merge every epoch
-// of every shard, replay the sequential assembly, optionally write the
-// artifact files.
-func runMerge(w io.Writer, cfg campaign.Config, opts campaign.RemoteOptions, want campaign.Manifest, out string) error {
-	res, err := campaign.RemoteMerge(cfg, opts, want.Platforms)
+// of every shard, replay the sequential assembly, print Table II (and the
+// replication summary), and optionally write every artifact file.
+func runMerge(w io.Writer, cfg campaign.Config, opts campaign.RemoteOptions, names []string, out string) error {
+	res, err := campaign.RemoteMerge(cfg, opts, names)
 	if err != nil {
 		return err
 	}
+	art := res.Artifacts
 	fmt.Fprintf(w, "memworker: merged campaign %s (%d platforms, seed %d)\n",
-		opts.Dir, len(want.Platforms), want.Seed)
-	if art := res.Artifacts; art != nil && art.Replications != nil {
+		opts.Dir, len(art.Platforms), art.Seed)
+	if err := eval.Table2(art.Platforms).WriteText(w); err != nil {
+		return err
+	}
+	if art.Replications != nil {
+		fmt.Fprintln(w)
 		if err := art.Replications.Table().WriteText(w); err != nil {
 			return err
 		}
 	}
-	if out != "" {
-		if err := res.Artifacts.Write(out); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote artifacts to %s\n", out)
+	if out == "" {
+		return nil
 	}
-	return nil
+	if err := art.Write(out); err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "wrote artifacts to %s\n", out)
+	return err
 }

@@ -15,8 +15,9 @@
 //	paperfigs -table 2 -replications 10   # Table II as mean ± 95% CI over 10 seeds
 //	paperfigs -workers 8 -shards run/ -out results/
 //	                           # 8 in-process lease workers over run/ (docs/campaigns.md)
-//	paperfigs -workers remote -shards run/ -out results/
-//	                           # finalize a memworker fleet's remote campaign
+//
+// A fleet of memworker processes is finalized by memworker -merge, which
+// writes the same artifacts (docs/campaigns.md).
 //
 // With -checkpoint the evaluations are crash-safe (see docs/resilience.md):
 // every completed placement curve and platform evaluation is journaled,
@@ -33,24 +34,18 @@
 package main
 
 import (
-	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
-	"memcontention/internal/atomicio"
-	"memcontention/internal/bench"
 	"memcontention/internal/campaign"
 	"memcontention/internal/checkpoint"
 	"memcontention/internal/eval"
-	"memcontention/internal/export"
-	"memcontention/internal/model"
 	"memcontention/internal/obs"
 	"memcontention/internal/plot"
-	"memcontention/internal/report"
 	"memcontention/internal/topology"
 )
 
@@ -59,9 +54,7 @@ type options struct {
 	table, fig   int
 	out          string
 	seed         uint64
-	seedSet      bool // -seed given explicitly (pins a remote campaign's seed)
 	workers      int
-	remote       bool
 	replications int
 	shards       string
 	ascii        bool
@@ -73,8 +66,7 @@ func main() {
 	flag.IntVar(&o.fig, "fig", 0, "emit only this figure (2..8)")
 	flag.StringVar(&o.out, "out", "", "write artifacts into this directory instead of stdout")
 	flag.Uint64Var(&o.seed, "seed", 1, "measurement noise seed")
-	var workersFlag string
-	flag.StringVar(&workersFlag, "workers", "0", `parallel evaluations (0: GOMAXPROCS), or "remote": finalize a lease-coordinated multi-process campaign in -shards (docs/campaigns.md)`)
+	flag.IntVar(&o.workers, "workers", 0, "parallel evaluations, or in-process lease workers with -shards (0: GOMAXPROCS)")
 	flag.IntVar(&o.replications, "replications", 1, "Monte-Carlo replication sweep: evaluate this many consecutive seeds and report Table II errors as mean ± 95% CI")
 	flag.StringVar(&o.shards, "shards", "", "run the pipeline as a lease campaign in this directory on -workers in-process workers (crash-safe, resumable, readable by memtop -dir; see docs/campaigns.md)")
 	flag.BoolVar(&o.ascii, "plot", false, "render figures as ASCII charts instead of CSV")
@@ -83,16 +75,6 @@ func main() {
 	var ckpt checkpoint.CLI
 	ckpt.Register(flag.CommandLine)
 	flag.Parse()
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
-			o.seedSet = true
-		}
-	})
-	var perr error
-	if o.workers, o.remote, perr = campaign.ParseWorkers(workersFlag); perr != nil {
-		fmt.Fprintln(os.Stderr, "paperfigs:", perr)
-		os.Exit(2)
-	}
 
 	ctx, stop := checkpoint.SignalContext()
 	err := run(ctx, os.Stdout, o, &ckpt, &cli)
@@ -100,17 +82,6 @@ func main() {
 	if code := checkpoint.Report(os.Stderr, "paperfigs", err); code != 0 {
 		os.Exit(code)
 	}
-}
-
-// figPlatform maps figure numbers to platforms.
-var figPlatform = map[int]string{
-	2: "henri-subnuma",
-	3: "henri",
-	4: "henri-subnuma",
-	5: "diablo",
-	6: "occigen",
-	7: "pyxis",
-	8: "dahu",
 }
 
 // run opens the journal and executes the command core; split from main so
@@ -145,83 +116,65 @@ func run(ctx context.Context, w io.Writer, o options, ckpt *checkpoint.CLI, cli 
 // (shared by the parallel evaluations; nil disables instrumentation) and
 // checkpointing completed units in j (nil disables checkpointing).
 func dispatch(ctx context.Context, w io.Writer, o options, j *checkpoint.Journal, reg *obs.Registry) error {
+	if o.workers < 0 {
+		return fmt.Errorf("-workers %d: must be a non-negative worker count (0: GOMAXPROCS)", o.workers)
+	}
 	if o.table == 1 {
 		return eval.Table1(topology.Testbed()).WriteText(w)
 	}
-	// Everything else needs evaluations; run them in parallel.
-	need := map[string]bool{}
-	switch {
-	case o.table == 2:
-		for _, p := range topology.Testbed() {
-			need[p.Name] = true
+	// Everything else needs evaluations: the figure's platform for -fig,
+	// the whole testbed otherwise.
+	names := campaign.TestbedNames()
+	var fig eval.PaperFigure
+	if o.table != 2 && o.fig != 0 {
+		for _, f := range eval.PaperFigures {
+			if f.Number == o.fig {
+				fig = f
+			}
 		}
-	case o.fig != 0:
-		name, ok := figPlatform[o.fig]
-		if !ok {
+		if fig.Platform == "" {
 			return fmt.Errorf("unknown figure %d (valid: 2..8)", o.fig)
 		}
-		need[name] = true
-	default:
-		for _, p := range topology.Testbed() {
-			need[p.Name] = true
+		if o.replications > 1 {
+			return errors.New("-replications applies to Table II; a figure shows one seed, so it cannot be combined with -fig")
 		}
-	}
-	var names []string
-	for _, p := range topology.Testbed() { // stable Table I order
-		if need[p.Name] {
-			names = append(names, p.Name)
-		}
+		names = []string{fig.Platform}
 	}
 	art, err := evaluate(ctx, o, j, reg, names)
 	if err != nil {
 		return err
 	}
-	results, rep := art.Platforms, art.Replications
-	byName := map[string]*eval.PlatformResult{}
-	for _, r := range results {
-		byName[r.Platform] = r
-	}
 
 	switch {
 	case o.table == 2:
-		if err := eval.Table2(results).WriteText(w); err != nil {
+		if err := eval.Table2(art.Platforms).WriteText(w); err != nil {
 			return err
 		}
-		return writeReplications(w, rep)
-	case o.fig == 2:
-		r, err := figureResult(byName, 2, "henri-subnuma")
-		if err != nil {
-			return err
-		}
-		st, err := eval.StackedFor(r, model.Placement{Comp: 0, Comm: 0})
-		if err != nil {
-			return err
-		}
-		return st.WriteCSV(w)
+		return writeReplications(w, art.Replications)
 	case o.fig != 0:
-		r, err := figureResult(byName, o.fig, figPlatform[o.fig])
-		if err != nil {
-			return err
+		if o.ascii && !fig.Stacked {
+			return writeASCII(w, eval.FigureFor(fig.Name, art.Platforms[0]))
 		}
-		figure := eval.FigureFor(fmt.Sprintf("figure%d", o.fig), r)
-		if o.ascii {
-			return writeASCII(w, figure)
-		}
-		return figure.WriteCSV(w)
+		return fig.WriteCSV(w, art.Platforms[0])
 	case o.out != "":
-		return writeAll(w, o.out, art, byName)
-	default:
-		if err := printAll(w, results, byName); err != nil {
+		if err := art.Write(o.out); err != nil {
 			return err
 		}
-		return writeReplications(w, rep)
+		_, err := fmt.Fprintf(w, "wrote artifacts to %s\n", o.out)
+		return err
+	default:
+		if err := printAll(w, art.Platforms); err != nil {
+			return err
+		}
+		return writeReplications(w, art.Replications)
 	}
 }
 
 // evaluate runs the needed platform evaluations — as a lease campaign
 // when -shards names a campaign directory, on the plain parallel sweep
 // otherwise — plus the replication sweep when asked. The artifacts carry
-// the effective seed: a remote campaign's comes from its manifest.
+// the seed, the evaluations and the replication summary, and nothing
+// else: every mode writes the same files.
 func evaluate(ctx context.Context, o options, j *checkpoint.Journal, reg *obs.Registry, names []string) (*campaign.Artifacts, error) {
 	cfg := campaign.Config{
 		Seed:         o.seed,
@@ -231,32 +184,13 @@ func evaluate(ctx context.Context, o options, j *checkpoint.Journal, reg *obs.Re
 		Journal:      j,
 		Registry:     reg,
 	}
-	if o.remote {
-		// Finalize a lease-coordinated multi-process campaign: wait for
-		// the memworker fleet to journal every unit, merge all epochs,
-		// and replay the sequential assembly (docs/campaigns.md). The
-		// platform list, seed and replication width come from the
-		// campaign's manifest; only explicitly passed flags are pinned
-		// against it.
-		if o.shards == "" {
-			return nil, fmt.Errorf("-workers remote requires -shards <campaign dir>")
-		}
-		rcfg := cfg
-		if !o.seedSet {
-			rcfg.Seed = 0 // inherit the manifest's seed
-		}
-		res, err := campaign.RemoteMerge(rcfg, campaign.RemoteOptions{Dir: o.shards}, nil)
-		if err != nil {
-			return nil, err
-		}
-		return res.Artifacts, nil
-	}
 	if o.shards != "" {
 		res, err := campaign.RunLocal(cfg, campaign.RemoteOptions{Dir: o.shards}, names)
 		if err != nil {
 			return nil, err
 		}
-		return res.Artifacts, nil
+		a := res.Artifacts
+		return &campaign.Artifacts{Seed: a.Seed, Platforms: a.Platforms, Replications: a.Replications}, nil
 	}
 	results, err := campaign.EvaluatePlatforms(cfg, names)
 	if err != nil {
@@ -316,17 +250,9 @@ func writeASCII(w io.Writer, figure *eval.Figure) error {
 	return nil
 }
 
-// figureResult looks up the evaluation a figure needs. Sequential and
-// sharded runs always evaluate the figure's platform, but a remote
-// campaign's platform set comes from its manifest and may not cover it.
-func figureResult(byName map[string]*eval.PlatformResult, fig int, platform string) (*eval.PlatformResult, error) {
-	if r := byName[platform]; r != nil {
-		return r, nil
-	}
-	return nil, fmt.Errorf("figure %d needs platform %s, which this campaign does not cover", fig, platform)
-}
-
-func printAll(w io.Writer, results []*eval.PlatformResult, byName map[string]*eval.PlatformResult) error {
+// printAll writes Tables I–II and Figures 2–8 as text. results cover the
+// whole testbed, so every figure's platform is among them.
+func printAll(w io.Writer, results []*eval.PlatformResult) error {
 	if err := eval.Table1(topology.Testbed()).WriteText(w); err != nil {
 		return err
 	}
@@ -335,109 +261,20 @@ func printAll(w io.Writer, results []*eval.PlatformResult, byName map[string]*ev
 		return err
 	}
 	fmt.Fprintln(w)
-	if r := byName["henri-subnuma"]; r != nil {
-		st, err := eval.StackedFor(r, model.Placement{Comp: 0, Comm: 0})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "FIGURE 2 — stacked bandwidths (henri-subnuma, comp@0/comm@0):")
-		if err := st.WriteCSV(w); err != nil {
-			return err
-		}
-	}
-	for figNo := 3; figNo <= 8; figNo++ {
-		r := byName[figPlatform[figNo]]
-		if r == nil {
-			continue // the campaign does not cover this figure's platform
-		}
-		fmt.Fprintf(w, "\nFIGURE %d — %s:\n", figNo, r.Platform)
-		if err := eval.FigureFor(fmt.Sprintf("figure%d", figNo), r).WriteCSV(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeAll writes every artifact of art into dir; the per-platform
-// reports re-derive their ablations from a runner at art.Seed, the seed
-// the evaluations ran at.
-func writeAll(w io.Writer, dir string, art *campaign.Artifacts, byName map[string]*eval.PlatformResult) error {
-	results, rep := art.Platforms, art.Replications
-	if err := atomicio.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	// Artifacts are rendered in memory and written atomically + durably
-	// (temp file + fsync + rename): a crash mid-write never leaves a
-	// torn or half-written result file behind.
-	write := func(name string, fn func(f io.Writer) error) error {
-		var buf bytes.Buffer
-		if err := fn(&buf); err != nil {
-			return err
-		}
-		return atomicio.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644)
-	}
-	if err := write("table1.txt", func(f io.Writer) error {
-		return eval.Table1(topology.Testbed()).WriteText(f)
-	}); err != nil {
-		return err
-	}
-	if err := write("table2.txt", func(f io.Writer) error {
-		return eval.Table2(results).WriteText(f)
-	}); err != nil {
-		return err
-	}
-	if err := write("table2.json", func(f io.Writer) error {
-		return export.WriteJSON(f, results)
-	}); err != nil {
-		return err
-	}
-	if rep != nil {
-		if err := write("replications.txt", func(f io.Writer) error {
-			return rep.Table().WriteText(f)
-		}); err != nil {
-			return err
-		}
-		if err := write("replications.json", func(f io.Writer) error {
-			return export.WriteJSON(f, rep)
-		}); err != nil {
-			return err
-		}
-	}
-	if r := byName["henri-subnuma"]; r != nil {
-		st, err := eval.StackedFor(r, model.Placement{Comp: 0, Comm: 0})
-		if err != nil {
-			return err
-		}
-		if err := write("figure2.csv", st.WriteCSV); err != nil {
-			return err
-		}
-	}
-	for figNo := 3; figNo <= 8; figNo++ {
-		r := byName[figPlatform[figNo]]
-		if r == nil {
-			continue // the campaign does not cover this figure's platform
-		}
-		fig := eval.FigureFor(fmt.Sprintf("figure%d", figNo), r)
-		if err := write(fmt.Sprintf("figure%d.csv", figNo), fig.WriteCSV); err != nil {
-			return err
-		}
-	}
+	byName := make(map[string]*eval.PlatformResult, len(results))
 	for _, r := range results {
-		r := r
-		if err := write("report-"+r.Platform+".txt", func(f io.Writer) error {
-			plat, err := topology.ByName(r.Platform)
-			if err != nil {
-				return err
-			}
-			runner, err := bench.NewRunner(bench.Config{Platform: plat, Seed: art.Seed})
-			if err != nil {
-				return err
-			}
-			return report.Write(f, r, runner)
-		}); err != nil {
+		byName[r.Platform] = r
+	}
+	for _, f := range eval.PaperFigures {
+		r := byName[f.Platform]
+		if f.Stacked {
+			fmt.Fprintf(w, "FIGURE %d — stacked bandwidths (%s, comp@0/comm@0):\n", f.Number, r.Platform)
+		} else {
+			fmt.Fprintf(w, "\nFIGURE %d — %s:\n", f.Number, r.Platform)
+		}
+		if err := f.WriteCSV(w, r); err != nil {
 			return err
 		}
 	}
-	fmt.Fprintf(w, "wrote artifacts to %s\n", dir)
 	return nil
 }

@@ -137,3 +137,22 @@ func TestSeedReachesReports(t *testing.T) {
 		}
 	}
 }
+
+// TestDispatchRejectsBadUsage: a negative -workers, and -fig with
+// -replications > 1 (a figure shows one seed), are refused before any
+// evaluation runs; on the canceled context an evaluation would fail with
+// a cancellation instead.
+func TestDispatchRejectsBadUsage(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, o := range []options{
+		{table: 1, seed: 1, workers: -1, replications: 1},
+		{fig: 3, seed: 1, replications: 2},
+	} {
+		var out bytes.Buffer
+		err := dispatch(ctx, &out, o, nil, nil)
+		if err == nil || checkpoint.IsCanceled(err) || out.Len() != 0 {
+			t.Errorf("%+v: got %v (output %q), want a usage error before any evaluation", o, err, out.String())
+		}
+	}
+}

@@ -3,17 +3,22 @@ package campaign
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"path/filepath"
 
 	"memcontention/internal/atomicio"
+	"memcontention/internal/bench"
 	"memcontention/internal/eval"
 	"memcontention/internal/export"
 	"memcontention/internal/netbench"
+	"memcontention/internal/report"
+	"memcontention/internal/topology"
 )
 
-// Artifacts is the final output of a full pipeline run: everything needed
-// to regenerate the paper's Table II plus the network sweep and the DES
-// cross-check outcome. All content is deterministic in (seed, config), so
+// Artifacts is the final output of a campaign: the platform evaluations
+// behind the paper's Tables I–II, Figures 2–8 and per-platform reports,
+// plus the network sweep and the DES cross-check outcome when the
+// campaign ran them. All content is deterministic in (seed, config), so
 // two runs of the same pipeline — interrupted and resumed any number of
 // times — produce byte-identical files from Write.
 type Artifacts struct {
@@ -59,49 +64,91 @@ func Pipeline(cfg Config, names []string) (*Artifacts, error) {
 	return art, nil
 }
 
-// Write stores the artifacts in dir: table2.json / table2.txt (the model
-// errors in machine and paper form), netbench.json, crosscheck.json and
-// — for replicated campaigns — replications.json / replications.txt.
-// Every file is written atomically and durably (temp + fsync + rename),
-// so a crash during Write never leaves a torn artifact.
+// File is one rendered artifact: its name in the output directory and its
+// bytes.
+type File struct {
+	Name string
+	Data []byte
+}
+
+// Files renders every artifact, in this order: table1.txt, table2.txt
+// and table2.json; replications.txt and replications.json when the
+// campaign was replicated; figure2.csv … figure8.csv for the platforms
+// the campaign covers; one report-<platform>.txt per platform, whose
+// ablation re-runs on a runner at a.Seed, the seed the evaluations ran
+// at; netbench.json and crosscheck.json when the campaign ran them.
+func (a *Artifacts) Files() ([]File, error) {
+	var files []File
+	var err error
+	add := func(name string, render func(w io.Writer) error) {
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err = render(&buf); err != nil {
+			err = fmt.Errorf("campaign: render %s: %w", name, err)
+			return
+		}
+		files = append(files, File{Name: name, Data: buf.Bytes()})
+	}
+	jsonOf := func(v any) func(w io.Writer) error {
+		return func(w io.Writer) error { return export.WriteJSON(w, v) }
+	}
+	add("table1.txt", eval.Table1(topology.Testbed()).WriteText)
+	add("table2.txt", eval.Table2(a.Platforms).WriteText)
+	add("table2.json", jsonOf(a.Platforms))
+	if a.Replications != nil {
+		add("replications.txt", a.Replications.Table().WriteText)
+		add("replications.json", jsonOf(a.Replications))
+	}
+	byName := make(map[string]*eval.PlatformResult, len(a.Platforms))
+	for _, r := range a.Platforms {
+		byName[r.Platform] = r
+	}
+	for _, f := range eval.PaperFigures {
+		if r := byName[f.Platform]; r != nil {
+			add(f.Name+".csv", func(w io.Writer) error { return f.WriteCSV(w, r) })
+		}
+	}
+	for _, r := range a.Platforms {
+		add("report-"+r.Platform+".txt", func(w io.Writer) error {
+			plat, err := topology.ByName(r.Platform)
+			if err != nil {
+				return err
+			}
+			runner, err := bench.NewRunner(bench.Config{Platform: plat, Seed: a.Seed})
+			if err != nil {
+				return err
+			}
+			return report.Write(w, r, runner)
+		})
+	}
+	if a.Netbench != nil {
+		add("netbench.json", jsonOf(a.Netbench))
+	}
+	if a.CrossCheck != nil {
+		add("crosscheck.json", jsonOf(a.CrossCheck))
+	}
+	return files, err
+}
+
+// Write renders the artifacts (Files) and stores them in dir, each file
+// atomically and durably (temp + fsync + rename), so a crash during Write
+// never leaves a torn artifact.
 func (a *Artifacts) Write(dir string) error {
+	files, err := a.Files()
+	if err != nil {
+		return err
+	}
 	// The directory itself is made durable (each created level fsynced):
 	// artifacts that survive a crash only inside a directory entry the
 	// filesystem may drop are not durable at all.
 	if err := atomicio.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	var table bytes.Buffer
-	if err := eval.Table2(a.Platforms).WriteText(&table); err != nil {
-		return err
-	}
-	type artifactFile struct {
-		name string
-		data func() ([]byte, error)
-	}
-	files := []artifactFile{
-		{"table2.txt", func() ([]byte, error) { return table.Bytes(), nil }},
-		{"table2.json", func() ([]byte, error) { return export.MarshalIndent(a.Platforms) }},
-		{"netbench.json", func() ([]byte, error) { return export.MarshalIndent(a.Netbench) }},
-		{"crosscheck.json", func() ([]byte, error) { return export.MarshalIndent(a.CrossCheck) }},
-	}
-	if a.Replications != nil {
-		var reptxt bytes.Buffer
-		if err := a.Replications.Table().WriteText(&reptxt); err != nil {
-			return err
-		}
-		files = append(files,
-			artifactFile{"replications.txt", func() ([]byte, error) { return reptxt.Bytes(), nil }},
-			artifactFile{"replications.json", func() ([]byte, error) { return export.MarshalIndent(a.Replications) }},
-		)
-	}
 	for _, f := range files {
-		data, err := f.data()
-		if err != nil {
-			return fmt.Errorf("campaign: encode %s: %w", f.name, err)
-		}
-		if err := atomicio.WriteFile(filepath.Join(dir, f.name), data, 0o644); err != nil {
-			return fmt.Errorf("campaign: write %s: %w", f.name, err)
+		if err := atomicio.WriteFile(filepath.Join(dir, f.Name), f.Data, 0o644); err != nil {
+			return fmt.Errorf("campaign: write %s: %w", f.Name, err)
 		}
 	}
 	return nil

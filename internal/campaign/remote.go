@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strconv"
-	"strings"
 	"time"
 
 	"memcontention/internal/atomicio"
@@ -148,22 +146,6 @@ func EnsureManifest(dir string, want Manifest) (Manifest, error) {
 		return mismatch("replications", fmt.Sprint(have.Replications), fmt.Sprint(want.Replications))
 	}
 	return have, nil
-}
-
-// ParseWorkers parses a -workers flag value: a non-negative worker
-// count ("0", "8") for the in-process run, or the literal
-// "remote" to finalize a lease-coordinated remote campaign
-// (docs/campaigns.md).
-func ParseWorkers(s string) (workers int, remote bool, err error) {
-	s = strings.TrimSpace(s)
-	if strings.EqualFold(s, "remote") {
-		return 0, true, nil
-	}
-	n, aerr := strconv.Atoi(s)
-	if aerr != nil || n < 0 {
-		return 0, false, fmt.Errorf(`campaign: -workers must be a non-negative worker count or "remote", got %q`, s)
-	}
-	return n, false, nil
 }
 
 // RemoteOptions parameterises one remote worker (or the finalizer) of a

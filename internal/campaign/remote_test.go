@@ -442,29 +442,6 @@ func TestRemoteMergeReportsIncomplete(t *testing.T) {
 	}
 }
 
-func TestParseWorkers(t *testing.T) {
-	for _, tc := range []struct {
-		in      string
-		workers int
-		remote  bool
-		ok      bool
-	}{
-		{"0", 0, false, true},
-		{"8", 8, false, true},
-		{" 4 ", 4, false, true},
-		{"remote", 0, true, true},
-		{"Remote", 0, true, true},
-		{"-1", 0, false, false},
-		{"", 0, false, false},
-		{"eight", 0, false, false},
-	} {
-		w, r, err := ParseWorkers(tc.in)
-		if (err == nil) != tc.ok || w != tc.workers || r != tc.remote {
-			t.Errorf("ParseWorkers(%q) = (%d, %v, %v), want (%d, %v, ok=%v)", tc.in, w, r, err, tc.workers, tc.remote, tc.ok)
-		}
-	}
-}
-
 func mustLoad(t *testing.T, dir string) Manifest {
 	t.Helper()
 	m, err := LoadManifest(dir)

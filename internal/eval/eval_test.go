@@ -198,6 +198,10 @@ func TestFigureNameFor(t *testing.T) {
 			t.Errorf("FigureNameFor(%s) = %s, want %s", in, got, want)
 		}
 	}
+	// report.Write calls it once per platform report.
+	if n := testing.AllocsPerRun(100, func() { _ = FigureNameFor("dahu") }); n != 0 {
+		t.Errorf("FigureNameFor allocates %v times per call, want 0", n)
+	}
 }
 
 func TestTestbedConfigs(t *testing.T) {

@@ -180,22 +180,50 @@ func (s *Stacked) WriteCSV(w io.Writer) error {
 	return err
 }
 
-// FigureNameFor maps platform names to the paper's figure numbering.
-func FigureNameFor(platform string) string {
-	switch platform {
-	case "henri":
-		return "figure3"
-	case "henri-subnuma":
-		return "figure4"
-	case "diablo":
-		return "figure5"
-	case "occigen":
-		return "figure6"
-	case "pyxis":
-		return "figure7"
-	case "dahu":
-		return "figure8"
-	default:
-		return "figure-" + platform
+// PaperFigure is one figure of the paper's evaluation section and the
+// platform it draws.
+type PaperFigure struct {
+	Number   int
+	Name     string // the figure's label and file stem, "figure<Number>"
+	Platform string
+	// Stacked marks Figure 2: the stacked bandwidths of one placement,
+	// comp@0/comm@0 (StackedFor), where Figures 3–8 draw every placement
+	// of their platform (FigureFor).
+	Stacked bool
+}
+
+// PaperFigures are Figures 2–8 in order.
+var PaperFigures = []PaperFigure{
+	{Number: 2, Name: "figure2", Platform: "henri-subnuma", Stacked: true},
+	{Number: 3, Name: "figure3", Platform: "henri"},
+	{Number: 4, Name: "figure4", Platform: "henri-subnuma"},
+	{Number: 5, Name: "figure5", Platform: "diablo"},
+	{Number: 6, Name: "figure6", Platform: "occigen"},
+	{Number: 7, Name: "figure7", Platform: "pyxis"},
+	{Number: 8, Name: "figure8", Platform: "dahu"},
+}
+
+// WriteCSV writes the figure's dataset, drawn from r, the evaluation of
+// f.Platform.
+func (f PaperFigure) WriteCSV(w io.Writer, r *PlatformResult) error {
+	if !f.Stacked {
+		return FigureFor(f.Name, r).WriteCSV(w)
 	}
+	st, err := StackedFor(r, model.Placement{Comp: 0, Comm: 0})
+	if err != nil {
+		return err
+	}
+	return st.WriteCSV(w)
+}
+
+// FigureNameFor maps platform names to the paper's figure numbering: the
+// name of the one of Figures 3–8 that draws the platform, "figure-<name>"
+// for a platform the paper does not draw.
+func FigureNameFor(platform string) string {
+	for _, f := range PaperFigures {
+		if !f.Stacked && f.Platform == platform {
+			return f.Name
+		}
+	}
+	return "figure-" + platform
 }
