@@ -110,7 +110,7 @@ bench:
 # Advisory in `make check` (leading `-`): shared runners are noisy, so a
 # flagged regression means "measure properly before merging", not
 # "blocked" (see docs/observability.md).
-BENCHDIFF_PATTERN ?= BenchmarkClusterHaloExchange$$|BenchmarkTable1Platforms$$|BenchmarkTable2Errors$$|BenchmarkPredict$$|BenchmarkSolver$$|BenchmarkSolve$$|BenchmarkMeasurePoint$$|BenchmarkFlowsChurn$$|BenchmarkSimEvents$$|BenchmarkRenderArtifacts$$|BenchmarkCalibrateRunner$$|BenchmarkEvaluatePlatform$$
+BENCHDIFF_PATTERN ?= BenchmarkClusterHaloExchange$$|BenchmarkTable1Platforms$$|BenchmarkTable2Errors$$|BenchmarkPredict$$|BenchmarkSolver$$|BenchmarkSolve$$|BenchmarkMeasurePoint$$|BenchmarkFlowsChurn$$|BenchmarkSimEvents$$|BenchmarkRenderArtifacts$$|BenchmarkCalibrateRunner$$|BenchmarkEvaluatePlatform$$|BenchmarkDeliver$$|BenchmarkSendRecv$$|BenchmarkAllreduce$$
 benchdiff:
 	-$(GO) test -bench '$(BENCHDIFF_PATTERN)' -benchmem -run '^$$' ./... \
 		| $(GO) run ./scripts/benchjson \

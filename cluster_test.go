@@ -224,6 +224,36 @@ func TestNodeCrash(t *testing.T) {
 	}
 }
 
+// TestNodeCrashMidTransfer: machine 1 crashes 1 ms into a 256 MiB
+// rendezvous transfer, freezing its half of the message in flight. Both
+// ranks time out, and the frozen transfer leaves nothing behind that Run
+// could report as stuck.
+func TestNodeCrashMidTransfer(t *testing.T) {
+	plan := &FaultPlan{Seed: 3, Events: []FaultEvent{
+		{At: 0.001, Kind: "node-crash", Machine: 1},
+	}}
+	c := newTestCluster(t).
+		WithFaults(plan).
+		WithResilience(Resilience{OpTimeout: 0.5})
+	var sendErr, recvErr error
+	_, err := c.Run(1, func(ctx *RankCtx) {
+		switch ctx.Rank() {
+		case 0:
+			sendErr = ctx.Send(1, 1, 256*MiB, 0, nil)
+		case 1:
+			_, recvErr = ctx.Recv(0, 1, 256*MiB, 0)
+		}
+	})
+	if err != nil {
+		t.Fatalf("run failed outright: %v", err)
+	}
+	for name, opErr := range map[string]error{"send": sendErr, "recv": recvErr} {
+		if !errors.Is(opErr, ErrMPITimeout) {
+			t.Errorf("%s: want ErrMPITimeout, got %v", name, opErr)
+		}
+	}
+}
+
 func TestWithFaultsUnknownMachine(t *testing.T) {
 	plan := &FaultPlan{Events: []FaultEvent{
 		{At: 0, Kind: "node-crash", Machine: 7},

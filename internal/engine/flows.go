@@ -28,13 +28,16 @@ type FlowObserver interface {
 
 // Flows manages fluid data transfers over a memory system. All active
 // transfers progress simultaneously at the rates the memsys solver grants
-// them; rates are re-solved whenever a transfer starts or completes.
+// them; rates are re-solved whenever transfers start or complete. A batch
+// of starts (StartAll) is re-solved once: the intermediate re-solves
+// would run at zero elapsed time, move no bytes, and have their
+// completion events cancelled before they fire.
 type Flows struct {
 	sim *Sim
 	sys *memsys.System
 	// active holds the in-progress transfers in ascending id order: ids
 	// only grow, so a start appends and a completion compacts in place.
-	active []*flow
+	active []*Handle
 	nextID int
 	// pending is the scheduled "next completion" event, and complete is
 	// onCompletion bound once, so scheduling it allocates only the event.
@@ -126,8 +129,9 @@ func (f *Flows) SetRegistry(r *obs.Registry) {
 	}
 }
 
-// flow is one in-progress transfer.
-type flow struct {
+// Handle is one transfer, active or completed: the flow manager's record
+// of it and the caller's handle on it are the same allocation.
+type Handle struct {
 	id        int
 	stream    memsys.Stream
 	remaining float64 // bytes
@@ -139,11 +143,6 @@ type flow struct {
 	completed float64    // sim time at completion
 	moved     float64    // bytes completed so far (for AvgRate)
 	span      obs.SpanID // causal span, 0 when spans are off
-}
-
-// Handle identifies an active or completed transfer.
-type Handle struct {
-	fl *flow
 }
 
 // NewFlows returns a flow manager bound to sim and sys.
@@ -167,27 +166,54 @@ func (f *Flows) Start(st memsys.Stream, size units.ByteSize) *Handle {
 // StartWithParent begins a transfer like Start, additionally parenting
 // the flow's causal span under parent (0 = root) when the observer
 // records spans. simnet parents the two DMA flows of a message under its
-// transfer span; MPI parents compute flows under the compute phase.
+// transfer span.
 func (f *Flows) StartWithParent(st memsys.Stream, size units.ByteSize, parent obs.SpanID) *Handle {
+	f.integrate()
+	h := new(Handle)
+	f.add(h, st, size, parent)
+	f.resolve()
+	return h
+}
+
+// StartAll begins one transfer of size bytes per stream template, in
+// order, exactly as that many StartWithParent calls would (same ids,
+// observer and span notifications), but re-solves the rates once, after
+// the last; the batch's handles share one allocation. MPI starts a
+// compute phase's per-core flows with it.
+func (f *Flows) StartAll(streams []memsys.Stream, size units.ByteSize, parent obs.SpanID) []*Handle {
+	f.integrate()
+	hs := make([]*Handle, len(streams))
+	slab := make([]Handle, len(streams))
+	for i, st := range streams {
+		hs[i] = &slab[i]
+		f.add(hs[i], st, size, parent)
+	}
+	f.resolve()
+	return hs
+}
+
+// add makes h a fresh transfer of size bytes for the stream template st
+// and appends it to the active set. The caller integrates before and
+// re-solves after.
+func (f *Flows) add(h *Handle, st memsys.Stream, size units.ByteSize, parent obs.SpanID) {
 	f.nextID++
 	id := f.nextID
 	st.ID = id
-	fl := &flow{
+	*h = Handle{
 		id:        id,
 		stream:    st,
 		remaining: float64(size.Bytes()),
 		started:   f.sim.Now(),
 		done:      Signal{sim: f.sim},
 	}
-	f.integrate()
-	f.active = append(f.active, fl)
+	f.active = append(f.active, h)
 	f.m.started.Inc()
 	f.m.activeFlows.Set(float64(len(f.active)))
 	if f.observer != nil {
-		f.observer.FlowStarted(f.machine, id, st, fl.remaining, fl.started)
+		f.observer.FlowStarted(f.machine, id, st, h.remaining, h.started)
 	}
 	if f.spans != nil {
-		fl.span = f.spans.BeginSpan(parent, fmt.Sprintf("flow #%d", id), "flow", fl.started, obs.SpanAttrs{
+		h.span = f.spans.BeginSpan(parent, fmt.Sprintf("flow #%d", id), "flow", h.started, obs.SpanAttrs{
 			Machine: f.machine,
 			Rank:    -1,
 			Flow:    id,
@@ -196,8 +222,6 @@ func (f *Flows) StartWithParent(st memsys.Stream, size units.ByteSize, parent ob
 			Links:   f.sys.Links(st),
 		})
 	}
-	f.resolve()
-	return &Handle{fl: fl}
 }
 
 // TransferAndWait starts a transfer and parks the calling process until it
@@ -210,40 +234,53 @@ func (f *Flows) TransferAndWait(p *Proc, st memsys.Stream, size units.ByteSize) 
 
 // Wait parks the calling process until the transfer completes.
 func (h *Handle) Wait(p *Proc) {
-	for !h.fl.finished {
+	for !h.finished {
 		if p.waitReason == "" && p.waitLazy == nil {
 			p.SetWaitReason("transfer-wait")
 		}
-		h.fl.done.Wait(p)
+		h.done.Wait(p)
 	}
 }
 
+// Then arranges for fn to run in scheduler context once the transfer
+// completes. The completion schedules it in the event slot where it wakes
+// a process waiting on the handle, so callbacks and waiters run in the
+// order they registered; no process is spawned or parked for it. On a
+// finished transfer fn is scheduled at the current time, like Sim.At.
+func (h *Handle) Then(fn func()) {
+	if h.finished {
+		h.done.sim.schedule(h.done.sim.now, fn, nil)
+		return
+	}
+	h.done.waiters = append(h.done.waiters, waiter{fn: fn})
+}
+
 // Done reports whether the transfer has completed.
-func (h *Handle) Done() bool { return h.fl.finished }
+func (h *Handle) Done() bool { return h.finished }
 
 // CompletedAt reports the completion time (0 when not finished).
 func (h *Handle) CompletedAt() float64 {
-	if !h.fl.finished {
+	if !h.finished {
 		return 0
 	}
-	return h.fl.completed
+	return h.completed
 }
 
 // AvgRate reports the transfer's average bandwidth over its lifetime
 // (0 when not finished or instantaneous).
 func (h *Handle) AvgRate() units.Bandwidth {
-	if !h.fl.finished {
+	if !h.finished {
 		return 0
 	}
-	dur := h.fl.completed - h.fl.started
+	dur := h.completed - h.started
 	if dur <= 0 {
 		return 0
 	}
-	return units.Bandwidth(h.fl.moved / units.BytesPerGB / dur)
+	return units.Bandwidth(h.moved / units.BytesPerGB / dur)
 }
 
 // CurrentRate reports the instantaneous solved rate of an active transfer.
-func (h *Handle) CurrentRate() units.Bandwidth { return units.Bandwidth(h.fl.rate) }
+func (h *Handle) CurrentRate() units.Bandwidth { return units.Bandwidth(h.rate) }
 
 // integrate advances every active flow to the current time at its last
 // solved rate.
@@ -265,11 +302,11 @@ func (f *Flows) integrate() {
 }
 
 // lastTouch reports when the flow's remaining count was last updated.
-func (fl *flow) lastTouch() float64 {
-	if fl.touched > fl.started {
-		return fl.touched
+func (h *Handle) lastTouch() float64 {
+	if h.touched > h.started {
+		return h.touched
 	}
-	return fl.started
+	return h.started
 }
 
 // resolve re-solves rates for the active set and schedules the next

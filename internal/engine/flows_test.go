@@ -11,6 +11,7 @@ import (
 	"memcontention/internal/kernels"
 	"memcontention/internal/memsys"
 	"memcontention/internal/obs"
+	"memcontention/internal/rng"
 	"memcontention/internal/topology"
 	"memcontention/internal/units"
 )
@@ -218,6 +219,116 @@ func TestFlowsMatchSolveBitForBit(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// randomBatch draws 1 to 16 streams on distinct cores of sys's platform:
+// compute streams at up to 1.5 times their kernel demand on a random
+// node, and one in four a comm stream at its NIC's nominal rate.
+func randomBatch(r *rng.Stream, sys *memsys.System) []memsys.Stream {
+	cores := slices.Clone(sys.Platform().Cores)
+	for i := len(cores) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		cores[i], cores[j] = cores[j], cores[i]
+	}
+	batch := make([]memsys.Stream, 1+r.Intn(min(16, len(cores))))
+	for i := range batch {
+		node := topology.NodeID(r.Intn(sys.Platform().NNodes()))
+		if r.Intn(4) == 0 {
+			batch[i] = memsys.Stream{Kind: memsys.KindComm, Node: node}
+			continue
+		}
+		core := cores[i].ID
+		demand := sys.ComputeDemand(core, node) * (0.5 + r.Float64())
+		batch[i] = memsys.Stream{Kind: memsys.KindCompute, Core: core, Node: node, Demand: demand}
+	}
+	return batch
+}
+
+// TestStartAllMatchesStarts: a batch started with StartAll runs exactly —
+// bit for bit — as the same streams started by one Start each: the same
+// completion times, average rates and last applied rates, for the batch
+// and for a flow already in flight when it joins. Random batches on every
+// built-in platform.
+func TestStartAllMatchesStarts(t *testing.T) {
+	for _, plat := range topology.Testbed() {
+		hw, err := memsys.ProfileFor(plat.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := memsys.New(plat, hw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(1, "startall/"+plat.Name)
+		for trial := 0; trial < 16; trial++ {
+			batch := randomBatch(r, sys)
+			size := units.ByteSize(1+r.Intn(64)) * units.MiB
+			run := func(batched bool) []*Handle {
+				sim := NewSim()
+				flows := NewFlows(sim, sys)
+				hs := []*Handle{flows.Start(memsys.Stream{Kind: memsys.KindComm, Node: 0}, 32*units.MiB)}
+				sim.At(1e-3, func() {
+					if batched {
+						hs = append(hs, flows.StartAll(batch, size, 0)...)
+						return
+					}
+					for _, st := range batch {
+						hs = append(hs, flows.Start(st, size))
+					}
+				})
+				if err := sim.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return hs
+			}
+			one, all := run(false), run(true)
+			for i := range one {
+				a, b := one[i], all[i]
+				if !a.Done() || !b.Done() {
+					t.Fatalf("%s trial %d: flow %d did not finish", plat.Name, trial, i)
+				}
+				for _, v := range [][2]float64{
+					{a.CompletedAt(), b.CompletedAt()},
+					{a.AvgRate().GBps(), b.AvgRate().GBps()},
+					{a.CurrentRate().GBps(), b.CurrentRate().GBps()},
+				} {
+					if math.Float64bits(v[0]) != math.Float64bits(v[1]) {
+						t.Errorf("%s trial %d flow %d: one Start each gives %v, StartAll %v", plat.Name, trial, i, v[0], v[1])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestThenRunsInWaiterSlot: a completion runs Then callbacks in the event
+// slots where it wakes waiting processes, in registration order; on a
+// finished transfer Then schedules fn at the current time, after events
+// already due then.
+func TestThenRunsInWaiterSlot(t *testing.T) {
+	sim, flows, _ := newFlowsSim(t)
+	var log []string
+	note := func(s string) func() { return func() { log = append(log, s) } }
+	var h *Handle
+	sim.Spawn("a", func(p *Proc) {
+		h = flows.Start(memsys.Stream{Kind: memsys.KindComm, Node: 0}, units.MiB)
+		h.Then(note("then-1"))
+		h.Wait(p)
+		note("a")()
+		sim.At(sim.Now(), note("at"))
+		h.Then(note("then-3"))
+	})
+	sim.Spawn("b", func(p *Proc) {
+		h.Then(note("then-2"))
+		h.Wait(p)
+		note("b")()
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"then-1", "a", "then-2", "b", "at", "then-3"}; !slices.Equal(log, want) {
+		t.Errorf("completion ran %v, want %v", log, want)
 	}
 }
 

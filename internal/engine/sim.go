@@ -7,10 +7,13 @@
 // Simulated time only advances in the scheduler, between events.
 //
 // The Flows manager (flows.go) integrates finite-size data transfers whose
-// instantaneous rates come from the memsys solver: whenever a transfer
-// starts or completes, all rates are re-solved, which is exactly the fluid
+// instantaneous rates come from the memsys solver: whenever transfers
+// start or complete, all rates are re-solved, which is exactly the fluid
 // approximation of bandwidth sharing the paper's steady-state measurements
-// assume.
+// assume. A batch of transfers started together (Flows.StartAll, one per
+// compute phase) is re-solved once, as is every completion event.
+// Completion can wake waiting processes or run callbacks (Handle.Then)
+// in scheduler context, which need no process of their own.
 package engine
 
 import (
@@ -250,10 +253,18 @@ func (p *Proc) Sleep(d float64) {
 }
 
 // Signal is a broadcast condition processes can wait on. The zero value is
-// not usable; create signals with NewSignal.
+// ready to use: a Wait binds it to the waiting process's simulation.
 type Signal struct {
-	sim     *Sim
-	waiters []*Proc
+	sim *Sim
+	// waiters are woken, or run, in registration order.
+	waiters []waiter
+}
+
+// waiter is one registration on a Signal: a parked process, or, when proc
+// is nil, a callback to run in scheduler context (Handle.Then).
+type waiter struct {
+	proc *Proc
+	fn   func()
 }
 
 // NewSignal returns a signal bound to the simulation.
@@ -261,16 +272,18 @@ func (s *Sim) NewSignal() *Signal { return &Signal{sim: s} }
 
 // Wait parks the calling process until the next Fire.
 func (sg *Signal) Wait(p *Proc) {
-	sg.waiters = append(sg.waiters, p)
+	sg.sim = p.sim
+	sg.waiters = append(sg.waiters, waiter{proc: p})
 	p.park()
 }
 
 // Fire wakes every current waiter (in wait order) at the current time.
-// It may be called from process or scheduler context. Each wake-up is one
-// scheduled event; the waiter list keeps its storage for the next Wait.
+// It may be called from process or scheduler context. Each wake-up or
+// callback is one scheduled event; the waiter list keeps its storage for
+// the next Wait.
 func (sg *Signal) Fire() {
 	for _, w := range sg.waiters {
-		sg.sim.schedule(sg.sim.now, nil, w)
+		sg.sim.schedule(sg.sim.now, w.fn, w.proc)
 	}
 	clear(sg.waiters)
 	sg.waiters = sg.waiters[:0]

@@ -15,7 +15,6 @@ import (
 
 	"memcontention/internal/engine"
 	"memcontention/internal/kernels"
-	"memcontention/internal/memsys"
 	"memcontention/internal/obs"
 	"memcontention/internal/simnet"
 	"memcontention/internal/topology"
@@ -102,7 +101,7 @@ type Status struct {
 type Request struct {
 	world    *World
 	done     bool
-	sig      *engine.Signal
+	sig      engine.Signal
 	status   Status
 	err      error
 	isRecv   bool
@@ -232,7 +231,7 @@ func (c *Ctx) Isend(dst, tag int, size units.ByteSize, srcNode topology.NodeID, 
 	if c.machineDown() {
 		return nil, c.downError(fmt.Sprintf("Send(dst=%d, tag=%d)", dst, tag))
 	}
-	req := &Request{world: c.world, sig: c.world.sim.NewSignal(), tag: tag, size: size, peer: dst}
+	req := &Request{world: c.world, tag: tag, size: size, peer: dst}
 	if c.world.spans != nil {
 		req.span = c.beginOpSpan(fmt.Sprintf("send→%d", dst), "mpi", srcNode)
 	}
@@ -267,8 +266,7 @@ func (c *Ctx) Irecv(src, tag int, size units.ByteSize, dstNode topology.NodeID) 
 		return nil, c.downError(fmt.Sprintf("Recv(src=%s, tag=%s)", rankName(src), tagName(tag)))
 	}
 	req := &Request{
-		world: c.world, sig: c.world.sim.NewSignal(),
-		isRecv: true, src: src, tag: tag, peer: src, dstNode: dstNode, size: size,
+		world: c.world, isRecv: true, src: src, tag: tag, peer: src, dstNode: dstNode, size: size,
 		owner: c.rank,
 	}
 	if c.world.spans != nil {
@@ -484,14 +482,9 @@ func (c *Ctx) Compute(a kernels.Assignment, perCoreBytes units.ByteSize) (units.
 	if c.world.spans != nil {
 		span = c.beginOpSpan("compute", "compute", -1)
 	}
-	handles := make([]*engine.Handle, len(streams))
-	for i, st := range streams {
-		st := st
-		handles[i] = m.Flows.StartWithParent(memsys.Stream{
-			Kind: memsys.KindCompute, Core: st.Core, Node: st.Node, Demand: st.Demand,
-		}, perCoreBytes, span)
-	}
-	for _, h := range handles {
+	// One batch, one re-solve: the per-core flows start at the same
+	// instant.
+	for _, h := range m.Flows.StartAll(streams, perCoreBytes, span) {
 		c.proc.SetWaitReason("Compute")
 		h.Wait(c.proc)
 	}

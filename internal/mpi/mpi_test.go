@@ -9,6 +9,7 @@ import (
 	"memcontention/internal/engine"
 	"memcontention/internal/kernels"
 	"memcontention/internal/memsys"
+	"memcontention/internal/obs"
 	"memcontention/internal/simnet"
 	"memcontention/internal/topology"
 	"memcontention/internal/units"
@@ -17,34 +18,46 @@ import (
 // newWorld builds a world with nMachines henri machines × ranksPer ranks.
 func newWorld(t *testing.T, nMachines, ranksPer int) (*engine.Sim, *World) {
 	t.Helper()
+	return worldOn(t, henriSystem(t), nMachines, ranksPer)
+}
+
+// henriSystem builds the memory system of a henri machine.
+func henriSystem(tb testing.TB) *memsys.System {
+	tb.Helper()
+	prof, err := memsys.ProfileFor("henri")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys, err := memsys.New(topology.Henri(), prof)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
+}
+
+// worldOn builds a world with nMachines machines of memory system sys ×
+// ranksPer ranks.
+func worldOn(tb testing.TB, sys *memsys.System, nMachines, ranksPer int) (*engine.Sim, *World) {
+	tb.Helper()
 	sim := engine.NewSim()
 	fabric, err := simnet.NewFabric(sim, 12.1, 1.5e-6)
 	if err != nil {
-		t.Fatal(err)
-	}
-	plat := topology.Henri()
-	prof, err := memsys.ProfileFor("henri")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := memsys.New(plat, prof)
-	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var machines []*simnet.Machine
 	for i := 0; i < nMachines; i++ {
 		m, err := simnet.NewMachine(sim, i, sys)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := fabric.Attach(m); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		machines = append(machines, m)
 	}
 	w, err := NewWorld(sim, fabric, machines, ranksPer)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return sim, w
 }
@@ -358,6 +371,35 @@ func TestComputeAggregatesBandwidth(t *testing.T) {
 	}
 }
 
+// TestComputeResolvesOnce: a compute phase starts its per-core flows as
+// one batch, so the flow manager re-solves once when it starts, not once
+// per core.
+func TestComputeResolvesOnce(t *testing.T) {
+	sim, w := newWorld(t, 1, 1)
+	reg := obs.NewRegistry()
+	w.ranks[0].machine.Flows.SetRegistry(reg)
+	started := reg.Counter("memcontention_engine_flows_started_total", "", nil)
+	resolves := reg.Counter("memcontention_engine_rate_resolves_total", "", nil)
+	var midFlight float64
+	sim.At(1e-6, func() { midFlight = resolves.Value() })
+	run(t, sim, w, func(c *Ctx) {
+		a := kernels.Assignment{
+			Kernel: kernels.New(kernels.NTMemset),
+			Cores:  []topology.CoreID(c.Machine().Topo.SocketSet(0).Take(8)),
+			Node:   0,
+		}
+		if _, err := c.Compute(a, 64*units.MiB); err != nil {
+			t.Error(err)
+		}
+	})
+	if got := started.Value(); got != 8 {
+		t.Errorf("compute started %v flows, want 8", got)
+	}
+	if midFlight != 1 {
+		t.Errorf("starting 8 compute flows re-solved %v times, want 1", midFlight)
+	}
+}
+
 func TestDeterministicSchedule(t *testing.T) {
 	trace := func() string {
 		sim, w := newWorld(t, 2, 2)
@@ -465,4 +507,53 @@ func TestSelfSend(t *testing.T) {
 		}
 		c.Wait(req)
 	})
+}
+
+// BenchmarkSendRecv times point-to-point messages over the fabric: 4
+// ranks on 4 henri machines, each sending 8 bytes to its right neighbour
+// and receiving from its left, on a fresh world per iteration (the memory
+// system is built once).
+func BenchmarkSendRecv(b *testing.B) {
+	sys := henriSystem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim, w := worldOn(b, sys, 4, 1)
+		w.Launch(func(c *Ctx) {
+			right, left := (c.Rank()+1)%c.Size(), (c.Rank()+c.Size()-1)%c.Size()
+			send, err := c.Isend(right, 0, 8, 0, nil)
+			if err == nil {
+				_, err = c.Recv(left, 0, 8, 0)
+			}
+			if err == nil {
+				_, err = c.Wait(send)
+			}
+			if err != nil {
+				b.Error(err)
+			}
+		})
+		if err := sim.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAllreduce times an 8-byte Allreduce of 4 ranks on 4 henri
+// machines, on a fresh world per iteration (the memory system is built
+// once).
+func BenchmarkAllreduce(b *testing.B) {
+	sys := henriSystem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim, w := worldOn(b, sys, 4, 1)
+		w.Launch(func(c *Ctx) {
+			if v, err := c.Allreduce(8, 0, float64(c.Rank()), Sum); err != nil || v != 6 {
+				b.Errorf("rank %d: Allreduce gave %v, %v; want 6", c.Rank(), v, err)
+			}
+		})
+		if err := sim.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

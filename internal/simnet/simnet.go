@@ -173,25 +173,12 @@ type Result struct {
 	AvgRate units.Bandwidth
 }
 
-// Deliver performs a transfer and blocks the calling process until the
-// data has fully landed in the destination memory.
-func (f *Fabric) Deliver(p *engine.Proc, t Transfer) (Result, error) {
-	resCh := make(chan Result, 1)
-	errCh := make(chan error, 1)
-	sig := f.sim.NewSignal()
-	f.DeliverAsync(t, func(r Result, err error) {
-		resCh <- r
-		errCh <- err
-		sig.Fire()
-	})
-	sig.Wait(p)
-	return <-resCh, <-errCh
-}
-
 // DeliverAsync performs a transfer and invokes done (in scheduler context)
-// on completion. Errors are reported through done: a crashed endpoint
-// yields a *DownError, a message lost by fault injection yields
-// ErrMessageDropped (after the latency, when the loss would be noticed).
+// once the data has fully landed in the destination memory. Errors are
+// reported through done: a crashed endpoint yields a *DownError, a message
+// lost by fault injection yields ErrMessageDropped (after the latency,
+// when the loss would be noticed). A transfer whose flow a crash froze
+// never completes, and done is not called.
 func (f *Fabric) DeliverAsync(t Transfer, done func(Result, error)) {
 	if err := f.check(t); err != nil {
 		f.sim.After(0, func() { done(Result{}, err) })
@@ -257,8 +244,8 @@ func (f *Fabric) DeliverAsync(t Transfer, done func(Result, error)) {
 			Node:   t.DstNode,
 			Demand: dstDemand,
 		}, t.Size, span)
-		waitHandle(f.sim, srcH, finish)
-		waitHandle(f.sim, dstH, finish)
+		srcH.Then(finish)
+		dstH.Then(finish)
 	})
 }
 
@@ -276,14 +263,6 @@ func (f *Fabric) beginTransferSpan(t Transfer, start float64, done func(Result, 
 		f.spans.EndSpan(span, f.sim.Now())
 		done(r, err)
 	}
-}
-
-// waitHandle invokes fn once the flow completes, via a watcher process.
-func waitHandle(sim *engine.Sim, h *engine.Handle, fn func()) {
-	sim.Spawn("simnet-wait", func(p *engine.Proc) {
-		h.Wait(p)
-		fn()
-	})
 }
 
 func (f *Fabric) check(t Transfer) error {

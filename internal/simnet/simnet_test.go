@@ -10,43 +10,60 @@ import (
 	"memcontention/internal/units"
 )
 
-func twoMachines(t *testing.T, wire, latency float64) (*engine.Sim, *Fabric, *Machine, *Machine) {
-	t.Helper()
+// henriSystem builds the memory system the machines of these tests share.
+func henriSystem(tb testing.TB) *memsys.System {
+	tb.Helper()
+	prof, err := memsys.ProfileFor("henri")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys, err := memsys.New(topology.Henri(), prof)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
+}
+
+func twoMachines(tb testing.TB, sys *memsys.System, wire, latency float64) (*engine.Sim, *Fabric, *Machine, *Machine) {
+	tb.Helper()
 	sim := engine.NewSim()
 	fabric, err := NewFabric(sim, wire, latency)
 	if err != nil {
-		t.Fatal(err)
-	}
-	plat := topology.Henri()
-	prof, err := memsys.ProfileFor("henri")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := memsys.New(plat, prof)
-	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var ms [2]*Machine
 	for i := range ms {
 		m, err := NewMachine(sim, i, sys)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := fabric.Attach(m); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		ms[i] = m
 	}
 	return sim, fabric, ms[0], ms[1]
 }
 
+// deliver performs one transfer and parks p until the fabric reports its
+// outcome.
+func deliver(p *engine.Proc, f *Fabric, t Transfer) (res Result, err error) {
+	sig := p.Sim().NewSignal()
+	f.DeliverAsync(t, func(r Result, e error) {
+		res, err = r, e
+		sig.Fire()
+	})
+	sig.Wait(p)
+	return res, err
+}
+
 func TestDeliverTiming(t *testing.T) {
 	const latency = 2e-6
-	sim, fabric, m0, m1 := twoMachines(t, 12.1, latency)
+	sim, fabric, m0, m1 := twoMachines(t, henriSystem(t), 12.1, latency)
 	var res Result
 	sim.Spawn("recv", func(p *engine.Proc) {
 		var err error
-		res, err = fabric.Deliver(p, Transfer{
+		res, err = deliver(p, fabric, Transfer{
 			Src: m0, Dst: m1, SrcNode: 0, DstNode: 0, Size: 64 * units.MiB,
 		})
 		if err != nil {
@@ -68,10 +85,10 @@ func TestDeliverTiming(t *testing.T) {
 }
 
 func TestWireRateBounds(t *testing.T) {
-	sim, fabric, m0, m1 := twoMachines(t, 5.0, 0) // slow wire
+	sim, fabric, m0, m1 := twoMachines(t, henriSystem(t), 5.0, 0) // slow wire
 	var res Result
 	sim.Spawn("recv", func(p *engine.Proc) {
-		res, _ = fabric.Deliver(p, Transfer{
+		res, _ = deliver(p, fabric, Transfer{
 			Src: m0, Dst: m1, SrcNode: 0, DstNode: 0, Size: 64 * units.MiB,
 		})
 	})
@@ -84,7 +101,7 @@ func TestWireRateBounds(t *testing.T) {
 }
 
 func TestDeliverErrors(t *testing.T) {
-	sim, fabric, m0, m1 := twoMachines(t, 12.1, 0)
+	sim, fabric, m0, m1 := twoMachines(t, henriSystem(t), 12.1, 0)
 	detached, err := NewMachine(sim, 7, m0.Sys)
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +120,7 @@ func TestDeliverErrors(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		sim.Spawn("t", func(p *engine.Proc) {
-			if _, err := fabric.Deliver(p, c.tr); err == nil {
+			if _, err := deliver(p, fabric, c.tr); err == nil {
 				t.Errorf("%s: expected error", c.name)
 			}
 		})
@@ -151,10 +168,10 @@ func TestFabricValidation(t *testing.T) {
 func TestConcurrentTransfersContendOnPCIe(t *testing.T) {
 	// Two simultaneous receives into the same machine share its PCIe /
 	// controller path, so each is slower than alone.
-	sim, fabric, m0, m1 := twoMachines(t, 100, 0) // wire not the bottleneck
+	sim, fabric, m0, m1 := twoMachines(t, henriSystem(t), 100, 0) // wire not the bottleneck
 	var alone, shared Result
 	sim.Spawn("phase", func(p *engine.Proc) {
-		alone, _ = fabric.Deliver(p, Transfer{Src: m0, Dst: m1, SrcNode: 0, DstNode: 0, Size: 64 * units.MiB})
+		alone, _ = deliver(p, fabric, Transfer{Src: m0, Dst: m1, SrcNode: 0, DstNode: 0, Size: 64 * units.MiB})
 		done := sim.NewSignal()
 		remaining := 2
 		for i := 0; i < 2; i++ {
@@ -192,5 +209,27 @@ func TestWireRateFor(t *testing.T) {
 	}
 	if WireRateFor(topology.NetworkTech("other"), 3) <= 0 {
 		t.Error("unknown tech must still return a positive rate")
+	}
+}
+
+// BenchmarkDeliver times one fabric transfer end to end: an 8 MiB message
+// between two henri machines on a fresh simulation, from DeliverAsync to
+// its completion callback. The memory system is built once, outside the
+// timed loop.
+func BenchmarkDeliver(b *testing.B) {
+	sys := henriSystem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim, fabric, m0, m1 := twoMachines(b, sys, 12.1, 1.5e-6)
+		var res Result
+		var err error
+		fabric.DeliverAsync(Transfer{Src: m0, Dst: m1, Size: 8 * units.MiB}, func(r Result, e error) { res, err = r, e })
+		if rerr := sim.Run(); rerr != nil {
+			b.Fatal(rerr)
+		}
+		if err != nil || res.End == 0 {
+			b.Fatalf("transfer ended at %v: %v", res.End, err)
+		}
 	}
 }

@@ -56,6 +56,11 @@ func TestClusterTelemetry(t *testing.T) {
 	if got := reg.Counter("memcontention_engine_events_fired_total", "", nil).Value(); got == 0 {
 		t.Error("no engine events recorded")
 	}
+	// The ranks are the only processes: a fabric message completes
+	// through callbacks, not a process of its own.
+	if got := reg.Counter("memcontention_engine_procs_spawned_total", "", nil).Value(); got != 2 {
+		t.Errorf("procs spawned = %v, want 2 (one per rank)", got)
+	}
 	// The observer must have seen the same flows.
 	if rec.EventCount() == 0 {
 		t.Fatal("trace recorder saw no events")
