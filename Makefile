@@ -105,16 +105,18 @@ soak-remote:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./... | $(GO) run ./scripts/benchjson
 
-# benchdiff reruns a stable benchmark subset and compares ns/op and
-# allocs/op against BENCH_baseline.json, failing beyond 15% growth.
-# Advisory in `make check` (leading `-`): shared runners are noisy, so a
-# flagged regression means "measure properly before merging", not
-# "blocked" (see docs/observability.md).
+# benchdiff compares the working tree with BENCHDIFF_BASE (default
+# HEAD~1), checked out into a temporary git worktree: the
+# BENCHDIFF_PATTERN benchmarks run 3 alternating rounds per side, and
+# scripts/benchdiff compares each benchmark's median ns/op and allocs/op,
+# failing beyond 15% growth. BENCH_baseline.json (`make bench`) stays the
+# committed record. Advisory in `make check` (leading `-`): shared runners
+# are noisy, so a flagged regression means "measure properly before
+# merging", not "blocked" (see docs/observability.md).
+BENCHDIFF_BASE ?= HEAD~1
 BENCHDIFF_PATTERN ?= BenchmarkClusterHaloExchange$$|BenchmarkTable1Platforms$$|BenchmarkTable2Errors$$|BenchmarkPredict$$|BenchmarkSolver$$|BenchmarkSolve$$|BenchmarkMeasurePoint$$|BenchmarkFlowsChurn$$|BenchmarkSimEvents$$|BenchmarkRenderArtifacts$$|BenchmarkCalibrateRunner$$|BenchmarkEvaluatePlatform$$|BenchmarkDeliver$$|BenchmarkSendRecv$$|BenchmarkAllreduce$$
 benchdiff:
-	-$(GO) test -bench '$(BENCHDIFF_PATTERN)' -benchmem -run '^$$' ./... \
-		| $(GO) run ./scripts/benchjson \
-		| $(GO) run ./scripts/benchdiff -baseline BENCH_baseline.json
+	-GO=$(GO) bash scripts/benchdiff/run.sh '$(BENCHDIFF_PATTERN)' '$(BENCHDIFF_BASE)'
 
 # serve-smoke boots the real memserve binary path (warm-up, listener,
 # live plane) and walks /healthz, /readyz, a prediction and a /metrics

@@ -31,7 +31,7 @@ type FlowObserver interface {
 // them; rates are re-solved whenever transfers start or complete. A batch
 // of starts (StartAll) is re-solved once: the intermediate re-solves
 // would run at zero elapsed time, move no bytes, and have their
-// completion events cancelled before they fire.
+// completion event re-queued before it fires.
 type Flows struct {
 	sim *Sim
 	sys *memsys.System
@@ -39,10 +39,10 @@ type Flows struct {
 	// only grow, so a start appends and a completion compacts in place.
 	active []*Handle
 	nextID int
-	// pending is the scheduled "next completion" event, and complete is
-	// onCompletion bound once, so scheduling it allocates only the event.
-	pending  *Timer
-	complete func()
+	// completion is the next-completion event, which calls onCompletion.
+	// Every re-solve re-queues it in place, so scheduling allocates
+	// nothing.
+	completion Timer
 	// observer, when set, is notified of flow lifecycle events.
 	observer FlowObserver
 	// machine is the id reported to the observer and span recorder
@@ -148,7 +148,7 @@ type Handle struct {
 // NewFlows returns a flow manager bound to sim and sys.
 func NewFlows(sim *Sim, sys *memsys.System) *Flows {
 	f := &Flows{sim: sim, sys: sys}
-	f.complete = f.onCompletion
+	f.completion = Timer{sim: sim, index: -1, fire: f.onCompletion}
 	return f
 }
 
@@ -249,10 +249,10 @@ func (h *Handle) Wait(p *Proc) {
 // finished transfer fn is scheduled at the current time, like Sim.At.
 func (h *Handle) Then(fn func()) {
 	if h.finished {
-		h.done.sim.schedule(h.done.sim.now, fn, nil)
+		h.done.sim.At(h.done.sim.now, fn)
 		return
 	}
-	h.done.waiters = append(h.done.waiters, waiter{fn: fn})
+	h.done.add(waiter{fn: fn})
 }
 
 // Done reports whether the transfer has completed.
@@ -309,15 +309,24 @@ func (h *Handle) lastTouch() float64 {
 	return h.started
 }
 
-// resolve re-solves rates for the active set and schedules the next
-// completion event.
+// resolve re-solves rates for the active set and re-queues the
+// completion event at the earliest finish, with a fresh sequence number:
+// the (time, seq) a newly scheduled event would get. When no flow can
+// make progress, the event is taken out of the queue instead.
 func (f *Flows) resolve() {
-	if f.pending != nil {
-		f.pending.Cancel()
-		f.pending = nil
+	if at := f.solve(); math.IsInf(at, 1) {
+		f.completion.Cancel()
+	} else {
+		f.sim.queue(&f.completion, at)
 	}
+}
+
+// solve sets every active flow's rate and returns the earliest time one
+// of them finishes: +Inf when none can progress, there are none, or the
+// solver failed, which fails the run.
+func (f *Flows) solve() float64 {
 	if len(f.active) == 0 {
-		return
+		return math.Inf(1)
 	}
 	f.streams = f.streams[:0]
 	for _, fl := range f.active {
@@ -326,7 +335,7 @@ func (f *Flows) resolve() {
 	f.rates = slices.Grow(f.rates[:0], len(f.active))[:len(f.active)]
 	if _, err := f.sys.SolveInto(f.streams, f.rates); err != nil {
 		f.sim.fail(fmt.Errorf("engine: flow solve failed: %w", err))
-		return
+		return math.Inf(1)
 	}
 	f.m.rateResolves.Inc()
 	f.m.solverStreams.Add(float64(len(f.streams)))
@@ -360,19 +369,15 @@ func (f *Flows) resolve() {
 	if f.observer != nil {
 		f.observer.RatesResolved(f.machine, now, applied)
 	}
-	if math.IsInf(nextAt, 1) {
-		// No flow can progress; leave them parked. If nothing else
-		// wakes the simulation, Run reports a deadlock.
-		return
-	}
-	f.pending = f.sim.At(nextAt, f.complete)
+	// With no flow able to progress, they stay parked: if nothing else
+	// wakes the simulation, Run reports a deadlock.
+	return nextAt
 }
 
 // onCompletion fires when the earliest flow(s) finish: it integrates
 // progress, completes every drained flow in ascending id order, and
 // re-solves the rest.
 func (f *Flows) onCompletion() {
-	f.pending = nil
 	f.integrate()
 	const eps = 1 // byte: guards float roundoff
 	live, left := f.active[:0], len(f.active)

@@ -406,19 +406,20 @@ func TestSimultaneousCompletionsInIDOrder(t *testing.T) {
 	}
 }
 
-// TestFlowsResolveAllocs: with no observer, a re-solve allocates only
-// its completion event.
+// TestFlowsResolveAllocs: with no observer, a re-solve allocates
+// nothing: it re-queues the flow manager's one completion event in place,
+// so the event heap never holds more than that event.
 func TestFlowsResolveAllocs(t *testing.T) {
 	sim, flows, sys := newFlowsSim(t)
 	for _, core := range sys.Platform().CoresOfSocket(0)[:8] {
 		flows.Start(memsys.Stream{Kind: memsys.KindCompute, Core: core, Node: 0}, units.GiB)
 	}
 	flows.Start(memsys.Stream{Kind: memsys.KindComm, Node: 0}, units.GiB)
-	// Every re-solve leaves its cancelled predecessor in the event heap;
-	// room for all of them keeps the heap's growth out of the count.
-	sim.events = slices.Grow(sim.events, 256)
-	if got := testing.AllocsPerRun(100, flows.Refresh); got != 1 {
-		t.Errorf("a re-solve allocates %v, want 1", got)
+	if got := testing.AllocsPerRun(100, flows.Refresh); got != 0 {
+		t.Errorf("a re-solve allocates %v, want 0", got)
+	}
+	if n := sim.events.Len(); n != 1 {
+		t.Errorf("event heap holds %d events after the re-solves, want the one completion", n)
 	}
 }
 

@@ -1,10 +1,15 @@
 // Package engine provides a deterministic discrete-event simulation core
 // with cooperatively scheduled processes and fluid-flow data transfers.
 //
-// Processes (Proc) are goroutines, but exactly one of them — or the
-// scheduler — runs at any instant: control is handed over explicitly, so a
-// simulation is single-threaded in effect and bit-for-bit reproducible.
-// Simulated time only advances in the scheduler, between events.
+// Processes (Proc) are goroutines, and the event loop runs on whichever
+// goroutine holds control: Run's caller until the first process wakes,
+// then the process that has just parked or finished. That goroutine pops
+// events and runs callbacks ("scheduler context") until an event wakes a
+// process, then hands control straight to it: one goroutine switch per
+// wake-up, and none when a process's next wake-up is its own. Exactly
+// one goroutine runs simulation code at any instant, so a simulation is
+// single-threaded in effect and bit-for-bit reproducible. Simulated time
+// only advances in the event loop, between events.
 //
 // The Flows manager (flows.go) integrates finite-size data transfers whose
 // instantaneous rates come from the memsys solver: whenever transfers
@@ -27,7 +32,8 @@ import (
 	"memcontention/internal/obs"
 )
 
-// eventHeap orders scheduled events by (time, seq).
+// eventHeap orders queued events by (time, seq). Every event records its
+// position, so its owner can move or remove it in place.
 type eventHeap []*Timer
 
 func (h eventHeap) Len() int { return len(h) }
@@ -37,13 +43,22 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Timer)) }
+func (h eventHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+func (h *eventHeap) Push(x any) {
+	e := x.(*Timer)
+	e.index = len(*h)
+	*h = append(*h, e)
+}
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
+	e.index = -1
 	*h = old[:n-1]
 	return e
 }
@@ -56,9 +71,10 @@ type Sim struct {
 	seq    int64
 	events eventHeap
 	procs  []*Proc
-	// yield carries control from the running process back to the
-	// scheduler; each Proc has its own resume channel.
-	yield   chan struct{}
+	// ended hands control back to Run's goroutine when a run ends on a
+	// process's goroutine; outcome is the result Run then returns.
+	ended   chan struct{}
+	outcome error
 	running bool
 	failure error
 	// fired counts events executed, for the event-count budget.
@@ -97,7 +113,7 @@ func (s *Sim) SetRegistry(r *obs.Registry) {
 
 // NewSim returns an empty simulation at time zero.
 func NewSim() *Sim {
-	return &Sim{yield: make(chan struct{})}
+	return &Sim{ended: make(chan struct{})}
 }
 
 // Now reports the current simulated time in seconds.
@@ -105,57 +121,73 @@ func (s *Sim) Now() float64 { return s.now }
 
 // At schedules fn to run in scheduler context at absolute time t (clamped
 // to now; a NaN time means now). It returns a handle that can cancel the
-// event.
-func (s *Sim) At(t float64, fn func()) *Timer { return s.schedule(t, fn, nil) }
+// event; the handle is the only allocation.
+func (s *Sim) At(t float64, fn func()) *Timer {
+	e := &Timer{sim: s, index: -1, fire: fn}
+	s.queue(e, t)
+	return e
+}
 
 // After schedules fn after a delay d >= 0 (a negative or NaN delay means
 // zero).
 func (s *Sim) After(d float64, fn func()) *Timer { return s.At(s.now+d, fn) }
 
-// schedule queues one event at time t that calls fn or, when p is set,
-// wakes the parked process p. A time before now or NaN means now, which
-// is how After and Sleep treat a negative or NaN delay. The event is the
-// only allocation.
-func (s *Sim) schedule(t float64, fn func(), p *Proc) *Timer {
+// queue schedules e at time t with a fresh sequence number, so it fires
+// after every event already due at t. A time before now or NaN means now,
+// which is how After and Sleep treat a negative or NaN delay. An idle
+// event is pushed; a queued one moves to its new place, which orders it
+// exactly as cancelling it and queueing a new event would.
+func (s *Sim) queue(e *Timer, t float64) {
 	if !(t >= s.now) {
 		t = s.now
 	}
-	e := &Timer{time: t, seq: s.seq, fire: fn, proc: p}
+	e.time, e.seq = t, s.seq
 	s.seq++
-	heap.Push(&s.events, e)
-	return e
+	if e.index < 0 {
+		heap.Push(&s.events, e)
+	} else {
+		heap.Fix(&s.events, e.index)
+	}
 }
 
 // Timer is a scheduled event, and the handle that cancels it. Events at
 // equal times fire in scheduling order (seq), which keeps the simulation
-// deterministic.
+// deterministic. Sim.At and Sim.After allocate one per call; a process's
+// wake-up and a flow manager's next completion are events their owners
+// keep and re-queue, so they allocate nothing.
 type Timer struct {
+	sim  *Sim
 	time float64
 	seq  int64
+	// index is the event's position in the heap, -1 while not queued.
+	index int
 	// fire runs in scheduler context; when proc is set the event wakes
 	// that process instead.
 	fire func()
 	proc *Proc
-	// cancelled events stay in the heap but do nothing when popped.
-	cancelled bool
 }
 
-// Cancel prevents the event from firing. Cancelling a fired or already
-// cancelled timer is a no-op.
+// Cancel prevents the event from firing by taking it out of the queue.
+// Cancelling a fired or already cancelled timer is a no-op.
 func (t *Timer) Cancel() {
-	if t != nil {
-		t.cancelled = true
+	if t != nil && t.index >= 0 {
+		heap.Remove(&t.sim.events, t.index)
 	}
 }
 
 // Proc is a simulated process. Its methods must only be called from the
 // process's own goroutine (inside the function passed to Spawn).
 type Proc struct {
-	sim    *Sim
-	name   string
-	resume chan struct{}
-	done   bool
-	parked bool
+	sim  *Sim
+	name string
+	fn   func(p *Proc)
+	// wakeup is the process's one wake-up event (Spawn, Sleep,
+	// Signal.Fire). Its goroutine starts at the first wake-up; resume
+	// carries control to it at every later one.
+	wakeup  Timer
+	started bool
+	resume  chan struct{}
+	done    bool
 	// waitReason/waitSince describe why the process is blocked, for
 	// deadlock and watchdog diagnosis. The reason is set by the park
 	// site (or defaults to "parked") and cleared on resume. waitLazy,
@@ -194,23 +226,48 @@ func (p *Proc) Sim() *Sim { return p.sim }
 // Spawn creates a process that will start at the current simulated time.
 // It may be called before Run or from any running process.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, resume: make(chan struct{})}
+	p := &Proc{sim: s, name: name, fn: fn, resume: make(chan struct{})}
+	p.wakeup = Timer{sim: s, index: -1, proc: p}
 	s.procs = append(s.procs, p)
 	s.m.procsSpawned.Inc()
-	s.At(s.now, func() {
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					s.fail(fmt.Errorf("engine: process %q panicked: %v", name, r))
-				}
-				p.done = true
-				s.yield <- struct{}{}
-			}()
-			fn(p)
-		}()
-		<-s.yield // wait until the new process parks or finishes
-	})
+	s.wake(p, s.now)
 	return p
+}
+
+// run is the process's goroutine, started at its first wake-up. Once fn
+// has returned or panicked, the goroutine runs the event loop on until it
+// can hand control to another process or back to Run, and exits.
+func (p *Proc) run() {
+	s := p.sim
+	defer func() {
+		if r := recover(); r != nil {
+			s.fail(fmt.Errorf("engine: process %q panicked: %v", p.name, r))
+		}
+		p.done = true
+		s.switchTo(s.step())
+	}()
+	reserveStack(0)
+	p.fn(p)
+}
+
+// stackReserve is the frame reserveStack calls through. The event loop
+// runs on process goroutines, and its deepest common path, a completion
+// re-solving flows, reaches memsys.SolveInto, whose stack scratch alone
+// takes about 4 KiB; a frame this size makes the runtime grow a small
+// starting stack to 8 KiB at once.
+const stackReserve = 4 << 10
+
+// reserveStack grows a new process goroutine's stack while it is still
+// shallow. Without it the stack grows the first time the event loop
+// re-solves flows on the goroutine, and the runtime copies that deep
+// stack, often more than once: in BenchmarkAllreduce that copying took a
+// third of the CPU time. It returns a byte of its frame so that the
+// compiler keeps the frame.
+//
+//go:noinline
+func reserveStack(i int) byte {
+	var frame [stackReserve]byte
+	return frame[i]
 }
 
 // fail records err as the simulation's failure; the first one wins. Run
@@ -221,33 +278,57 @@ func (s *Sim) fail(err error) {
 	}
 }
 
-// park suspends the calling process and returns control to the scheduler.
-// The process resumes when some event sends on p.resume.
+// park suspends the calling process. Its goroutine runs the event loop
+// until an event wakes a process: when that is p itself, park returns
+// without a goroutine switch. Otherwise it hands control to that process,
+// or back to Run when the run has ended, and blocks until p's own
+// wake-up, which may come in a later Run.
 func (p *Proc) park() {
 	if p.waitReason == "" && p.waitLazy == nil {
 		p.waitReason = "parked"
 		p.waitSince = p.sim.now
 	}
-	p.parked = true
-	p.sim.yield <- struct{}{}
-	<-p.resume
-	p.parked = false
+	s := p.sim
+	if next := s.step(); next != p {
+		s.switchTo(next)
+		<-p.resume
+	}
 	p.waitReason = ""
 	p.waitLazy = nil
 }
 
-// wake resumes a parked process from scheduler context and waits for it to
-// park again or finish.
-func (s *Sim) wake(p *Proc) {
-	p.resume <- struct{}{}
-	<-s.yield
+// wake queues p's wake-up event at time t. A process has one: a second
+// pending wake-up would resume a process that is not parked, which only
+// a bug can cause, so it panics.
+func (s *Sim) wake(p *Proc, t float64) {
+	if p.wakeup.index >= 0 {
+		panic(fmt.Sprintf("engine: process %q woken twice", p.name))
+	}
+	s.queue(&p.wakeup, t)
+}
+
+// switchTo hands control to p, the process step returned: it starts p's
+// goroutine at its first wake-up and resumes it at every later one. A nil
+// p means the run has ended, and control goes back to Run's goroutine.
+// The calling goroutine must not touch the simulation afterwards until
+// control comes back to it.
+func (s *Sim) switchTo(p *Proc) {
+	switch {
+	case p == nil:
+		s.ended <- struct{}{}
+	case !p.started:
+		p.started = true
+		//memlint:allow goleak — once fn returns the goroutine runs the event loop, hands control on and exits; one still parked when a run ends stays blocked so that a later Run can resume it
+		go p.run()
+	default:
+		p.resume <- struct{}{}
+	}
 }
 
 // Sleep suspends the process for d simulated seconds (d < 0 is treated as
-// zero, which still yields to the scheduler once).
+// zero, which still lets every event already due now run first).
 func (p *Proc) Sleep(d float64) {
-	s := p.sim
-	s.schedule(s.now+d, nil, p)
+	p.sim.wake(p, p.sim.now+d)
 	p.SetWaitReason("sleep")
 	p.park()
 }
@@ -256,15 +337,28 @@ func (p *Proc) Sleep(d float64) {
 // ready to use: a Wait binds it to the waiting process's simulation.
 type Signal struct {
 	sim *Sim
-	// waiters are woken, or run, in registration order.
-	waiters []waiter
+	// first and more hold the waiters, woken or run in registration
+	// order. The first sits inline, so a signal that never has two
+	// waiters at once never allocates.
+	first waiter
+	more  []waiter
 }
 
 // waiter is one registration on a Signal: a parked process, or, when proc
-// is nil, a callback to run in scheduler context (Handle.Then).
+// is nil, a callback to run in scheduler context (Handle.Then). The zero
+// waiter is no registration.
 type waiter struct {
 	proc *Proc
 	fn   func()
+}
+
+// add registers w after the current waiters.
+func (sg *Signal) add(w waiter) {
+	if sg.first.proc == nil && sg.first.fn == nil {
+		sg.first = w
+		return
+	}
+	sg.more = append(sg.more, w)
 }
 
 // NewSignal returns a signal bound to the simulation.
@@ -273,20 +367,34 @@ func (s *Sim) NewSignal() *Signal { return &Signal{sim: s} }
 // Wait parks the calling process until the next Fire.
 func (sg *Signal) Wait(p *Proc) {
 	sg.sim = p.sim
-	sg.waiters = append(sg.waiters, waiter{proc: p})
+	sg.add(waiter{proc: p})
 	p.park()
 }
 
 // Fire wakes every current waiter (in wait order) at the current time.
-// It may be called from process or scheduler context. Each wake-up or
-// callback is one scheduled event; the waiter list keeps its storage for
-// the next Wait.
+// It may be called from process or scheduler context. A process's
+// wake-up is its own event; each callback is one new event. The waiter
+// list keeps its storage for the next Wait.
 func (sg *Signal) Fire() {
-	for _, w := range sg.waiters {
-		sg.sim.schedule(sg.sim.now, w.fn, w.proc)
+	if sg.first.proc == nil && sg.first.fn == nil {
+		return // no waiters, so none in more either
 	}
-	clear(sg.waiters)
-	sg.waiters = sg.waiters[:0]
+	sg.first.schedule(sg.sim)
+	for _, w := range sg.more {
+		w.schedule(sg.sim)
+	}
+	sg.first = waiter{}
+	clear(sg.more)
+	sg.more = sg.more[:0]
+}
+
+// schedule queues the waiter's event at the current time.
+func (w waiter) schedule(s *Sim) {
+	if w.proc != nil {
+		s.wake(w.proc, s.now)
+	} else {
+		s.At(s.now, w.fn)
+	}
 }
 
 // WaitState describes one blocked process: its name, why it parked (as
@@ -432,53 +540,78 @@ func (s *Sim) waitStates() []WaitState {
 }
 
 // Run executes the simulation until no events remain. It returns an error
-// if a process panicked, if the flow solver rejected a stream (wrapping
-// the solver's error), if processes remain parked with no pending event
-// that could wake them (*DeadlockError), or if an armed watchdog budget is
-// exceeded (*BudgetError).
+// if a process or an event callback panicked, if the flow solver rejected
+// a stream (wrapping the solver's error), if processes remain parked with
+// no pending event that could wake them (*DeadlockError), or if an armed
+// watchdog budget is exceeded (*BudgetError). Processes still parked when
+// Run returns stay parked, and a later Run can wake them.
 func (s *Sim) Run() error {
 	if s.running {
 		return fmt.Errorf("engine: Run called re-entrantly")
 	}
 	s.running = true
 	defer func() { s.running = false }()
+	if p := s.step(); p != nil {
+		s.switchTo(p)
+		<-s.ended
+	}
+	return s.outcome
+}
 
+// step runs the event loop on the calling goroutine: it fires callbacks
+// until an event wakes a process, and returns that process. When the run
+// ends instead, it records Run's result in s.outcome and returns nil.
+func (s *Sim) step() *Proc {
 	for s.failure == nil && s.events.Len() > 0 {
 		if s.done != nil {
 			select {
 			case <-s.done:
-				return &CanceledError{At: s.now, Events: s.fired, Cause: context.Cause(s.ctx), Stuck: s.waitStates()}
+				return s.end(&CanceledError{At: s.now, Events: s.fired, Cause: context.Cause(s.ctx), Stuck: s.waitStates()})
 			default:
 			}
 		}
 		e := heap.Pop(&s.events).(*Timer)
-		if e.cancelled {
-			continue
-		}
 		if e.time < s.now {
-			return fmt.Errorf("engine: event time went backwards (%.9f < %.9f)", e.time, s.now)
+			return s.end(fmt.Errorf("engine: event time went backwards (%.9f < %.9f)", e.time, s.now))
 		}
 		if s.maxSimTime > 0 && e.time > s.maxSimTime {
-			return &BudgetError{Kind: "sim-time", Limit: s.maxSimTime, At: s.now, Events: s.fired, Stuck: s.waitStates()}
+			return s.end(&BudgetError{Kind: "sim-time", Limit: s.maxSimTime, At: s.now, Events: s.fired, Stuck: s.waitStates()})
 		}
 		if s.maxEvents > 0 && s.fired >= s.maxEvents {
-			return &BudgetError{Kind: "event-count", Limit: float64(s.maxEvents), At: s.now, Events: s.fired, Stuck: s.waitStates()}
+			return s.end(&BudgetError{Kind: "event-count", Limit: float64(s.maxEvents), At: s.now, Events: s.fired, Stuck: s.waitStates()})
 		}
 		s.now = e.time
 		s.fired++
 		s.m.eventsFired.Inc()
 		s.m.virtualTime.Set(s.now)
 		if e.proc != nil {
-			s.wake(e.proc)
-		} else {
-			e.fire()
+			return e.proc
 		}
+		s.fire(e.fire)
 	}
 	if s.failure != nil {
-		return s.failure
+		return s.end(s.failure)
 	}
 	if stuck := s.waitStates(); len(stuck) > 0 {
-		return &DeadlockError{At: s.now, Stuck: stuck}
+		return s.end(&DeadlockError{At: s.now, Stuck: stuck})
 	}
+	return s.end(nil)
+}
+
+// end records err as the result Run returns, and returns the nil process
+// with which step reports that the run has ended.
+func (s *Sim) end(err error) *Proc {
+	s.outcome = err
 	return nil
+}
+
+// fire runs one callback. A panic in it fails the run, whichever
+// goroutine holds the event loop at the time.
+func (s *Sim) fire(fn func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.fail(fmt.Errorf("engine: event at t=%.6fs panicked: %v", s.now, r))
+		}
+	}()
+	fn()
 }

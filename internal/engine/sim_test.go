@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -104,10 +105,10 @@ func TestSimAtAllocs(t *testing.T) {
 	}
 }
 
-// TestSignalFireAllocs: a Signal.Fire wake-up costs one allocation, the
-// event that carries the woken process. Two processes ping-pong over two
-// signals; the difference between 200 and 100 rounds (two wake-ups
-// each) cancels the set-up.
+// TestSignalFireAllocs: a Signal.Fire wake-up allocates nothing: the
+// waiter sits inline in the signal and the wake-up is the process's own
+// event. Two processes ping-pong over two signals; the difference between
+// 200 and 100 rounds (two wake-ups each) cancels the set-up.
 func TestSignalFireAllocs(t *testing.T) {
 	run := func(rounds int) float64 {
 		return testing.AllocsPerRun(5, func() {
@@ -130,8 +131,8 @@ func TestSignalFireAllocs(t *testing.T) {
 			}
 		})
 	}
-	if got := (run(200) - run(100)) / 200; got != 1 {
-		t.Errorf("a Signal.Fire wake-up allocates %v, want 1", got)
+	if got := (run(200) - run(100)) / 200; got != 0 {
+		t.Errorf("a Signal.Fire wake-up allocates %v, want 0", got)
 	}
 }
 
@@ -243,6 +244,78 @@ func TestProcessPanicSurfaces(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("panic must surface as error, got %v", err)
 	}
+}
+
+// TestCallbackPanicFailsRun: a panic in an event callback fails the run
+// with the event's time, whichever goroutine holds the event loop when it
+// fires: Run's own, a parked process's or a finished process's.
+func TestCallbackPanicFailsRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		proc func(p *Proc)
+	}{
+		{"run", nil},
+		{"parked", func(p *Proc) { p.Sleep(2) }},
+		{"finished", func(*Proc) {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSim()
+			if tc.proc != nil {
+				s.Spawn("a", tc.proc)
+			}
+			s.At(0.5, func() { panic("boom") })
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("Run panicked: %v", r)
+					}
+				}()
+				err = s.Run()
+			}()
+			if want := "engine: event at t=0.500000s panicked: boom"; err == nil || err.Error() != want {
+				t.Errorf("Run returned %v, want %q", err, want)
+			}
+		})
+	}
+}
+
+// TestParkedProcessResumesInLaterRun: a process still parked when Run
+// reports a deadlock keeps its goroutine blocked; an event queued
+// afterwards and a second Run hand control back to it, and it finishes.
+func TestParkedProcessResumesInLaterRun(t *testing.T) {
+	s := NewSim()
+	sig := s.NewSignal()
+	finishedAt := -1.0
+	s.Spawn("waiter", func(p *Proc) {
+		sig.Wait(p)
+		p.Sleep(1)
+		finishedAt = p.Sim().Now()
+	})
+	var de *DeadlockError
+	if err := s.Run(); !errors.As(err, &de) || len(de.Stuck) != 1 {
+		t.Fatalf("first Run returned %v, want a deadlock of the waiter", err)
+	}
+	s.At(2, sig.Fire)
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if finishedAt != 3 {
+		t.Errorf("waiter finished at %v, want 3", finishedAt)
+	}
+}
+
+// TestDoubleWakePanics: a process has one wake-up event, so queueing a
+// second while one is pending is a bug and panics, naming the process.
+func TestDoubleWakePanics(t *testing.T) {
+	s := NewSim()
+	p := s.Spawn("twice", func(*Proc) {}) // its start is the pending wake-up
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"twice"`) {
+			t.Errorf("second wake-up recovered %v, want a panic naming the process", r)
+		}
+	}()
+	s.wake(p, s.Now())
 }
 
 func TestRunTwice(t *testing.T) {

@@ -1,20 +1,24 @@
-// Command benchdiff compares a fresh benchjson document against the
-// committed baseline and fails on regressions, so instrumentation
-// overhead creep is caught in review instead of six PRs later.
+// Command benchdiff compares two benchjson documents, the base side and
+// the changed side of a benchmark comparison, and fails on regressions,
+// so instrumentation overhead creep is caught in review instead of six
+// PRs later. `make benchdiff` (scripts/benchdiff/run.sh) feeds it
+// alternating runs of a base revision and the working tree.
 //
 // Usage:
 //
+//	go run ./scripts/benchdiff -baseline base.json -new fresh.json
 //	go test -bench 'Halo' -benchmem -run '^$' ./... \
 //	  | go run ./scripts/benchjson \
-//	  | go run ./scripts/benchdiff -baseline BENCH_baseline.json
-//	go run ./scripts/benchdiff -baseline BENCH_baseline.json -new fresh.json
+//	  | go run ./scripts/benchdiff -baseline base.json
 //
 // Benchmarks are matched by (package, name); entries present on only one
 // side are reported but never fail the run (benchmarks come and go).
-// A matched benchmark fails when ns/op or allocs/op grows by more than
-// -tolerance (default 0.15 = 15%) over the baseline. Timings on shared
-// CI runners are noisy — treat a benchdiff failure as "measure properly
-// before merging", which is why the Makefile wires it as advisory.
+// A benchmark listed several times in a document ran several rounds, and
+// that side's value is the median over them. A matched benchmark fails
+// when its median ns/op or allocs/op grows by more than -tolerance
+// (default 0.15 = 15%) over the base side's. Timings on shared CI runners
+// are noisy — treat a benchdiff failure as "measure properly before
+// merging", which is why the Makefile wires it as advisory.
 package main
 
 import (
@@ -24,6 +28,8 @@ import (
 	"io"
 	"os"
 	"sort"
+
+	"memcontention/internal/stats"
 )
 
 // Result mirrors scripts/benchjson's output entry.
@@ -41,7 +47,7 @@ type document struct {
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_baseline.json", "committed baseline benchjson document")
+	baselinePath := flag.String("baseline", "BENCH_baseline.json", "benchjson document of the base side")
 	newPath := flag.String("new", "-", "fresh benchjson document ('-' reads stdin)")
 	tolerance := flag.Float64("tolerance", 0.15, "allowed fractional growth in ns/op and allocs/op")
 	flag.Parse()
@@ -57,8 +63,8 @@ func main() {
 	}
 }
 
-// run diffs the two documents, prints the report to w and returns how
-// many benchmarks regressed beyond tolerance.
+// run diffs the two documents' per-benchmark medians, prints the report
+// to w and returns how many benchmarks regressed beyond tolerance.
 func run(w io.Writer, baselinePath, newPath string, stdin io.Reader, tolerance float64) (int, error) {
 	if tolerance < 0 {
 		return 0, fmt.Errorf("negative tolerance %v", tolerance)
@@ -77,26 +83,27 @@ func run(w io.Writer, baselinePath, newPath string, stdin io.Reader, tolerance f
 		return 0, err
 	}
 
-	base := index(baseline)
+	base, changed := medians(baseline), medians(fresh)
 	regressions := 0
 	matched := 0
-	for _, f := range sorted(fresh) {
-		b, ok := base[key(f)]
+	for _, k := range sortedKeys(changed) {
+		f := changed[k]
+		b, ok := base[k]
 		if !ok {
-			fmt.Fprintf(w, "  new      %-50s (no baseline entry)\n", key(f))
+			fmt.Fprintf(w, "  new      %-50s (no baseline entry)\n", k)
 			continue
 		}
 		matched++
-		delete(base, key(f))
-		nsGrowth := growth(b.NsPerOp, f.NsPerOp)
-		allocGrowth := growth(b.AllocsPerOp, f.AllocsPerOp)
+		delete(base, k)
+		nsGrowth := growth(b.ns, f.ns)
+		allocGrowth := growth(b.allocs, f.allocs)
 		status := "ok"
 		if nsGrowth > tolerance || allocGrowth > tolerance {
 			status = "REGRESSED"
 			regressions++
 		}
-		fmt.Fprintf(w, "  %-8s %-50s ns/op %10.0f -> %10.0f (%+6.1f%%)  allocs/op %6.0f -> %6.0f (%+6.1f%%)\n",
-			status, key(f), b.NsPerOp, f.NsPerOp, nsGrowth*100, b.AllocsPerOp, f.AllocsPerOp, allocGrowth*100)
+		fmt.Fprintf(w, "  %-8s %-50s ns/op %10.0f -> %10.0f (%+6.1f%%)  allocs/op %6.0f -> %6.0f (%+6.1f%%)  rounds %d/%d\n",
+			status, k, b.ns, f.ns, nsGrowth*100, b.allocs, f.allocs, allocGrowth*100, b.rounds, f.rounds)
 	}
 	for _, k := range sortedKeys(base) {
 		fmt.Fprintf(w, "  absent   %-50s (in baseline, not in fresh run)\n", k)
@@ -118,21 +125,29 @@ func growth(old, new float64) float64 {
 
 func key(r Result) string { return r.Package + "." + r.Name }
 
-func index(rs []Result) map[string]Result {
-	m := make(map[string]Result, len(rs))
+// side is one benchmark's value on one side: the medians over its rounds.
+type side struct {
+	ns, allocs float64
+	rounds     int
+}
+
+// medians groups a document's entries by benchmark, each entry one round,
+// and takes the median ns/op and allocs/op of every group.
+func medians(rs []Result) map[string]side {
+	ns := make(map[string][]float64)
+	allocs := make(map[string][]float64)
 	for _, r := range rs {
-		m[key(r)] = r
+		ns[key(r)] = append(ns[key(r)], r.NsPerOp)
+		allocs[key(r)] = append(allocs[key(r)], r.AllocsPerOp)
+	}
+	m := make(map[string]side, len(ns))
+	for k := range ns {
+		m[k] = side{ns: stats.Median(ns[k]), allocs: stats.Median(allocs[k]), rounds: len(ns[k])}
 	}
 	return m
 }
 
-func sorted(rs []Result) []Result {
-	out := append([]Result(nil), rs...)
-	sort.Slice(out, func(i, j int) bool { return key(out[i]) < key(out[j]) })
-	return out
-}
-
-func sortedKeys(m map[string]Result) []string {
+func sortedKeys(m map[string]side) []string {
 	ks := make([]string, 0, len(m))
 	for k := range m {
 		ks = append(ks, k)

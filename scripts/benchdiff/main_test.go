@@ -61,6 +61,51 @@ func TestBenchdiff(t *testing.T) {
 	}
 }
 
+// TestBenchdiffRounds: repeated entries of one benchmark are rounds, and
+// each side is compared by its median, so one slow round on either side
+// neither flags nor hides a regression.
+func TestBenchdiffRounds(t *testing.T) {
+	dir := t.TempDir()
+	basePath := filepath.Join(dir, "base.json")
+	writeDoc(t, basePath, []Result{
+		{Package: "p", Name: "BenchmarkNoisy", NsPerOp: 1000, AllocsPerOp: 10},
+		{Package: "p", Name: "BenchmarkSlower", NsPerOp: 1000, AllocsPerOp: 10},
+		{Package: "p", Name: "BenchmarkNoisy", NsPerOp: 1000, AllocsPerOp: 10},
+		{Package: "p", Name: "BenchmarkSlower", NsPerOp: 1000, AllocsPerOp: 10},
+		{Package: "p", Name: "BenchmarkNoisy", NsPerOp: 1900, AllocsPerOp: 10}, // one slow base round
+		{Package: "p", Name: "BenchmarkSlower", NsPerOp: 1000, AllocsPerOp: 10},
+	})
+	freshPath := filepath.Join(dir, "fresh.json")
+	writeDoc(t, freshPath, []Result{
+		{Package: "p", Name: "BenchmarkNoisy", NsPerOp: 1050, AllocsPerOp: 10},
+		{Package: "p", Name: "BenchmarkNoisy", NsPerOp: 1100, AllocsPerOp: 10},
+		{Package: "p", Name: "BenchmarkNoisy", NsPerOp: 2500, AllocsPerOp: 10}, // one slow fresh round
+		{Package: "p", Name: "BenchmarkSlower", NsPerOp: 1300, AllocsPerOp: 10},
+		{Package: "p", Name: "BenchmarkSlower", NsPerOp: 1250, AllocsPerOp: 10},
+		{Package: "p", Name: "BenchmarkSlower", NsPerOp: 900, AllocsPerOp: 10}, // one fast fresh round
+	})
+
+	var out strings.Builder
+	regressions, err := run(&out, basePath, freshPath, nil, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := out.String()
+	if regressions != 1 {
+		t.Errorf("regressions = %d, want 1\n%s", regressions, report)
+	}
+	for _, want := range []string{
+		"ok       p.BenchmarkNoisy", // medians 1000 -> 1100: +10%
+		"REGRESSED p.BenchmarkSlower",
+		"1000 ->       1250 ( +25.0%)", // median of 1300, 900, 1250
+		"rounds 3/3",
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report missing %q:\n%s", want, report)
+		}
+	}
+}
+
 func TestBenchdiffStdinAndErrors(t *testing.T) {
 	dir := t.TempDir()
 	basePath := filepath.Join(dir, "base.json")
