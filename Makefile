@@ -84,9 +84,11 @@ fuzz:
 prof-smoke:
 	$(GO) test -run 'TestMemprof' -count=1 ./cmd/memprof/
 
-# soak kills the Table II pipeline at seeded random points and resumes
-# it from the checkpoint journal, asserting byte-identical artifacts
-# (see docs/resilience.md).
+# soak runs the Table II pipeline and its replication sweep as an
+# in-process lease campaign, cancels it at SOAK_ROUNDS seeded unit
+# boundaries, tears and corrupts old shard-journal tails between attempts,
+# and resumes it from the campaign directory, asserting byte-identical
+# artifacts with and without a fault plan (see docs/resilience.md).
 SOAK_ROUNDS ?= 6
 soak:
 	$(GO) run ./scripts/soak -rounds $(SOAK_ROUNDS)
@@ -114,7 +116,7 @@ bench:
 # are noisy, so a flagged regression means "measure properly before
 # merging", not "blocked" (see docs/observability.md).
 BENCHDIFF_BASE ?= HEAD~1
-BENCHDIFF_PATTERN ?= BenchmarkClusterHaloExchange$$|BenchmarkTable1Platforms$$|BenchmarkTable2Errors$$|BenchmarkPredict$$|BenchmarkSolver$$|BenchmarkSolve$$|BenchmarkMeasurePoint$$|BenchmarkFlowsChurn$$|BenchmarkSimEvents$$|BenchmarkRenderArtifacts$$|BenchmarkCalibrateRunner$$|BenchmarkEvaluatePlatform$$|BenchmarkDeliver$$|BenchmarkSendRecv$$|BenchmarkAllreduce$$
+BENCHDIFF_PATTERN ?= BenchmarkClusterHaloExchange$$|BenchmarkTable1Platforms$$|BenchmarkTable2Errors$$|BenchmarkPredict$$|BenchmarkSolver$$|BenchmarkSolve$$|BenchmarkMeasurePoint$$|BenchmarkFlowsChurn$$|BenchmarkSimEvents$$|BenchmarkRenderArtifacts$$|BenchmarkCalibrateRunner$$|BenchmarkEvaluatePlatform$$|BenchmarkDeliver$$|BenchmarkSendRecv$$|BenchmarkAllreduce$$|BenchmarkDecodeUnitJournal$$
 benchdiff:
 	-GO=$(GO) bash scripts/benchdiff/run.sh '$(BENCHDIFF_PATTERN)' '$(BENCHDIFF_BASE)'
 

@@ -10,14 +10,8 @@
 //	membench -platform dahu -kernel copy -csv      # CSV output
 //	membench -platform pyxis -bidir                # ping-pong extension
 //
-// Robustness (see docs/resilience.md): with -checkpoint the campaign is
-// crash-safe — each completed placement curve is journaled durably, a
-// SIGINT/SIGTERM stops the run at a clean boundary (exit status 130), and
-// re-running with the same flags resumes where it died with bit-identical
-// results:
-//
-//	membench -platform dahu -checkpoint run.ckpt   # interruptible
-//	membench -platform dahu -checkpoint run.ckpt -resume
+// SIGINT/SIGTERM stops the sweep at the next point boundary (exit status
+// 130) with the telemetry flushed.
 package main
 
 import (
@@ -29,7 +23,6 @@ import (
 
 	"memcontention"
 	"memcontention/internal/bench"
-	"memcontention/internal/campaign"
 	"memcontention/internal/checkpoint"
 	"memcontention/internal/export"
 	"memcontention/internal/kernels"
@@ -63,33 +56,19 @@ func main() {
 	flag.BoolVar(&o.bidir, "bidir", false, "bidirectional communications (ping-pong extension)")
 	var cli obs.CLI
 	cli.Register(flag.CommandLine, false)
-	var ckpt checkpoint.CLI
-	ckpt.Register(flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := checkpoint.SignalContext()
-	err := run(ctx, os.Stdout, o, &ckpt, &cli)
+	err := run(ctx, os.Stdout, o, &cli)
 	stop()
 	if code := checkpoint.Report(os.Stderr, "membench", err); code != 0 {
 		os.Exit(code)
 	}
 }
 
-// run opens the journal and executes the campaign; split from main so
-// tests can drive the full command logic with their own context, journal
-// and output sink.
-func run(ctx context.Context, w io.Writer, o options, ckpt *checkpoint.CLI, cli *obs.CLI) error {
-	j, err := ckpt.Open()
-	if err != nil {
-		return err
-	}
-	defer j.Close()
-	return benchCampaign(ctx, w, j, o, cli)
-}
-
-// benchCampaign is the testable command core: everything after flag
-// parsing and journal opening.
-func benchCampaign(ctx context.Context, w io.Writer, j *checkpoint.Journal, o options, cli *obs.CLI) error {
+// run executes the sweep; split from main so tests can drive the full
+// command logic with their own context and output sink.
+func run(ctx context.Context, w io.Writer, o options, cli *obs.CLI) error {
 	if err := cli.Start(); err != nil {
 		return err
 	}
@@ -117,26 +96,42 @@ func benchCampaign(ctx context.Context, w io.Writer, j *checkpoint.Journal, o op
 		return err
 	}
 	reg := cli.NewRegistry()
-	j.SetRegistry(reg)
+	man := obs.NewManifest("membench")
+	man.Platform = plat.Name
+	man.Kernel = kern.String()
+	man.Seed = o.seed
+	man.Args = os.Args[1:]
+	man.Notes = map[string]string{"message_size": size.String()}
 
-	var placements []model.Placement
-	if o.comp >= 0 && o.comm >= 0 {
-		placements = []model.Placement{{Comp: topology.NodeID(o.comp), Comm: topology.NodeID(o.comm)}}
-	} else {
+	runner, err := bench.NewRunner(bench.Config{
+		Platform:      plat,
+		Profile:       prof,
+		Kernel:        kern,
+		MessageSize:   size,
+		Seed:          o.seed,
+		Bidirectional: o.bidir,
+		Registry:      reg,
+		Context:       ctx,
+	})
+	if err != nil {
+		return err
+	}
+	placements := []model.Placement{{Comp: topology.NodeID(o.comp), Comm: topology.NodeID(o.comm)}}
+	if o.comp < 0 || o.comm < 0 {
 		placements = bench.AllPlacements(plat)
 	}
-	curves, runErr := campaign.Curves(
-		campaign.Config{Seed: o.seed, Context: ctx, Journal: j, Registry: reg},
-		bench.Config{
-			Platform:      plat,
-			Profile:       prof,
-			Kernel:        kern,
-			MessageSize:   size,
-			Seed:          o.seed,
-			Bidirectional: o.bidir,
-		},
-		placements,
-	)
+	var curves []*bench.Curve
+	for _, pl := range placements {
+		c, err := runner.RunPlacement(pl)
+		if err != nil {
+			// A graceful shutdown still flushes telemetry.
+			if checkpoint.IsCanceled(err) {
+				_ = cli.Finish(reg, nil, man)
+			}
+			return err
+		}
+		curves = append(curves, c)
+	}
 	for _, curve := range curves {
 		t := curveTable(curve)
 		if o.csvOut {
@@ -149,20 +144,6 @@ func benchCampaign(ctx context.Context, w io.Writer, j *checkpoint.Journal, o op
 			return err
 		}
 		fmt.Fprintln(w)
-	}
-	man := obs.NewManifest("membench")
-	man.Platform = plat.Name
-	man.Kernel = kern.String()
-	man.Seed = o.seed
-	man.Args = os.Args[1:]
-	man.Notes = map[string]string{"message_size": size.String()}
-	if runErr != nil {
-		// A graceful shutdown still flushes telemetry: the journal
-		// already holds every completed curve.
-		if checkpoint.IsCanceled(runErr) {
-			_ = cli.Finish(reg, nil, man)
-		}
-		return runErr
 	}
 	return cli.Finish(reg, nil, man)
 }

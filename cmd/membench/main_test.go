@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -22,56 +23,18 @@ func testOptions() options {
 }
 
 // TestCancellationLeavesResumableJournal is the command-level graceful
-// shutdown contract: canceling mid-campaign returns a cancellation error,
-// leaves a valid journal behind, and a second invocation with the same
-// flags resumes to completion with output identical to an uninterrupted
-// run.
+// shutdown contract: a canceled sweep returns the cancellation error and
+// still flushes its telemetry.
 func TestCancellationLeavesResumableJournal(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "run.ckpt")
-	j, err := checkpoint.Open(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	metrics := filepath.Join(t.TempDir(), "m.prom")
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	j.RecordHook = func(_ string, total int) {
-		if total == 2 {
-			cancel()
-		}
-	}
-	var interrupted bytes.Buffer
-	err = benchCampaign(ctx, &interrupted, j, testOptions(), &obs.CLI{})
+	cancel()
+	err := run(ctx, &bytes.Buffer{}, testOptions(), &obs.CLI{MetricsPath: metrics})
 	if !checkpoint.IsCanceled(err) {
 		t.Fatalf("err = %v, want cancellation", err)
 	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second invocation through the real flag/journal plumbing.
-	var resumed bytes.Buffer
-	ckpt := &checkpoint.CLI{Path: jpath, Resume: true}
-	if err := run(context.Background(), &resumed, testOptions(), ckpt, &obs.CLI{}); err != nil {
-		t.Fatalf("resume failed: %v", err)
-	}
-
-	var fresh bytes.Buffer
-	if err := run(context.Background(), &fresh, testOptions(), &checkpoint.CLI{}, &obs.CLI{}); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resumed.Bytes(), fresh.Bytes()) {
-		t.Fatal("resumed output differs from an uninterrupted run")
-	}
-	if resumed.Len() == 0 {
-		t.Fatal("resumed run produced no output")
-	}
-}
-
-func TestResumeWithoutJournalFails(t *testing.T) {
-	ckpt := &checkpoint.CLI{Path: filepath.Join(t.TempDir(), "missing.ckpt"), Resume: true}
-	err := run(context.Background(), &bytes.Buffer{}, testOptions(), ckpt, &obs.CLI{})
-	if err == nil {
-		t.Fatal("-resume with a missing journal must fail")
+	if data, err := os.ReadFile(metrics); err != nil || !bytes.Contains(data, []byte("# TYPE")) {
+		t.Fatalf("interrupted run did not flush its metrics: %q (%v)", data, err)
 	}
 }
 
@@ -79,7 +42,7 @@ func TestSinglePlacementRuns(t *testing.T) {
 	o := testOptions()
 	o.comp, o.comm = 0, 1
 	var out bytes.Buffer
-	if err := run(context.Background(), &out, o, &checkpoint.CLI{}, &obs.CLI{}); err != nil {
+	if err := run(context.Background(), &out, o, &obs.CLI{}); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() == 0 {

@@ -19,12 +19,10 @@
 //
 //	memmodel -platform henri -faults plan.json    # cross-check under faults
 //	memmodel -platform henri -robust              # calibration noise sweep
-//	memmodel -platform henri -checkpoint run.ckpt # crash-safe resume
 //
-// With -checkpoint each completed unit (placement curve, cross-check) is
-// journaled durably; SIGINT/SIGTERM interrupts the run cleanly (exit
-// status 130, a `checkpoint` trace event marks the cut in -trace output)
-// and the same command line resumes it with bit-identical results.
+// SIGINT/SIGTERM interrupts the run cleanly: exit status 130, with the
+// telemetry flushed and a `checkpoint` trace event labelled
+// "interrupted" marking the cut in -trace output.
 package main
 
 import (
@@ -77,33 +75,22 @@ func main() {
 	flag.IntVar(&o.replications, "replications", 1, "Monte-Carlo replication sweep: evaluate this many consecutive seeds and print the platform's Table II errors as mean ± 95% CI")
 	var cli obs.CLI
 	cli.Register(flag.CommandLine, true)
-	var ckpt checkpoint.CLI
-	ckpt.Register(flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := checkpoint.SignalContext()
-	err := run(ctx, os.Stdout, o, &ckpt, &cli)
+	err := run(ctx, os.Stdout, o, &cli)
 	stop()
 	if code := checkpoint.Report(os.Stderr, "memmodel", err); code != 0 {
 		os.Exit(code)
 	}
 }
 
-// run opens the journal and executes the command core; split from main so
-// tests can drive the full logic with their own context and journal.
-func run(ctx context.Context, w io.Writer, o options, ckpt *checkpoint.CLI, cli *obs.CLI) error {
+// run executes the command core; split from main so tests can drive the
+// full logic with their own context and output sink.
+func run(ctx context.Context, w io.Writer, o options, cli *obs.CLI) (err error) {
 	if o.workers < 0 {
 		return fmt.Errorf("-workers %d: must be a non-negative worker count (0: GOMAXPROCS)", o.workers)
 	}
-	j, err := ckpt.Open()
-	if err != nil {
-		return err
-	}
-	defer j.Close()
-	return modelCampaign(ctx, w, j, o, cli)
-}
-
-func modelCampaign(ctx context.Context, w io.Writer, j *checkpoint.Journal, o options, cli *obs.CLI) (err error) {
 	if err := cli.Start(); err != nil {
 		return err
 	}
@@ -112,7 +99,6 @@ func modelCampaign(ctx context.Context, w io.Writer, j *checkpoint.Journal, o op
 		return err
 	}
 	reg := cli.NewRegistry()
-	j.SetRegistry(reg)
 	var rec *trace.Recorder
 	if cli.WantsTrace() {
 		rec = trace.NewRecorder()
@@ -124,7 +110,7 @@ func modelCampaign(ctx context.Context, w io.Writer, j *checkpoint.Journal, o op
 
 	// Telemetry flushes on success AND on graceful shutdown — an
 	// interrupted run still writes its metrics, manifest, and a
-	// `checkpoint` trace event recording where the campaign was cut.
+	// `checkpoint` trace event recording where the run was cut.
 	defer func() {
 		if err != nil && !checkpoint.IsCanceled(err) {
 			return
@@ -135,7 +121,7 @@ func modelCampaign(ctx context.Context, w io.Writer, j *checkpoint.Journal, o op
 			if errors.As(err, &ce) {
 				at = ce.At
 			}
-			rec.CheckpointAt(at, "interrupted: "+campaign.Progress(j))
+			rec.CheckpointAt(at, "interrupted")
 		}
 		ferr := cli.Finish(reg, rec, man)
 		if err == nil {
@@ -147,7 +133,6 @@ func modelCampaign(ctx context.Context, w io.Writer, j *checkpoint.Journal, o op
 	if err != nil {
 		return err
 	}
-	runner.WithJournal(j)
 	man.Kernel = runner.Config().Kernel.String()
 	m, err := calib.CalibrateRunner(runner)
 	if err != nil {
@@ -223,15 +208,12 @@ func modelCampaign(ctx context.Context, w io.Writer, j *checkpoint.Journal, o op
 
 	if o.replications > 1 {
 		// The replication sweep measures the platform's Table II errors
-		// across a consecutive-seed ensemble; each evaluation journals
-		// into j, so an interrupted sweep resumes at evaluation
-		// granularity.
+		// across a consecutive-seed ensemble.
 		rep, rerr := campaign.Replicate(campaign.Config{
 			Seed:         o.seed,
 			Workers:      o.workers,
 			Replications: o.replications,
 			Context:      ctx,
-			Journal:      j,
 			Registry:     reg,
 		}, []string{o.platform}, nil)
 		if rerr != nil {
@@ -258,7 +240,6 @@ func modelCampaign(ctx context.Context, w io.Writer, j *checkpoint.Journal, o op
 		xc, xerr := campaign.CrossCheck(campaign.Config{
 			Seed:      o.seed,
 			Context:   ctx,
-			Journal:   j,
 			Registry:  reg,
 			Recorder:  rec,
 			FaultPlan: plan,

@@ -18,15 +18,6 @@
 //
 //	memprof -platform henri -trace t.jsonl   # full span trace as JSONL
 //	memprof -platform henri -metrics m.prom -manifest run.json
-//
-// Robustness (see docs/resilience.md):
-//
-//	memprof -platform henri -checkpoint run.ckpt
-//
-// With -checkpoint the profiled scenario is journaled and its span slice
-// saved beside the journal (<journal>.spans/); re-running the same
-// command stitches the recorded spans instead of re-simulating, and a
-// resumed multi-unit campaign produces a byte-identical merged trace.
 package main
 
 import (
@@ -57,39 +48,30 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.platform, "platform", "henri", "built-in platform name to profile")
-	flag.Uint64Var(&o.seed, "seed", 1, "scenario seed (journal key component)")
+	flag.Uint64Var(&o.seed, "seed", 1, "scenario seed (recorded in the manifest)")
 	flag.StringVar(&o.load, "load", "", "analyse this recorded JSONL trace instead of running a scenario")
 	flag.StringVar(&o.perfetto, "perfetto", "", "write a Chrome trace-event JSON export (open in ui.perfetto.dev)")
 	flag.IntVar(&o.top, "top", 5, "number of contended links to highlight")
 	flag.IntVar(&o.width, "width", 60, "share chart width in columns")
 	var cli obs.CLI
 	cli.Register(flag.CommandLine, true)
-	var ckpt checkpoint.CLI
-	ckpt.Register(flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := checkpoint.SignalContext()
-	err := run(ctx, os.Stdout, o, &ckpt, &cli)
+	err := run(ctx, os.Stdout, o, &cli)
 	stop()
 	if code := checkpoint.Report(os.Stderr, "memprof", err); code != 0 {
 		os.Exit(code)
 	}
 }
 
-// run opens the journal and executes the command core; split from main so
-// tests can drive the full logic with their own context and outputs.
-func run(ctx context.Context, w io.Writer, o options, ckpt *checkpoint.CLI, cli *obs.CLI) (err error) {
+// run executes the command core; split from main so tests can drive the
+// full logic with their own context and outputs.
+func run(ctx context.Context, w io.Writer, o options, cli *obs.CLI) (err error) {
 	if err := cli.Start(); err != nil {
 		return err
 	}
-	j, err := ckpt.Open()
-	if err != nil {
-		return err
-	}
-	defer j.Close()
-
 	reg := cli.NewRegistry()
-	j.SetRegistry(reg)
 	man := obs.NewManifest("memprof")
 	man.Platform = o.platform
 	man.Seed = o.seed
@@ -107,17 +89,12 @@ func run(ctx context.Context, w io.Writer, o options, ckpt *checkpoint.CLI, cli 
 		man.Notes = map[string]string{"source": o.load}
 		fmt.Fprintf(w, "loaded %d events from %s\n\n", len(events), o.load)
 	} else {
-		cfg := campaign.Config{
+		xc, xerr := campaign.CrossCheck(campaign.Config{
 			Seed:     o.seed,
 			Context:  ctx,
-			Journal:  j,
 			Registry: reg,
 			Recorder: rec,
-		}
-		if ckpt.Path != "" {
-			cfg.SpanStore = prof.NewSpanStore(ckpt.Path + ".spans")
-		}
-		xc, xerr := campaign.CrossCheck(cfg, o.platform)
+		}, o.platform)
 		if xerr != nil {
 			return xerr
 		}

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"memcontention/internal/campaign"
-	"memcontention/internal/checkpoint"
 	"memcontention/internal/obs"
 	"memcontention/internal/prof"
 	"memcontention/internal/trace"
@@ -21,11 +20,11 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
 // profileRun drives the command core like main would, returning the report
-// text. Extra telemetry destinations come from cli/ckpt.
-func profileRun(t *testing.T, o options, ckpt *checkpoint.CLI, cli *obs.CLI) string {
+// text. Extra telemetry destinations come from cli.
+func profileRun(t *testing.T, o options, cli *obs.CLI) string {
 	t.Helper()
 	var out bytes.Buffer
-	if err := run(context.Background(), &out, o, ckpt, cli); err != nil {
+	if err := run(context.Background(), &out, o, cli); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	return out.String()
@@ -40,7 +39,7 @@ func TestMemprofReports(t *testing.T) {
 			dir := t.TempDir()
 			tracePath := filepath.Join(dir, "run.jsonl")
 			cli := &obs.CLI{TracePath: tracePath}
-			out := profileRun(t, options{platform: platform, seed: 1, top: 5, width: 40}, &checkpoint.CLI{}, cli)
+			out := profileRun(t, options{platform: platform, seed: 1, top: 5, width: 40}, cli)
 
 			for _, want := range []string{
 				"profiled overlap scenario on " + platform,
@@ -88,7 +87,7 @@ func TestMemprofReports(t *testing.T) {
 func TestMemprofGoldenPerfetto(t *testing.T) {
 	dir := t.TempDir()
 	pf := filepath.Join(dir, "henri.perfetto.json")
-	profileRun(t, options{platform: "henri", seed: 1, top: 5, width: 40, perfetto: pf}, &checkpoint.CLI{}, &obs.CLI{})
+	profileRun(t, options{platform: "henri", seed: 1, top: 5, width: 40, perfetto: pf}, &obs.CLI{})
 
 	got, err := os.ReadFile(pf)
 	if err != nil {
@@ -127,8 +126,8 @@ func TestMemprofGoldenPerfetto(t *testing.T) {
 func TestMemprofLoad(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "run.jsonl")
-	live := profileRun(t, options{platform: "henri", seed: 1, top: 5, width: 40}, &checkpoint.CLI{}, &obs.CLI{TracePath: tracePath})
-	loaded := profileRun(t, options{load: tracePath, top: 5, width: 40}, &checkpoint.CLI{}, &obs.CLI{})
+	live := profileRun(t, options{platform: "henri", seed: 1, top: 5, width: 40}, &obs.CLI{TracePath: tracePath})
+	loaded := profileRun(t, options{load: tracePath, top: 5, width: 40}, &obs.CLI{})
 
 	if !strings.Contains(loaded, "loaded ") {
 		t.Errorf("-load report missing source banner:\n%s", loaded)
@@ -161,8 +160,8 @@ func TestMemprofLoadsRecorderTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	live := profileRun(t, options{platform: "henri", seed: 1, top: 5, width: 40}, &checkpoint.CLI{}, &obs.CLI{})
-	loaded := profileRun(t, options{load: path, top: 5, width: 40}, &checkpoint.CLI{}, &obs.CLI{})
+	live := profileRun(t, options{platform: "henri", seed: 1, top: 5, width: 40}, &obs.CLI{})
+	loaded := profileRun(t, options{load: path, top: 5, width: 40}, &obs.CLI{})
 	liveCP := section(t, live, "== critical path")
 	loadedCP := section(t, loaded, "== critical path")
 	if strings.Contains(loadedCP, "(0 spans") {
@@ -170,33 +169,6 @@ func TestMemprofLoadsRecorderTrace(t *testing.T) {
 	}
 	if liveCP != loadedCP {
 		t.Errorf("critical path of the recorder trace differs from the live run:\nlive:\n%s\nloaded:\n%s", liveCP, loadedCP)
-	}
-}
-
-// TestMemprofCheckpointStitch profiles with -checkpoint twice; the second
-// run must stitch the journaled unit's spans into a byte-identical trace
-// without re-simulating.
-func TestMemprofCheckpointStitch(t *testing.T) {
-	dir := t.TempDir()
-	ckptPath := filepath.Join(dir, "run.ckpt")
-	t1 := filepath.Join(dir, "t1.jsonl")
-	t2 := filepath.Join(dir, "t2.jsonl")
-
-	profileRun(t, options{platform: "henri", seed: 1, top: 5, width: 40},
-		&checkpoint.CLI{Path: ckptPath}, &obs.CLI{TracePath: t1})
-	profileRun(t, options{platform: "henri", seed: 1, top: 5, width: 40},
-		&checkpoint.CLI{Path: ckptPath, Resume: true}, &obs.CLI{TracePath: t2})
-
-	b1, err := os.ReadFile(t1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := os.ReadFile(t2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b2) {
-		t.Error("stitched resume trace is not byte-identical to the live recording")
 	}
 }
 

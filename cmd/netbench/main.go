@@ -8,9 +8,8 @@
 //	netbench -platform diablo -node 1 -iters 8
 //	netbench -platform henri -metrics m.prom -manifest run.json
 //
-// With -checkpoint each completed message size is journaled durably;
-// SIGINT/SIGTERM stops the sweep cleanly (exit status 130) and the same
-// command resumes it (see docs/resilience.md).
+// SIGINT/SIGTERM stops the sweep at the next size boundary (exit status
+// 130).
 package main
 
 import (
@@ -34,21 +33,19 @@ func main() {
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	var cli obs.CLI
 	cli.Register(flag.CommandLine, false)
-	var ckpt checkpoint.CLI
-	ckpt.Register(flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := checkpoint.SignalContext()
-	err := run(ctx, os.Stdout, *platform, *node, *iters, *csvOut, &ckpt, &cli)
+	err := run(ctx, os.Stdout, *platform, *node, *iters, *csvOut, &cli)
 	stop()
 	if code := checkpoint.Report(os.Stderr, "netbench", err); code != 0 {
 		os.Exit(code)
 	}
 }
 
-// run opens the journal and executes the sweep; split from main so tests
-// can drive the full command logic with their own context and journal.
-func run(ctx context.Context, w io.Writer, platform string, node, iters int, csvOut bool, ckpt *checkpoint.CLI, cli *obs.CLI) error {
+// run executes the sweep; split from main so tests can drive the full
+// command logic with their own context and output sink.
+func run(ctx context.Context, w io.Writer, platform string, node, iters int, csvOut bool, cli *obs.CLI) error {
 	if err := cli.Start(); err != nil {
 		return err
 	}
@@ -56,20 +53,13 @@ func run(ctx context.Context, w io.Writer, platform string, node, iters int, csv
 	if err != nil {
 		return err
 	}
-	j, err := ckpt.Open()
-	if err != nil {
-		return err
-	}
-	defer j.Close()
 	reg := cli.NewRegistry()
-	j.SetRegistry(reg)
 	points, err := netbench.PingPong(netbench.Config{
 		Platform:   plat,
 		Node:       topology.NodeID(node),
 		Iterations: iters,
 		Registry:   reg,
 		Context:    ctx,
-		Journal:    j,
 	})
 	if err != nil {
 		return err

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"testing"
 
-	"memcontention/internal/checkpoint"
 	"memcontention/internal/obs"
 )
 
@@ -51,7 +50,7 @@ func TestGoldenArtifacts(t *testing.T) {
 				}
 				o.out = goldenDir
 			}
-			if err := run(context.Background(), &bytes.Buffer{}, o, &checkpoint.CLI{}, &obs.CLI{}); err != nil {
+			if err := run(context.Background(), &bytes.Buffer{}, o, &obs.CLI{}); err != nil {
 				t.Fatal(err)
 			}
 			if n := len(readDir(t, goldenDir)); n != 16 {

@@ -19,18 +19,15 @@
 // A fleet of memworker processes is finalized by memworker -merge, which
 // writes the same artifacts (docs/campaigns.md).
 //
-// With -checkpoint the evaluations are crash-safe (see docs/resilience.md):
-// every completed placement curve and platform evaluation is journaled,
-// SIGINT/SIGTERM stops the run cleanly (exit status 130; a second signal
-// exits immediately), and re-running the same command resumes where it
-// died with bit-identical artifacts (files under -out are also written
-// atomically and durably). With -shards the run is instead a lease
-// campaign in the given directory: -workers in-process lease workers —
-// the same workers memworker runs — journal the pipeline's units into
-// per-shard epoch journals, retry or quarantine failing units, and the
-// merged journal replays into byte-identical artifacts. The directory
-// resumes like a checkpoint and memtop -dir reads it (see
-// docs/campaigns.md).
+// SIGINT/SIGTERM stops any run cleanly (exit status 130; a second signal
+// exits immediately), and files under -out are written atomically and
+// durably. With -shards the run is crash-safe (see docs/resilience.md):
+// it is a lease campaign in the given directory, where -workers
+// in-process lease workers — the same workers memworker runs — journal
+// each completed campaign unit into per-shard epoch journals,
+// retry or quarantine failing units, and the merged journal replays into
+// byte-identical artifacts. Re-running the same command resumes where it
+// died, and memtop -dir reads the directory (see docs/campaigns.md).
 package main
 
 import (
@@ -72,38 +69,28 @@ func main() {
 	flag.BoolVar(&o.ascii, "plot", false, "render figures as ASCII charts instead of CSV")
 	var cli obs.CLI
 	cli.Register(flag.CommandLine, false)
-	var ckpt checkpoint.CLI
-	ckpt.Register(flag.CommandLine)
 	flag.Parse()
 
 	ctx, stop := checkpoint.SignalContext()
-	err := run(ctx, os.Stdout, o, &ckpt, &cli)
+	err := run(ctx, os.Stdout, o, &cli)
 	stop()
 	if code := checkpoint.Report(os.Stderr, "paperfigs", err); code != 0 {
 		os.Exit(code)
 	}
 }
 
-// run opens the journal and executes the command core; split from main so
-// tests can drive the full logic with their own context, journal and
-// output sink.
-func run(ctx context.Context, w io.Writer, o options, ckpt *checkpoint.CLI, cli *obs.CLI) error {
+// run executes the command core with telemetry; split from main so tests
+// can drive the full logic with their own context and output sink.
+func run(ctx context.Context, w io.Writer, o options, cli *obs.CLI) error {
 	if err := cli.Start(); err != nil {
 		return err
 	}
-	j, err := ckpt.Open()
-	if err != nil {
-		return err
-	}
-	defer j.Close()
 	reg := cli.NewRegistry()
-	j.SetRegistry(reg)
 	man := obs.NewManifest("paperfigs")
 	man.Seed = o.seed
 	man.Args = os.Args[1:]
-	if err := dispatch(ctx, w, o, j, reg); err != nil {
-		// A graceful shutdown still flushes telemetry: the journal
-		// already holds every completed unit.
+	if err := dispatch(ctx, w, o, reg); err != nil {
+		// A graceful shutdown still flushes telemetry.
 		if checkpoint.IsCanceled(err) {
 			_ = cli.Finish(reg, nil, man)
 		}
@@ -113,9 +100,8 @@ func run(ctx context.Context, w io.Writer, o options, ckpt *checkpoint.CLI, cli 
 }
 
 // dispatch renders the requested artifacts, recording telemetry into reg
-// (shared by the parallel evaluations; nil disables instrumentation) and
-// checkpointing completed units in j (nil disables checkpointing).
-func dispatch(ctx context.Context, w io.Writer, o options, j *checkpoint.Journal, reg *obs.Registry) error {
+// (shared by the parallel evaluations; nil disables instrumentation).
+func dispatch(ctx context.Context, w io.Writer, o options, reg *obs.Registry) error {
 	if o.workers < 0 {
 		return fmt.Errorf("-workers %d: must be a non-negative worker count (0: GOMAXPROCS)", o.workers)
 	}
@@ -140,7 +126,7 @@ func dispatch(ctx context.Context, w io.Writer, o options, j *checkpoint.Journal
 		}
 		names = []string{fig.Platform}
 	}
-	art, err := evaluate(ctx, o, j, reg, names)
+	art, err := evaluate(ctx, o, reg, names)
 	if err != nil {
 		return err
 	}
@@ -175,13 +161,12 @@ func dispatch(ctx context.Context, w io.Writer, o options, j *checkpoint.Journal
 // otherwise — plus the replication sweep when asked. The artifacts carry
 // the seed, the evaluations and the replication summary, and nothing
 // else: every mode writes the same files.
-func evaluate(ctx context.Context, o options, j *checkpoint.Journal, reg *obs.Registry, names []string) (*campaign.Artifacts, error) {
+func evaluate(ctx context.Context, o options, reg *obs.Registry, names []string) (*campaign.Artifacts, error) {
 	cfg := campaign.Config{
 		Seed:         o.seed,
 		Workers:      o.workers,
 		Replications: o.replications,
 		Context:      ctx,
-		Journal:      j,
 		Registry:     reg,
 	}
 	if o.shards != "" {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"memcontention/internal/bench"
@@ -15,46 +16,119 @@ import (
 	"memcontention/internal/topology"
 )
 
-// TestOutKillResumeByteIdenticalArtifacts interrupts a -out run
-// mid-evaluation and asserts the resumed run writes artifact files byte
-// identical to an uninterrupted run's (the golden files).
+// TestOutKillResumeByteIdenticalArtifacts interrupts the lease campaign
+// of `-workers 2 -shards` after three units, as SIGINT does, and tears
+// the tail of one shard journal, as a kill mid-append does. Re-running
+// the command must run exactly the units missing from the journals, the
+// torn one included, and write the golden artifacts byte for byte.
 func TestOutKillResumeByteIdenticalArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full testbed evaluation")
 	}
 	base := t.TempDir()
-	jpath := filepath.Join(base, "run.ckpt")
-	j, err := checkpoint.Open(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	o := options{out: filepath.Join(base, "out"), seed: 1, workers: 2, replications: 1, shards: filepath.Join(base, "run")}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	j.RecordHook = func(_ string, total int) {
-		if total == 5 {
+	var done atomic.Int32
+	stopAfter3 := func(int, string) {
+		if done.Add(1) == 3 {
 			cancel()
 		}
 	}
-	var buf bytes.Buffer
-	resumedDir := filepath.Join(base, "resumed")
-	err = dispatch(ctx, &buf, options{out: resumedDir, seed: 1, workers: 2, replications: 1}, j, nil)
+	_, err := campaign.RunLocal(campaign.Config{Seed: o.seed, Workers: o.workers, Context: ctx},
+		campaign.RemoteOptions{Dir: o.shards, UnitDone: stopAfter3}, campaign.TestbedNames())
 	if !checkpoint.IsCanceled(err) {
 		t.Fatalf("err = %v, want cancellation", err)
 	}
-	if err := j.Close(); err != nil {
+	lost := tearLargestShardJournal(t, o.shards)
+
+	journaled := map[string]bool{}
+	for _, key := range shardJournalKeys(t, o.shards) {
+		journaled[key] = true
+	}
+	before, err := campaign.CollectFleet(campaign.FleetOptions{Dir: o.shards})
+	if err != nil {
 		t.Fatal(err)
 	}
+	oldWorkers := map[string]bool{}
+	for _, w := range before.Workers {
+		oldWorkers[w.Worker] = true
+	}
 
-	ckpt := &checkpoint.CLI{Path: jpath, Resume: true}
-	if err := run(context.Background(), &buf, options{out: resumedDir, seed: 1, workers: 2, replications: 1}, ckpt, &obs.CLI{}); err != nil {
+	if err := run(context.Background(), &bytes.Buffer{}, o, &obs.CLI{}); err != nil {
 		t.Fatalf("resume failed: %v", err)
 	}
-	assertSameDir(t, goldenDir, resumedDir)
+	assertSameDir(t, goldenDir, o.out)
+
+	events, err := campaign.ReadEvents(o.shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rerun := map[string]bool{}
+	for _, e := range events {
+		if e.Type != campaign.EventUnitDone || oldWorkers[e.Worker] {
+			continue
+		}
+		if journaled[e.Key] || rerun[e.Key] {
+			t.Errorf("resumed run re-ran %s, which the journals already held", e.Key)
+		}
+		rerun[e.Key] = true
+	}
+	if len(rerun) != before.Pending || !rerun[lost] {
+		t.Fatalf("resumed run ran %d units, want the %d missing ones including the torn %s", len(rerun), before.Pending, lost)
+	}
+}
+
+// tearLargestShardJournal chops the last bytes off the largest shard
+// journal in dir and returns the key of the unit this loses.
+func tearLargestShardJournal(t *testing.T, dir string) string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "shard-*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var largest []byte
+	var path string
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) > len(largest) {
+			largest, path = data, p
+		}
+	}
+	entries := checkpoint.Decode(largest).Entries
+	if len(entries) == 0 {
+		t.Fatal("no shard journal holds a unit")
+	}
+	if err := os.Truncate(path, int64(len(largest)-7)); err != nil {
+		t.Fatal(err)
+	}
+	return entries[len(entries)-1].Key
+}
+
+// shardJournalKeys lists the unit keys the shard journals in dir hold.
+func shardJournalKeys(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "shard-*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := checkpoint.MergeShardFiles(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(entries))
+	for i, e := range entries {
+		keys[i] = e.Key
+	}
+	return keys
 }
 
 func TestTable2ToWriter(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(context.Background(), &out, options{table: 1, seed: 1, replications: 1}, &checkpoint.CLI{}, &obs.CLI{}); err != nil {
+	if err := run(context.Background(), &out, options{table: 1, seed: 1, replications: 1}, &obs.CLI{}); err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() == 0 {
@@ -75,12 +149,12 @@ func TestShardedOutMatchesSequential(t *testing.T) {
 	base := t.TempDir()
 	seqDir := filepath.Join(base, "seq")
 	var buf bytes.Buffer
-	if err := run(context.Background(), &buf, options{out: seqDir, seed: 1, workers: 2, replications: 2}, &checkpoint.CLI{}, &obs.CLI{}); err != nil {
+	if err := run(context.Background(), &buf, options{out: seqDir, seed: 1, workers: 2, replications: 2}, &obs.CLI{}); err != nil {
 		t.Fatal(err)
 	}
 	shardedDir := filepath.Join(base, "sharded")
 	o := options{out: shardedDir, seed: 1, workers: 2, replications: 2, shards: filepath.Join(base, "run")}
-	if err := run(context.Background(), &buf, o, &checkpoint.CLI{}, &obs.CLI{}); err != nil {
+	if err := run(context.Background(), &buf, o, &obs.CLI{}); err != nil {
 		t.Fatal(err)
 	}
 	assertSameDir(t, seqDir, shardedDir)
@@ -111,7 +185,7 @@ func TestSeedReachesReports(t *testing.T) {
 		t.Skip("full testbed evaluation")
 	}
 	out := filepath.Join(t.TempDir(), "out")
-	if err := run(context.Background(), &bytes.Buffer{}, options{out: out, seed: 2, workers: 2, replications: 1}, &checkpoint.CLI{}, &obs.CLI{}); err != nil {
+	if err := run(context.Background(), &bytes.Buffer{}, options{out: out, seed: 2, workers: 2, replications: 1}, &obs.CLI{}); err != nil {
 		t.Fatal(err)
 	}
 	results, err := campaign.EvaluatePlatforms(campaign.Config{Seed: 2, Workers: 2}, campaign.TestbedNames())
@@ -150,7 +224,7 @@ func TestDispatchRejectsBadUsage(t *testing.T) {
 		{fig: 3, seed: 1, replications: 2},
 	} {
 		var out bytes.Buffer
-		err := dispatch(ctx, &out, o, nil, nil)
+		err := dispatch(ctx, &out, o, nil)
 		if err == nil || checkpoint.IsCanceled(err) || out.Len() != 0 {
 			t.Errorf("%+v: got %v (output %q), want a usage error before any evaluation", o, err, out.String())
 		}

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"memcontention/internal/checkpoint"
 	"memcontention/internal/kernels"
 	"memcontention/internal/memsys"
 	"memcontention/internal/model"
@@ -138,11 +137,10 @@ type Runner struct {
 	// a prefix of them and the comm stream(s) in stack scratch. Built by
 	// NewRunner and read-only afterwards, like every Runner field
 	// MeasurePoint reads, so campaign workers may share a runner.
-	comp    [][]memsys.Stream
-	m       benchInstruments
-	done    <-chan struct{}
-	journal *checkpoint.Journal
-	scope   string
+	comp  [][]memsys.Stream
+	m     benchInstruments
+	done  <-chan struct{}
+	scope string
 }
 
 // benchInstruments are the runner's telemetry hooks; nil instruments
@@ -210,17 +208,6 @@ func scopeKey(cfg Config) string {
 	}
 	return fmt.Sprintf("bench|%s|%s|seed=%d|rep=%d|msg=%d|bidir=%t|prof=%016x",
 		cfg.Platform.Name, cfg.Kernel, cfg.Seed, cfg.Repeats, cfg.MessageSize, cfg.Bidirectional, h.Sum64())
-}
-
-// WithJournal attaches a checkpoint journal: RunPlacement returns the
-// journaled curve for an already-completed placement without re-solving,
-// and records each freshly measured curve durably before returning it.
-// Determinism makes the cache transparent — a hit returns exactly what a
-// re-measurement would. Nil (the default) disables checkpointing at zero
-// cost. It returns the runner for chaining.
-func (r *Runner) WithJournal(j *checkpoint.Journal) *Runner {
-	r.journal = j
-	return r
 }
 
 // Scope returns the runner's journal-key prefix (see scopeKey); campaign
@@ -373,22 +360,10 @@ func (r *Runner) checkPlacement(pl model.Placement) error {
 	return nil
 }
 
-// RunPlacement sweeps n = 1..cores(socket 0) for one placement. With a
-// journal attached (WithJournal) a placement completed by an earlier,
-// interrupted run is returned from the journal instead of re-measured,
-// and each fresh curve is journaled durably before being returned.
+// RunPlacement sweeps n = 1..cores(socket 0) for one placement.
 func (r *Runner) RunPlacement(pl model.Placement) (*Curve, error) {
 	if err := r.checkPlacement(pl); err != nil {
 		return nil, err
-	}
-	key := fmt.Sprintf("%s|pl=%s", r.scope, pl)
-	if r.journal != nil {
-		var cached Curve
-		if ok, err := r.journal.Get(key, &cached); err != nil {
-			return nil, fmt.Errorf("bench: journal entry %s: %w", key, err)
-		} else if ok {
-			return &cached, nil
-		}
 	}
 	nMax := r.cfg.Platform.CoresPerSocket()
 	curve := &Curve{
@@ -408,9 +383,6 @@ func (r *Runner) RunPlacement(pl model.Placement) (*Curve, error) {
 		curve.Points = append(curve.Points, pt)
 	}
 	r.m.placements.Inc()
-	if err := r.journal.Record(key, curve); err != nil {
-		return nil, fmt.Errorf("bench: journal %s: %w", key, err)
-	}
 	return curve, nil
 }
 

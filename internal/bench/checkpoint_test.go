@@ -3,12 +3,9 @@ package bench
 import (
 	"context"
 	"errors"
-	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
-	"memcontention/internal/checkpoint"
 	"memcontention/internal/model"
 	"memcontention/internal/topology"
 )
@@ -47,51 +44,6 @@ func TestScopeKeyDistinguishesConfigs(t *testing.T) {
 	}
 }
 
-func TestRunPlacementJournalRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := checkpoint.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := henriRunner(t, 1).WithJournal(j)
-	pl := model.Placement{Comp: 0, Comm: 0}
-	fresh, err := r.RunPlacement(pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Len() != 1 {
-		t.Fatalf("journal has %d entries after one placement", j.Len())
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A second runner resuming from the same journal must return the
-	// identical curve without re-measuring.
-	j2, err := checkpoint.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	r2 := henriRunner(t, 1).WithJournal(j2)
-	cached, err := r2.RunPlacement(pl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fresh, cached) {
-		t.Fatalf("journaled curve differs from fresh measurement:\n%+v\n%+v", fresh, cached)
-	}
-	// Measuring from the journal must not have bumped the measurement
-	// instruments path (the curve came from Get, not MeasurePoint);
-	// verify by checking a different placement still measures fine.
-	if _, err := r2.RunPlacement(model.Placement{Comp: 1, Comm: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if j2.Len() != 2 {
-		t.Fatalf("journal has %d entries, want 2", j2.Len())
-	}
-}
-
 func TestRunPlacementCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -102,25 +54,6 @@ func TestRunPlacementCanceled(t *testing.T) {
 	_, err = r.RunPlacement(model.Placement{Comp: 0, Comm: 0})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// A journaled placement is still served after cancellation: resume
-	// readers drain the cache without running the measurement loop.
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := checkpoint.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	warm := henriRunner(t, 1).WithJournal(j)
-	if _, err := warm.RunPlacement(model.Placement{Comp: 0, Comm: 0}); err != nil {
-		t.Fatal(err)
-	}
-	cold, err := NewRunner(Config{Platform: topology.Henri(), Context: ctx})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cold.WithJournal(j).RunPlacement(model.Placement{Comp: 0, Comm: 0}); err != nil {
-		t.Fatalf("journal hit must not observe cancellation: %v", err)
 	}
 }
 

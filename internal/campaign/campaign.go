@@ -2,10 +2,12 @@
 // crash-safe, resumable campaigns. It layers three things on top of the
 // bench/eval/netbench building blocks:
 //
-//   - checkpointing: every completed unit (a placement curve, a platform
-//     evaluation, a ping-pong point, a DES cross-check) is recorded in an
+//   - checkpointing: every completed unit (a platform evaluation, the
+//     ping-pong sweep, the DES cross-check) is recorded whole in an
 //     append-only journal (internal/checkpoint) before the campaign moves
-//     on, so a killed run resumes exactly where it died;
+//     on; the lease campaign (RunLocal, RemoteWorker) keeps one journal
+//     per shard and epoch in its directory, so a killed run resumes
+//     exactly where it died;
 //   - cancellation: a context threads through every layer down to the
 //     discrete-event engine, so SIGINT stops the campaign at a clean unit
 //     boundary with all completed work already journaled;
@@ -13,14 +15,13 @@
 //     internal/rng, so a resumed campaign is bit-identical to an
 //     uninterrupted one — the journal saves time, never changes results.
 //
-// The soak harness (scripts/soak) kills and resumes these pipelines
+// The soak harness (scripts/soak) kills and resumes lease campaigns
 // repeatedly and asserts byte-identical final artifacts.
 package campaign
 
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"memcontention"
 	"memcontention/internal/bench"
@@ -29,7 +30,6 @@ import (
 	"memcontention/internal/faults"
 	"memcontention/internal/netbench"
 	"memcontention/internal/obs"
-	"memcontention/internal/prof"
 	"memcontention/internal/sweep"
 	"memcontention/internal/topology"
 	"memcontention/internal/trace"
@@ -47,18 +47,15 @@ type Config struct {
 	// Context cancels the campaign cooperatively at unit boundaries.
 	// Nil keeps every layer check-free.
 	Context context.Context
-	// Journal checkpoints completed units; nil disables checkpointing.
+	// Journal records each completed unit under its key and serves
+	// journaled units instead of re-running them; nil disables
+	// checkpointing. Lease workers attach their shard journal here.
 	Journal *checkpoint.Journal
 	// Registry receives telemetry from every layer; nil disables it.
 	Registry *obs.Registry
 	// Recorder, when set, receives the DES cross-check's trace: flow
 	// events, causal spans and the overlap marks.
 	Recorder *trace.Recorder
-	// SpanStore, when set with Recorder, persists each trace-producing
-	// unit's event slice under its journal key: a resumed campaign
-	// re-ingests the cached slice instead of re-running, so the stitched
-	// trace is byte-identical to an uninterrupted recording.
-	SpanStore *prof.SpanStore
 	// FaultPlan, when set, runs the DES cross-check under fault
 	// injection guarded by MPI resilience and a watchdog.
 	FaultPlan *faults.Plan
@@ -87,9 +84,7 @@ func (c Config) ctx() context.Context {
 
 // EvaluatePlatforms runs the full §IV evaluation for the named built-in
 // platforms on a worker pool, returning results in input order. Each
-// platform evaluation is journaled whole (key "eval|<scope>") and its
-// placement curves are journaled individually, so resume granularity is
-// one placement even when the evaluation itself was interrupted.
+// platform evaluation is journaled whole (key "eval|<scope>").
 func EvaluatePlatforms(cfg Config, names []string) ([]*eval.PlatformResult, error) {
 	cfg = cfg.withDefaults()
 	return sweep.MapCtx(cfg.ctx(), names, cfg.Workers, func(name string) (*eval.PlatformResult, error) {
@@ -111,7 +106,6 @@ func evaluateOne(cfg Config, name string) (*eval.PlatformResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	runner.WithJournal(cfg.Journal)
 	key := "eval|" + runner.Scope()
 	if cfg.Journal != nil {
 		var cached eval.PlatformResult
@@ -131,51 +125,39 @@ func evaluateOne(cfg Config, name string) (*eval.PlatformResult, error) {
 	return res, nil
 }
 
-// Curves measures the given placements of one platform configuration,
-// journaling each completed curve. It is the resumable core of the
-// membench command.
-func Curves(cfg Config, bc bench.Config, placements []memcontention.Placement) ([]*bench.Curve, error) {
-	cfg = cfg.withDefaults()
-	if bc.Seed == 0 {
-		bc.Seed = cfg.Seed
-	}
-	if bc.Registry == nil {
-		bc.Registry = cfg.Registry
-	}
-	if bc.Context == nil {
-		bc.Context = cfg.Context
-	}
-	runner, err := bench.NewRunner(bc)
-	if err != nil {
-		return nil, err
-	}
-	runner.WithJournal(cfg.Journal)
-	curves := make([]*bench.Curve, 0, len(placements))
-	for _, pl := range placements {
-		c, err := runner.RunPlacement(pl)
-		if err != nil {
-			return nil, err
-		}
-		curves = append(curves, c)
-	}
-	return curves, nil
-}
-
-// Netbench runs the ping-pong size sweep for one platform, journaling
-// each completed size.
+// Netbench runs the ping-pong size sweep for one platform and journals
+// its points whole under the unit key "unit|netbench|<platform>".
 func Netbench(cfg Config, platform string) ([]netbench.Point, error) {
 	cfg = cfg.withDefaults()
+	key := netbenchKey(platform)
+	if cfg.Journal != nil {
+		var cached []netbench.Point
+		if ok, err := cfg.Journal.Get(key, &cached); err != nil {
+			return nil, fmt.Errorf("campaign: journal entry %s: %w", key, err)
+		} else if ok {
+			return cached, nil
+		}
+	}
 	plat, err := topology.ByName(platform)
 	if err != nil {
 		return nil, err
 	}
-	return netbench.PingPong(netbench.Config{
+	points, err := netbench.PingPong(netbench.Config{
 		Platform: plat,
 		Registry: cfg.Registry,
 		Context:  cfg.Context,
-		Journal:  cfg.Journal,
 	})
+	if err != nil {
+		return nil, err
+	}
+	if err := cfg.Journal.Record(key, points); err != nil {
+		return nil, fmt.Errorf("campaign: journal %s: %w", key, err)
+	}
+	return points, nil
 }
+
+// netbenchKey identifies the ping-pong sweep of one platform.
+func netbenchKey(platform string) string { return "unit|netbench|" + platform }
 
 // CrossCheckResult is the recorded outcome of the DES overlap cross-check.
 // Under a fault plan a failing run is the plan working as intended, so the
@@ -203,19 +185,6 @@ func CrossCheck(cfg Config, platform string) (*CrossCheckResult, error) {
 		if ok, err := cfg.Journal.Get(key, &cached); err != nil {
 			return nil, fmt.Errorf("campaign: journal entry %s: %w", key, err)
 		} else if ok {
-			// Stitch the cached unit's span file instead of re-running:
-			// the recorder re-ingests the slice and advances its span-id
-			// allocator past it, so later units never collide and the
-			// merged trace matches an uninterrupted run byte for byte.
-			if cfg.Recorder != nil && cfg.SpanStore != nil {
-				events, found, err := cfg.SpanStore.Load(key)
-				if err != nil {
-					return nil, err
-				}
-				if found {
-					cfg.Recorder.Ingest(events)
-				}
-			}
 			return &cached, nil
 		}
 	}
@@ -228,7 +197,6 @@ func CrossCheck(cfg Config, platform string) (*CrossCheckResult, error) {
 		return nil, err
 	}
 	cluster.WithRegistry(cfg.Registry)
-	eventsBefore := cfg.Recorder.EventCount()
 	if cfg.Recorder != nil {
 		cluster.WithObserver(cfg.Recorder)
 	}
@@ -291,16 +259,6 @@ func CrossCheck(cfg Config, platform string) (*CrossCheckResult, error) {
 		res.Error = runErr.Error()
 		res.SimSeconds = 0
 	}
-	// Persist this unit's slice of the trace before the journal commit:
-	// a kill between the two re-runs the unit on resume (overwriting the
-	// span file), never the reverse, so a journaled unit always has its
-	// spans and a resumed campaign stitches a byte-identical trace.
-	if cfg.Recorder != nil && cfg.SpanStore != nil {
-		unit := cfg.Recorder.Events()[eventsBefore:]
-		if err := cfg.SpanStore.Save(key, unit); err != nil {
-			return nil, err
-		}
-	}
 	if err := cfg.Journal.Record(key, res); err != nil {
 		return nil, fmt.Errorf("campaign: journal %s: %w", key, err)
 	}
@@ -325,29 +283,4 @@ func TestbedNames() []string {
 		names[i] = p.Name
 	}
 	return names
-}
-
-// Progress summarises how much of a campaign a journal already covers,
-// for "resuming: ..." banners and checkpoint trace labels.
-func Progress(j *checkpoint.Journal) string {
-	if j == nil {
-		return "no journal"
-	}
-	counts := map[string]int{}
-	var kinds []string
-	for _, key := range j.Keys() {
-		kind, _, _ := strings.Cut(key, "|")
-		if counts[kind] == 0 {
-			kinds = append(kinds, kind)
-		}
-		counts[kind]++
-	}
-	if len(kinds) == 0 {
-		return "journal empty"
-	}
-	parts := make([]string, 0, len(kinds))
-	for _, k := range kinds {
-		parts = append(parts, fmt.Sprintf("%d %s", counts[k], k))
-	}
-	return strings.Join(parts, ", ") + " journaled"
 }

@@ -6,16 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 
-	"memcontention"
-	"memcontention/internal/bench"
 	"memcontention/internal/checkpoint"
 	"memcontention/internal/faults"
-	"memcontention/internal/prof"
 	"memcontention/internal/topology"
-	"memcontention/internal/trace"
 )
 
 // testNames keeps campaign tests fast: two platforms cover the sample and
@@ -201,92 +196,6 @@ func TestCrossCheckCancellationIsNotJournaled(t *testing.T) {
 	}
 }
 
-func TestCurvesJournalResume(t *testing.T) {
-	plat, err := topology.ByName("henri")
-	if err != nil {
-		t.Fatal(err)
-	}
-	placements := bench.AllPlacements(plat)
-	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := checkpoint.Open(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Cancel after the first two curves are journaled.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	j.RecordHook = func(_ string, total int) {
-		if total == 2 {
-			cancel()
-		}
-	}
-	cfg := Config{Journal: j, Context: ctx}
-	_, err = Curves(cfg, bench.Config{Platform: plat}, placements)
-	if !checkpoint.IsCanceled(err) {
-		t.Fatalf("err = %v, want cancellation", err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := checkpoint.Open(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	resumed, err := Curves(Config{Journal: j2}, bench.Config{Platform: plat}, placements)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := Curves(Config{}, bench.Config{Platform: plat}, placements)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fresh, resumed) {
-		t.Fatal("resumed curves differ from a fresh run")
-	}
-}
-
-func TestCurvesAcceptsRootPlacementType(t *testing.T) {
-	plat, err := topology.ByName("henri")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Curves(Config{}, bench.Config{Platform: plat}, []memcontention.Placement{{Comp: 0, Comm: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].Placement.Comm != 1 {
-		t.Fatalf("unexpected curves: %+v", out)
-	}
-}
-
-func TestProgress(t *testing.T) {
-	if got := Progress(nil); got != "no journal" {
-		t.Fatalf("Progress(nil) = %q", got)
-	}
-	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := checkpoint.Open(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if got := Progress(j); got != "journal empty" {
-		t.Fatalf("Progress(empty) = %q", got)
-	}
-	for _, key := range []string{"bench|a", "bench|b", "eval|a", "xcheck|a"} {
-		if err := j.Record(key, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := Progress(j)
-	for _, want := range []string{"2 bench", "1 eval", "1 xcheck", "journaled"} {
-		if !strings.Contains(got, want) {
-			t.Fatalf("Progress() = %q, missing %q", got, want)
-		}
-	}
-}
-
 func TestTestbedNames(t *testing.T) {
 	names := TestbedNames()
 	if len(names) != len(topology.Testbed()) {
@@ -297,81 +206,33 @@ func TestTestbedNames(t *testing.T) {
 	}
 }
 
-// TestCrossCheckSpanStitchResume: recorded cross-check units on two
-// platforms form one merged trace. Killing the campaign after the first
-// unit and resuming with a fresh recorder must stitch the cached unit's
-// span file and record the second live, producing a trace byte-identical
-// to an uninterrupted run — including span ids, which the resumed
-// recorder advances past the stitched slice.
-func TestCrossCheckSpanStitchResume(t *testing.T) {
-	dir := t.TempDir()
-	units := []string{"henri", "dahu"}
-	run := func(j *checkpoint.Journal, p *trace.Recorder, store *prof.SpanStore, n int) {
-		t.Helper()
-		for _, name := range units[:n] {
-			if _, err := CrossCheck(Config{Journal: j, Recorder: p, SpanStore: store}, name); err != nil {
-				t.Fatal(err)
-			}
+// BenchmarkDecodeUnitJournal times the read side of the unit journal: a
+// shard journal image holding the six seed-1 testbed evaluation units,
+// decoded and merged the way pendingUnits rescans a shard's files and
+// RemoteMerge merges the whole set.
+func BenchmarkDecodeUnitJournal(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "shard-0000.e1.ckpt")
+	j, err := checkpoint.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := EvaluatePlatforms(Config{Seed: 1, Journal: j}, TestbedNames()); err != nil {
+		b.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		b.Fatal(err)
+	}
+	image, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(image)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		entries, err := checkpoint.MergeShards([][]byte{image})
+		if err != nil || len(entries) != 6 {
+			b.Fatalf("merged %d entries (%v), want the 6 evaluation units", len(entries), err)
 		}
-	}
-	encode := func(p *trace.Recorder) []byte {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := trace.WriteEventsJSONL(&buf, p.Events()); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-
-	// Uninterrupted reference recording.
-	jRef, err := checkpoint.Open(filepath.Join(dir, "ref.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jRef.Close()
-	pRef := trace.NewRecorder()
-	run(jRef, pRef, prof.NewSpanStore(filepath.Join(dir, "ref.journal.spans")), 2)
-	want := encode(pRef)
-	if len(want) == 0 {
-		t.Fatal("reference trace is empty")
-	}
-
-	// First attempt dies after one unit.
-	jpath := filepath.Join(dir, "run.journal")
-	store := prof.NewSpanStore(jpath + ".spans")
-	j1, err := checkpoint.Open(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run(j1, trace.NewRecorder(), store, 1)
-	if err := j1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Resume: unit 1 stitches from the span store, unit 2 runs live.
-	j2, err := checkpoint.Open(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2 := trace.NewRecorder()
-	run(j2, p2, store, 2)
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encode(p2), want) {
-		t.Error("stitched trace differs from uninterrupted recording")
-	}
-
-	// A second resume hits both caches: everything stitched, nothing run,
-	// still byte-identical (no double-recording).
-	j3, err := checkpoint.Open(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j3.Close()
-	p3 := trace.NewRecorder()
-	run(j3, p3, store, 2)
-	if !bytes.Equal(encode(p3), want) {
-		t.Error("fully cached replay differs from uninterrupted recording")
 	}
 }

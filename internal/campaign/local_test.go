@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -236,6 +237,35 @@ func TestShardedPipelineKillAndResumeByteIdentical(t *testing.T) {
 	var mm *ManifestMismatchError
 	if _, err := RunLocal(Config{Seed: 2, Workers: 2}, opts, testNames); !errors.As(err, &mm) || mm.Field != "seed" {
 		t.Fatalf("different seed on a reused directory: %v, want ManifestMismatchError{Field: seed}", err)
+	}
+}
+
+// TestShardedJournalHoldsOnlyUnits: the campaign journals whole units
+// and nothing inside them, so the merged journal holds exactly one
+// record per pipeline unit.
+func TestShardedJournalHoldsOnlyUnits(t *testing.T) {
+	cfg := Config{Seed: 1, Workers: 2, Replications: 2}
+	opts := localOpts(t, newRemoteClock())
+	runLocal(t, cfg, opts)
+	data, err := os.ReadFile(filepath.Join(opts.Dir, "merged.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range checkpoint.Decode(data).Entries {
+		got = append(got, e.Key)
+	}
+	units, err := pipelineUnits(cfg.withDefaults(), testNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, u := range units {
+		want = append(want, u.Key)
+	}
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("merged journal keys:\n%s\nwant the pipeline's units:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"fmt"
 	"hash/fnv"
 
 	"memcontention/internal/bench"
@@ -23,8 +22,7 @@ type unit struct {
 // homeShard assigns a unit to its deterministic home shard: an FNV-64a
 // hash of the key modulo the shard count. The assignment depends only on
 // (key, shards), and the manifest pins the shard count, so a resumed
-// campaign lands every unit on the shard already holding its partial
-// nested records.
+// campaign looks for every unit on the shard that journaled it.
 func homeShard(key string, shards int) int {
 	h := fnv.New64a()
 	h.Write([]byte(key))
@@ -32,8 +30,7 @@ func homeShard(key string, shards int) int {
 }
 
 // evalUnit builds the platform-evaluation unit for one (platform, seed):
-// the full §IV evaluation whose nested placement curves journal
-// individually under the same shard journal.
+// the full §IV evaluation, journaled whole.
 func evalUnit(cfg Config, name string, seed uint64) (unit, error) {
 	plat, err := topology.ByName(name)
 	if err != nil {
@@ -53,23 +50,13 @@ func evalUnit(cfg Config, name string, seed uint64) (unit, error) {
 	}, nil
 }
 
-// netbenchUnit builds the ping-pong sweep unit. The per-size points
-// journal individually inside the driver; the marker entry recorded
-// under the unit key makes sweep completion visible to the workers and
-// the merge.
+// netbenchUnit builds the ping-pong sweep unit.
 func netbenchUnit(names []string) unit {
-	key := "unit|netbench|" + names[0]
 	return unit{
-		Key: key,
+		Key: netbenchKey(names[0]),
 		run: func(wcfg Config) error {
-			points, err := Netbench(wcfg, names[0])
-			if err != nil {
-				return err
-			}
-			if err := wcfg.Journal.Record(key, len(points)); err != nil {
-				return fmt.Errorf("campaign: journal %s: %w", key, err)
-			}
-			return nil
+			_, err := Netbench(wcfg, names[0])
+			return err
 		},
 	}
 }

@@ -1,12 +1,14 @@
-// Package checkpoint provides the crash-safe resume layer for long
-// experiment campaigns: an append-only journal of completed experiment
-// units, each content-keyed by everything that determines its result
-// (platform, kernel, seed, placement, ...). A campaign records every unit
-// as it completes; after a kill, OOM, preemption or Ctrl-C, re-running the
-// same campaign against the same journal skips the completed units and
+// Package checkpoint provides the crash-safe journal of long experiment
+// campaigns: an append-only file of completed campaign units, each
+// content-keyed by everything that determines its result (platform,
+// seed, fault plan, ...). The lease campaign (internal/campaign) gives
+// each (shard, fencing epoch) its own journal in the campaign directory
+// (ShardSet); after a kill, OOM, preemption or Ctrl-C, re-running the
+// same campaign over the same directory skips the journaled units and
 // recomputes only the missing ones. Because every noise source derives
-// from rng (seed, label) streams, the resumed half is bit-identical to an
-// uninterrupted run — the journal only saves time, never changes results.
+// from rng (seed, label) streams, the resumed half is bit-identical to
+// an uninterrupted run: the journal only saves time, never changes
+// results.
 //
 // Durability model: each entry is one line, CRC-protected, appended and
 // fsynced before the unit is considered checkpointed. A crash can lose at
@@ -182,8 +184,6 @@ type Journal struct {
 	// memlint:guard mu
 	f *os.File
 	// memlint:guard mu
-	order []string
-	// memlint:guard mu
 	entries map[string]json.RawMessage
 	// memlint:guard mu
 	loaded int
@@ -192,11 +192,10 @@ type Journal struct {
 	m       instruments
 
 	// RecordHook, when set, runs after each durable append with the
-	// recorded key and the new entry count. The soak harness and the
-	// graceful-shutdown tests use it to cancel a campaign at a
-	// deterministic unit boundary. The hook runs with the journal lock
-	// held: it must not call back into the journal (use the total
-	// argument instead of Len).
+	// recorded key and the new entry count. The graceful-shutdown tests
+	// use it to cancel a campaign at a deterministic unit boundary. The
+	// hook runs with the journal lock held: it must not call back into
+	// the journal (use the total argument instead of Len).
 	RecordHook func(key string, total int)
 }
 
@@ -255,7 +254,6 @@ func Open(path string) (*Journal, error) {
 		dropped: int64(len(data)) - res.Valid,
 	}
 	for _, e := range res.Entries {
-		j.order = append(j.order, e.Key)
 		j.entries[e.Key] = e.Payload
 	}
 	return j, nil
@@ -278,7 +276,7 @@ func (j *Journal) SetRegistry(r *obs.Registry) {
 	}
 	j.m.loaded.Add(float64(j.loaded))
 	j.m.recovered.Add(float64(j.dropped))
-	j.m.entries.Set(float64(len(j.order)))
+	j.m.entries.Set(float64(len(j.entries)))
 }
 
 // Path reports the journal's file path ("" for a nil journal).
@@ -296,7 +294,7 @@ func (j *Journal) Len() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.order)
+	return len(j.entries)
 }
 
 // LoadedEntries reports how many entries were recovered from disk at Open
@@ -317,16 +315,6 @@ func (j *Journal) RecoveredBytes() int64 {
 	}
 	//memlint:allow lockguard — dropped is written once in Open before the journal is shared, then read-only
 	return j.dropped
-}
-
-// Keys returns the entry keys in append order.
-func (j *Journal) Keys() []string {
-	if j == nil {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]string(nil), j.order...)
 }
 
 // Has reports whether key is journaled. Nil journals report false.
@@ -392,12 +380,11 @@ func (j *Journal) Record(key string, v any) error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("checkpoint: sync %s: %w", j.path, err)
 	}
-	j.order = append(j.order, key)
 	j.entries[key] = payload
 	j.m.written.Inc()
-	j.m.entries.Set(float64(len(j.order)))
+	j.m.entries.Set(float64(len(j.entries)))
 	if j.RecordHook != nil {
-		j.RecordHook(key, len(j.order))
+		j.RecordHook(key, len(j.entries))
 	}
 	return nil
 }

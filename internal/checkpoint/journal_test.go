@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,8 +61,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if got != want {
 		t.Fatalf("payload = %+v, want %+v", got, want)
 	}
-	if keys := j2.Keys(); len(keys) != 2 || keys[0] != "unit|a" || keys[1] != "unit|b" {
-		t.Fatalf("keys = %v", keys)
+	if !j2.Has("unit|b") {
+		t.Fatal("reopened journal lost unit|b")
 	}
 }
 
@@ -107,7 +106,7 @@ func TestJournalRecoversTornTail(t *testing.T) {
 
 	j2 := openT(t, path)
 	if j2.Len() != 2 || !j2.Has("a") || !j2.Has("b") || j2.Has("c") {
-		t.Fatalf("after torn tail: len=%d keys=%v", j2.Len(), j2.Keys())
+		t.Fatalf("after torn tail: len=%d", j2.Len())
 	}
 	if j2.RecoveredBytes() == 0 {
 		t.Fatal("recovery not reported")
@@ -142,7 +141,7 @@ func TestJournalRecoversCorruptTail(t *testing.T) {
 
 	j2 := openT(t, path)
 	if j2.Len() != 1 || j2.Has("evil") {
-		t.Fatalf("corrupt line accepted: keys=%v", j2.Keys())
+		t.Fatalf("corrupt line accepted: len=%d", j2.Len())
 	}
 	if j2.RecoveredBytes() == 0 {
 		t.Fatal("corruption not reported")
@@ -163,7 +162,7 @@ func TestJournalGetTypeMismatch(t *testing.T) {
 
 func TestNilJournalIsFree(t *testing.T) {
 	var j *Journal
-	if j.Has("x") || j.Len() != 0 || j.Path() != "" || j.Keys() != nil {
+	if j.Has("x") || j.Len() != 0 || j.Path() != "" {
 		t.Fatal("nil journal not inert")
 	}
 	if ok, err := j.Get("x", nil); ok || err != nil {
@@ -290,42 +289,6 @@ func TestSignalContextAndIsCanceled(t *testing.T) {
 	}
 }
 
-func TestCLIOpen(t *testing.T) {
-	dir := t.TempDir()
-
-	var c CLI
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	c.Register(fs)
-	if err := fs.Parse([]string{"-checkpoint", filepath.Join(dir, "j")}); err != nil {
-		t.Fatal(err)
-	}
-	j, err := c.Open()
-	if err != nil || j == nil {
-		t.Fatalf("Open: %v", err)
-	}
-	j.Close()
-
-	// No flags: nil journal, no error.
-	if j, err := (&CLI{}).Open(); err != nil || j != nil {
-		t.Fatalf("empty CLI: j=%v err=%v", j, err)
-	}
-	// -resume alone is an error.
-	if _, err := (&CLI{Resume: true}).Open(); err == nil {
-		t.Fatal("-resume without -checkpoint accepted")
-	}
-	// -resume with a missing journal is an error.
-	if _, err := (&CLI{Path: filepath.Join(dir, "missing"), Resume: true}).Open(); err == nil {
-		t.Fatal("-resume with missing journal accepted")
-	}
-	// -resume with an existing journal works.
-	c2 := CLI{Path: filepath.Join(dir, "j"), Resume: true}
-	j2, err := c2.Open()
-	if err != nil || j2 == nil {
-		t.Fatalf("resume Open: %v", err)
-	}
-	j2.Close()
-}
-
 func fileSize(t *testing.T, path string) int64 {
 	t.Helper()
 	info, err := os.Stat(path)
@@ -344,7 +307,7 @@ func TestReport(t *testing.T) {
 	if code := Report(&buf, "cmd", context.Canceled); code != ExitInterrupted {
 		t.Fatalf("canceled: code=%d", code)
 	}
-	if !strings.Contains(buf.String(), "interrupted") || !strings.Contains(buf.String(), "resume") {
+	if buf.String() != "cmd: interrupted\n" {
 		t.Fatalf("cancellation epilogue = %q", buf.String())
 	}
 	buf.Reset()

@@ -150,12 +150,12 @@ func (s *ShardSet) Paths() ([]string, error) {
 // MergeShards reads every given shard-journal image tolerantly (exactly
 // like Open: a torn or corrupt tail ends that shard's valid prefix and
 // the remainder is ignored) and merges the entries by key. The same key
-// appearing in several shards is legal — a takeover can complete a
-// re-run of a unit whose first owner died after journaling nested
-// sub-units into its own epoch file — but only when every copy
-// carries byte-identical payloads; campaigns are deterministic in
-// (seed, config), so differing payloads mean corruption or a
-// nondeterminism bug and merging must fail loudly rather than pick one.
+// appearing in several shards is legal — a unit re-runs when a deposed
+// owner finishes it into its dead epoch file while the new owner runs it
+// again — but only when every copy carries byte-identical payloads;
+// campaigns are deterministic in (seed, config), so differing payloads
+// mean corruption or a nondeterminism bug and merging must fail loudly
+// rather than pick one.
 //
 // The merged entries are returned sorted by key, so the merged journal
 // image is byte-deterministic regardless of shard count, scheduling or

@@ -3,7 +3,6 @@ package checkpoint
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -15,7 +14,7 @@ import (
 // ExitInterrupted is the process exit status for a run that was
 // interrupted (SIGINT/SIGTERM) after flushing its partial results: the
 // conventional 128+SIGINT, distinct from the generic failure status 1 so
-// wrappers can tell "failed" from "interrupted, safe to resume".
+// wrappers can tell "failed" from "interrupted".
 const ExitInterrupted = 130
 
 // SignalContext returns a context canceled on SIGINT or SIGTERM. The
@@ -23,8 +22,8 @@ const ExitInterrupted = 130
 // workers stop at the next unit boundary, and telemetry flushes. A
 // second SIGINT/SIGTERM means the user wants out *now* — the process
 // exits immediately with status ExitInterrupted, without waiting for the
-// drain (every unit recorded so far is already fsynced, so nothing
-// durable is lost). Call stop to release the signal handlers.
+// drain (a lease worker fsyncs every unit it journals, so nothing durable
+// is lost). Call stop to release the signal handlers.
 func SignalContext() (ctx context.Context, stop context.CancelFunc) {
 	return signalContext(os.Exit)
 }
@@ -73,53 +72,15 @@ func IsCanceled(err error) bool {
 
 // Report prints a command epilogue for err and returns the status to
 // pass to os.Exit: 0 for nil, ExitInterrupted for a graceful shutdown
-// (with a resume hint instead of an error dump), 1 for real failures.
+// ("<cmd>: interrupted" instead of an error dump), 1 for real failures.
 func Report(w io.Writer, cmd string, err error) int {
 	if err == nil {
 		return 0
 	}
 	if IsCanceled(err) {
-		fmt.Fprintf(w, "%s: interrupted — completed units are saved; re-run with the same flags (and -checkpoint journal, if any) to resume\n", cmd)
+		fmt.Fprintf(w, "%s: interrupted\n", cmd)
 		return ExitInterrupted
 	}
 	fmt.Fprintf(w, "%s: %v\n", cmd, err)
 	return 1
-}
-
-// CLI bundles the checkpoint command-line flags shared by the campaign
-// commands:
-//
-//	-checkpoint <file>  journal completed units there and skip units
-//	                    already present (crash-safe resume)
-//	-resume             require the journal to already exist
-//
-// Register the flags, then call Open after flag parsing; a nil journal
-// (no -checkpoint) disables checkpointing at zero cost.
-type CLI struct {
-	Path   string
-	Resume bool
-}
-
-// Register adds the checkpoint flags to fs.
-func (c *CLI) Register(fs *flag.FlagSet) {
-	fs.StringVar(&c.Path, "checkpoint", "", "append completed experiment units to this journal file and resume from it (crash-safe)")
-	fs.BoolVar(&c.Resume, "resume", false, "with -checkpoint: require the journal to already exist (catches path typos when resuming)")
-}
-
-// Open opens (or creates) the configured journal. Without -checkpoint it
-// returns (nil, nil) — and an error if -resume was given alone. With
-// -resume the journal file must already exist.
-func (c *CLI) Open() (*Journal, error) {
-	if c.Path == "" {
-		if c.Resume {
-			return nil, errors.New("checkpoint: -resume requires -checkpoint <file>")
-		}
-		return nil, nil
-	}
-	if c.Resume {
-		if _, err := os.Stat(c.Path); err != nil {
-			return nil, fmt.Errorf("checkpoint: -resume: %w", err)
-		}
-	}
-	return Open(c.Path)
 }

@@ -8,11 +8,8 @@ package netbench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
 
-	"memcontention/internal/checkpoint"
 	"memcontention/internal/engine"
 	"memcontention/internal/memsys"
 	"memcontention/internal/mpi"
@@ -48,20 +45,6 @@ type Config struct {
 	// returns ctx's error at the next size boundary and the in-flight
 	// simulation stops between events. Nil keeps the sweep check-free.
 	Context context.Context
-	// Journal, when set, checkpoints each completed size: a resumed
-	// sweep returns journaled points instead of re-simulating them.
-	Journal *checkpoint.Journal
-}
-
-// scope condenses everything that determines a sweep's points into a
-// stable journal-key prefix (the profile is content-hashed because custom
-// profiles may reuse a built-in platform's name).
-func (c Config) scope() string {
-	h := fnv.New64a()
-	if data, err := json.Marshal(c.Profile); err == nil {
-		h.Write(data)
-	}
-	return fmt.Sprintf("netbench|%s|node=%d|iters=%d|prof=%016x", c.Platform.Name, c.Node, c.Iterations, h.Sum64())
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -96,18 +79,7 @@ func PingPong(cfg Config) ([]Point, error) {
 	sweeps := cfg.Registry.Counter("memcontention_netbench_points_total", "Ping-pong sweep points measured.", nil)
 	bw := cfg.Registry.Histogram("memcontention_netbench_bandwidth_gbps", "Ping-pong bandwidths over the size sweep.", obs.BandwidthBuckets(), nil)
 	rtt := cfg.Registry.Histogram("memcontention_netbench_half_rtt_seconds", "One-way ping-pong times over the size sweep.", obs.DurationBuckets(), nil)
-	scope := cfg.scope()
 	for _, size := range cfg.Sizes {
-		key := fmt.Sprintf("%s|size=%d", scope, size)
-		if cfg.Journal != nil {
-			var cached Point
-			if ok, err := cfg.Journal.Get(key, &cached); err != nil {
-				return nil, fmt.Errorf("netbench: journal entry %s: %w", key, err)
-			} else if ok {
-				points = append(points, cached)
-				continue
-			}
-		}
 		if cfg.Context != nil {
 			if err := cfg.Context.Err(); err != nil {
 				return nil, fmt.Errorf("netbench: sweep canceled at size %s: %w", size, err)
@@ -120,9 +92,6 @@ func PingPong(cfg Config) ([]Point, error) {
 		sweeps.Inc()
 		bw.Observe(pt.Bandwidth)
 		rtt.Observe(pt.HalfRTT)
-		if err := cfg.Journal.Record(key, pt); err != nil {
-			return nil, fmt.Errorf("netbench: journal %s: %w", key, err)
-		}
 		points = append(points, pt)
 	}
 	return points, nil

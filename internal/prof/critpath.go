@@ -11,8 +11,7 @@
 // time-ordered timeline that round-trips through the JSONL format. All
 // analyses here (Timeline, SpanTree, WritePerfetto) work on plain
 // []trace.Event, so they run equally on a live recording or on a trace
-// file loaded from disk; SpanStore persists per-unit slices of it for
-// campaign resume.
+// file loaded from disk.
 package prof
 
 import (

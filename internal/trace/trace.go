@@ -34,8 +34,8 @@ const (
 	// Fault is a fault-injection event (link degraded, node crashed,
 	// message dropped, ...) recorded by the faults layer.
 	Fault
-	// Checkpoint marks a graceful interruption: the run stopped here with
-	// all completed units journaled, ready to be resumed.
+	// Checkpoint marks a graceful interruption: the run was canceled
+	// here and flushed its telemetry.
 	Checkpoint
 	// SpanBegin opens a causal span (an MPI operation, a fabric transfer,
 	// a memory flow, a compute phase).
@@ -308,8 +308,8 @@ func (r *Recorder) MarkAt(at float64, label string) {
 }
 
 // CheckpointAt records a graceful-interruption marker at the given
-// simulated time: everything before it is journaled and a resumed run
-// will pick up exactly here.
+// simulated time: the run was canceled there, and the trace holds
+// everything recorded up to the cut.
 func (r *Recorder) CheckpointAt(at float64, label string) {
 	r.Append(Event{At: at, Kind: Checkpoint, Label: label})
 }

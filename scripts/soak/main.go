@@ -1,16 +1,20 @@
-// Command soak is the kill-and-resume soak harness for the checkpoint
-// layer (docs/resilience.md): it runs the full Table II pipeline, kills
-// it at seeded-random unit boundaries, resumes from the journal, and
-// asserts that the final artifacts are byte-identical to an uninterrupted
-// run — with and without a fault plan armed on the DES cross-check, plus
-// a torn-tail and a corrupt-journal round that must recover without
-// panicking.
+// Command soak is the kill-and-resume soak harness of the lease campaign
+// (docs/resilience.md): it runs the Table II pipeline with its replication
+// sweep as an in-process lease campaign (campaign.RunLocal, what
+// `paperfigs -shards` runs), cancels it at seeded unit boundaries,
+// resumes it from the campaign directory, and asserts that the final
+// artifacts are byte-identical to an uninterrupted run — with and without
+// a fault plan armed on the DES cross-check.
 //
 // Kills are simulated in-process by canceling the campaign context from
-// the journal's RecordHook: because every append is fsynced before the
-// hook runs, cancel-after-record is exactly the on-disk state a SIGKILL
-// after the fsync would leave. The torn-tail round additionally chops
-// bytes off the journal to model a kill mid-write.
+// the workers' UnitDone callback, which runs once a unit is durably
+// journaled: cancel-after-record is exactly what SIGINT does to a lease
+// worker, and the on-disk state a SIGKILL after the fsync would leave.
+// Between two attempts the harness tears the tail of the newest shard
+// journal (a kill mid-append), and between two others it appends garbage
+// to it. No worker reopens an old epoch's journal, so those tails stay in
+// place, and every later scan for pending units and the final merge must
+// read past them.
 //
 // With -remote the harness instead soaks the lease-coordinated
 // multi-process campaign with real memworker processes and real signals
@@ -27,6 +31,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"memcontention/internal/campaign"
 	"memcontention/internal/checkpoint"
@@ -37,6 +42,13 @@ import (
 // platforms keeps a soak run fast while covering sample and non-sample
 // placements plus two different NUMA layouts.
 var platforms = []string{"henri", "henri-subnuma", "dahu"}
+
+// soakWorkers is the in-process worker count of every attempt, and
+// maxKill the most units an attempt completes before its kill.
+const (
+	soakWorkers = 2
+	maxKill     = 3
+)
 
 var verbose bool
 
@@ -89,6 +101,18 @@ func soak(rounds int, seed uint64) error {
 	return nil
 }
 
+// replicationsFor sizes the seed ensemble so that every one of rounds
+// attempts is killed. A killed attempt completes at most maxKill units
+// before its kill plus one unit in flight on each other worker, and an
+// attempt with at least maxKill units left reaches its kill. So
+// (rounds-1)·(maxKill+soakWorkers-1)+maxKill units suffice; the pipeline
+// has len(platforms) evaluations per replication plus the ping-pong sweep
+// and the cross-check.
+func replicationsFor(rounds int) int {
+	need := (rounds-1)*(maxKill+soakWorkers-1) + maxKill - 2
+	return max(1, (need+len(platforms)-1)/len(platforms))
+}
+
 func soakScenario(name string, plan *faults.Plan, rounds int, seed uint64) error {
 	dir, err := os.MkdirTemp("", "memcontention-soak-*")
 	if err != nil {
@@ -96,8 +120,8 @@ func soakScenario(name string, plan *faults.Plan, rounds int, seed uint64) error
 	}
 	defer os.RemoveAll(dir)
 
-	// Uninterrupted baseline.
-	baseline, err := campaign.Pipeline(campaign.Config{Seed: seed, FaultPlan: plan}, platforms)
+	cfg := campaign.Config{Seed: seed, Workers: soakWorkers, Replications: replicationsFor(rounds), FaultPlan: plan}
+	baseline, err := campaign.Pipeline(cfg, platforms)
 	if err != nil {
 		return fmt.Errorf("baseline pipeline: %w", err)
 	}
@@ -106,87 +130,112 @@ func soakScenario(name string, plan *faults.Plan, rounds int, seed uint64) error
 		return err
 	}
 
-	// Kill-and-resume loop: keep interrupting at seeded unit boundaries
-	// until the pipeline completes, with at least `rounds` kills. Two of
-	// the kills additionally corrupt the journal tail (torn write, then
-	// garbage) before the resume, which must recover cleanly.
-	jpath := filepath.Join(dir, "run.ckpt")
+	// Kill-and-resume loop: interrupt the first `rounds` attempts at
+	// seeded unit boundaries, then let one attempt complete and merge.
+	runDir := filepath.Join(dir, "run")
 	kills := 0
 	killPoints := rng.New(seed, "soak|"+name)
-	var resumed *campaign.Artifacts
+	var res *campaign.ShardResult
 	for attempt := 0; ; attempt++ {
-		if attempt > 10*rounds+100 {
-			return fmt.Errorf("pipeline did not complete after %d attempts", attempt)
-		}
-		j, err := checkpoint.Open(jpath)
-		if err != nil {
-			return fmt.Errorf("attempt %d: reopen journal: %w", attempt, err)
-		}
-		if j.RecoveredBytes() > 0 {
-			logf("  [%s] attempt %d: recovered journal, truncated %d corrupt bytes, %d entries intact",
-				name, attempt, j.RecoveredBytes(), j.LoadedEntries())
-		}
 		ctx, cancel := context.WithCancel(context.Background())
-		if kills < rounds {
-			// Cancel 1–3 freshly recorded units past what the journal
-			// already holds, so every attempt makes progress and dies.
-			killAt := j.LoadedEntries() + 1 + killPoints.Intn(3)
-			j.RecordHook = func(_ string, total int) {
-				if total >= killAt {
+		acfg := cfg
+		acfg.Context = ctx
+		opts := campaign.RemoteOptions{Dir: runDir}
+		killing := kills < rounds
+		if killing {
+			killAt := int32(1 + killPoints.Intn(maxKill))
+			var done atomic.Int32
+			opts.UnitDone = func(int, string) {
+				if done.Add(1) == killAt {
 					cancel()
 				}
 			}
 		}
-		resumed, err = campaign.Pipeline(campaign.Config{
-			Seed:      seed,
-			Context:   ctx,
-			Journal:   j,
-			FaultPlan: plan,
-		}, platforms)
+		res, err = campaign.RunLocal(acfg, opts, platforms)
 		cancel()
-		entries := j.Len()
-		if cerr := j.Close(); cerr != nil {
-			return cerr
-		}
 		if err == nil {
-			logf("  [%s] attempt %d: completed with %d journal entries after %d kills",
-				name, attempt, entries, kills)
+			logf("  [%s] attempt %d: ran %d units and merged after %d kills", name, attempt, executed(res), kills)
 			break
 		}
-		if !checkpoint.IsCanceled(err) {
-			return fmt.Errorf("attempt %d: pipeline failed mid-soak: %w", attempt, err)
+		if !killing || !checkpoint.IsCanceled(err) {
+			return fmt.Errorf("attempt %d: campaign failed mid-soak: %w", attempt, err)
 		}
 		kills++
-		logf("  [%s] attempt %d: killed at %d journal entries", name, attempt, entries)
+		logf("  [%s] attempt %d: killed after %d units", name, attempt, executed(res))
 		switch kills {
 		case 2:
 			// Torn tail: the process died mid-append.
-			if err := chopFile(jpath, 7); err != nil {
+			path, err := newestJournal(runDir)
+			if err != nil {
 				return err
 			}
-			logf("  [%s] tore the journal tail", name)
+			if err := chopFile(path, 7); err != nil {
+				return err
+			}
+			logf("  [%s] tore the tail of %s", name, filepath.Base(path))
 		case 4:
 			// Garbage tail: the disk wrote junk past the valid prefix.
-			if err := appendFile(jpath, []byte("XXXX corrupt entry\nmore junk")); err != nil {
+			path, err := newestJournal(runDir)
+			if err != nil {
 				return err
 			}
-			logf("  [%s] appended garbage to the journal", name)
+			if err := appendFile(path, []byte("XXXX corrupt entry\nmore junk")); err != nil {
+				return err
+			}
+			logf("  [%s] appended garbage to %s", name, filepath.Base(path))
 		}
 	}
 	if kills < rounds {
-		return fmt.Errorf("only %d kills, want >= %d", kills, rounds)
+		return fmt.Errorf("only %d kills, want >= %d: the campaign completed before a planned kill", kills, rounds)
 	}
 
 	// The resumed artifacts must be byte-identical to the baseline.
 	resDir := filepath.Join(dir, "resumed")
-	if err := resumed.Write(resDir); err != nil {
+	if err := res.Artifacts.Write(resDir); err != nil {
 		return err
 	}
 	if err := compareDirs(baseDir, resDir); err != nil {
 		return err
 	}
-	fmt.Printf("soak: %s ok — %d kills (incl. torn + corrupt journal), artifacts byte-identical\n", name, kills)
+	fmt.Printf("soak: %s ok — %d kills (incl. torn + corrupt shard journal), artifacts byte-identical\n", name, kills)
 	return nil
+}
+
+// executed counts the units the workers of one attempt ran.
+func executed(res *campaign.ShardResult) int {
+	n := 0
+	if res != nil {
+		for _, w := range res.Workers {
+			if w != nil {
+				n += w.Units
+			}
+		}
+	}
+	return n
+}
+
+// newestJournal returns the most recently written non-empty shard
+// journal of the campaign in dir.
+func newestJournal(dir string) (string, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "shard-*.ckpt"))
+	if err != nil {
+		return "", err
+	}
+	var newest string
+	var newestInfo os.FileInfo
+	for _, p := range paths {
+		info, err := os.Stat(p)
+		if err != nil {
+			return "", err
+		}
+		if info.Size() > 0 && (newestInfo == nil || !info.ModTime().Before(newestInfo.ModTime())) {
+			newest, newestInfo = p, info
+		}
+	}
+	if newest == "" {
+		return "", errors.New("no shard journal holds a unit")
+	}
+	return newest, nil
 }
 
 // chopFile truncates the last n bytes off path (at most its size).
