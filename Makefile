@@ -74,6 +74,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzDecodeEvents$$' -fuzztime $(FUZZTIME) ./internal/campaign/
 	$(GO) test -fuzz '^FuzzSolve$$' -fuzztime $(FUZZTIME) ./internal/memsys/
 	$(GO) test -fuzz '^FuzzIndentJSON$$' -fuzztime $(FUZZTIME) ./internal/export/
+	$(GO) test -fuzz '^FuzzAppendJSON$$' -fuzztime $(FUZZTIME) ./internal/eval/
 
 # prof-smoke runs memprof on the seeded overlap scenario and validates
 # the Perfetto export byte-for-byte against the golden file (regenerate
@@ -116,7 +117,7 @@ bench:
 # are noisy, so a flagged regression means "measure properly before
 # merging", not "blocked" (see docs/observability.md).
 BENCHDIFF_BASE ?= HEAD~1
-BENCHDIFF_PATTERN ?= BenchmarkClusterHaloExchange$$|BenchmarkTable1Platforms$$|BenchmarkTable2Errors$$|BenchmarkPredict$$|BenchmarkSolver$$|BenchmarkSolve$$|BenchmarkMeasurePoint$$|BenchmarkFlowsChurn$$|BenchmarkSimEvents$$|BenchmarkRenderArtifacts$$|BenchmarkCalibrateRunner$$|BenchmarkEvaluatePlatform$$|BenchmarkDeliver$$|BenchmarkSendRecv$$|BenchmarkAllreduce$$|BenchmarkDecodeUnitJournal$$
+BENCHDIFF_PATTERN ?= BenchmarkClusterHaloExchange$$|BenchmarkTable1Platforms$$|BenchmarkTable2Errors$$|BenchmarkPredict$$|BenchmarkSolver$$|BenchmarkSolve$$|BenchmarkMeasurePoint$$|BenchmarkFlowsChurn$$|BenchmarkSimEvents$$|BenchmarkRenderArtifacts$$|BenchmarkWrite$$|BenchmarkCalibrateRunner$$|BenchmarkEvaluatePlatform$$|BenchmarkDeliver$$|BenchmarkSendRecv$$|BenchmarkAllreduce$$|BenchmarkDecodeUnitJournal$$
 benchdiff:
 	-GO=$(GO) bash scripts/benchdiff/run.sh '$(BENCHDIFF_PATTERN)' '$(BENCHDIFF_BASE)'
 

@@ -38,7 +38,6 @@ import (
 // options are memprof's parsed command-line inputs.
 type options struct {
 	platform string
-	seed     uint64
 	load     string
 	perfetto string
 	top      int
@@ -48,7 +47,6 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.platform, "platform", "henri", "built-in platform name to profile")
-	flag.Uint64Var(&o.seed, "seed", 1, "scenario seed (recorded in the manifest)")
 	flag.StringVar(&o.load, "load", "", "analyse this recorded JSONL trace instead of running a scenario")
 	flag.StringVar(&o.perfetto, "perfetto", "", "write a Chrome trace-event JSON export (open in ui.perfetto.dev)")
 	flag.IntVar(&o.top, "top", 5, "number of contended links to highlight")
@@ -74,7 +72,6 @@ func run(ctx context.Context, w io.Writer, o options, cli *obs.CLI) (err error) 
 	reg := cli.NewRegistry()
 	man := obs.NewManifest("memprof")
 	man.Platform = o.platform
-	man.Seed = o.seed
 	man.Args = os.Args[1:]
 
 	var events []trace.Event
@@ -90,7 +87,6 @@ func run(ctx context.Context, w io.Writer, o options, cli *obs.CLI) (err error) 
 		fmt.Fprintf(w, "loaded %d events from %s\n\n", len(events), o.load)
 	} else {
 		xc, xerr := campaign.CrossCheck(campaign.Config{
-			Seed:     o.seed,
 			Context:  ctx,
 			Registry: reg,
 			Recorder: rec,

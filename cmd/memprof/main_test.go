@@ -39,7 +39,7 @@ func TestMemprofReports(t *testing.T) {
 			dir := t.TempDir()
 			tracePath := filepath.Join(dir, "run.jsonl")
 			cli := &obs.CLI{TracePath: tracePath}
-			out := profileRun(t, options{platform: platform, seed: 1, top: 5, width: 40}, cli)
+			out := profileRun(t, options{platform: platform, top: 5, width: 40}, cli)
 
 			for _, want := range []string{
 				"profiled overlap scenario on " + platform,
@@ -87,7 +87,7 @@ func TestMemprofReports(t *testing.T) {
 func TestMemprofGoldenPerfetto(t *testing.T) {
 	dir := t.TempDir()
 	pf := filepath.Join(dir, "henri.perfetto.json")
-	profileRun(t, options{platform: "henri", seed: 1, top: 5, width: 40, perfetto: pf}, &obs.CLI{})
+	profileRun(t, options{platform: "henri", top: 5, width: 40, perfetto: pf}, &obs.CLI{})
 
 	got, err := os.ReadFile(pf)
 	if err != nil {
@@ -126,7 +126,7 @@ func TestMemprofGoldenPerfetto(t *testing.T) {
 func TestMemprofLoad(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "run.jsonl")
-	live := profileRun(t, options{platform: "henri", seed: 1, top: 5, width: 40}, &obs.CLI{TracePath: tracePath})
+	live := profileRun(t, options{platform: "henri", top: 5, width: 40}, &obs.CLI{TracePath: tracePath})
 	loaded := profileRun(t, options{load: tracePath, top: 5, width: 40}, &obs.CLI{})
 
 	if !strings.Contains(loaded, "loaded ") {
@@ -160,7 +160,7 @@ func TestMemprofLoadsRecorderTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	live := profileRun(t, options{platform: "henri", seed: 1, top: 5, width: 40}, &obs.CLI{})
+	live := profileRun(t, options{platform: "henri", top: 5, width: 40}, &obs.CLI{})
 	loaded := profileRun(t, options{load: path, top: 5, width: 40}, &obs.CLI{})
 	liveCP := section(t, live, "== critical path")
 	loadedCP := section(t, loaded, "== critical path")

@@ -137,10 +137,13 @@ type Runner struct {
 	// a prefix of them and the comm stream(s) in stack scratch. Built by
 	// NewRunner and read-only afterwards, like every Runner field
 	// MeasurePoint reads, so campaign workers may share a runner.
-	comp  [][]memsys.Stream
-	m     benchInstruments
-	done  <-chan struct{}
-	scope string
+	comp [][]memsys.Stream
+	m    benchInstruments
+	done <-chan struct{}
+	// noisePrefix and reps are the per-runner parts of every noise
+	// label, hashed once (see noiseKey and noise).
+	noisePrefix rng.Key
+	reps        []rng.Key
 }
 
 // benchInstruments are the runner's telemetry hooks; nil instruments
@@ -191,7 +194,11 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Context != nil {
 		r.done = cfg.Context.Done()
 	}
-	r.scope = scopeKey(cfg)
+	r.noisePrefix = rng.Label(cfg.Platform.Name).Str("|").Str(cfg.Kernel.String()).Str("|comp@")
+	r.reps = make([]rng.Key, cfg.Repeats)
+	for k := range r.reps {
+		r.reps[k] = rng.Label("rep").Int(k)
+	}
 	return r, nil
 }
 
@@ -211,8 +218,9 @@ func scopeKey(cfg Config) string {
 }
 
 // Scope returns the runner's journal-key prefix (see scopeKey); campaign
-// drivers extend it for derived artifacts such as evaluation tables.
-func (r *Runner) Scope() string { return r.scope }
+// drivers extend it for derived artifacts such as evaluation tables. It
+// is computed on each call, so only a caller that journals pays for it.
+func (r *Runner) Scope() string { return scopeKey(r.cfg) }
 
 // canceled reports a pending cancellation (never true without a Context).
 func (r *Runner) canceled() error {
@@ -262,24 +270,24 @@ func (r *Runner) layout(dst []memsys.Stream, node topology.NodeID, comp []memsys
 
 // noiseKey is the label of a point's noise streams up to the metric name:
 // the bytes of fmt.Sprintf("%s|%s|%s|n=%d|", platform, kernel, pl, n),
-// hashed without building the string.
+// hashed without building the string, from the runner's hashed
+// "platform|kernel|comp@" on.
 func (r *Runner) noiseKey(pl model.Placement, n int) rng.Key {
-	return rng.Label(r.cfg.Platform.Name).Str("|").Str(r.cfg.Kernel.String()).
-		Str("|comp@").Int(int(pl.Comp)).Str("/comm@").Int(int(pl.Comm)).
+	return r.noisePrefix.Int(int(pl.Comp)).Str("/comm@").Int(int(pl.Comm)).
 		Str("|n=").Int(n).Str("|")
 }
 
 // noise returns the averaged multiplicative noise factor of the metric
 // whose full label key spells: the mean of Repeats jitter draws, draw K
-// from the child stream labelled "repK".
+// from the child stream labelled "repK" (r.reps[K]).
 func (r *Runner) noise(key rng.Key, rel float64) float64 {
 	if rel <= 0 {
 		return 1
 	}
-	s, rep := key.Stream(r.cfg.Seed), rng.Label("rep")
+	s := key.Stream(r.cfg.Seed)
 	sum := 0.0
-	for k := 0; k < r.cfg.Repeats; k++ {
-		c := s.Child(rep.Int(k))
+	for _, rep := range r.reps {
+		c := s.Child(rep)
 		sum += c.Jitter(rel)
 	}
 	return sum / float64(r.cfg.Repeats)

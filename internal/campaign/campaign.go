@@ -106,14 +106,15 @@ func evaluateOne(cfg Config, name string) (*eval.PlatformResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Journal == nil {
+		return eval.EvaluateRunner(runner)
+	}
 	key := "eval|" + runner.Scope()
-	if cfg.Journal != nil {
-		var cached eval.PlatformResult
-		if ok, err := cfg.Journal.Get(key, &cached); err != nil {
-			return nil, fmt.Errorf("campaign: journal entry %s: %w", key, err)
-		} else if ok {
-			return &cached, nil
-		}
+	var cached eval.PlatformResult
+	if ok, err := cfg.Journal.Get(key, &cached); err != nil {
+		return nil, fmt.Errorf("campaign: journal entry %s: %w", key, err)
+	} else if ok {
+		return &cached, nil
 	}
 	res, err := eval.EvaluateRunner(runner)
 	if err != nil {

@@ -30,19 +30,34 @@ func Ablation(runner *bench.Runner) ([]AblationRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eval: ablation: %w", err)
 	}
-	var rows []AblationRow
-	for _, p := range baseline.All(m) {
-		var commA, commP, compA, compP []float64
+	// Every predictor is scored on the same points: the measured values
+	// once, comm then comp, so that each half is one stream's actual
+	// series and the whole is the pooled one.
+	n := 0
+	for _, c := range curves {
+		n += len(c.Points)
+	}
+	actual, pred := make([]float64, 2*n), make([]float64, 2*n)
+	commA, compA, commP, compP := actual[:n], actual[n:], pred[:n], pred[n:]
+	k := 0
+	for _, c := range curves {
+		for _, pt := range c.Points {
+			commA[k], compA[k] = pt.CommPar, pt.CompPar
+			k++
+		}
+	}
+	predictors := baseline.All(m)
+	rows := make([]AblationRow, 0, len(predictors))
+	for _, p := range predictors {
+		k := 0
 		for _, c := range curves {
 			for _, pt := range c.Points {
-				pred, err := p.Predict(pt.N, c.Placement)
+				pr, err := p.Predict(pt.N, c.Placement)
 				if err != nil {
 					return nil, fmt.Errorf("eval: ablation: %s: %w", p.Name(), err)
 				}
-				commA = append(commA, pt.CommPar)
-				commP = append(commP, pred.Comm)
-				compA = append(compA, pt.CompPar)
-				compP = append(compP, pred.Comp)
+				commP[k], compP[k] = pr.Comm, pr.Comp
+				k++
 			}
 		}
 		row := AblationRow{Name: p.Name()}
@@ -52,10 +67,7 @@ func Ablation(runner *bench.Runner) ([]AblationRow, error) {
 		if row.CompMAPE, err = stats.MAPE(compA, compP); err != nil {
 			return nil, err
 		}
-		if row.Overall, err = stats.MAPE(
-			append(append([]float64(nil), commA...), compA...),
-			append(append([]float64(nil), commP...), compP...),
-		); err != nil {
+		if row.Overall, err = stats.MAPE(actual, pred); err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)

@@ -8,6 +8,7 @@ package eval
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"memcontention/internal/bench"
 	"memcontention/internal/calib"
@@ -72,7 +73,7 @@ func EvaluateRunner(runner *bench.Runner) (*PlatformResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eval: %s: %w", plat.Name, err)
 	}
-	res := &PlatformResult{Platform: plat.Name, Model: m}
+	res := &PlatformResult{Platform: plat.Name, Model: m, Placements: make([]*PlacementResult, 0, len(curves))}
 	for _, curve := range curves {
 		pr, err := evaluatePlacement(m, curve)
 		if err != nil {
@@ -125,12 +126,12 @@ func evaluatePlacement(m model.Model, curve *bench.Curve) (*PlacementResult, err
 		Measured:  curve,
 		Predicted: preds,
 	}
-	var aComm, pComm, aComp, pComp []float64
+	n := len(curve.Points)
+	ys := make([]float64, 4*n)
+	aComm, pComm, aComp, pComp := ys[:n], ys[n:2*n], ys[2*n:3*n], ys[3*n:]
 	for i, pt := range curve.Points {
-		aComm = append(aComm, pt.CommPar)
-		pComm = append(pComm, preds[i].Comm)
-		aComp = append(aComp, pt.CompPar)
-		pComp = append(pComp, preds[i].Comp)
+		aComm[i], pComm[i] = pt.CommPar, preds[i].Comm
+		aComp[i], pComp[i] = pt.CompPar, preds[i].Comp
 	}
 	if pr.CommMAPE, err = stats.MAPE(aComm, pComm); err != nil {
 		return nil, err
@@ -141,54 +142,59 @@ func evaluatePlacement(m model.Model, curve *bench.Curve) (*PlacementResult, err
 	return pr, nil
 }
 
-// summarize pools per-point errors into the Table II categories.
+// summarize pools per-point errors into the Table II categories. Each
+// pool holds the sample placements' points first, then the others', each
+// in placement order, so that the two halves and the whole are the
+// samples, non-samples and all categories.
 func summarize(placements []*PlacementResult) (ErrorSummary, error) {
-	var commS, commN, compS, compN struct{ actual, pred []float64 }
+	nS, nAll := 0, 0
+	for _, pr := range placements {
+		if pr.IsSample {
+			nS += len(pr.Measured.Points)
+		}
+		nAll += len(pr.Measured.Points)
+	}
+	ys := make([]float64, 4*nAll)
+	commA, commP, compA, compP := ys[:nAll], ys[nAll:2*nAll], ys[2*nAll:3*nAll], ys[3*nAll:]
+	s, o := 0, nS // the next sample and non-sample slots
 	for _, pr := range placements {
 		for i, pt := range pr.Measured.Points {
+			k := o
 			if pr.IsSample {
-				commS.actual = append(commS.actual, pt.CommPar)
-				commS.pred = append(commS.pred, pr.Predicted[i].Comm)
-				compS.actual = append(compS.actual, pt.CompPar)
-				compS.pred = append(compS.pred, pr.Predicted[i].Comp)
+				k, s = s, s+1
 			} else {
-				commN.actual = append(commN.actual, pt.CommPar)
-				commN.pred = append(commN.pred, pr.Predicted[i].Comm)
-				compN.actual = append(compN.actual, pt.CompPar)
-				compN.pred = append(compN.pred, pr.Predicted[i].Comp)
+				o++
 			}
+			commA[k], commP[k] = pt.CommPar, pr.Predicted[i].Comm
+			compA[k], compP[k] = pt.CompPar, pr.Predicted[i].Comp
 		}
 	}
-	var s ErrorSummary
+	var e ErrorSummary
 	var err error
-	if s.CommSamples, err = stats.MAPE(commS.actual, commS.pred); err != nil {
-		return s, fmt.Errorf("comm sample errors: %w", err)
+	if e.CommSamples, err = stats.MAPE(commA[:nS], commP[:nS]); err != nil {
+		return e, fmt.Errorf("comm sample errors: %w", err)
 	}
-	if s.CompSamples, err = stats.MAPE(compS.actual, compS.pred); err != nil {
-		return s, fmt.Errorf("comp sample errors: %w", err)
+	if e.CompSamples, err = stats.MAPE(compA[:nS], compP[:nS]); err != nil {
+		return e, fmt.Errorf("comp sample errors: %w", err)
 	}
 	// Platforms can have only sample placements in degenerate layouts;
 	// pooled "all" always exists.
-	if len(commN.actual) > 0 {
-		if s.CommNonSamples, err = stats.MAPE(commN.actual, commN.pred); err != nil {
-			return s, err
+	if nAll > nS {
+		if e.CommNonSamples, err = stats.MAPE(commA[nS:], commP[nS:]); err != nil {
+			return e, err
 		}
-		if s.CompNonSamples, err = stats.MAPE(compN.actual, compN.pred); err != nil {
-			return s, err
+		if e.CompNonSamples, err = stats.MAPE(compA[nS:], compP[nS:]); err != nil {
+			return e, err
 		}
 	}
-	allCommA := append(append([]float64(nil), commS.actual...), commN.actual...)
-	allCommP := append(append([]float64(nil), commS.pred...), commN.pred...)
-	allCompA := append(append([]float64(nil), compS.actual...), compN.actual...)
-	allCompP := append(append([]float64(nil), compS.pred...), compN.pred...)
-	if s.CommAll, err = stats.MAPE(allCommA, allCommP); err != nil {
-		return s, err
+	if e.CommAll, err = stats.MAPE(commA, commP); err != nil {
+		return e, err
 	}
-	if s.CompAll, err = stats.MAPE(allCompA, allCompP); err != nil {
-		return s, err
+	if e.CompAll, err = stats.MAPE(compA, compP); err != nil {
+		return e, err
 	}
-	s.Average = (s.CommAll + s.CompAll) / 2
-	return s, nil
+	e.Average = (e.CommAll + e.CompAll) / 2
+	return e, nil
 }
 
 // TestbedConfigs returns the default benchmark configurations for the six
@@ -246,6 +252,27 @@ func Table2(results []*PlatformResult) *export.Table {
 		export.Pct(stats.Mean(ps)), export.Pct(stats.Mean(pn)), export.Pct(stats.Mean(pa)),
 		export.Pct(stats.Mean(avg)),
 	)
+	return t
+}
+
+// ErrorTable renders one platform's Table II row as its report shows
+// it: the communication and computation errors on the samples, the other
+// placements and all, then their average.
+func ErrorTable(e ErrorSummary) *export.Table {
+	t := export.NewTable("", "", "on Samples", "on non-Samples", "all")
+	t.AddRow("Communications", export.Pct(e.CommSamples), export.Pct(e.CommNonSamples), export.Pct(e.CommAll))
+	t.AddRow("Computations", export.Pct(e.CompSamples), export.Pct(e.CompNonSamples), export.Pct(e.CompAll))
+	t.AddRow("Average", "", "", export.Pct(e.Average))
+	return t
+}
+
+// PlacementTable renders each placement's communication and computation
+// MAPE, marking the calibration samples.
+func PlacementTable(placements []*PlacementResult) *export.Table {
+	t := export.NewTable("", "placement", "sample", "comm MAPE", "comp MAPE")
+	for _, pr := range placements {
+		t.AddRow(pr.Placement.String(), strconv.FormatBool(pr.IsSample), export.Pct(pr.CommMAPE), export.Pct(pr.CompMAPE))
+	}
 	return t
 }
 

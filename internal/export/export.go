@@ -4,11 +4,20 @@
 //
 // The artifacts are pinned byte for byte, so the fast renderers here
 // promise the exact bytes of the slow standard paths they replace:
-// AppendGBs (and so GBs and Pct) writes what fmt's %.2f writes, and
-// MarshalIndent writes what json.Indent with a two-space indent writes
-// over json.Marshal's output, plus a trailing newline. A differential test
-// against fmt and the FuzzIndentJSON target against json.Indent guard
-// both promises.
+//   - AppendGBs (and so GBs and Pct) writes what fmt's %.2f writes;
+//   - MarshalIndent writes what json.Indent with a two-space indent writes
+//     over json.Marshal's output, plus a trailing newline;
+//   - a JSONAppender appends that same indented JSON itself, built from
+//     AppendJSONFloat, AppendJSONString and AppendJSONNewline, with no
+//     reflection, so MarshalIndent (and WriteJSON) of such a value, or of
+//     a slice of them, still equals json.Marshal plus json.Indent;
+//   - Table.AppendText writes what fmt's %-*s wrote cell by cell.
+//
+// A differential test against fmt and the FuzzIndentJSON target against
+// json.Indent guard the first two. TestAppendJSONMatchesStdlib and
+// FuzzAppendJSON (package eval, over evaluation result trees) guard the
+// third, and the fmt-based reference renderer of reference_test.go guards
+// the table text.
 package export
 
 import (
@@ -17,8 +26,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
+	"slices"
 	"strconv"
-	"strings"
+	"unicode/utf8"
 )
 
 // Table is a simple text/CSV table with a header row.
@@ -40,44 +51,75 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// WriteText renders the table with aligned columns.
+// WriteText renders the table with aligned columns (see AppendText) in
+// one write.
 func (t *Table) WriteText(w io.Writer) error {
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
+	b, err := t.AppendText(nil)
+	if err != nil {
+		return err
 	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+	_, err = w.Write(b)
+	return err
+}
+
+// AppendText appends the table's text form to dst: the title line when
+// there is one, the header, a rule of dashes and the rows, cells
+// separated by two spaces. A cell is padded with spaces to its column's
+// width as fmt's %-*s pads it: the widths count bytes (len) but the
+// padding counts runes, so a cell holding a multi-byte character (×, δ,
+// α, ∥) keeps one or two extra trailing spaces. Short rows end early; a
+// row with more cells than the header is an error.
+func (t *Table) AppendText(dst []byte) ([]byte, error) {
+	var stack [16]int
+	widths := stack[:0]
+	// extra counts the bytes past one per rune, which the padding does
+	// not make up for.
+	extra := 0
+	for _, h := range t.Header {
+		widths = append(widths, len(h))
+		extra += len(h) - utf8.RuneCountInString(h)
+	}
+	for i, row := range t.Rows {
+		if len(row) > len(widths) {
+			return dst, fmt.Errorf("export: table %q: row %d has %d cells, the header %d", t.Title, i, len(row), len(widths))
+		}
+		for j, c := range row {
+			widths[j] = max(widths[j], len(c))
+			extra += len(c) - utf8.RuneCountInString(c)
 		}
 	}
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "%s\n", t.Title)
-	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.Header)
-	total := 0
+	total := 0 // every column's width and gap: a full line is total-1 bytes, newline included, plus its extra
 	for _, w := range widths {
 		total += w + 2
 	}
-	b.WriteString(strings.Repeat("-", total-2))
-	b.WriteByte('\n')
-	for _, row := range t.Rows {
-		writeRow(row)
+	size := len(t.Title) + 1 + (len(t.Rows)+2)*(total+1) + extra
+	dst = slices.Grow(dst, size)
+	if t.Title != "" {
+		dst = append(append(dst, t.Title...), '\n')
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	dst = appendRow(dst, t.Header, widths)
+	for range total - 2 {
+		dst = append(dst, '-')
+	}
+	dst = append(dst, '\n')
+	for _, row := range t.Rows {
+		dst = appendRow(dst, row, widths)
+	}
+	return dst, nil
+}
+
+// appendRow appends one line of cells, each padded as AppendText pads it.
+func appendRow(dst []byte, cells []string, widths []int) []byte {
+	for i, c := range cells {
+		if i > 0 {
+			dst = append(dst, "  "...)
+		}
+		dst = append(dst, c...)
+		for pad := widths[i] - utf8.RuneCountInString(c); pad > 0; pad-- {
+			dst = append(dst, ' ')
+		}
+	}
+	return append(dst, '\n')
 }
 
 // WriteCSV renders the table as CSV (header first, no title).
@@ -97,11 +139,11 @@ func (t *Table) WriteCSV(w io.Writer) error {
 
 // String renders the text form.
 func (t *Table) String() string {
-	var b strings.Builder
-	if err := t.WriteText(&b); err != nil {
+	b, err := t.AppendText(nil)
+	if err != nil {
 		return fmt.Sprintf("table render error: %v", err)
 	}
-	return b.String()
+	return string(b)
 }
 
 // WriteJSON pretty-prints any value as JSON, as MarshalIndent renders it.
@@ -114,18 +156,137 @@ func WriteJSON(w io.Writer, v any) error {
 	return err
 }
 
-// MarshalIndent encodes v with encoding/json and indents it by two spaces
-// per level, ending in a newline: the bytes a json.Encoder with
-// SetIndent("", "  ") writes. encoding/json alone decides the values
-// (struct tags, MarshalJSON methods, HTML escaping); only the indent pass
-// is this package's own.
+// MarshalIndent encodes v as JSON indented by two spaces per level,
+// ending in a newline: the bytes a json.Encoder with SetIndent("", "  ")
+// writes. A JSONAppender, or a slice whose element type is one, appends
+// its own JSON into one buffer sized by JSONSize. Any other value goes
+// through json.Marshal, which alone decides the values (struct tags,
+// MarshalJSON methods, HTML escaping), and then this package's indent
+// pass.
 func MarshalIndent(v any) ([]byte, error) {
+	if a, ok := v.(JSONAppender); ok {
+		dst, err := a.AppendJSON(make([]byte, 0, a.JSONSize(0)+1), 0)
+		if err != nil {
+			return nil, err
+		}
+		return append(dst, '\n'), nil
+	}
+	if rv := reflect.ValueOf(v); rv.Kind() == reflect.Slice && rv.Type().Elem().Implements(appenderType) {
+		return marshalAppenders(rv)
+	}
 	src, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
 	dst := appendIndent(make([]byte, 0, 2*len(src)), src)
 	return append(dst, '\n'), nil
+}
+
+// JSONAppender is a value that writes its own JSON: the bytes
+// MarshalIndent writes for it through json.Marshal and the indent pass,
+// without the final newline.
+type JSONAppender interface {
+	// AppendJSON appends the value's JSON to dst as it sits at nesting
+	// depth: its inner lines indented by depth+1 levels, its closing
+	// bracket by depth. NaN and ±Inf are an error, as for json.Marshal.
+	AppendJSON(dst []byte, depth int) ([]byte, error)
+	// JSONSize bounds the bytes AppendJSON appends at depth.
+	JSONSize(depth int) int
+}
+
+var appenderType = reflect.TypeFor[JSONAppender]()
+
+// marshalAppenders is MarshalIndent of a slice of JSONAppenders: null for
+// a nil slice, [] for an empty one, else one element per line. A nil
+// element, a nil interface or pointer, writes null, as json.Marshal does.
+func marshalAppenders(rv reflect.Value) ([]byte, error) {
+	switch {
+	case rv.IsNil():
+		return []byte("null\n"), nil
+	case rv.Len() == 0:
+		return []byte("[]\n"), nil
+	}
+	elem := func(i int) JSONAppender {
+		a, _ := rv.Index(i).Interface().(JSONAppender)
+		return a
+	}
+	size := len("[\n]\n")
+	for i := range rv.Len() {
+		size += len(",\n  ") + len("null")
+		if a := elem(i); a != nil {
+			size += a.JSONSize(1)
+		}
+	}
+	dst := append(make([]byte, 0, size), '[')
+	for i := range rv.Len() {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendJSONNewline(dst, 1)
+		a := elem(i)
+		if a == nil {
+			dst = append(dst, "null"...)
+			continue
+		}
+		var err error
+		if dst, err = a.AppendJSON(dst, 1); err != nil {
+			return nil, err
+		}
+	}
+	return append(AppendJSONNewline(dst, 0), ']', '\n'), nil
+}
+
+// AppendJSONFloat appends v as json.Marshal encodes a float64: the
+// shortest decimal that reads back as v, in 'e' notation below 1e-6 and
+// from 1e21, with the leading zero of a one-digit negative exponent
+// dropped (1e-07 becomes 1e-7); -0 stays -0. NaN and ±Inf append nothing
+// and return json.Marshal's error for them.
+func AppendJSONFloat(dst []byte, v float64) ([]byte, error) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(v), Str: strconv.FormatFloat(v, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, v, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
+}
+
+// AppendJSONString appends s quoted as json.Marshal quotes it. Printable
+// ASCII other than the quote, the backslash and the HTML-sensitive <, >
+// and & is copied as is; any other string is rare here and goes through
+// json.Marshal, which escapes it and replaces invalid UTF-8.
+func AppendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(dst, q...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
+}
+
+// JSONStringSize bounds the bytes AppendJSONString appends for s: six per
+// byte (\u00XX) and the quotes.
+func JSONStringSize(s string) int { return 6*len(s) + 2 }
+
+// AppendJSONNewline appends a newline and depth levels of two-space
+// indent: where MarshalIndent starts each field or element of a
+// non-empty object or array, and its closing bracket.
+func AppendJSONNewline(dst []byte, depth int) []byte {
+	if n := 1 + 2*depth; n <= len(indents) {
+		return append(dst, indents[:n]...)
+	}
+	dst = append(dst, indents...)
+	for depth -= len(indents) / 2; depth > 0; depth-- {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 // appendIndent appends src, compact JSON as json.Marshal writes it, to
@@ -151,14 +312,14 @@ func appendIndent(dst, src []byte) []byte {
 				continue
 			}
 			depth++
-			dst = newline(append(dst, src[run:i+1]...), depth)
+			dst = AppendJSONNewline(append(dst, src[run:i+1]...), depth)
 			run = i + 1
 		case '}', ']':
 			depth--
-			dst = newline(append(dst, src[run:i]...), depth)
+			dst = AppendJSONNewline(append(dst, src[run:i]...), depth)
 			run = i
 		case ',':
-			dst = newline(append(dst, src[run:i+1]...), depth)
+			dst = AppendJSONNewline(append(dst, src[run:i+1]...), depth)
 			run = i + 1
 		case ':':
 			dst = append(append(dst, src[run:i+1]...), ' ')
@@ -173,20 +334,8 @@ func appendIndent(dst, src []byte) []byte {
 var structural = [256]bool{'"': true, '{': true, '[': true, '}': true, ']': true, ',': true, ':': true}
 
 // indents is a newline and the indent of 16 levels, sliced for shallower
-// ones.
+// ones by AppendJSONNewline.
 const indents = "\n                                "
-
-// newline appends a newline and depth levels of two-space indent.
-func newline(dst []byte, depth int) []byte {
-	if n := 1 + 2*depth; n <= len(indents) {
-		return append(dst, indents[:n]...)
-	}
-	dst = append(dst, indents...)
-	for depth -= len(indents) / 2; depth > 0; depth-- {
-		dst = append(dst, ' ', ' ')
-	}
-	return dst
-}
 
 // AppendGBs appends v with two decimals, exactly as fmt's %.2f formats
 // it: v's binary value rounded half to even at the second decimal, with a

@@ -1,12 +1,15 @@
 package export_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
 
+	"memcontention/internal/bench"
 	"memcontention/internal/eval"
 	"memcontention/internal/export"
+	"memcontention/internal/topology"
 )
 
 // TestAppendGBsOnSeedResults runs the fmt differential over every float
@@ -31,6 +34,56 @@ func TestAppendGBsOnSeedResults(t *testing.T) {
 	}
 	if n < 16*1000 {
 		t.Fatalf("walked only %d floats over 16 seeds", n)
+	}
+}
+
+// TestArtifactTablesMatchReference renders every table of the artifacts
+// at noise seeds 1–16 with AppendText and the reference renderer: Tables
+// I and II, and each platform report's parameter, error, ablation and
+// per-placement tables.
+func TestArtifactTablesMatchReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("16 testbed evaluations and their ablations")
+	}
+	check := func(seed uint64, tab *export.Table) {
+		t.Helper()
+		var want bytes.Buffer
+		if err := export.WriteTextRef(tab, &want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := tab.AppendText(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("seed %d, table %q:\n%s\nreference:\n%s", seed, tab.Title, got, want.Bytes())
+		}
+	}
+	check(0, eval.Table1(topology.Testbed()))
+	for seed := uint64(1); seed <= 16; seed++ {
+		results, err := eval.EvaluateTestbed(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(seed, eval.Table2(results))
+		for _, r := range results {
+			plat, err := topology.ByName(r.Platform)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runner, err := bench.NewRunner(bench.Config{Platform: plat, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, err := eval.Ablation(runner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(seed, export.ParamsTable("Calibrated model (§III-A parameters)", r.Model))
+			check(seed, eval.ErrorTable(r.Errors))
+			check(seed, eval.AblationTable(r.Platform, rows))
+			check(seed, eval.PlacementTable(r.Placements))
+		}
 	}
 }
 

@@ -149,15 +149,8 @@ func (m Model) IsSample(pl Placement) bool {
 	return pl == l || pl == r
 }
 
-// MarshalJSON/UnmarshalJSON round-trip the model for the command-line
-// tools. The default struct encoding is used; the methods exist to
-// validate on decode.
-func (m Model) MarshalJSON() ([]byte, error) {
-	type alias Model
-	return json.Marshal(alias(m))
-}
-
-// UnmarshalJSON decodes and validates.
+// UnmarshalJSON decodes the default struct encoding, which the model
+// also encodes to, and validates the result.
 func (m *Model) UnmarshalJSON(data []byte) error {
 	type alias Model
 	var a alias

@@ -5,9 +5,10 @@
 package plot
 
 import (
-	"fmt"
 	"math"
-	"strings"
+	"slices"
+	"strconv"
+	"unicode/utf8"
 )
 
 // Series is one curve: Y values indexed by X = 1..len(Y).
@@ -41,8 +42,16 @@ func (c *Chart) Add(s Series) *Chart {
 	return c
 }
 
-// Render draws the chart.
-func (c *Chart) Render() string {
+// Render draws the chart (see Append).
+func (c *Chart) Render() string { return string(c.Append(nil)) }
+
+// Append draws the chart into dst: the title line when there is one, the
+// plot area with the Y labels (%7.1f: the headroomed maximum, its half
+// and 0) on the left axis, the X axis, its n=1…n=N labels and the
+// legend. A marker byte is drawn as is on the canvas but as the rune of
+// that value (UTF-8) in the legend. A chart with no positive value says
+// "(no data)".
+func (c *Chart) Append(dst []byte) []byte {
 	w, h := c.Width, c.Height
 	if w < 16 {
 		w = 16
@@ -64,13 +73,17 @@ func (c *Chart) Render() string {
 		}
 	}
 	if nMax == 0 || yMax <= 0 {
-		return c.Title + "\n(no data)\n"
+		return append(append(dst, c.Title...), "\n(no data)\n"...)
 	}
 	yMax *= 1.05 // headroom
 
-	grid := make([][]byte, h)
-	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", w))
+	var stack [60 * 12]byte
+	grid := stack[:0]
+	if w*h > len(stack) {
+		grid = make([]byte, 0, w*h)
+	}
+	for range w * h {
+		grid = append(grid, ' ')
 	}
 	// X position of point i (0-based) spread over the width.
 	xCol := func(i int) int {
@@ -89,14 +102,13 @@ func (c *Chart) Render() string {
 		}
 		return r
 	}
+	legend := 0 // the legend's bytes past its indent
 	for _, s := range c.series {
 		if len(s.Y) == 0 {
 			continue
 		}
-		marker := s.Marker
-		if marker == 0 {
-			marker = '*'
-		}
+		marker := markerOf(s)
+		legend += len("   ") + utf8.RuneLen(rune(marker)) + 1 + len(s.Name)
 		prevCol, prevRow := -1, -1
 		for i, v := range s.Y {
 			col, row := xCol(i), yRow(v)
@@ -106,54 +118,83 @@ func (c *Chart) Render() string {
 				for cc := prevCol + 1; cc < col; cc++ {
 					t := float64(cc-prevCol) / float64(col-prevCol)
 					rr := int(math.Round(float64(prevRow) + t*float64(row-prevRow)))
-					if grid[rr][cc] == ' ' {
-						grid[rr][cc] = '.'
+					if grid[rr*w+cc] == ' ' {
+						grid[rr*w+cc] = '.'
 					}
 				}
 			}
-			grid[row][col] = marker
+			grid[row*w+col] = marker
 			prevCol, prevRow = col, row
 		}
 	}
 
-	var b strings.Builder
+	// The top label is the longest: yMax/2 and 0 have no more digits.
+	var num [24]byte
+	label := max(len(strconv.AppendFloat(num[:0], yMax, 'f', 1, 64)), 7) + 1
+	dst = slices.Grow(dst, len(c.Title)+1+
+		h*(label+len("│")+w+1)+ // plot area
+		len("        └")+len("─")*w+1+ // X axis
+		len("         n=1")+w+len("n=")+20+1+ // its labels
+		len("         ")+legend+1)
 	if c.Title != "" {
-		fmt.Fprintf(&b, "%s\n", c.Title)
+		dst = append(append(dst, c.Title...), '\n')
 	}
-	for r, line := range grid {
-		label := "        "
+	for r := range h {
 		switch r {
 		case 0:
-			label = fmt.Sprintf("%7.1f ", yMax)
+			dst = appendLabel(dst, yMax)
 		case h - 1:
-			label = fmt.Sprintf("%7.1f ", 0.0)
+			dst = appendLabel(dst, 0)
 		case (h - 1) / 2:
-			label = fmt.Sprintf("%7.1f ", yMax/2)
+			dst = appendLabel(dst, yMax/2)
+		default:
+			dst = append(dst, "        "...)
 		}
-		fmt.Fprintf(&b, "%s│%s\n", label, string(line))
+		dst = append(append(append(dst, "│"...), grid[r*w:(r+1)*w]...), '\n')
 	}
-	fmt.Fprintf(&b, "        └%s\n", strings.Repeat("─", w))
-	fmt.Fprintf(&b, "         n=1%sn=%d\n", strings.Repeat(" ", max(1, w-8-len(fmt.Sprint(nMax)))), nMax)
-	var legend []string
-	for _, s := range c.series {
-		if len(s.Y) == 0 {
-			continue
+	dst = append(dst, "        └"...)
+	for range w {
+		dst = append(dst, "─"...)
+	}
+	dst = append(dst, "\n         n=1"...)
+	digits := len(strconv.AppendInt(num[:0], int64(nMax), 10))
+	for range max(1, w-8-digits) {
+		dst = append(dst, ' ')
+	}
+	dst = append(strconv.AppendInt(append(dst, "n="...), int64(nMax), 10), '\n')
+	if legend > 0 {
+		dst = append(dst, "         "...)
+		sep := false
+		for _, s := range c.series {
+			if len(s.Y) == 0 {
+				continue
+			}
+			if sep {
+				dst = append(dst, "   "...)
+			}
+			sep = true
+			dst = append(append(utf8.AppendRune(dst, rune(markerOf(s))), ' '), s.Name...)
 		}
-		marker := s.Marker
-		if marker == 0 {
-			marker = '*'
-		}
-		legend = append(legend, fmt.Sprintf("%c %s", marker, s.Name))
+		dst = append(dst, '\n')
 	}
-	if len(legend) > 0 {
-		fmt.Fprintf(&b, "         %s\n", strings.Join(legend, "   "))
-	}
-	return b.String()
+	return dst
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// markerOf is the series' marker, '*' when unset.
+func markerOf(s Series) byte {
+	if s.Marker == 0 {
+		return '*'
 	}
-	return b
+	return s.Marker
+}
+
+// appendLabel appends a Y-axis label as fmt's "%7.1f " writes it: one
+// decimal, right-aligned in at least 7 columns, then a space.
+func appendLabel(dst []byte, v float64) []byte {
+	var num [24]byte
+	f := strconv.AppendFloat(num[:0], v, 'f', 1, 64)
+	for pad := 7 - len(f); pad > 0; pad-- {
+		dst = append(dst, ' ')
+	}
+	return append(append(dst, f...), ' ')
 }

@@ -5,7 +5,6 @@
 package report
 
 import (
-	"fmt"
 	"io"
 
 	"memcontention/internal/bench"
@@ -14,76 +13,78 @@ import (
 	"memcontention/internal/plot"
 )
 
-// Write renders the full report for one evaluated platform. The runner
-// must be configured identically to the one that produced the result (it
-// is used to re-run the ablation).
+const rule = "================================================================\n"
+
+// Write renders the full report for one evaluated platform, built in one
+// buffer and written once. A non-nil runner must be configured
+// identically to the one that produced the result: it re-runs the
+// ablation. A nil runner leaves the ablation out.
 func Write(w io.Writer, res *eval.PlatformResult, runner *bench.Runner) error {
-	fmt.Fprintf(w, "================================================================\n")
-	fmt.Fprintf(w, "PLATFORM REPORT — %s\n", res.Platform)
-	fmt.Fprintf(w, "================================================================\n\n")
-
-	if err := export.ParamsTable("Calibrated model (§III-A parameters)", res.Model).WriteText(w); err != nil {
-		return err
-	}
-
-	fmt.Fprintf(w, "\nPrediction errors (Table II row):\n")
-	e := res.Errors
-	errTable := export.NewTable("",
-		"", "on Samples", "on non-Samples", "all")
-	errTable.AddRow("Communications", export.Pct(e.CommSamples), export.Pct(e.CommNonSamples), export.Pct(e.CommAll))
-	errTable.AddRow("Computations", export.Pct(e.CompSamples), export.Pct(e.CompNonSamples), export.Pct(e.CompAll))
-	errTable.AddRow("Average", "", "", export.Pct(e.Average))
-	if err := errTable.WriteText(w); err != nil {
-		return err
-	}
-
+	var rows []eval.AblationRow
 	if runner != nil {
-		rows, err := eval.Ablation(runner)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		if err := eval.AblationTable(res.Platform, rows).WriteText(w); err != nil {
+		var err error
+		if rows, err = eval.Ablation(runner); err != nil {
 			return err
 		}
 	}
-
-	fmt.Fprintf(w, "\nPer-placement errors:\n")
-	plTable := export.NewTable("", "placement", "sample", "comm MAPE", "comp MAPE")
-	for _, pr := range res.Placements {
-		plTable.AddRow(pr.Placement.String(), fmt.Sprint(pr.IsSample),
-			export.Pct(pr.CommMAPE), export.Pct(pr.CompMAPE))
+	// About 7 KB for a testbed platform: the tables, then four charts of
+	// about 1.2 KB each.
+	b := make([]byte, 0, 8<<10+64*len(res.Placements))
+	b = append(append(append(append(b, rule+"PLATFORM REPORT — "...), res.Platform...), '\n'), rule+"\n"...)
+	var err error
+	table := func(t *export.Table) {
+		if err == nil {
+			b, err = t.AppendText(b)
+		}
 	}
-	if err := plTable.WriteText(w); err != nil {
+	table(export.ParamsTable("Calibrated model (§III-A parameters)", res.Model))
+	b = append(b, "\nPrediction errors (Table II row):\n"...)
+	table(eval.ErrorTable(res.Errors))
+	if runner != nil {
+		b = append(b, '\n')
+		table(eval.AblationTable(res.Platform, rows))
+	}
+	b = append(b, "\nPer-placement errors:\n"...)
+	table(eval.PlacementTable(res.Placements))
+	if err != nil {
 		return err
 	}
+	// Compact figure: each calibration sample's pair of charts.
+	for i, c := range SampleCharts(res) {
+		if i%2 == 0 {
+			b = append(b, '\n')
+		}
+		b = c.Append(b)
+	}
+	_, err = w.Write(b)
+	return err
+}
 
-	// Compact figure: the two calibration samples as ASCII charts.
-	fig := eval.FigureFor(eval.FigureNameFor(res.Platform), res)
-	for _, sp := range fig.Subplots {
-		if !sp.IsSample {
+// SampleCharts returns the report's compact figure: for each of the two
+// calibration samples, in placement order, its communication chart and
+// its computation chart, each drawing the measured parallel bandwidths
+// against the model's.
+func SampleCharts(res *eval.PlatformResult) []*plot.Chart {
+	var charts []*plot.Chart
+	for _, pr := range res.Placements {
+		if !pr.IsSample {
 			continue
 		}
-		var commPar, predComm, compPar, predComp []float64
-		for _, p := range sp.Points {
-			commPar = append(commPar, p.CommPar)
-			predComm = append(predComm, p.PredComm)
-			compPar = append(compPar, p.CompPar)
-			predComp = append(predComp, p.PredComp)
+		n := len(pr.Measured.Points)
+		ys := make([]float64, 4*n)
+		commPar, predComm, compPar, predComp := ys[:n], ys[n:2*n], ys[2*n:3*n], ys[3*n:]
+		for i, p := range pr.Measured.Points {
+			commPar[i], predComm[i] = p.CommPar, pr.Predicted[i].Comm
+			compPar[i], predComp[i] = p.CompPar, pr.Predicted[i].Comp
 		}
-		fmt.Fprintln(w)
-		comm := plot.New(fmt.Sprintf("%v — communications, measured vs model (GB/s)", sp.Placement)).
-			Add(plot.Series{Name: "measured", Y: commPar, Marker: 'v'}).
-			Add(plot.Series{Name: "model", Y: predComm, Marker: '+'})
-		if _, err := io.WriteString(w, comm.Render()); err != nil {
-			return err
-		}
-		comp := plot.New(fmt.Sprintf("%v — computations, measured vs model (GB/s)", sp.Placement)).
-			Add(plot.Series{Name: "measured", Y: compPar, Marker: 'v'}).
-			Add(plot.Series{Name: "model", Y: predComp, Marker: '+'})
-		if _, err := io.WriteString(w, comp.Render()); err != nil {
-			return err
-		}
+		pl := pr.Placement.String()
+		charts = append(charts,
+			plot.New(pl+" — communications, measured vs model (GB/s)").
+				Add(plot.Series{Name: "measured", Y: commPar, Marker: 'v'}).
+				Add(plot.Series{Name: "model", Y: predComm, Marker: '+'}),
+			plot.New(pl+" — computations, measured vs model (GB/s)").
+				Add(plot.Series{Name: "measured", Y: compPar, Marker: 'v'}).
+				Add(plot.Series{Name: "model", Y: predComp, Marker: '+'}))
 	}
-	return nil
+	return charts
 }

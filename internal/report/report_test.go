@@ -1,6 +1,7 @@
 package report
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -78,5 +79,23 @@ func TestReportByteStable(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Error("two renders of the same report differ")
+	}
+}
+
+// BenchmarkWrite times the report text alone: the six seed-1 testbed
+// reports, evaluated once outside the timed loop, rendered into io.Discard
+// with a nil runner, so no ablation re-runs the benchmark.
+func BenchmarkWrite(b *testing.B) {
+	results, err := eval.EvaluateTestbed(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, r := range results {
+			if err := Write(io.Discard, r, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
