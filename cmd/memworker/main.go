@@ -171,8 +171,9 @@ func writeReport(w io.Writer, rep *campaign.RemoteReport) {
 }
 
 // runMerge is the finalize path: wait for completion, merge every epoch
-// of every shard, replay the sequential assembly, print Table II (and the
-// replication summary), and optionally write every artifact file.
+// of every shard, assemble the artifacts from the merged units, print
+// Table II (and the replication summary), and optionally write every
+// artifact file.
 func runMerge(w io.Writer, cfg campaign.Config, opts campaign.RemoteOptions, names []string, out string) error {
 	res, err := campaign.RemoteMerge(cfg, opts, names)
 	if err != nil {

@@ -25,8 +25,8 @@
 // it is a lease campaign in the given directory, where -workers
 // in-process lease workers — the same workers memworker runs — journal
 // each completed campaign unit into per-shard epoch journals,
-// retry or quarantine failing units, and the merged journal replays into
-// byte-identical artifacts. Re-running the same command resumes where it
+// retry or quarantine failing units, and the merge of those journals
+// assembles byte-identical artifacts. Re-running the same command resumes where it
 // died, and memtop -dir reads the directory (see docs/campaigns.md).
 package main
 

@@ -2,12 +2,11 @@
 // crash-safe, resumable campaigns. It layers three things on top of the
 // bench/eval/netbench building blocks:
 //
-//   - checkpointing: every completed unit (a platform evaluation, the
-//     ping-pong sweep, the DES cross-check) is recorded whole in an
-//     append-only journal (internal/checkpoint) before the campaign moves
-//     on; the lease campaign (RunLocal, RemoteWorker) keeps one journal
-//     per shard and epoch in its directory, so a killed run resumes
-//     exactly where it died;
+//   - checkpointing: the lease campaign (RunLocal, RemoteWorker) records
+//     every completed unit (a platform evaluation, the ping-pong sweep,
+//     the DES cross-check) whole in an append-only journal
+//     (internal/checkpoint), one per shard and epoch in its directory,
+//     before it moves on, so a killed run resumes exactly where it died;
 //   - cancellation: a context threads through every layer down to the
 //     discrete-event engine, so SIGINT stops the campaign at a clean unit
 //     boundary with all completed work already journaled;
@@ -37,7 +36,7 @@ import (
 
 // Config parameterises a campaign. The zero value (plus defaults applied
 // by each entry point) runs the standard seed-1 pipeline without
-// checkpointing, cancellation or telemetry.
+// cancellation or telemetry.
 type Config struct {
 	// Seed drives all measurement noise (default 1).
 	Seed uint64
@@ -47,10 +46,6 @@ type Config struct {
 	// Context cancels the campaign cooperatively at unit boundaries.
 	// Nil keeps every layer check-free.
 	Context context.Context
-	// Journal records each completed unit under its key and serves
-	// journaled units instead of re-running them; nil disables
-	// checkpointing. Lease workers attach their shard journal here.
-	Journal *checkpoint.Journal
 	// Registry receives telemetry from every layer; nil disables it.
 	Registry *obs.Registry
 	// Recorder, when set, receives the DES cross-check's trace: flow
@@ -83,8 +78,7 @@ func (c Config) ctx() context.Context {
 }
 
 // EvaluatePlatforms runs the full §IV evaluation for the named built-in
-// platforms on a worker pool, returning results in input order. Each
-// platform evaluation is journaled whole (key "eval|<scope>").
+// platforms on a worker pool, returning results in input order.
 func EvaluatePlatforms(cfg Config, names []string) ([]*eval.PlatformResult, error) {
 	cfg = cfg.withDefaults()
 	return sweep.MapCtx(cfg.ctx(), names, cfg.Workers, func(name string) (*eval.PlatformResult, error) {
@@ -106,59 +100,21 @@ func evaluateOne(cfg Config, name string) (*eval.PlatformResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Journal == nil {
-		return eval.EvaluateRunner(runner)
-	}
-	key := "eval|" + runner.Scope()
-	var cached eval.PlatformResult
-	if ok, err := cfg.Journal.Get(key, &cached); err != nil {
-		return nil, fmt.Errorf("campaign: journal entry %s: %w", key, err)
-	} else if ok {
-		return &cached, nil
-	}
-	res, err := eval.EvaluateRunner(runner)
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.Journal.Record(key, res); err != nil {
-		return nil, fmt.Errorf("campaign: journal %s: %w", key, err)
-	}
-	return res, nil
+	return eval.EvaluateRunner(runner)
 }
 
-// Netbench runs the ping-pong size sweep for one platform and journals
-// its points whole under the unit key "unit|netbench|<platform>".
+// Netbench runs the ping-pong size sweep for one platform.
 func Netbench(cfg Config, platform string) ([]netbench.Point, error) {
-	cfg = cfg.withDefaults()
-	key := netbenchKey(platform)
-	if cfg.Journal != nil {
-		var cached []netbench.Point
-		if ok, err := cfg.Journal.Get(key, &cached); err != nil {
-			return nil, fmt.Errorf("campaign: journal entry %s: %w", key, err)
-		} else if ok {
-			return cached, nil
-		}
-	}
 	plat, err := topology.ByName(platform)
 	if err != nil {
 		return nil, err
 	}
-	points, err := netbench.PingPong(netbench.Config{
+	return netbench.PingPong(netbench.Config{
 		Platform: plat,
 		Registry: cfg.Registry,
 		Context:  cfg.Context,
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.Journal.Record(key, points); err != nil {
-		return nil, fmt.Errorf("campaign: journal %s: %w", key, err)
-	}
-	return points, nil
 }
-
-// netbenchKey identifies the ping-pong sweep of one platform.
-func netbenchKey(platform string) string { return "unit|netbench|" + platform }
 
 // CrossCheckResult is the recorded outcome of the DES overlap cross-check.
 // Under a fault plan a failing run is the plan working as intended, so the
@@ -175,20 +131,10 @@ type CrossCheckResult struct {
 // CrossCheck replays the paper's motivating overlap scenario (rank 0
 // computes while a large message streams in, rank 1 sends) on a simulated
 // two-machine cluster, optionally under cfg.FaultPlan with MPI timeouts,
-// drop retries and a watchdog armed. The outcome is journaled (the DES is
-// deterministic), cancellation propagates from cfg.Context between
-// simulation events, and trace events land in cfg.Recorder.
+// drop retries and a watchdog armed. Cancellation propagates from
+// cfg.Context between simulation events and is returned as an error,
+// never as an outcome; trace events land in cfg.Recorder.
 func CrossCheck(cfg Config, platform string) (*CrossCheckResult, error) {
-	cfg = cfg.withDefaults()
-	key := crossCheckKey(cfg, platform)
-	if cfg.Journal != nil {
-		var cached CrossCheckResult
-		if ok, err := cfg.Journal.Get(key, &cached); err != nil {
-			return nil, fmt.Errorf("campaign: journal entry %s: %w", key, err)
-		} else if ok {
-			return &cached, nil
-		}
-	}
 	plat, err := topology.ByName(platform)
 	if err != nil {
 		return nil, err
@@ -246,8 +192,8 @@ func CrossCheck(cfg Config, platform string) (*CrossCheckResult, error) {
 			}
 		}
 	})
-	// Cancellation is never an outcome to journal: the unit did not
-	// complete and must re-run on resume.
+	// Cancellation is never an outcome: the unit did not complete, so a
+	// lease worker records nothing and runs it again on resume.
 	if checkpoint.IsCanceled(runErr) {
 		return nil, runErr
 	}
@@ -259,9 +205,6 @@ func CrossCheck(cfg Config, platform string) (*CrossCheckResult, error) {
 		}
 		res.Error = runErr.Error()
 		res.SimSeconds = 0
-	}
-	if err := cfg.Journal.Record(key, res); err != nil {
-		return nil, fmt.Errorf("campaign: journal %s: %w", key, err)
 	}
 	return res, nil
 }

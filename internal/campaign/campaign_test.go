@@ -1,8 +1,8 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -45,154 +45,106 @@ func readArtifacts(t *testing.T, dir string) map[string][]byte {
 	return out
 }
 
-func TestPipelineKillResumeByteIdentical(t *testing.T) {
-	// Uninterrupted baseline, no journal.
-	baseline, err := Pipeline(Config{Seed: 1}, testNames)
+// shardImages reads every shard journal file of the campaign in dir,
+// keyed by path.
+func shardImages(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	paths, err := checkpoint.ShardPaths(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseDir := filepath.Join(t.TempDir(), "base")
-	if err := baseline.Write(baseDir); err != nil {
-		t.Fatal(err)
-	}
-
-	// Kill the campaign after its 3rd journal record, then resume.
-	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := checkpoint.Open(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	j.RecordHook = func(key string, total int) {
-		if total == 3 {
-			cancel()
+	out := make(map[string][]byte, len(paths))
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		out[p] = data
 	}
-	_, err = Pipeline(Config{Seed: 1, Context: ctx, Journal: j}, testNames)
-	if !checkpoint.IsCanceled(err) {
-		t.Fatalf("interrupted pipeline err = %v, want cancellation", err)
-	}
-	if j.Len() < 3 {
-		t.Fatalf("journal has %d entries at interruption, want >= 3", j.Len())
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The journal on disk is valid and the resumed run completes.
-	j2, err := checkpoint.Open(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.RecoveredBytes() != 0 {
-		t.Fatalf("clean interruption left %d bytes to recover", j2.RecoveredBytes())
-	}
-	if j2.LoadedEntries() < 3 {
-		t.Fatalf("reopened journal has %d entries", j2.LoadedEntries())
-	}
-	resumed, err := Pipeline(Config{Seed: 1, Journal: j2}, testNames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(baseline, resumed) {
-		t.Fatal("resumed pipeline result differs from uninterrupted baseline")
-	}
-	resDir := filepath.Join(t.TempDir(), "resumed")
-	if err := resumed.Write(resDir); err != nil {
-		t.Fatal(err)
-	}
-
-	base, res := readArtifacts(t, baseDir), readArtifacts(t, resDir)
-	if len(base) != len(res) || len(base) == 0 {
-		t.Fatalf("artifact sets differ: %d vs %d files", len(base), len(res))
-	}
-	for name, want := range base {
-		if !bytes.Equal(want, res[name]) {
-			t.Errorf("artifact %s differs between baseline and resumed run", name)
-		}
-	}
+	return out
 }
 
+// TestPipelineFullyJournaledNeedsNoMeasurement: a campaign directory
+// whose every unit is journaled runs nothing when it is run again,
+// writes no journal byte, and merges the same artifacts.
 func TestPipelineFullyJournaledNeedsNoMeasurement(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := checkpoint.Open(jpath)
-	if err != nil {
-		t.Fatal(err)
+	opts := localOpts(t, newRemoteClock())
+	first := runLocal(t, Config{Seed: 1, Workers: 2}, opts)
+	images := shardImages(t, opts.Dir)
+	second := runLocal(t, Config{Seed: 1, Workers: 2}, opts)
+	if n := executed(second); n != 0 {
+		t.Fatalf("drained directory ran %d units, want 0", n)
 	}
-	defer j.Close()
-	first, err := Pipeline(Config{Seed: 1, Journal: j}, testNames)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(images, shardImages(t, opts.Dir)) {
+		t.Fatal("a run over a drained directory changed its shard journals")
 	}
-	written := j.Len()
-	// Second run over the same journal: every unit is a hit, so nothing
-	// new is measured or recorded.
-	j.RecordHook = func(key string, _ int) {
-		t.Errorf("fully journaled replay recorded %q", key)
-	}
-	second, err := Pipeline(Config{Seed: 1, Journal: j}, testNames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Len() != written {
-		t.Fatalf("replay wrote %d new journal entries", j.Len()-written)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("journaled replay differs from original run")
+	if !reflect.DeepEqual(first.Artifacts, second.Artifacts) {
+		t.Fatal("merge of a drained directory differs from the first merge")
 	}
 }
 
+// TestCrossCheckUnderFaultPlanJournaled: a lease campaign with a fault
+// plan records the cross-check it ran under the plan, and the merge
+// returns exactly what a direct CrossCheck computes.
 func TestCrossCheckUnderFaultPlanJournaled(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := checkpoint.Open(jpath)
+	cfg := Config{Seed: 1, Workers: 2, FaultPlan: testPlan()}
+	want, err := CrossCheck(cfg, "henri")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	cfg := Config{Seed: 1, Journal: j, FaultPlan: testPlan()}
-	first, err := CrossCheck(cfg, "henri")
-	if err != nil {
-		t.Fatal(err)
+	if want.PlanSeed != 7 || want.PlanEvents != 2 {
+		t.Fatalf("plan metadata not recorded: %+v", want)
 	}
-	if first.PlanSeed != 7 || first.PlanEvents != 2 {
-		t.Fatalf("plan metadata not recorded: %+v", first)
+	res := runLocal(t, cfg, localOpts(t, newRemoteClock()))
+	if !reflect.DeepEqual(res.Artifacts.CrossCheck, want) {
+		t.Fatalf("merged cross-check %+v, want %+v", res.Artifacts.CrossCheck, want)
 	}
-	second, err := CrossCheck(cfg, "henri")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatalf("journaled cross-check differs: %+v vs %+v", first, second)
-	}
-	// A different plan must not hit the journaled outcome.
+}
+
+// TestCrossCheckKeyNamesPlan: the cross-check key holds the fault plan,
+// so a campaign never takes one plan's outcome for another's.
+func TestCrossCheckKeyNamesPlan(t *testing.T) {
+	cfg := Config{FaultPlan: testPlan()}
 	other := testPlan()
 	other.Seed = 8
 	if key, k2 := crossCheckKey(cfg, "henri"), crossCheckKey(Config{FaultPlan: other}, "henri"); key == k2 {
 		t.Fatal("different plans share a journal key")
 	}
-	// Without a plan the key also differs.
 	if key, k2 := crossCheckKey(cfg, "henri"), crossCheckKey(Config{}, "henri"); key == k2 {
 		t.Fatal("plan and plan-free cross-checks share a journal key")
 	}
 }
 
+// TestCrossCheckCancellationIsNotJournaled: a cross-check attempt whose
+// context is canceled while it runs returns the cancellation, and the
+// worker records nothing for it; every unit before it stays journaled.
 func TestCrossCheckCancellationIsNotJournaled(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "journal.jsonl")
-	j, err := checkpoint.Open(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err = CrossCheck(Config{Journal: j, Context: ctx}, "henri")
+	defer cancel()
+	opts := localOpts(t, newRemoteClock())
+	opts.Shards = 1
+	xcheck := crossCheckKey(Config{}, testNames[0])
+	opts.faultHook = func(key string, _ int) error {
+		if key == xcheck {
+			cancel() // the attempt has started; the unit runs canceled
+		}
+		return nil
+	}
+	rep, err := RemoteWorker(Config{Seed: 1, Context: ctx}, opts, testNames)
 	if !checkpoint.IsCanceled(err) {
 		t.Fatalf("err = %v, want cancellation", err)
 	}
-	if j.Len() != 0 {
-		t.Fatal("canceled cross-check was journaled")
+	units := mustUnits(t)
+	if rep.Units != len(units)-1 {
+		t.Fatalf("worker completed %d units, want all %d before the cross-check", rep.Units, len(units)-1)
+	}
+	set, err := checkpoint.OpenShardSet(opts.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, missing, err := mergeSet(set, units)
+	if err != nil || len(entries) != len(units)-1 || len(missing) != 1 || missing[0] != xcheck {
+		t.Fatalf("journaled %d units, missing %v (%v); want only %s missing", len(entries), missing, err, xcheck)
 	}
 }
 
@@ -206,23 +158,41 @@ func TestTestbedNames(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeUnitJournal times the read side of the unit journal: a
-// shard journal image holding the six seed-1 testbed evaluation units,
-// decoded and merged the way pendingUnits rescans a shard's files and
-// RemoteMerge merges the whole set.
-func BenchmarkDecodeUnitJournal(b *testing.B) {
+// unitJournal records the six seed-1 testbed evaluations under their
+// unit keys in a fresh shard journal and returns its path.
+func unitJournal(b *testing.B) string {
+	b.Helper()
+	cfg := Config{Seed: 1}
+	results, err := EvaluatePlatforms(cfg, TestbedNames())
+	if err != nil {
+		b.Fatal(err)
+	}
+	units, err := pipelineUnits(cfg.withDefaults(), TestbedNames())
+	if err != nil {
+		b.Fatal(err)
+	}
 	path := filepath.Join(b.TempDir(), "shard-0000.e1.ckpt")
 	j, err := checkpoint.Open(path)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := EvaluatePlatforms(Config{Seed: 1, Journal: j}, TestbedNames()); err != nil {
-		b.Fatal(err)
+	for i, r := range results {
+		if err := j.Record(units[i].Key, r); err != nil {
+			b.Fatal(err)
+		}
 	}
 	if err := j.Close(); err != nil {
 		b.Fatal(err)
 	}
-	image, err := os.ReadFile(path)
+	return path
+}
+
+// BenchmarkDecodeUnitJournal times the read side of the unit journal: a
+// shard journal image holding the six seed-1 testbed evaluation units,
+// decoded and merged the way pendingUnits rescans a shard's files and
+// RemoteMerge merges the whole set.
+func BenchmarkDecodeUnitJournal(b *testing.B) {
+	image, err := os.ReadFile(unitJournal(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -233,6 +203,33 @@ func BenchmarkDecodeUnitJournal(b *testing.B) {
 		entries, err := checkpoint.MergeShards([][]byte{image})
 		if err != nil || len(entries) != 6 {
 			b.Fatalf("merged %d entries (%v), want the 6 evaluation units", len(entries), err)
+		}
+	}
+}
+
+// BenchmarkRecordUnit times the write side of the unit journal: one
+// Journal.Record of a seed-1 evaluation, the way a lease worker commits
+// a unit (encode, frame, append, fsync). Its fsync times the disk, so
+// the benchmark stays out of make benchdiff.
+func BenchmarkRecordUnit(b *testing.B) {
+	res, err := EvaluatePlatforms(Config{Seed: 1}, TestbedNames()[:1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	j, err := checkpoint.Open(filepath.Join(b.TempDir(), "shard-0000.e1.ckpt"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	keys := make([]string, b.N)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("eval|%d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := j.Record(keys[i], res[0]); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

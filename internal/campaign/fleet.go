@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -322,18 +321,9 @@ var eventTypeOrder = []EventType{
 // (all epochs, dead ones included), read tolerantly and without
 // creating anything — the monitor's replica of the pendingUnits scan.
 func journaledKeys(dir string) (map[string]bool, error) {
-	entries, err := os.ReadDir(dir)
+	paths, err := checkpoint.ShardPaths(dir)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: fleet scan %s: %w", dir, err)
-	}
-	var paths []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if _, _, ok := checkpoint.ParseShardFile(e.Name()); ok {
-			paths = append(paths, filepath.Join(dir, e.Name()))
-		}
+		return nil, err
 	}
 	merged, err := checkpoint.MergeShardFiles(paths)
 	if err != nil {

@@ -188,7 +188,7 @@ func TestShardedPipelinePoisonUnitQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if missing, err := missingUnits(set, mustUnits(t)); err != nil || len(missing) != 1 || missing[0] != poison {
+	if _, missing, err := mergeSet(set, mustUnits(t)); err != nil || len(missing) != 1 || missing[0] != poison {
 		t.Fatalf("unjournaled units %v (%v), want only the poison unit", missing, err)
 	}
 
@@ -221,6 +221,13 @@ func TestShardedPipelineKillAndResumeByteIdentical(t *testing.T) {
 	if left := leaseFiles(t, opts.Dir); len(left) != 0 {
 		t.Fatalf("canceled workers left lease files: %v", left)
 	}
+	// A cancellation stops at a unit boundary: every shard journal it
+	// leaves decodes whole, with nothing to recover.
+	for path, data := range shardImages(t, opts.Dir) {
+		if res := checkpoint.Decode(data); res.Valid != int64(len(data)) || res.Dropped != 0 {
+			t.Fatalf("%s: %d of %d bytes valid, %d lines dropped after a clean interruption", path, res.Valid, len(data), res.Dropped)
+		}
+	}
 
 	// Resume with a different worker count: the manifest keeps the
 	// shard count, completed units are journal hits, and the merge
@@ -241,18 +248,22 @@ func TestShardedPipelineKillAndResumeByteIdentical(t *testing.T) {
 }
 
 // TestShardedJournalHoldsOnlyUnits: the campaign journals whole units
-// and nothing inside them, so the merged journal holds exactly one
-// record per pipeline unit.
+// and nothing inside them, so the union of its shard journals holds
+// exactly one record per pipeline unit.
 func TestShardedJournalHoldsOnlyUnits(t *testing.T) {
 	cfg := Config{Seed: 1, Workers: 2, Replications: 2}
 	opts := localOpts(t, newRemoteClock())
 	runLocal(t, cfg, opts)
-	data, err := os.ReadFile(filepath.Join(opts.Dir, "merged.ckpt"))
+	paths, err := checkpoint.ShardPaths(opts.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := checkpoint.MergeShardFiles(paths)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got []string
-	for _, e := range checkpoint.Decode(data).Entries {
+	for _, e := range entries {
 		got = append(got, e.Key)
 	}
 	units, err := pipelineUnits(cfg.withDefaults(), testNames)
@@ -265,7 +276,10 @@ func TestShardedJournalHoldsOnlyUnits(t *testing.T) {
 	}
 	slices.Sort(want)
 	if !slices.Equal(got, want) {
-		t.Fatalf("merged journal keys:\n%s\nwant the pipeline's units:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+		t.Fatalf("shard journal keys:\n%s\nwant the pipeline's units:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	if _, err := os.Stat(filepath.Join(opts.Dir, "merged.ckpt")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the merge left a merged.ckpt (%v); it keeps the merge in memory", err)
 	}
 }
 

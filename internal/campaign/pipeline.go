@@ -31,11 +31,12 @@ type Artifacts struct {
 	Replications *ReplicationSummary `json:"replications,omitempty"`
 }
 
-// Pipeline runs the full Table II campaign: evaluate the named platforms
-// (nil: the whole Table I testbed), sweep the network on the first one,
-// and run the DES cross-check (under cfg.FaultPlan when set). Every
-// completed unit is journaled via cfg.Journal, so an interrupted pipeline
-// resumes where it died; see the package comment for the guarantees.
+// Pipeline runs the full Table II campaign in one process: evaluate the
+// named platforms (nil: the whole Table I testbed), sweep the network on
+// the first one, and run the DES cross-check (under cfg.FaultPlan when
+// set). It keeps no journal: it is the sequential reference whose
+// artifacts every lease campaign (RunLocal, RemoteMerge) reproduces byte
+// for byte.
 func Pipeline(cfg Config, names []string) (*Artifacts, error) {
 	cfg = cfg.withDefaults()
 	if len(names) == 0 {

@@ -12,6 +12,7 @@ import (
 
 	"memcontention/internal/atomicio"
 	"memcontention/internal/checkpoint"
+	"memcontention/internal/eval"
 	"memcontention/internal/lease"
 	"memcontention/internal/sweep"
 )
@@ -448,23 +449,23 @@ func remoteSetup(cfg Config, opts RemoteOptions, names []string) (Config, Remote
 
 // pendingUnits returns the units of shard this worker still has to
 // run: not journaled in any of the shard's journal files (any epoch —
-// completed work survives takeover) and not quarantined by it.
+// completed work survives takeover) and not quarantined by it. A merge
+// conflict here means journal corruption or a nondeterminism bug and
+// fails loudly, exactly like the final merge.
 func pendingUnits(set *checkpoint.ShardSet, units []unit, shard int, quarantined []QuarantineRecord) ([]unit, error) {
 	files, err := set.ShardFiles(shard)
 	if err != nil {
 		return nil, err
 	}
-	return unjournaled(files, units, quarantined)
-}
-
-// unjournaled returns the units journaled in none of files and not in
-// skip. A merge conflict here means journal corruption or a
-// nondeterminism bug and fails loudly, exactly like the final merge.
-func unjournaled(files []string, units []unit, skip []QuarantineRecord) ([]unit, error) {
 	entries, err := checkpoint.MergeShardFiles(files)
 	if err != nil {
 		return nil, err
 	}
+	return unjournaled(entries, units, quarantined), nil
+}
+
+// unjournaled returns the units with no entry in entries and not in skip.
+func unjournaled(entries []checkpoint.Entry, units []unit, skip []QuarantineRecord) []unit {
 	done := make(map[string]bool, len(entries)+len(skip))
 	for _, e := range entries {
 		done[e.Key] = true
@@ -478,7 +479,7 @@ func unjournaled(files []string, units []unit, skip []QuarantineRecord) ([]unit,
 			out = append(out, u)
 		}
 	}
-	return out, nil
+	return out
 }
 
 // runLeasedShard executes pending units under an acquired lease:
@@ -584,8 +585,11 @@ func runLeasedShard(ctx context.Context, cfg Config, opts RemoteOptions, set *ch
 }
 
 // runRemoteUnit runs one unit with the worker's retry budget, backing
-// off between attempts. Cancellation ends it at once and charges
-// nothing; any other failure is charged to the attempt it ended.
+// off between attempts, and records the result of the attempt that
+// succeeds in j under the unit's key: the one place a campaign journals
+// anything. Cancellation ends it at once, records nothing and charges
+// nothing; any other failure, a failed record included, is charged to
+// the attempt it ended.
 func runRemoteUnit(ctx context.Context, cfg Config, opts RemoteOptions, j *checkpoint.Journal, u unit) error {
 	var last error
 	for attempt := 1; attempt <= opts.MaxAttempts; attempt++ {
@@ -594,7 +598,10 @@ func runRemoteUnit(ctx context.Context, cfg Config, opts RemoteOptions, j *check
 				return err
 			}
 		}
-		err := runAttempt(cfg, opts, j, u, attempt)
+		v, err := runAttempt(cfg, opts, u, attempt)
+		if err == nil {
+			err = j.Record(u.Key, v)
+		}
 		if err == nil || checkpoint.IsCanceled(err) {
 			return err
 		}
@@ -603,31 +610,23 @@ func runRemoteUnit(ctx context.Context, cfg Config, opts RemoteOptions, j *check
 	return last
 }
 
-// runAttempt runs one attempt of u into j and verifies it journaled its
-// key, so a completed unit can never vanish from the merge. A panic in
+// runAttempt runs one attempt of u and returns its result. A panic in
 // the unit becomes this attempt's error: one broken unit must not take
 // down the worker and every healthy unit it has yet to run.
-func runAttempt(cfg Config, opts RemoteOptions, j *checkpoint.Journal, u unit, attempt int) (err error) {
+func runAttempt(cfg Config, opts RemoteOptions, u unit, attempt int) (v any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("campaign: unit %s panicked: %v", u.Key, p)
+			v, err = nil, fmt.Errorf("campaign: unit %s panicked: %v", u.Key, p)
 		}
 	}()
 	if opts.faultHook != nil {
 		if err := opts.faultHook(u.Key, attempt); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	wcfg := cfg
-	wcfg.Journal = j
 	wcfg.Workers = 1 // the unit is the parallelism grain
-	if err := u.run(wcfg); err != nil {
-		return err
-	}
-	if !j.Has(u.Key) {
-		return fmt.Errorf("campaign: unit %s completed without journaling its key", u.Key)
-	}
-	return nil
+	return u.run(wcfg)
 }
 
 // RemoteIncompleteError reports a finalize attempt on a campaign whose
@@ -657,15 +656,15 @@ type ShardResult struct {
 // RemoteMerge finalizes a remote campaign: it waits (polling on
 // opts.Poll, bounded by cfg.Context) until every unit of the manifest's
 // pipeline is journaled somewhere in the shard set and every shard with
-// assigned units has at least one journal file, then merges all shard
-// journals — every epoch, dead ones included — into merged.ckpt with
-// byte-equality conflict detection, and replays the sequential pipeline
-// assembly against the merged journal. The artifacts are therefore the
-// sequential run's artifacts byte for byte, regardless of how many
-// workers ran, died, or were fenced: no unit is lost (completeness is
-// checked against the enumerated unit list) and none is double-charged
-// (duplicate keys must carry identical payloads and collapse to one
-// entry).
+// assigned units has at least one journal file, then assembles the
+// artifacts from the merge of all shard journals — every epoch, dead
+// ones included — that its last completeness check read. The merge
+// detects conflicts by byte equality and assembly decodes each unit's
+// payload once. The artifacts are therefore Pipeline's artifacts byte
+// for byte, regardless of how many workers ran, died, or were fenced: no
+// unit is lost (completeness is checked against the enumerated unit
+// list) and none is double-charged (duplicate keys must carry identical
+// payloads and collapse to one entry).
 func RemoteMerge(cfg Config, opts RemoteOptions, names []string) (*ShardResult, error) {
 	cfg, opts, man, set, err := remoteSetup(cfg, opts, names)
 	if err != nil {
@@ -676,8 +675,10 @@ func RemoteMerge(cfg Config, opts RemoteOptions, names []string) (*ShardResult, 
 		return nil, err
 	}
 	ctx := cfg.ctx()
+	var entries []checkpoint.Entry
 	for {
-		missing, err := missingUnits(set, units)
+		var missing []string
+		entries, missing, err = mergeSet(set, units)
 		if err != nil {
 			return nil, err
 		}
@@ -712,56 +713,63 @@ func RemoteMerge(cfg Config, opts RemoteOptions, names []string) (*ShardResult, 
 			return nil, fmt.Errorf("campaign: remote merge: shard %d has %d assigned units but no journal file", shard, assigned)
 		}
 	}
-
-	merged, err := mergeShardSet(set, opts.Dir)
+	art, err := assemble(cfg, man.Platforms, units, entries)
 	if err != nil {
 		return nil, err
 	}
-	defer merged.Close()
-	res := &ShardResult{}
-	mcfg := cfg
-	mcfg.Journal = merged
-	mcfg.Context = nil // assembly reads the journal; nothing to cancel
-	art, err := Pipeline(mcfg, man.Platforms)
-	if err != nil {
-		return res, err
-	}
-	res.Artifacts = art
-	return res, nil
+	return &ShardResult{Artifacts: art}, nil
 }
 
-// missingUnits lists the unit keys not yet present in the union of all
-// shard journal files.
-func missingUnits(set *checkpoint.ShardSet, units []unit) ([]string, error) {
+// mergeSet merges the journals of every shard and epoch of set and lists
+// the keys of the units none of them holds, in unit order.
+func mergeSet(set *checkpoint.ShardSet, units []unit) ([]checkpoint.Entry, []string, error) {
 	paths, err := set.Paths()
 	if err != nil {
-		return nil, err
-	}
-	left, err := unjournaled(paths, units, nil)
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]string, len(left))
-	for i, u := range left {
-		keys[i] = u.Key
-	}
-	return keys, nil
-}
-
-// mergeShardSet merges every shard journal of set into merged.ckpt in
-// its directory and opens it.
-func mergeShardSet(set *checkpoint.ShardSet, dir string) (*checkpoint.Journal, error) {
-	paths, err := set.Paths()
-	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	entries, err := checkpoint.MergeShardFiles(paths)
 	if err != nil {
+		return nil, nil, err
+	}
+	var missing []string
+	for _, u := range unjournaled(entries, units, nil) {
+		missing = append(missing, u.Key)
+	}
+	return entries, missing, nil
+}
+
+// assemble builds the artifacts of the pipeline whose units are units
+// (pipelineUnits of cfg and names: the evaluations seed-major, then the
+// ping-pong sweep, then the cross-check) from merged entries holding
+// every one of them, decoding each payload once.
+func assemble(cfg Config, names []string, units []unit, entries []checkpoint.Entry) (*Artifacts, error) {
+	payloads := make(map[string]json.RawMessage, len(entries))
+	for _, e := range entries {
+		payloads[e.Key] = e.Payload
+	}
+	decode := func(u unit, v any) error {
+		if err := json.Unmarshal(payloads[u.Key], v); err != nil {
+			return fmt.Errorf("campaign: merged unit %s: %w", u.Key, err)
+		}
+		return nil
+	}
+	evals := units[:len(units)-2]
+	results := make([]*eval.PlatformResult, len(evals))
+	for i, u := range evals {
+		results[i] = new(eval.PlatformResult)
+		if err := decode(u, results[i]); err != nil {
+			return nil, err
+		}
+	}
+	art := &Artifacts{Seed: cfg.Seed, Platforms: results[:len(names):len(names)], CrossCheck: new(CrossCheckResult)}
+	if err := decode(units[len(evals)], &art.Netbench); err != nil {
 		return nil, err
 	}
-	path := filepath.Join(dir, "merged.ckpt")
-	if err := checkpoint.WriteJournal(path, entries); err != nil {
+	if err := decode(units[len(evals)+1], art.CrossCheck); err != nil {
 		return nil, err
 	}
-	return checkpoint.Open(path)
+	if cfg.Replications > 1 {
+		art.Replications = summarize(replicationSeeds(cfg), names, results)
+	}
+	return art, nil
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -271,8 +272,11 @@ func orphanShard(t *testing.T, dir string, clk *remoteClock, shards int) (int, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Journal = j
-	if err := units[0].run(cfg); err != nil {
+	v, err := units[0].run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Record(units[0].Key, v); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -439,6 +443,21 @@ func TestRemoteMergeReportsIncomplete(t *testing.T) {
 	var inc *RemoteIncompleteError
 	if !errors.As(err, &inc) || len(inc.Missing) == 0 {
 		t.Fatalf("got %v, want RemoteIncompleteError with missing units", err)
+	}
+}
+
+// TestAssembleRejectsUndecodablePayload: a merged payload that does not
+// decode into its unit's result fails the merge and names the unit; it
+// is never assembled as a zero value.
+func TestAssembleRejectsUndecodablePayload(t *testing.T) {
+	units := mustUnits(t)
+	entries := make([]checkpoint.Entry, len(units))
+	for i, u := range units {
+		entries[i] = checkpoint.Entry{Key: u.Key, Payload: []byte(`"a string payload"`)}
+	}
+	_, err := assemble(Config{Seed: 1}, testNames, units, entries)
+	if err == nil || !strings.Contains(err.Error(), units[0].Key) {
+		t.Fatalf("err = %v, want a decode error naming %s", err, units[0].Key)
 	}
 }
 

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"slices"
 
 	"memcontention/internal/eval"
 	"memcontention/internal/export"
@@ -72,9 +73,9 @@ type ReplicationSummary struct {
 // per-platform distributions. base, when non-nil, supplies the base-seed
 // evaluations (replication 0) so a campaign that already evaluated them
 // never measures the same seed twice; its order must match names.
-// Evaluations run on cfg.Workers workers and journal into cfg.Journal
-// exactly like EvaluatePlatforms, so the sweep is crash-safe and
-// resumable at single-evaluation granularity.
+// Evaluations run on cfg.Workers workers like EvaluatePlatforms; a lease
+// campaign runs each one as its own unit instead and pools them the same
+// way (RemoteMerge).
 func Replicate(cfg Config, names []string, base []*eval.PlatformResult) (*ReplicationSummary, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Replications < 1 {
@@ -108,27 +109,17 @@ func Replicate(cfg Config, names []string, base []*eval.PlatformResult) (*Replic
 	if err != nil {
 		return nil, err
 	}
+	return summarize(seeds, names, slices.Concat(base, measured)), nil
+}
 
-	// byPlatform[p][r] is platform p's error summary for replication r.
-	byPlatform := make([][]eval.ErrorSummary, len(names))
-	next := 0
-	for i := range seeds {
-		if i == 0 && base != nil {
-			for p, r := range base {
-				byPlatform[p] = append(byPlatform[p], r.Errors)
-			}
-			continue
-		}
-		for p := range names {
-			byPlatform[p] = append(byPlatform[p], measured[next].Errors)
-			next++
-		}
-	}
-
+// summarize pools seed-major evaluations into the replication summary:
+// results[r*len(names)+p] is platform names[p] evaluated at seeds[r].
+func summarize(seeds []uint64, names []string, results []*eval.PlatformResult) *ReplicationSummary {
 	summary := &ReplicationSummary{Replications: len(seeds), Seeds: seeds}
 	for p, name := range names {
 		cols := make(map[string][]float64, 7)
-		for _, e := range byPlatform[p] {
+		for r := range seeds {
+			e := results[r*len(names)+p].Errors
 			cols["comm_s"] = append(cols["comm_s"], e.CommSamples)
 			cols["comm_n"] = append(cols["comm_n"], e.CommNonSamples)
 			cols["comm_a"] = append(cols["comm_a"], e.CommAll)
@@ -148,7 +139,7 @@ func Replicate(cfg Config, names []string, base []*eval.PlatformResult) (*Replic
 			Average:        metricStat(cols["avg"]),
 		})
 	}
-	return summary, nil
+	return summary
 }
 
 // pctCI renders "mean ± ci95 %" for a table cell.

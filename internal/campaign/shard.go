@@ -9,14 +9,13 @@ import (
 
 // unit is one schedulable experiment unit of a sharded campaign. Units
 // are config-keyed: Key condenses everything that determines the unit's
-// result, it doubles as the journal key the unit records under, and it
-// hashes to the unit's deterministic home shard. run executes the unit
-// against the worker's Config (shard journal attached) and must record
-// Key in cfg.Journal before returning nil — the worker verifies this,
-// so a completed unit can never silently vanish from the merge.
+// result, it doubles as the journal key the unit's result is recorded
+// under, and it hashes to the unit's deterministic home shard. run
+// executes the unit against the worker's Config and returns its result;
+// the worker records it (runRemoteUnit), and only RemoteMerge decodes it.
 type unit struct {
 	Key string
-	run func(cfg Config) error
+	run func(cfg Config) (any, error)
 }
 
 // homeShard assigns a unit to its deterministic home shard: an FNV-64a
@@ -30,7 +29,7 @@ func homeShard(key string, shards int) int {
 }
 
 // evalUnit builds the platform-evaluation unit for one (platform, seed):
-// the full §IV evaluation, journaled whole.
+// the full §IV evaluation, recorded whole.
 func evalUnit(cfg Config, name string, seed uint64) (unit, error) {
 	plat, err := topology.ByName(name)
 	if err != nil {
@@ -42,22 +41,18 @@ func evalUnit(cfg Config, name string, seed uint64) (unit, error) {
 	}
 	return unit{
 		Key: "eval|" + runner.Scope(),
-		run: func(wcfg Config) error {
+		run: func(wcfg Config) (any, error) {
 			wcfg.Seed = seed
-			_, err := evaluateOne(wcfg, name)
-			return err
+			return evaluateOne(wcfg, name)
 		},
 	}, nil
 }
 
-// netbenchUnit builds the ping-pong sweep unit.
+// netbenchUnit builds the ping-pong sweep unit of the first platform.
 func netbenchUnit(names []string) unit {
 	return unit{
-		Key: netbenchKey(names[0]),
-		run: func(wcfg Config) error {
-			_, err := Netbench(wcfg, names[0])
-			return err
-		},
+		Key: "unit|netbench|" + names[0],
+		run: func(wcfg Config) (any, error) { return Netbench(wcfg, names[0]) },
 	}
 }
 
@@ -65,10 +60,7 @@ func netbenchUnit(names []string) unit {
 func crossCheckUnit(cfg Config, names []string) unit {
 	return unit{
 		Key: crossCheckKey(cfg, names[0]),
-		run: func(wcfg Config) error {
-			_, err := CrossCheck(wcfg, names[0])
-			return err
-		},
+		run: func(wcfg Config) (any, error) { return CrossCheck(wcfg, names[0]) },
 	}
 }
 
@@ -77,7 +69,8 @@ func crossCheckUnit(cfg Config, names []string) unit {
 // cfg.Replications > 1 — every platform again at each replication seed
 // (base+1, base+2, ...), then the network sweep and the DES cross-check.
 // The base-seed evaluations double as replication 0, so a replicated
-// campaign never measures the base seed twice.
+// campaign never measures the base seed twice. assemble relies on this
+// order.
 func pipelineUnits(cfg Config, names []string) ([]unit, error) {
 	var units []unit
 	for _, seed := range replicationSeeds(cfg) {

@@ -176,27 +176,22 @@ func parseHex8(b []byte) (uint32, bool) {
 	return v, true
 }
 
-// Journal is an open checkpoint journal. It is safe for concurrent use —
-// campaign sweeps record units from worker goroutines.
+// Journal is an open checkpoint journal, the write side of one shard
+// epoch: it appends units and remembers their keys, not their payloads,
+// since a campaign reads the payloads back from the files (MergeShards).
+// It is safe for concurrent use.
 type Journal struct {
 	mu   sync.Mutex
 	path string
 	// memlint:guard mu
 	f *os.File
 	// memlint:guard mu
-	entries map[string]json.RawMessage
+	keys map[string]struct{}
 	// memlint:guard mu
 	loaded int
 	// memlint:guard mu
 	dropped int64
 	m       instruments
-
-	// RecordHook, when set, runs after each durable append with the
-	// recorded key and the new entry count. The graceful-shutdown tests
-	// use it to cancel a campaign at a deterministic unit boundary. The
-	// hook runs with the journal lock held: it must not call back into
-	// the journal (use the total argument instead of Len).
-	RecordHook func(key string, total int)
 }
 
 // instruments are the journal's telemetry hooks; nil instruments (no
@@ -204,7 +199,6 @@ type Journal struct {
 type instruments struct {
 	loaded    *obs.Counter
 	written   *obs.Counter
-	hits      *obs.Counter
 	recovered *obs.Counter
 	entries   *obs.Gauge
 }
@@ -249,12 +243,12 @@ func Open(path string) (*Journal, error) {
 	j := &Journal{
 		path:    path,
 		f:       f,
-		entries: make(map[string]json.RawMessage, len(res.Entries)),
+		keys:    make(map[string]struct{}, len(res.Entries)),
 		loaded:  len(res.Entries),
 		dropped: int64(len(data)) - res.Valid,
 	}
 	for _, e := range res.Entries {
-		j.entries[e.Key] = e.Payload
+		j.keys[e.Key] = struct{}{}
 	}
 	return j, nil
 }
@@ -270,13 +264,12 @@ func (j *Journal) SetRegistry(r *obs.Registry) {
 	j.m = instruments{
 		loaded:    r.Counter("memcontention_checkpoint_entries_loaded_total", "Journal entries recovered from disk at open.", nil),
 		written:   r.Counter("memcontention_checkpoint_entries_written_total", "Journal entries durably appended.", nil),
-		hits:      r.Counter("memcontention_checkpoint_hits_total", "Experiment units skipped because the journal already had them.", nil),
 		recovered: r.Counter("memcontention_checkpoint_recovered_bytes_total", "Torn or corrupt journal bytes truncated away at open.", nil),
 		entries:   r.Gauge("memcontention_checkpoint_entries", "Entries currently in the journal.", nil),
 	}
 	j.m.loaded.Add(float64(j.loaded))
 	j.m.recovered.Add(float64(j.dropped))
-	j.m.entries.Set(float64(len(j.entries)))
+	j.m.entries.Set(float64(len(j.keys)))
 }
 
 // Path reports the journal's file path ("" for a nil journal).
@@ -294,7 +287,7 @@ func (j *Journal) Len() int {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.entries)
+	return len(j.keys)
 }
 
 // LoadedEntries reports how many entries were recovered from disk at Open
@@ -317,41 +310,6 @@ func (j *Journal) RecoveredBytes() int64 {
 	return j.dropped
 }
 
-// Has reports whether key is journaled. Nil journals report false.
-func (j *Journal) Has(key string) bool {
-	if j == nil {
-		return false
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_, ok := j.entries[key]
-	return ok
-}
-
-// Get unmarshals the payload of key into v and reports whether the key
-// was present; a hit is counted in the telemetry. A payload that no
-// longer unmarshals into v reports (false, error) — callers treat it as
-// a miss and recompute.
-func (j *Journal) Get(key string, v any) (bool, error) {
-	if j == nil {
-		return false, nil
-	}
-	j.mu.Lock()
-	raw, ok := j.entries[key]
-	hits := j.m.hits
-	j.mu.Unlock()
-	if !ok {
-		return false, nil
-	}
-	if v != nil {
-		if err := json.Unmarshal(raw, v); err != nil {
-			return false, fmt.Errorf("checkpoint: payload of %q: %w", key, err)
-		}
-	}
-	hits.Inc()
-	return true, nil
-}
-
 // Record durably appends one completed unit: the line is written and
 // fsynced before Record returns, so a kill at any later instant cannot
 // lose the unit. Recording a key that is already journaled is a no-op
@@ -371,7 +329,7 @@ func (j *Journal) Record(key string, v any) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, ok := j.entries[key]; ok {
+	if _, ok := j.keys[key]; ok {
 		return nil
 	}
 	if _, err := j.f.Write(line); err != nil {
@@ -380,12 +338,9 @@ func (j *Journal) Record(key string, v any) error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("checkpoint: sync %s: %w", j.path, err)
 	}
-	j.entries[key] = payload
+	j.keys[key] = struct{}{}
 	j.m.written.Inc()
-	j.m.entries.Set(float64(len(j.entries)))
-	if j.RecordHook != nil {
-		j.RecordHook(key, len(j.entries))
-	}
+	j.m.entries.Set(float64(len(j.keys)))
 	return nil
 }
 

@@ -47,8 +47,8 @@ func OpenShardSet(dir string) (*ShardSet, error) {
 // epoch-suffixed files — each (shard, epoch) pair has exactly one owner
 // ever (internal/lease claims epochs O_EXCL), so no two workers can
 // interleave appends into the same journal, and a deposed zombie's
-// late appends land in its own dead-epoch file. Paths() lists epoch
-// files alongside any plain shard journals and MergeShards unions them all:
+// late appends land in its own dead-epoch file. Paths lists epoch files
+// alongside any plain shard journals and MergeShards unions them all:
 // campaigns are deterministic in (seed, config), so duplicate keys
 // across epochs carry byte-identical payloads and merge cleanly.
 func (s *ShardSet) EpochShardPath(i int, e uint64) string {
@@ -62,7 +62,7 @@ func (s *ShardSet) OpenEpochShard(i int, e uint64) (*Journal, error) {
 		return nil, fmt.Errorf("checkpoint: negative shard index %d", i)
 	}
 	if e == 0 {
-		return nil, fmt.Errorf("checkpoint: epoch 0 for shard %d (epochs start at 1)", e)
+		return nil, fmt.Errorf("checkpoint: epoch 0 for shard %d (epochs start at 1)", i)
 	}
 	return Open(s.EpochShardPath(i, e))
 }
@@ -130,18 +130,21 @@ func (s *ShardSet) MaxEpoch(i int) (uint64, error) {
 // Paths lists the existing shard journal files in shard order. A resumed
 // campaign may find more shards than it has workers (the previous run was
 // wider); their entries still count as done and still merge.
-func (s *ShardSet) Paths() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
+func (s *ShardSet) Paths() ([]string, error) { return ShardPaths(s.dir) }
+
+// ShardPaths lists the shard journal files in dir, sorted by name, without
+// creating anything: every file whose name ParseShardFile accepts, and no
+// other (a stray shard-0000.bak.ckpt is not a journal).
+func ShardPaths(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("checkpoint: shard set %s: %w", s.dir, err)
+		return nil, fmt.Errorf("checkpoint: shard set %s: %w", dir, err)
 	}
 	var paths []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, shardPrefix) || !strings.HasSuffix(name, shardSuffix) {
-			continue
+		if _, _, ok := ParseShardFile(e.Name()); ok && !e.IsDir() {
+			paths = append(paths, filepath.Join(dir, e.Name()))
 		}
-		paths = append(paths, filepath.Join(s.dir, name))
 	}
 	sort.Strings(paths)
 	return paths, nil
@@ -157,9 +160,9 @@ func (s *ShardSet) Paths() ([]string, error) {
 // mean corruption or a nondeterminism bug and merging must fail loudly
 // rather than pick one.
 //
-// The merged entries are returned sorted by key, so the merged journal
-// image is byte-deterministic regardless of shard count, scheduling or
-// completion order.
+// The merged entries are returned sorted by key, so the merge depends
+// only on the entry set, not on shard count, scheduling or completion
+// order.
 func MergeShards(images [][]byte) ([]Entry, error) {
 	merged := make(map[string]Entry)
 	var keys []string
@@ -204,23 +207,4 @@ func MergeShardFiles(paths []string) ([]Entry, error) {
 		images[i] = data
 	}
 	return MergeShards(images)
-}
-
-// WriteJournal durably writes entries as a fresh journal file at path
-// (atomic temp + fsync + rename + dir fsync). Combined with MergeShards
-// it turns a set of shard journals into one merged journal whose bytes
-// depend only on the entry set.
-func WriteJournal(path string, entries []Entry) error {
-	var buf bytes.Buffer
-	for _, e := range entries {
-		line, err := EncodeEntry(e)
-		if err != nil {
-			return err
-		}
-		buf.Write(line)
-	}
-	if err := atomicio.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return fmt.Errorf("checkpoint: write merged journal: %w", err)
-	}
-	return nil
 }

@@ -154,8 +154,11 @@ func soakRemote(seed uint64) error {
 
 	// The zombie starts alone: with no rivals it claims the first
 	// non-empty shard, writes campaign.json, and sits in its first
-	// unit's throttle. Freezing it once its lease file appears is
-	// guaranteed to catch it mid-unit with an empty journal.
+	// unit's throttle. Its lease file appears before it re-scans the
+	// shard and opens its journal, so it is frozen a fifth of a unit
+	// delay later: a freeze before the re-scan would let it find the
+	// shard drained on resume and run nothing. Frozen in the throttle,
+	// it is caught mid-unit with an empty journal.
 	zombie, err := startWorker(bin, doomed...)
 	if err != nil {
 		return err
@@ -164,6 +167,7 @@ func soakRemote(seed uint64) error {
 	if err := waitLeases(leaseDir, 1); err != nil {
 		return fmt.Errorf("%w\nzombie output:\n%s", err, zombie.out.String())
 	}
+	time.Sleep(unitDelay / 5)
 	if err := zombie.cmd.Process.Signal(syscall.SIGSTOP); err != nil {
 		return err
 	}
