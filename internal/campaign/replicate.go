@@ -157,6 +157,7 @@ func (r *ReplicationSummary) Table() *export.Table {
 		"Comp on Samples", "Comp on non-Samples", "Comp all",
 		"Average",
 	)
+	t.Grow(len(r.Platforms))
 	for _, p := range r.Platforms {
 		t.AddRow(p.Platform,
 			pctCI(p.CommSamples), pctCI(p.CommNonSamples), pctCI(p.CommAll),

@@ -58,11 +58,36 @@ func EncodeEntry(e Entry) ([]byte, error) {
 // campaign event journal): an IEEE CRC32 of the record as 8 hex digits,
 // a space, the record, a newline.
 func FrameLine(rec []byte) []byte {
-	line := make([]byte, 0, len(rec)+10)
-	line = fmt.Appendf(line, "%08x ", crc32.ChecksumIEEE(rec))
-	line = append(line, rec...)
-	line = append(line, '\n')
-	return line
+	return frame(append(make([]byte, 9, len(rec)+10), rec...))
+}
+
+// frame completes a line whose record follows 9 bytes left free: it
+// writes the record's CRC and the space into them and appends the
+// newline.
+func frame(line []byte) []byte {
+	const hex = "0123456789abcdef"
+	crc := crc32.ChecksumIEEE(line[9:])
+	for i := 7; i >= 0; i-- {
+		line[i] = hex[crc&15]
+		crc >>= 4
+	}
+	line[8] = ' '
+	return append(line, '\n')
+}
+
+// entryLine is EncodeEntry's line for Entry{key, payload}, where payload
+// is compact JSON as json.Marshal writes it, so that json.Marshal of the
+// entry would copy it unchanged: the record is appended around the
+// payload instead of re-encoding it.
+func entryLine(key string, payload []byte) []byte {
+	const head, mid = `{"key":`, `,"payload":`
+	quoted, _ := json.Marshal(key) // a string always encodes
+	line := make([]byte, 9, 9+len(head)+len(quoted)+len(mid)+len(payload)+2)
+	line = append(append(line, head...), quoted...)
+	if len(payload) > 0 {
+		line = append(append(line, mid...), payload...)
+	}
+	return frame(append(line, '}'))
 }
 
 // UnframeLine validates the framing and CRC of one line (without its
@@ -319,14 +344,14 @@ func (j *Journal) Record(key string, v any) error {
 	if j == nil {
 		return nil
 	}
+	if key == "" {
+		return fmt.Errorf("checkpoint: empty entry key")
+	}
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return fmt.Errorf("checkpoint: payload of %q: %w", key, err)
 	}
-	line, err := EncodeEntry(Entry{Key: key, Payload: payload})
-	if err != nil {
-		return err
-	}
+	line := entryLine(key, payload)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if _, ok := j.keys[key]; ok {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -291,5 +292,53 @@ func TestReport(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "cmd: boom") {
 		t.Fatalf("failure epilogue = %q", buf.String())
+	}
+}
+
+// TestEntryLineMatchesEncodeEntry: the line Record appends around an
+// already-encoded payload is byte for byte the line EncodeEntry writes
+// by re-marshaling the entry, for random keys and payloads: HTML-sensitive
+// and control characters, non-ASCII and invalid UTF-8, nested values,
+// and an empty payload, which the entry omits.
+func TestEntryLineMatchesEncodeEntry(t *testing.T) {
+	alphabet := []string{"a", "Z", "9", "|", " ", "<", ">", "&", `"`, `\`, "\n", "\t", "\x00", "\x7f", "é", "δ", "日本", "\u2028", "\xff", "🙂"}
+	r := rand.New(rand.NewSource(1))
+	text := func() string {
+		var b strings.Builder
+		for n := r.Intn(12); n > 0; n-- {
+			b.WriteString(alphabet[r.Intn(len(alphabet))])
+		}
+		return b.String()
+	}
+	for i := 0; i < 2000; i++ {
+		key := text()
+		if key == "" {
+			key = "k"
+		}
+		var v any
+		switch r.Intn(5) {
+		case 0:
+			v = nil
+		case 1:
+			v = text()
+		case 2:
+			v = map[string]any{text(): r.NormFloat64(), text(): []any{text(), r.Intn(100), nil, true}}
+		case 3:
+			v = payload{N: r.Int(), F: r.ExpFloat64()}
+		}
+		var data []byte
+		if v != nil {
+			var err error
+			if data, err = json.Marshal(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := EncodeEntry(Entry{Key: key, Payload: data})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := entryLine(key, data); !bytes.Equal(got, want) {
+			t.Fatalf("key %q, payload %s:\nentryLine   %q\nEncodeEntry %q", key, data, got, want)
+		}
 	}
 }

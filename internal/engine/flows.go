@@ -22,16 +22,24 @@ type FlowObserver interface {
 	FlowFinished(machine, id int, at float64, avgRate float64)
 	// RatesResolved fires after every re-solve with the rates actually
 	// applied to the flows — that is, after any RateLimiter has rescaled
-	// the solver's grants — keyed by flow id in GB/s.
+	// the solver's grants — keyed by flow id in GB/s. A machine is
+	// re-solved at most once per instant and change of its active set:
+	// the call reports the rates after the instant's last start or
+	// completion on it, and may come after other events of that instant.
 	RatesResolved(machine int, at float64, rates map[int]float64)
 }
 
 // Flows manages fluid data transfers over a memory system. All active
 // transfers progress simultaneously at the rates the memsys solver grants
-// them; rates are re-solved whenever transfers start or complete. A batch
-// of starts (StartAll) is re-solved once: the intermediate re-solves
-// would run at zero elapsed time, move no bytes, and have their
-// completion event re-queued before it fires.
+// them; rates are re-solved whenever transfers start or complete, once
+// per machine per instant, in unchanged event order. A start, a
+// completion or a Refresh integrates and updates the active set, and
+// reserves the sequence number of its completion event; the simulation
+// re-solves the manager before it fires any event that the completion
+// could precede, before time moves on, and before any rate is read
+// (Sim.flush). The re-solves this saves would run at zero elapsed time,
+// move no bytes, and have their completion event re-queued before it
+// fires.
 type Flows struct {
 	sim *Sim
 	sys *memsys.System
@@ -40,9 +48,15 @@ type Flows struct {
 	active []*Handle
 	nextID int
 	// completion is the next-completion event, which calls onCompletion.
-	// Every re-solve re-queues it in place, so scheduling allocates
-	// nothing.
+	// A change takes it out of the queue and a re-solve queues it again
+	// at seq, the sequence number the last change reserved, so
+	// scheduling allocates nothing.
 	completion Timer
+	seq        int64
+	// pending is set while the manager waits in the simulation's list of
+	// deferred re-solves; nextPending links that list.
+	pending     bool
+	nextPending *Flows
 	// observer, when set, is notified of flow lifecycle events.
 	observer FlowObserver
 	// machine is the id reported to the observer and span recorder
@@ -67,8 +81,10 @@ type Flows struct {
 // SetObserver installs a flow observer (nil removes it). An observer
 // that also implements obs.SpanRecorder, such as trace.Recorder, records
 // causal spans too: every flow started afterwards opens a "flow" span
-// and closes it on completion.
+// and closes it on completion. Re-solves still pending are made first,
+// so they report to the observer that was installed when they were due.
 func (f *Flows) SetObserver(o FlowObserver) {
+	f.sim.flush()
 	f.observer = o
 	f.spans, _ = o.(obs.SpanRecorder)
 }
@@ -90,19 +106,27 @@ type RateLimiter func(st memsys.Stream, rate float64) float64
 // SetRateLimiter installs a rate limiter (nil removes it, restoring the
 // solver-granted rates). Installing or changing a limiter only takes
 // effect at the next re-solve; call Refresh to apply it mid-flight.
-func (f *Flows) SetRateLimiter(l RateLimiter) { f.limiter = l }
+// Re-solves still pending are made first, with the limiter they were due
+// under. The limiter runs when the re-solve is made, at the same
+// simulated instant as the change that asked for it; a limiter whose
+// state changes must Refresh the manager at the same time, as fault
+// injection does.
+func (f *Flows) SetRateLimiter(l RateLimiter) {
+	f.sim.flush()
+	f.limiter = l
+}
 
-// Refresh integrates all active flows to the current time and re-solves
-// their rates. Fault injection calls it when conditions change mid-flight
-// (a stall begins or ends, a slowdown toggles) so progress before the
-// change is banked at the old rates and the remainder runs at the new
-// ones. With no active flows it is a no-op.
+// Refresh integrates all active flows to the current time and has their
+// rates re-solved. Fault injection calls it when conditions change
+// mid-flight (a stall begins or ends, a slowdown toggles) so progress
+// before the change is banked at the old rates and the remainder runs at
+// the new ones. With no active flows it is a no-op.
 func (f *Flows) Refresh() {
 	if len(f.active) == 0 {
 		return
 	}
 	f.integrate()
-	f.resolve()
+	f.sim.deferResolve(f)
 }
 
 // flowInstruments are the flow manager's telemetry hooks.
@@ -171,24 +195,25 @@ func (f *Flows) StartWithParent(st memsys.Stream, size units.ByteSize, parent ob
 	f.integrate()
 	h := new(Handle)
 	f.add(h, st, size, parent)
-	f.resolve()
+	f.sim.deferResolve(f)
 	return h
 }
 
 // StartAll begins one transfer of size bytes per stream template, in
 // order, exactly as that many StartWithParent calls would (same ids,
-// observer and span notifications), but re-solves the rates once, after
-// the last; the batch's handles share one allocation. MPI starts a
-// compute phase's per-core flows with it.
-func (f *Flows) StartAll(streams []memsys.Stream, size units.ByteSize, parent obs.SpanID) []*Handle {
+// observer and span notifications, one re-solve), and keeps the handles
+// in storage the caller owns: it returns hs[:len(streams)], growing hs
+// only when it is too short. The caller may pass the same storage again
+// once every handle in it has completed, but not while any of them is
+// active: the manager holds pointers to active handles. MPI starts a
+// compute phase's per-core flows with it, reusing one array per rank.
+func (f *Flows) StartAll(hs []Handle, streams []memsys.Stream, size units.ByteSize, parent obs.SpanID) []Handle {
 	f.integrate()
-	hs := make([]*Handle, len(streams))
-	slab := make([]Handle, len(streams))
+	hs = slices.Grow(hs[:0], len(streams))[:len(streams)]
 	for i, st := range streams {
-		hs[i] = &slab[i]
-		f.add(hs[i], st, size, parent)
+		f.add(&hs[i], st, size, parent)
 	}
-	f.resolve()
+	f.sim.deferResolve(f)
 	return hs
 }
 
@@ -279,8 +304,12 @@ func (h *Handle) AvgRate() units.Bandwidth {
 	return units.Bandwidth(h.moved / units.BytesPerGB / dur)
 }
 
-// CurrentRate reports the instantaneous solved rate of an active transfer.
-func (h *Handle) CurrentRate() units.Bandwidth { return units.Bandwidth(h.rate) }
+// CurrentRate reports the instantaneous solved rate of an active transfer,
+// making any re-solve still pending first.
+func (h *Handle) CurrentRate() units.Bandwidth {
+	h.done.sim.flush()
+	return units.Bandwidth(h.rate)
+}
 
 // integrate advances every active flow to the current time at its last
 // solved rate.
@@ -309,15 +338,14 @@ func (h *Handle) lastTouch() float64 {
 	return h.started
 }
 
-// resolve re-solves rates for the active set and re-queues the
-// completion event at the earliest finish, with a fresh sequence number:
-// the (time, seq) a newly scheduled event would get. When no flow can
-// make progress, the event is taken out of the queue instead.
+// resolve re-solves rates for the active set and queues the completion
+// event, which is out of the queue, at the earliest finish with the
+// sequence number the last change reserved: the (time, seq) an immediate
+// re-solve would have given it. When no flow can make progress, the
+// event stays out of the queue.
 func (f *Flows) resolve() {
-	if at := f.solve(); math.IsInf(at, 1) {
-		f.completion.Cancel()
-	} else {
-		f.sim.queue(&f.completion, at)
+	if at := f.solve(); !math.IsInf(at, 1) {
+		f.sim.place(&f.completion, at, f.seq)
 	}
 }
 
@@ -376,7 +404,7 @@ func (f *Flows) solve() float64 {
 
 // onCompletion fires when the earliest flow(s) finish: it integrates
 // progress, completes every drained flow in ascending id order, and
-// re-solves the rest.
+// defers the re-solve of the rest.
 func (f *Flows) onCompletion() {
 	f.integrate()
 	const eps = 1 // byte: guards float roundoff
@@ -408,7 +436,7 @@ func (f *Flows) onCompletion() {
 	}
 	clear(f.active[len(live):])
 	f.active = live
-	f.resolve()
+	f.sim.deferResolve(f)
 }
 
 // ActiveCount reports the number of in-progress transfers.

@@ -201,12 +201,14 @@ func TestFlowsMatchSolveBitForBit(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				flows := NewFlows(NewSim(), sys)
+				sim := NewSim()
+				flows := NewFlows(sim, sys)
 				probe := &rateProbe{}
 				flows.SetObserver(probe)
 				for _, st := range streams {
 					flows.Start(st, units.GiB)
 				}
+				sim.flush() // the one re-solve the starts deferred
 				if len(probe.last) != len(streams) {
 					t.Fatalf("%s %v n=%d: last re-solve covered %d flows, want %d", plat.Name, pl, n, len(probe.last), len(streams))
 				}
@@ -270,7 +272,10 @@ func TestStartAllMatchesStarts(t *testing.T) {
 				hs := []*Handle{flows.Start(memsys.Stream{Kind: memsys.KindComm, Node: 0}, 32*units.MiB)}
 				sim.At(1e-3, func() {
 					if batched {
-						hs = append(hs, flows.StartAll(batch, size, 0)...)
+						started := flows.StartAll(nil, batch, size, 0)
+						for i := range started {
+							hs = append(hs, &started[i])
+						}
 						return
 					}
 					for _, st := range batch {
@@ -366,7 +371,8 @@ func (r *finishProbe) RatesResolved(_ int, _ float64, rates map[int]float64) {
 // together; flows 2 and 4 are short and finish first, then flows 1, 3
 // and 5 finish in one event. Completions come in ascending id order, the
 // active-flows gauge steps down once per flow, and the flows that remain
-// keep ascending order in the next re-solve.
+// keep ascending order in the next re-solve. The five starts at one
+// instant are re-solved once.
 func TestSimultaneousCompletionsInIDOrder(t *testing.T) {
 	sim, flows, sys := newFlowsSim(t)
 	reg := obs.NewRegistry()
@@ -396,8 +402,8 @@ func TestSimultaneousCompletionsInIDOrder(t *testing.T) {
 	if want := []float64{4, 3, 2, 1, 0}; !slices.Equal(probe.steps, want) {
 		t.Errorf("active-flows gauge stepped %v, want %v", probe.steps, want)
 	}
-	if n := len(probe.rated); n != 6 || !slices.Equal(probe.rated[n-1], []int{1, 3, 5}) {
-		t.Errorf("re-solves rated %v, want five starts then [1 3 5]", probe.rated)
+	if want := [][]int{{1, 2, 3, 4, 5}, {1, 3, 5}}; !slices.EqualFunc(probe.rated, want, slices.Equal) {
+		t.Errorf("re-solves rated %v, want %v: one for the five starts, then [1 3 5]", probe.rated, want)
 	}
 	for i, ids := range probe.active {
 		if !slices.Equal(ids, probe.rated[i]) {
@@ -407,21 +413,97 @@ func TestSimultaneousCompletionsInIDOrder(t *testing.T) {
 }
 
 // TestFlowsResolveAllocs: with no observer, a re-solve allocates
-// nothing: it re-queues the flow manager's one completion event in place,
-// so the event heap never holds more than that event.
+// nothing: a change takes the flow manager's one completion event out of
+// the queue and the flush puts it back, so the event heap never holds
+// more than that event.
 func TestFlowsResolveAllocs(t *testing.T) {
 	sim, flows, sys := newFlowsSim(t)
 	for _, core := range sys.Platform().CoresOfSocket(0)[:8] {
 		flows.Start(memsys.Stream{Kind: memsys.KindCompute, Core: core, Node: 0}, units.GiB)
 	}
 	flows.Start(memsys.Stream{Kind: memsys.KindComm, Node: 0}, units.GiB)
-	if got := testing.AllocsPerRun(100, flows.Refresh); got != 0 {
+	resolve := func() {
+		flows.Refresh()
+		sim.flush()
+	}
+	if got := testing.AllocsPerRun(100, resolve); got != 0 {
 		t.Errorf("a re-solve allocates %v, want 0", got)
 	}
 	if n := sim.events.Len(); n != 1 {
 		t.Errorf("event heap holds %d events after the re-solves, want the one completion", n)
 	}
 }
+
+// TestCurrentRateFlushes: a start only defers its re-solve, and reading a
+// rate makes it: CurrentRate returns the solver's rate, bit for bit, and
+// the flow manager's completion is queued.
+func TestCurrentRateFlushes(t *testing.T) {
+	sim, flows, sys := newFlowsSim(t)
+	st := memsys.Stream{ID: 1, Kind: memsys.KindComm, Node: 0}
+	want, err := sys.Solve([]memsys.Stream{st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := flows.Start(st, units.GiB)
+	if sim.pending != flows || sim.events.Len() != 0 {
+		t.Fatalf("Start re-solved at once (pending %v, %d queued events)", sim.pending, sim.events.Len())
+	}
+	if got := h.CurrentRate().GBps(); math.Float64bits(got) != math.Float64bits(want.Rate(1)) {
+		t.Errorf("CurrentRate %v GB/s, Solve grants %v", got, want.Rate(1))
+	}
+	if sim.pending != nil || sim.events.Len() != 1 {
+		t.Errorf("after CurrentRate: pending %v, %d queued events; want none pending and the completion", sim.pending, sim.events.Len())
+	}
+}
+
+// TestSetRateLimiterFlushes: a re-solve pending when a limiter is
+// installed runs under the limiter it was due under; the new limiter
+// applies from the next re-solve.
+func TestSetRateLimiterFlushes(t *testing.T) {
+	_, flows, _ := newFlowsSim(t)
+	h := flows.Start(memsys.Stream{Kind: memsys.KindComm, Node: 0}, units.GiB)
+	flows.SetRateLimiter(func(_ memsys.Stream, rate float64) float64 { return rate / 2 })
+	full := h.CurrentRate().GBps()
+	if full <= 0 {
+		t.Fatalf("flow runs at %v GB/s", full)
+	}
+	flows.Refresh()
+	if got := h.CurrentRate().GBps(); got != full/2 {
+		t.Errorf("after Refresh the flow runs at %v GB/s, want the limiter's %v", got, full/2)
+	}
+}
+
+// TestZeroByteStartKeepsSlot: a zero-byte flow started in the middle of
+// an instant completes in the event slot its start reserved: after the
+// events queued before the start, before those queued after it.
+func TestZeroByteStartKeepsSlot(t *testing.T) {
+	sim, flows, _ := newFlowsSim(t)
+	var log []string
+	note := func(s string) func() { return func() { log = append(log, s) } }
+	flows.SetObserver(&logObserver{log: &log})
+	var h *Handle
+	sim.At(1e-3, func() {
+		sim.At(sim.Now(), note("before"))
+		h = flows.Start(memsys.Stream{Kind: memsys.KindComm, Node: 0}, 0)
+		sim.At(sim.Now(), note("after"))
+	})
+	if err := sim.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"before", "finished", "after"}; !slices.Equal(log, want) {
+		t.Errorf("events ran %v, want %v", log, want)
+	}
+	if !h.Done() || h.CompletedAt() != 1e-3 {
+		t.Errorf("zero-byte flow done %v at %v, want at 1e-3", h.Done(), h.CompletedAt())
+	}
+}
+
+// logObserver notes every FlowFinished in log.
+type logObserver struct{ log *[]string }
+
+func (o *logObserver) FlowStarted(int, int, memsys.Stream, float64, float64) {}
+func (o *logObserver) FlowFinished(int, int, float64, float64)               { *o.log = append(*o.log, "finished") }
+func (o *logObserver) RatesResolved(int, float64, map[int]float64)           {}
 
 // TestSolveErrorFailsRun: a stream the solver rejects (henri has no NUMA
 // node 9) fails the run with the solver's error wrapped, whether the

@@ -15,10 +15,14 @@
 // instantaneous rates come from the memsys solver: whenever transfers
 // start or complete, all rates are re-solved, which is exactly the fluid
 // approximation of bandwidth sharing the paper's steady-state measurements
-// assume. A batch of transfers started together (Flows.StartAll, one per
-// compute phase) is re-solved once, as is every completion event.
-// Completion can wake waiting processes or run callbacks (Handle.Then)
-// in scheduler context, which need no process of their own.
+// assume. A machine is re-solved once per simulated instant, in unchanged
+// event order: a start or completion only reserves the sequence number its
+// completion event would have taken, and the event loop re-solves and
+// queues that event at the reserved (time, seq) before it fires anything
+// the event could precede (Sim.flush). Re-solves in between would move no
+// bytes, since no time passes within an instant. Completion can wake
+// waiting processes or run callbacks (Handle.Then) in scheduler context,
+// which need no process of their own.
 package engine
 
 import (
@@ -33,7 +37,7 @@ import (
 )
 
 // eventHeap orders queued events by (time, seq). Every event records its
-// position, so its owner can move or remove it in place.
+// position, so that Cancel can remove it in place.
 type eventHeap []*Timer
 
 func (h eventHeap) Len() int { return len(h) }
@@ -90,6 +94,12 @@ type Sim struct {
 	// m holds the optional instruments; the zero value (nil pointers)
 	// makes every recording call a no-op.
 	m simInstruments
+	// pending lists the flow managers whose re-solve is deferred, in the
+	// order they changed, linked through Flows.nextPending; pendingTail
+	// is the last. flushSeq is the sequence number the first of them
+	// reserved, so no completion they queue orders before (now, flushSeq).
+	pending, pendingTail *Flows
+	flushSeq             int64
 }
 
 // simInstruments are the scheduler's telemetry hooks. Nil instruments
@@ -132,21 +142,56 @@ func (s *Sim) At(t float64, fn func()) *Timer {
 // zero).
 func (s *Sim) After(d float64, fn func()) *Timer { return s.At(s.now+d, fn) }
 
-// queue schedules e at time t with a fresh sequence number, so it fires
-// after every event already due at t. A time before now or NaN means now,
-// which is how After and Sleep treat a negative or NaN delay. An idle
-// event is pushed; a queued one moves to its new place, which orders it
-// exactly as cancelling it and queueing a new event would.
+// queue schedules the idle event e at time t with a fresh sequence
+// number, so it fires after every event already due at t.
 func (s *Sim) queue(e *Timer, t float64) {
+	s.place(e, t, s.seq)
+	s.seq++
+}
+
+// place pushes the idle event e at (t, seq). A time before now or NaN
+// means now, which is how After and Sleep treat a negative or NaN delay.
+func (s *Sim) place(e *Timer, t float64, seq int64) {
 	if !(t >= s.now) {
 		t = s.now
 	}
-	e.time, e.seq = t, s.seq
+	e.time, e.seq = t, seq
+	heap.Push(&s.events, e)
+}
+
+// deferResolve adds f to the pending flow managers unless it is there
+// already, and reserves the next sequence number for its completion
+// event. The completion leaves the queue until the flush puts it back.
+func (s *Sim) deferResolve(f *Flows) {
+	if !f.pending {
+		f.pending = true
+		f.completion.Cancel()
+		if s.pendingTail == nil {
+			s.pending, s.flushSeq = f, s.seq
+		} else {
+			s.pendingTail.nextPending = f
+		}
+		s.pendingTail = f
+	}
+	f.seq = s.seq
 	s.seq++
-	if e.index < 0 {
-		heap.Push(&s.events, e)
-	} else {
-		heap.Fix(&s.events, e.index)
+}
+
+// flush re-solves every pending flow manager, each of which queues its
+// completion at the (time, seq) it reserved. No time passes between the
+// change and the flush, so the rates and the completion's place in the
+// event order are those an immediate re-solve would have given. Flushing
+// early is therefore always safe: the event loop flushes before it pops
+// an event a pending completion could precede and before a run ends, and
+// every rate read flushes first.
+func (s *Sim) flush() {
+	for s.pending != nil {
+		f := s.pending
+		s.pending, f.nextPending, f.pending = f.nextPending, nil, false
+		if s.pending == nil {
+			s.pendingTail = nil
+		}
+		f.resolve()
 	}
 }
 
@@ -562,7 +607,13 @@ func (s *Sim) Run() error {
 // until an event wakes a process, and returns that process. When the run
 // ends instead, it records Run's result in s.outcome and returns nil.
 func (s *Sim) step() *Proc {
-	for s.failure == nil && s.events.Len() > 0 {
+	for {
+		if s.pending != nil && (len(s.events) == 0 || s.events[0].time > s.now || s.events[0].seq > s.flushSeq) {
+			s.flush()
+		}
+		if s.failure != nil || len(s.events) == 0 {
+			break
+		}
 		if s.done != nil {
 			select {
 			case <-s.done:
@@ -598,9 +649,11 @@ func (s *Sim) step() *Proc {
 	return s.end(nil)
 }
 
-// end records err as the result Run returns, and returns the nil process
-// with which step reports that the run has ended.
+// end re-solves what is pending, records err as the result Run returns,
+// and returns the nil process with which step reports that the run has
+// ended.
 func (s *Sim) end(err error) *Proc {
+	s.flush()
 	s.outcome = err
 	return nil
 }

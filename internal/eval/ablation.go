@@ -81,6 +81,7 @@ func AblationTable(platform string, rows []AblationRow) *export.Table {
 		fmt.Sprintf("ABLATION — predictor errors on %s (all placements)", platform),
 		"Predictor", "Comm MAPE", "Comp MAPE", "Overall",
 	)
+	t.Grow(len(rows))
 	for _, r := range rows {
 		t.AddRow(r.Name, export.Pct(r.CommMAPE), export.Pct(r.CompMAPE), export.Pct(r.Overall))
 	}

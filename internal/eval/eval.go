@@ -231,6 +231,7 @@ func Table2(results []*PlatformResult) *export.Table {
 		"Comp on Samples", "Comp on non-Samples", "Comp all",
 		"Average",
 	)
+	t.Grow(len(results) + 1)
 	var cs, cn, ca, ps, pn, pa, avg []float64
 	for _, r := range results {
 		e := r.Errors
@@ -260,6 +261,7 @@ func Table2(results []*PlatformResult) *export.Table {
 // placements and all, then their average.
 func ErrorTable(e ErrorSummary) *export.Table {
 	t := export.NewTable("", "", "on Samples", "on non-Samples", "all")
+	t.Grow(3)
 	t.AddRow("Communications", export.Pct(e.CommSamples), export.Pct(e.CommNonSamples), export.Pct(e.CommAll))
 	t.AddRow("Computations", export.Pct(e.CompSamples), export.Pct(e.CompNonSamples), export.Pct(e.CompAll))
 	t.AddRow("Average", "", "", export.Pct(e.Average))
@@ -270,6 +272,7 @@ func ErrorTable(e ErrorSummary) *export.Table {
 // MAPE, marking the calibration samples.
 func PlacementTable(placements []*PlacementResult) *export.Table {
 	t := export.NewTable("", "placement", "sample", "comm MAPE", "comp MAPE")
+	t.Grow(len(placements))
 	for _, pr := range placements {
 		t.AddRow(pr.Placement.String(), strconv.FormatBool(pr.IsSample), export.Pct(pr.CommMAPE), export.Pct(pr.CompMAPE))
 	}
@@ -282,6 +285,7 @@ func Table1(plats []*topology.Platform) *export.Table {
 		"TABLE I — CHARACTERISTICS OF TESTBED PLATFORMS",
 		"Name", "Processor", "Memory", "Network",
 	)
+	t.Grow(len(plats))
 	for _, p := range plats {
 		t.AddRow(
 			p.Name,

@@ -37,6 +37,9 @@ type Table struct {
 	Title  string
 	Header []string
 	Rows   [][]string
+	// free is the unused tail of the block of cells AddRow cuts rows
+	// from: one block per table when its rows are reserved with Grow.
+	free []string
 }
 
 // NewTable creates a table with the given title and columns.
@@ -44,9 +47,27 @@ func NewTable(title string, header ...string) *Table {
 	return &Table{Title: title, Header: header}
 }
 
-// AddRow appends a row; short rows are padded with empty cells.
+// Grow makes room for n more rows, so that adding them allocates
+// nothing: a caller that knows its row count sizes the table with it.
+func (t *Table) Grow(n int) {
+	if cap(t.Rows)-len(t.Rows) < n {
+		t.Rows = append(make([][]string, 0, len(t.Rows)+n), t.Rows...)
+	}
+	if cells := n * len(t.Header); len(t.free) < cells {
+		t.free = make([]string, cells)
+	}
+}
+
+// AddRow appends a row of len(Header) cells: short rows are padded with
+// empty cells, cells past the header's are dropped. Rows not reserved
+// with Grow come from blocks that double the table's rows.
 func (t *Table) AddRow(cells ...string) {
-	row := make([]string, len(t.Header))
+	n := len(t.Header)
+	if len(t.free) < n {
+		t.free = make([]string, n*max(4, len(t.Rows)))
+	}
+	row := t.free[:n:n]
+	t.free = t.free[n:]
 	copy(row, cells)
 	t.Rows = append(t.Rows, row)
 }

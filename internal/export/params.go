@@ -10,6 +10,7 @@ import (
 // two-column table: local and remote instantiations side by side.
 func ParamsTable(title string, m model.Model) *Table {
 	t := NewTable(title, "parameter", "local", "remote", "meaning")
+	t.Grow(11)
 	row := func(name, local, remote, meaning string) { t.AddRow(name, local, remote, meaning) }
 	l, r := m.Local, m.Remote
 	row("N_par_max", strconv.Itoa(l.NParMax), strconv.Itoa(r.NParMax), "cores reaching the parallel maximum")

@@ -97,3 +97,36 @@ func TestAppendTextAllocs(t *testing.T) {
 		t.Errorf("AppendText into a large enough buffer allocates %v times, want 0", n)
 	}
 }
+
+// TestAddRowBlocks: rows cut from a table's block of cells are as wide as
+// the header, padded or cut, and independent of each other; rows reserved
+// with Grow are added without allocating.
+func TestAddRowBlocks(t *testing.T) {
+	tab := NewTable("", "a", "b", "c")
+	for i := 0; i < 9; i++ {
+		tab.AddRow(strings.Repeat("x", i), "y", "z", "dropped")
+	}
+	tab.AddRow("short")
+	tab.Rows[0] = append(tab.Rows[0], "appended")
+	for i, row := range tab.Rows[1:] {
+		if len(row) != 3 {
+			t.Fatalf("row %d holds %d cells, want 3", i+1, len(row))
+		}
+	}
+	if got := tab.Rows[1][0]; got != "x" {
+		t.Errorf("appending to row 0 changed row 1 to start with %q", got)
+	}
+	if got := tab.Rows[9]; got[0] != "short" || got[1] != "" || got[2] != "" {
+		t.Errorf("short row stored as %q", got)
+	}
+	sized := NewTable("", "a", "b")
+	if n := testing.AllocsPerRun(1, func() {
+		sized.Rows, sized.free = nil, nil
+		sized.Grow(50)
+		for i := 0; i < 50; i++ {
+			sized.AddRow("1", "2")
+		}
+	}); n != 2 {
+		t.Errorf("Grow(50) and 50 rows allocate %v times, want 2: the rows and one block of cells", n)
+	}
+}

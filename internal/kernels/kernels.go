@@ -12,6 +12,7 @@ package kernels
 
 import (
 	"fmt"
+	"slices"
 
 	"memcontention/internal/memsys"
 	"memcontention/internal/topology"
@@ -141,15 +142,21 @@ func (a Assignment) Validate(plat *topology.Platform) error {
 	if int(a.Node) < 0 || int(a.Node) >= plat.NNodes() {
 		return fmt.Errorf("kernels: assignment node %d out of range [0,%d)", a.Node, plat.NNodes())
 	}
-	seen := make(map[topology.CoreID]bool, len(a.Cores))
+	// seen is a bit per core, on the stack for up to 512 cores.
+	var small [8]uint64
+	seen := small[:]
+	if n := (plat.NCores() + 63) / 64; n > len(small) {
+		seen = make([]uint64, n)
+	}
 	for _, c := range a.Cores {
 		if int(c) < 0 || int(c) >= plat.NCores() {
 			return fmt.Errorf("kernels: assignment core %d out of range [0,%d)", c, plat.NCores())
 		}
-		if seen[c] {
+		word, bit := c/64, uint64(1)<<(c%64)
+		if seen[word]&bit != 0 {
 			return fmt.Errorf("kernels: core %d assigned twice", c)
 		}
-		seen[c] = true
+		seen[word] |= bit
 	}
 	return nil
 }
@@ -160,21 +167,27 @@ func (a Assignment) Validate(plat *topology.Platform) error {
 // write streams of one core are merged into a single demand (they contend
 // in the same load/store units, and the controller sees their sum).
 func (a Assignment) Streams(sys *memsys.System, firstID int) ([]memsys.Stream, error) {
+	return a.AppendStreams(nil, sys, firstID)
+}
+
+// AppendStreams is Streams appending to dst, which it returns unchanged
+// with the error when the assignment is invalid. A caller that passes the
+// same storage again expands an assignment without allocating.
+func (a Assignment) AppendStreams(dst []memsys.Stream, sys *memsys.System, firstID int) ([]memsys.Stream, error) {
 	if err := a.Validate(sys.Platform()); err != nil {
-		return nil, err
+		return dst, err
 	}
-	streams := make([]memsys.Stream, 0, len(a.Cores))
+	dst = slices.Grow(dst, len(a.Cores))
 	for i, c := range a.Cores {
-		demand := sys.ComputeDemand(c, a.Node) * a.Kernel.DemandFactor
-		streams = append(streams, memsys.Stream{
+		dst = append(dst, memsys.Stream{
 			ID:     firstID + i,
 			Kind:   memsys.KindCompute,
 			Core:   c,
 			Node:   a.Node,
-			Demand: demand,
+			Demand: sys.ComputeDemand(c, a.Node) * a.Kernel.DemandFactor,
 		})
 	}
-	return streams, nil
+	return dst, nil
 }
 
 // BytesPerIteration reports how many bytes one iteration over an array of

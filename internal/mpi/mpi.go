@@ -15,6 +15,7 @@ import (
 
 	"memcontention/internal/engine"
 	"memcontention/internal/kernels"
+	"memcontention/internal/memsys"
 	"memcontention/internal/obs"
 	"memcontention/internal/simnet"
 	"memcontention/internal/topology"
@@ -62,6 +63,11 @@ type rankState struct {
 	// Both are FIFO, as MPI matching requires.
 	posted     []*Request
 	unexpected []*envelope
+	// streams and flows are Compute's scratch, reused by every compute
+	// phase of the rank: the phase's streams and its flows' handles. A
+	// phase returns only once all of its flows have completed.
+	streams []memsys.Stream
+	flows   []engine.Handle
 }
 
 // removePosted withdraws a receive request from the posted queue (used
@@ -473,10 +479,12 @@ func (c *Ctx) Compute(a kernels.Assignment, perCoreBytes units.ByteSize) (units.
 	if c.machineDown() {
 		return 0, c.downError("Compute")
 	}
-	streams, err := a.Streams(m.Sys, 0)
+	rs := c.rank
+	streams, err := a.AppendStreams(rs.streams[:0], m.Sys, 0)
 	if err != nil {
 		return 0, fmt.Errorf("mpi: rank %d: %w", c.Rank(), err)
 	}
+	rs.streams = streams
 	start := c.Now()
 	var span obs.SpanID
 	if c.world.spans != nil {
@@ -484,9 +492,10 @@ func (c *Ctx) Compute(a kernels.Assignment, perCoreBytes units.ByteSize) (units.
 	}
 	// One batch, one re-solve: the per-core flows start at the same
 	// instant.
-	for _, h := range m.Flows.StartAll(streams, perCoreBytes, span) {
+	rs.flows = m.Flows.StartAll(rs.flows, streams, perCoreBytes, span)
+	for i := range rs.flows {
 		c.proc.SetWaitReason("Compute")
-		h.Wait(c.proc)
+		rs.flows[i].Wait(c.proc)
 	}
 	if span != 0 {
 		c.world.spans.EndSpan(span, c.Now())

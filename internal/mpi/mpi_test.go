@@ -400,6 +400,32 @@ func TestComputeResolvesOnce(t *testing.T) {
 	}
 }
 
+// TestComputeSteadyStateAllocs: after a rank's first compute phase, the
+// next ones allocate nothing: the phase's streams and flow handles reuse
+// the rank's storage, and its completion and wake-up events are the flow
+// manager's and the process's own.
+func TestComputeSteadyStateAllocs(t *testing.T) {
+	sim, w := newWorld(t, 1, 1)
+	allocs := -1.0
+	run(t, sim, w, func(c *Ctx) {
+		a := kernels.Assignment{
+			Kernel: kernels.New(kernels.NTMemset),
+			Cores:  []topology.CoreID(c.Machine().Topo.SocketSet(0).Take(4)),
+			Node:   0,
+		}
+		compute := func() {
+			if _, err := c.Compute(a, units.MiB); err != nil {
+				t.Error(err)
+			}
+		}
+		compute()
+		allocs = testing.AllocsPerRun(20, compute)
+	})
+	if allocs != 0 {
+		t.Errorf("a steady-state compute phase allocates %v times, want 0", allocs)
+	}
+}
+
 func TestDeterministicSchedule(t *testing.T) {
 	trace := func() string {
 		sim, w := newWorld(t, 2, 2)
@@ -555,5 +581,34 @@ func BenchmarkAllreduce(b *testing.B) {
 		if err := sim.Run(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkComputePhase times one steady-state compute phase: a rank
+// computing on 8 cores of a henri machine, 1 MiB per core. The b.N
+// phases run in one simulation after a warm-up phase, so an op is the
+// batch start, its deferred re-solve, the completion and the wake-up,
+// and allocates nothing.
+func BenchmarkComputePhase(b *testing.B) {
+	sim, w := worldOn(b, henriSystem(b), 1, 1)
+	w.Launch(func(c *Ctx) {
+		a := kernels.Assignment{
+			Kernel: kernels.New(kernels.NTMemset),
+			Cores:  []topology.CoreID(c.Machine().Topo.SocketSet(0).Take(8)),
+			Node:   0,
+		}
+		for i := -1; i < b.N; i++ {
+			if i == 0 {
+				b.ReportAllocs()
+				b.ResetTimer()
+			}
+			if _, err := c.Compute(a, units.MiB); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	if err := sim.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

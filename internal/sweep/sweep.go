@@ -85,6 +85,12 @@ scheduling:
 		if stop {
 			break
 		}
+		// When the context is done and a worker is free, select picks
+		// either case at random: check first, so that no job starts
+		// after a cancellation seen here.
+		if ctxErr = ctx.Err(); ctxErr != nil {
+			break
+		}
 		select {
 		case <-ctx.Done():
 			ctxErr = ctx.Err()
