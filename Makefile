@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check lint vet gofmt memlint memlint-per-check lint-fixtures build test race repro bench benchdiff fuzz soak soak-remote prof-smoke serve-smoke top-smoke loadtest fmt
+.PHONY: check lint vet gofmt memlint memlint-per-check lint-fixtures build test race repro bench benchdiff fuzz prof-smoke serve-smoke loadtest fmt
 
 check: lint build race repro benchdiff ## pre-merge gate: lint + build + race tests + reproduction (+ advisory benchdiff)
 
@@ -71,7 +71,6 @@ fuzz:
 	$(GO) test -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz '^FuzzLeaseDecode$$' -fuzztime $(FUZZTIME) ./internal/lease/
-	$(GO) test -fuzz '^FuzzDecodeEvents$$' -fuzztime $(FUZZTIME) ./internal/campaign/
 	$(GO) test -fuzz '^FuzzSolve$$' -fuzztime $(FUZZTIME) ./internal/memsys/
 	$(GO) test -fuzz '^FuzzIndentJSON$$' -fuzztime $(FUZZTIME) ./internal/export/
 	$(GO) test -fuzz '^FuzzAppendJSON$$' -fuzztime $(FUZZTIME) ./internal/eval/
@@ -84,24 +83,6 @@ fuzz:
 # path (TestMemprofLoadsRecorderTrace).
 prof-smoke:
 	$(GO) test -run 'TestMemprof' -count=1 ./cmd/memprof/
-
-# soak runs the Table II pipeline and its replication sweep as an
-# in-process lease campaign, cancels it at SOAK_ROUNDS seeded unit
-# boundaries, tears and corrupts old shard-journal tails between attempts,
-# and resumes it from the campaign directory, asserting byte-identical
-# artifacts with and without a fault plan (see docs/resilience.md).
-SOAK_ROUNDS ?= 6
-soak:
-	$(GO) run ./scripts/soak -rounds $(SOAK_ROUNDS)
-
-# soak-remote soaks the lease-coordinated multi-process campaign with
-# real memworker processes and real signals: two workers SIGKILLed
-# mid-unit, one SIGSTOPped past its lease TTL and resurrected as a
-# fenced zombie that keeps writing, a fresh worker taking every orphaned
-# shard over — merged artifacts byte-checked against the sequential
-# baseline (see docs/campaigns.md).
-soak-remote:
-	$(GO) run ./scripts/soak -remote
 
 # bench refreshes the benchmark log used to track instrumentation
 # overhead (compare against BENCH_baseline.json).
@@ -117,7 +98,7 @@ bench:
 # are noisy, so a flagged regression means "measure properly before
 # merging", not "blocked" (see docs/observability.md).
 BENCHDIFF_BASE ?= HEAD~1
-BENCHDIFF_PATTERN ?= BenchmarkClusterHaloExchange$$|BenchmarkTable1Platforms$$|BenchmarkTable2Errors$$|BenchmarkPredict$$|BenchmarkSolver$$|BenchmarkSolve$$|BenchmarkMeasurePoint$$|BenchmarkFlowsChurn$$|BenchmarkSimEvents$$|BenchmarkRenderArtifacts$$|BenchmarkWrite$$|BenchmarkCalibrateRunner$$|BenchmarkEvaluatePlatform$$|BenchmarkDeliver$$|BenchmarkSendRecv$$|BenchmarkAllreduce$$|BenchmarkDecodeUnitJournal$$|BenchmarkComputePhase$$
+BENCHDIFF_PATTERN ?= BenchmarkClusterHaloExchange$$|BenchmarkTable1Platforms$$|BenchmarkTable2Errors$$|BenchmarkPredict$$|BenchmarkSolver$$|BenchmarkSolve$$|BenchmarkMeasurePoint$$|BenchmarkFlowsChurn$$|BenchmarkSimEvents$$|BenchmarkRenderArtifacts$$|BenchmarkWrite$$|BenchmarkCalibrateRunner$$|BenchmarkEvaluatePlatform$$|BenchmarkDeliver$$|BenchmarkSendRecv$$|BenchmarkAllreduce$$|BenchmarkComputePhase$$
 benchdiff:
 	-GO=$(GO) bash scripts/benchdiff/run.sh '$(BENCHDIFF_PATTERN)' '$(BENCHDIFF_BASE)'
 
@@ -126,13 +107,6 @@ benchdiff:
 # scrape end to end.
 serve-smoke:
 	$(GO) test -run 'TestMemserve' -count=1 ./cmd/memserve/
-
-# top-smoke drains a real campaign, renders memtop's text, JSON and
-# timeline views byte-for-byte against the golden files (regenerate
-# after intended changes with `go test ./cmd/memtop -run Golden -update`)
-# and scrapes the -serve plane's memcontention_fleet_* gauges.
-top-smoke:
-	$(GO) test -run 'TestMemtop' -count=1 ./cmd/memtop/
 
 # loadtest proves the serving budgets on cached predictions: achieved
 # QPS >= 5000 and server-reported p99 <= 5ms, both read back from the

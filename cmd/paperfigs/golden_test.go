@@ -20,9 +20,9 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 const goldenDir = "testdata/golden"
 
 // TestGoldenArtifacts pins the paper's artifacts byte for byte: the
-// sequential run on one core, the parallel sweep and the sharded lease
-// campaign must all write exactly the checked-in files, so results
-// depend on neither worker count, GOMAXPROCS nor executor.
+// sequential run on one core and the parallel sweep must both write
+// exactly the checked-in files, so results depend on neither worker
+// count nor GOMAXPROCS.
 func TestGoldenArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full testbed evaluation")
@@ -30,17 +30,12 @@ func TestGoldenArtifacts(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
-		sharded bool
 	}{
-		{"workers1-gomaxprocs1", 1, false}, // -update writes this run
-		{"workers4", 4, false},
-		{"workers4-shards", 4, true},
+		{"workers1-gomaxprocs1", 1}, // -update writes this run
+		{"workers4", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o := options{out: filepath.Join(t.TempDir(), "out"), seed: 1, workers: tc.workers, replications: 1}
-			if tc.sharded {
-				o.shards = filepath.Join(t.TempDir(), "shards")
-			}
 			if tc.workers == 1 {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			}

@@ -13,21 +13,12 @@
 //	paperfigs -fig 4           # just Figure 4 (CSV to stdout)
 //	paperfigs -out results/    # write all artifacts as files (CSV/JSON/txt)
 //	paperfigs -table 2 -replications 10   # Table II as mean ± 95% CI over 10 seeds
-//	paperfigs -workers 8 -shards run/ -out results/
-//	                           # 8 in-process lease workers over run/ (docs/campaigns.md)
-//
-// A fleet of memworker processes is finalized by memworker -merge, which
-// writes the same artifacts (docs/campaigns.md).
+//	paperfigs -workers 8 -out results/    # 8 parallel evaluations, same bytes as 1
 //
 // SIGINT/SIGTERM stops any run cleanly (exit status 130; a second signal
 // exits immediately), and files under -out are written atomically and
-// durably. With -shards the run is crash-safe (see docs/resilience.md):
-// it is a lease campaign in the given directory, where -workers
-// in-process lease workers — the same workers memworker runs — journal
-// each completed campaign unit into per-shard epoch journals,
-// retry or quarantine failing units, and the merge of those journals
-// assembles byte-identical artifacts. Re-running the same command resumes where it
-// died, and memtop -dir reads the directory (see docs/campaigns.md).
+// durably, so an interrupted run leaves no torn artifact; rerunning the
+// command recomputes everything (see docs/campaigns.md).
 package main
 
 import (
@@ -53,7 +44,6 @@ type options struct {
 	seed         uint64
 	workers      int
 	replications int
-	shards       string
 	ascii        bool
 }
 
@@ -63,9 +53,8 @@ func main() {
 	flag.IntVar(&o.fig, "fig", 0, "emit only this figure (2..8)")
 	flag.StringVar(&o.out, "out", "", "write artifacts into this directory instead of stdout")
 	flag.Uint64Var(&o.seed, "seed", 1, "measurement noise seed")
-	flag.IntVar(&o.workers, "workers", 0, "parallel evaluations, or in-process lease workers with -shards (0: GOMAXPROCS)")
+	flag.IntVar(&o.workers, "workers", 0, "parallel evaluations (0: GOMAXPROCS)")
 	flag.IntVar(&o.replications, "replications", 1, "Monte-Carlo replication sweep: evaluate this many consecutive seeds and report Table II errors as mean ± 95% CI")
-	flag.StringVar(&o.shards, "shards", "", "run the pipeline as a lease campaign in this directory on -workers in-process workers (crash-safe, resumable, readable by memtop -dir; see docs/campaigns.md)")
 	flag.BoolVar(&o.ascii, "plot", false, "render figures as ASCII charts instead of CSV")
 	var cli obs.CLI
 	cli.Register(flag.CommandLine, false)
@@ -156,11 +145,8 @@ func dispatch(ctx context.Context, w io.Writer, o options, reg *obs.Registry) er
 	}
 }
 
-// evaluate runs the needed platform evaluations — as a lease campaign
-// when -shards names a campaign directory, on the plain parallel sweep
-// otherwise — plus the replication sweep when asked. The artifacts carry
-// the seed, the evaluations and the replication summary, and nothing
-// else: every mode writes the same files.
+// evaluate runs the needed platform evaluations on the parallel sweep,
+// plus the replication sweep when asked.
 func evaluate(ctx context.Context, o options, reg *obs.Registry, names []string) (*campaign.Artifacts, error) {
 	cfg := campaign.Config{
 		Seed:         o.seed,
@@ -168,14 +154,6 @@ func evaluate(ctx context.Context, o options, reg *obs.Registry, names []string)
 		Replications: o.replications,
 		Context:      ctx,
 		Registry:     reg,
-	}
-	if o.shards != "" {
-		res, err := campaign.RunLocal(cfg, campaign.RemoteOptions{Dir: o.shards}, names)
-		if err != nil {
-			return nil, err
-		}
-		a := res.Artifacts
-		return &campaign.Artifacts{Seed: a.Seed, Platforms: a.Platforms, Replications: a.Replications}, nil
 	}
 	results, err := campaign.EvaluatePlatforms(cfg, names)
 	if err != nil {

@@ -178,10 +178,9 @@ func DefaultConfig() *Config {
 			// The lease coordination plane: owner identity (hostname,
 			// pid, random token) and wall-clock heartbeats are what
 			// fencing is MADE OF — they name which process is alive
-			// right now and never feed a reproducible artifact (shard
-			// journals hold unit results only, keyed by config). The
-			// entry is exact: campaign/checkpoint code consuming leases
-			// stays under the full determinism check.
+			// right now and never feed a reproducible artifact. The
+			// entry is exact: its subpackages and the campaign and
+			// checkpoint code stay under the full determinism check.
 			"memcontention/internal/lease",
 		},
 		SinkTypes: []string{

@@ -80,8 +80,8 @@ func TestDeterminismExemptFixture(t *testing.T) {
 // dispensation the same two ways — the fixture is full of findings
 // without an exemption, silent when listed — and then pins the scope
 // of the real DefaultConfig entry: it covers the lease package itself
-// and nothing else; the campaign and checkpoint code consuming leases,
-// and the memworker binary, all stay under the full determinism check.
+// and nothing else; its subpackages and the campaign and checkpoint
+// code stay under the full determinism check.
 func TestDeterminismLeaseExemptFixture(t *testing.T) {
 	dir := fixtureDir(t, "leasepkg")
 	diags := RunFixture(t, dir, &Config{}, DeterminismAnalyzer)
@@ -107,7 +107,6 @@ func TestDeterminismLeaseExemptFixture(t *testing.T) {
 		"memcontention/internal/lease/sub":  false,
 		"memcontention/internal/campaign":   false,
 		"memcontention/internal/checkpoint": false,
-		"memcontention/cmd/memworker":       false,
 	} {
 		if got := determinismExempt(cfg.DeterminismExemptPkgs, pkgPath); got != want {
 			t.Errorf("determinismExempt(DefaultConfig, %q) = %v, want %v", pkgPath, got, want)

@@ -9,8 +9,8 @@ import (
 // DeterminismAnalyzer flags reads of nondeterministic process state —
 // the wall clock, the globally seeded math/rand source, process ids —
 // outside the configured clock-injection points. The reproduction's
-// artifacts (Table II journals, traces, manifests, checkpoint journals)
-// must be byte-identical across runs, so any code that can influence
+// artifacts (Tables I–II, figures, reports, traces, manifests) must be
+// byte-identical across runs, so any code that can influence
 // them has to take time and randomness from its caller.
 //
 // Both calls and bare references are flagged: `f := time.Now` smuggles

@@ -8,10 +8,9 @@ import (
 // os.Rename outside the packages that implement the durable write path
 // (internal/atomicio's stage→fsync→rename→dir-fsync sequence and
 // internal/checkpoint's append-only journal). A direct write can be
-// observed truncated or half-written after a crash, which is exactly
-// what the kill-and-resume soak harness asserts never happens to an
-// artifact; every artifact or journal write elsewhere must go through
-// internal/atomicio.
+// observed truncated or half-written after a crash, which must never
+// happen to an artifact; every artifact or journal write elsewhere must
+// go through internal/atomicio.
 //
 // Intentional non-artifact uses (a scratch file in a tool, a
 // deliberately torn write in a crash simulator) are silenced in place

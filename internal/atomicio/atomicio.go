@@ -2,9 +2,9 @@
 // staged in a temporary file in the destination directory, fsynced,
 // renamed over the target, and the parent directory is fsynced so the
 // rename itself survives a crash. This is the write path used for every
-// artifact that must never be observed truncated or half-written — saved
-// platforms, models, run manifests and, most importantly, checkpoint
-// journals (see internal/checkpoint).
+// artifact that must never be observed truncated or half-written — the
+// paper's tables, figures and reports, saved platforms, models and run
+// manifests.
 package atomicio
 
 import (
@@ -103,10 +103,9 @@ func WriteStream(path string, perm os.FileMode, fn func(io.Writer) error) error 
 // MkdirAll creates dir and any missing parents like os.MkdirAll, then
 // fsyncs every directory it actually created (deepest first) plus the
 // parent of the topmost new one, so the whole fresh chain survives power
-// loss. Creating an artifact or shard-journal directory with a bare
-// os.MkdirAll leaves the new entries only in the page cache: a crash
-// right after could silently drop the directory — and every journal in
-// it — violating the resume contract.
+// loss. Creating an artifact directory with a bare os.MkdirAll leaves
+// the new entries only in the page cache: a crash right after could
+// silently drop the directory and every artifact written into it.
 func MkdirAll(dir string, perm os.FileMode) error {
 	dir = filepath.Clean(dir)
 	// Walk up to the first ancestor that already exists.

@@ -13,9 +13,7 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
 
 	"memcontention/internal/kernels"
 	"memcontention/internal/memsys"
@@ -201,26 +199,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	return r, nil
 }
-
-// scopeKey condenses everything that determines a benchmark result into a
-// stable journal-key prefix. Two configurations share a scope exactly when
-// they would produce bit-identical curves, so a resumed campaign can never
-// replay results measured under different parameters. The profile is
-// content-hashed rather than named because custom profiles may reuse a
-// built-in platform's name.
-func scopeKey(cfg Config) string {
-	h := fnv.New64a()
-	if data, err := json.Marshal(cfg.Profile); err == nil {
-		h.Write(data)
-	}
-	return fmt.Sprintf("bench|%s|%s|seed=%d|rep=%d|msg=%d|bidir=%t|prof=%016x",
-		cfg.Platform.Name, cfg.Kernel, cfg.Seed, cfg.Repeats, cfg.MessageSize, cfg.Bidirectional, h.Sum64())
-}
-
-// Scope returns the runner's journal-key prefix (see scopeKey); campaign
-// drivers extend it for derived artifacts such as evaluation tables. It
-// is computed on each call, so only a caller that journals pays for it.
-func (r *Runner) Scope() string { return scopeKey(r.cfg) }
 
 // canceled reports a pending cancellation (never true without a Context).
 func (r *Runner) canceled() error {

@@ -10,59 +10,20 @@ import (
 	"memcontention/internal/bench"
 	"memcontention/internal/eval"
 	"memcontention/internal/export"
-	"memcontention/internal/netbench"
 	"memcontention/internal/report"
 	"memcontention/internal/topology"
 )
 
 // Artifacts is the final output of a campaign: the platform evaluations
-// behind the paper's Tables I–II, Figures 2–8 and per-platform reports,
-// plus the network sweep and the DES cross-check outcome when the
-// campaign ran them. All content is deterministic in (seed, config), so
-// two runs of the same pipeline — interrupted and resumed any number of
-// times — produce byte-identical files from Write.
+// behind the paper's Tables I–II, Figures 2–8 and per-platform reports.
+// All content is deterministic in (seed, config), so two runs of the
+// same campaign produce byte-identical files from Write.
 type Artifacts struct {
-	Seed       uint64                 `json:"seed"`
-	Platforms  []*eval.PlatformResult `json:"platforms"`
-	Netbench   []netbench.Point       `json:"netbench"`
-	CrossCheck *CrossCheckResult      `json:"cross_check"`
+	Seed      uint64                 `json:"seed"`
+	Platforms []*eval.PlatformResult `json:"platforms"`
 	// Replications is the Monte-Carlo replication sweep summary, present
 	// only when the campaign ran with Config.Replications > 1.
 	Replications *ReplicationSummary `json:"replications,omitempty"`
-}
-
-// Pipeline runs the full Table II campaign in one process: evaluate the
-// named platforms (nil: the whole Table I testbed), sweep the network on
-// the first one, and run the DES cross-check (under cfg.FaultPlan when
-// set). It keeps no journal: it is the sequential reference whose
-// artifacts every lease campaign (RunLocal, RemoteMerge) reproduces byte
-// for byte.
-func Pipeline(cfg Config, names []string) (*Artifacts, error) {
-	cfg = cfg.withDefaults()
-	if len(names) == 0 {
-		names = TestbedNames()
-	}
-	results, err := EvaluatePlatforms(cfg, names)
-	if err != nil {
-		return nil, err
-	}
-	points, err := Netbench(cfg, names[0])
-	if err != nil {
-		return nil, err
-	}
-	xc, err := CrossCheck(cfg, names[0])
-	if err != nil {
-		return nil, err
-	}
-	art := &Artifacts{Seed: cfg.Seed, Platforms: results, Netbench: points, CrossCheck: xc}
-	if cfg.Replications > 1 {
-		rep, err := Replicate(cfg, names, results)
-		if err != nil {
-			return nil, err
-		}
-		art.Replications = rep
-	}
-	return art, nil
 }
 
 // File is one rendered artifact: its name in the output directory and its
@@ -77,7 +38,7 @@ type File struct {
 // campaign was replicated; figure2.csv … figure8.csv for the platforms
 // the campaign covers; one report-<platform>.txt per platform, whose
 // ablation re-runs on a runner at a.Seed, the seed the evaluations ran
-// at; netbench.json and crosscheck.json when the campaign ran them.
+// at.
 func (a *Artifacts) Files() ([]File, error) {
 	var files []File
 	var err error
@@ -123,12 +84,6 @@ func (a *Artifacts) Files() ([]File, error) {
 			}
 			return report.Write(w, r, runner)
 		})
-	}
-	if a.Netbench != nil {
-		add("netbench.json", jsonOf(a.Netbench))
-	}
-	if a.CrossCheck != nil {
-		add("crosscheck.json", jsonOf(a.CrossCheck))
 	}
 	return files, err
 }

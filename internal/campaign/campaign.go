@@ -1,33 +1,26 @@
-// Package campaign drives the paper's multi-stage experiment pipelines as
-// crash-safe, resumable campaigns. It layers three things on top of the
-// bench/eval/netbench building blocks:
+// Package campaign runs the paper's §IV evaluation: every platform of
+// the testbed evaluated on a worker pool (EvaluatePlatforms), the
+// Monte-Carlo replication sweep over consecutive seeds (Replicate), the
+// DES overlap cross-check (CrossCheck), and the rendering of the paper's
+// artifacts (Artifacts). Two properties hold throughout:
 //
-//   - checkpointing: the lease campaign (RunLocal, RemoteWorker) records
-//     every completed unit (a platform evaluation, the ping-pong sweep,
-//     the DES cross-check) whole in an append-only journal
-//     (internal/checkpoint), one per shard and epoch in its directory,
-//     before it moves on, so a killed run resumes exactly where it died;
 //   - cancellation: a context threads through every layer down to the
-//     discrete-event engine, so SIGINT stops the campaign at a clean unit
-//     boundary with all completed work already journaled;
+//     discrete-event engine, so SIGINT stops the run at the next
+//     placement or simulation event and surfaces as a cancellation
+//     error, never as a result;
 //   - determinism: results depend only on (seed, configuration) via
-//     internal/rng, so a resumed campaign is bit-identical to an
-//     uninterrupted one — the journal saves time, never changes results.
-//
-// The soak harness (scripts/soak) kills and resumes lease campaigns
-// repeatedly and asserts byte-identical final artifacts.
+//     internal/rng, never on the worker count or GOMAXPROCS, so a rerun
+//     after an interruption writes byte-identical artifacts.
 package campaign
 
 import (
 	"context"
-	"fmt"
 
 	"memcontention"
 	"memcontention/internal/bench"
 	"memcontention/internal/checkpoint"
 	"memcontention/internal/eval"
 	"memcontention/internal/faults"
-	"memcontention/internal/netbench"
 	"memcontention/internal/obs"
 	"memcontention/internal/sweep"
 	"memcontention/internal/topology"
@@ -40,10 +33,10 @@ import (
 type Config struct {
 	// Seed drives all measurement noise (default 1).
 	Seed uint64
-	// Workers bounds the evaluation worker pool, and is RunLocal's
-	// worker count (0: GOMAXPROCS).
+	// Workers bounds the evaluation worker pool (0: GOMAXPROCS).
 	Workers int
-	// Context cancels the campaign cooperatively at unit boundaries.
+	// Context cancels the campaign cooperatively between placements
+	// and simulation events.
 	// Nil keeps every layer check-free.
 	Context context.Context
 	// Registry receives telemetry from every layer; nil disables it.
@@ -101,19 +94,6 @@ func evaluateOne(cfg Config, name string) (*eval.PlatformResult, error) {
 		return nil, err
 	}
 	return eval.EvaluateRunner(runner)
-}
-
-// Netbench runs the ping-pong size sweep for one platform.
-func Netbench(cfg Config, platform string) ([]netbench.Point, error) {
-	plat, err := topology.ByName(platform)
-	if err != nil {
-		return nil, err
-	}
-	return netbench.PingPong(netbench.Config{
-		Platform: plat,
-		Registry: cfg.Registry,
-		Context:  cfg.Context,
-	})
 }
 
 // CrossCheckResult is the recorded outcome of the DES overlap cross-check.
@@ -192,8 +172,8 @@ func CrossCheck(cfg Config, platform string) (*CrossCheckResult, error) {
 			}
 		}
 	})
-	// Cancellation is never an outcome: the unit did not complete, so a
-	// lease worker records nothing and runs it again on resume.
+	// Cancellation is never an outcome: the run did not complete, so
+	// the caller gets the cancellation and no result.
 	if checkpoint.IsCanceled(runErr) {
 		return nil, runErr
 	}
@@ -207,16 +187,6 @@ func CrossCheck(cfg Config, platform string) (*CrossCheckResult, error) {
 		res.SimSeconds = 0
 	}
 	return res, nil
-}
-
-// crossCheckKey identifies one cross-check outcome: platform plus the
-// exact fault plan (content-addressed) it ran under.
-func crossCheckKey(cfg Config, platform string) string {
-	plan := "none"
-	if cfg.FaultPlan != nil {
-		plan = cfg.FaultPlan.Fingerprint()
-	}
-	return fmt.Sprintf("xcheck|%s|plan=%s", platform, plan)
 }
 
 // TestbedNames returns the Table I platform names in the paper's order.

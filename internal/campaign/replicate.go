@@ -73,9 +73,7 @@ type ReplicationSummary struct {
 // per-platform distributions. base, when non-nil, supplies the base-seed
 // evaluations (replication 0) so a campaign that already evaluated them
 // never measures the same seed twice; its order must match names.
-// Evaluations run on cfg.Workers workers like EvaluatePlatforms; a lease
-// campaign runs each one as its own unit instead and pools them the same
-// way (RemoteMerge).
+// Evaluations run on cfg.Workers workers like EvaluatePlatforms.
 func Replicate(cfg Config, names []string, base []*eval.PlatformResult) (*ReplicationSummary, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Replications < 1 {

@@ -1,21 +1,3 @@
-// Package checkpoint provides the crash-safe journal of long experiment
-// campaigns: an append-only file of completed campaign units, each
-// content-keyed by everything that determines its result (platform,
-// seed, fault plan, ...). The lease campaign (internal/campaign) gives
-// each (shard, fencing epoch) its own journal in the campaign directory
-// (ShardSet); after a kill, OOM, preemption or Ctrl-C, re-running the
-// same campaign over the same directory skips the journaled units and
-// recomputes only the missing ones. Because every noise source derives
-// from rng (seed, label) streams, the resumed half is bit-identical to
-// an uninterrupted run: the journal only saves time, never changes
-// results.
-//
-// Durability model: each entry is one line, CRC-protected, appended and
-// fsynced before the unit is considered checkpointed. A crash can lose at
-// most the entry being written; a torn or corrupt tail is detected on
-// open and truncated away (the affected units are simply recomputed).
-// All methods are safe on a nil *Journal and cost nothing, mirroring the
-// nil-registry guarantee of the telemetry subsystem.
 package checkpoint
 
 import (
@@ -54,9 +36,9 @@ func EncodeEntry(e Entry) ([]byte, error) {
 }
 
 // FrameLine wraps one record in the journal line framing shared by every
-// append-only stream in the repo (checkpoint journals, lease files, the
-// campaign event journal): an IEEE CRC32 of the record as 8 hex digits,
-// a space, the record, a newline.
+// append-only stream in the repo (checkpoint journals, lease files): an
+// IEEE CRC32 of the record as 8 hex digits, a space, the record, a
+// newline.
 func FrameLine(rec []byte) []byte {
 	return frame(append(make([]byte, 9, len(rec)+10), rec...))
 }

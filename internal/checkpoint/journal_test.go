@@ -2,9 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -254,17 +252,6 @@ func TestEncodeEntryRejectsEmptyKey(t *testing.T) {
 	}
 }
 
-func TestSignalContextAndIsCanceled(t *testing.T) {
-	ctx, stop := SignalContext()
-	defer stop()
-	if err := ctx.Err(); err != nil {
-		t.Fatalf("fresh signal context already canceled: %v", err)
-	}
-	if !IsCanceled(context.Canceled) || IsCanceled(os.ErrNotExist) || IsCanceled(nil) {
-		t.Fatal("IsCanceled misclassifies")
-	}
-}
-
 func fileSize(t *testing.T, path string) int64 {
 	t.Helper()
 	info, err := os.Stat(path)
@@ -272,27 +259,6 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return info.Size()
-}
-
-func TestReport(t *testing.T) {
-	var buf bytes.Buffer
-	if code := Report(&buf, "cmd", nil); code != 0 || buf.Len() != 0 {
-		t.Fatalf("nil error: code=%d output=%q", code, buf.String())
-	}
-	buf.Reset()
-	if code := Report(&buf, "cmd", context.Canceled); code != ExitInterrupted {
-		t.Fatalf("canceled: code=%d", code)
-	}
-	if buf.String() != "cmd: interrupted\n" {
-		t.Fatalf("cancellation epilogue = %q", buf.String())
-	}
-	buf.Reset()
-	if code := Report(&buf, "cmd", errors.New("boom")); code != 1 {
-		t.Fatalf("failure: code=%d", code)
-	}
-	if !strings.Contains(buf.String(), "cmd: boom") {
-		t.Fatalf("failure epilogue = %q", buf.String())
-	}
 }
 
 // TestEntryLineMatchesEncodeEntry: the line Record appends around an

@@ -229,48 +229,3 @@ func FuzzMergeShards(f *testing.F) {
 		}
 	})
 }
-
-// TestSignalContextTwoStage proves the two-stage shutdown: the first
-// signal cancels the context (graceful drain), the second hard-exits
-// with status 130. The exit is injected so the test survives it.
-func TestSignalContextTwoStage(t *testing.T) {
-	exited := make(chan int, 1)
-	ctx, stop := signalContext(func(code int) { exited <- code })
-	defer stop()
-
-	p, err := os.FindProcess(os.Getpid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
-	}
-	<-ctx.Done()
-	select {
-	case code := <-exited:
-		t.Fatalf("first signal already exited with %d", code)
-	default:
-	}
-
-	if err := p.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
-	}
-	if code := <-exited; code != ExitInterrupted {
-		t.Fatalf("second signal exited with %d, want %d", code, ExitInterrupted)
-	}
-}
-
-// TestSignalContextStopReleases proves stop retires the watcher: after
-// stop, the context is canceled but signals no longer reach the exit.
-func TestSignalContextStopReleases(t *testing.T) {
-	exited := make(chan int, 1)
-	ctx, stop := signalContext(func(code int) { exited <- code })
-	stop()
-	<-ctx.Done()
-	stop() // idempotent
-	select {
-	case code := <-exited:
-		t.Fatalf("stopped watcher exited with %d", code)
-	default:
-	}
-}

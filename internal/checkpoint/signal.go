@@ -1,3 +1,18 @@
+// Package checkpoint holds the commands' shutdown contract: SIGINT or
+// SIGTERM cancels the run's context (SignalContext), every layer stops
+// at its next cancellation check, telemetry still flushes, and the
+// command exits with ExitInterrupted (Report); a second signal exits at
+// once. Nothing is resumed: artifacts are written atomically, so an
+// interrupted run leaves no torn file, and a rerun recomputes
+// everything, byte for byte the same.
+//
+// The package also holds a crash-safe journal that no command records
+// into since the lease campaign was removed (see ROADMAP.md): an
+// append-only file of content-keyed entries (Journal), one line each,
+// CRC-protected and fsynced before Record returns, whose torn or corrupt
+// tail is truncated away on open; the per-(shard, fencing epoch) journal
+// files of a ShardSet; and their merge (MergeShardFiles). All methods
+// are safe on a nil *Journal and cost nothing.
 package checkpoint
 
 import (
@@ -19,11 +34,12 @@ const ExitInterrupted = 130
 
 // SignalContext returns a context canceled on SIGINT or SIGTERM. The
 // first signal requests a graceful drain: the context is canceled,
-// workers stop at the next unit boundary, and telemetry flushes. A
-// second SIGINT/SIGTERM means the user wants out *now* — the process
-// exits immediately with status ExitInterrupted, without waiting for the
-// drain (a lease worker fsyncs every unit it journals, so nothing durable
-// is lost). Call stop to release the signal handlers.
+// workers stop at their next cancellation check, and telemetry
+// flushes. A second SIGINT/SIGTERM means the user wants out *now* — the
+// process exits immediately with status ExitInterrupted, without
+// waiting for the drain (artifacts are written atomically, so none is
+// left torn, and a rerun recomputes everything). Call stop to release
+// the signal handlers.
 func SignalContext() (ctx context.Context, stop context.CancelFunc) {
 	return signalContext(os.Exit)
 }

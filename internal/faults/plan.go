@@ -14,7 +14,6 @@ package faults
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
 	"sort"
@@ -205,22 +204,6 @@ func (p *Plan) MaxMachine() int {
 		}
 	}
 	return maxID
-}
-
-// Fingerprint content-addresses the plan (seed plus every event) as a
-// short stable hex string. Checkpoint journals use it to key results by
-// the exact fault scenario they ran under, so a resumed campaign never
-// replays an outcome recorded for a different plan. A nil plan has the
-// fingerprint "none".
-func (p *Plan) Fingerprint() string {
-	if p == nil {
-		return "none"
-	}
-	h := fnv.New64a()
-	if data, err := json.Marshal(p); err == nil {
-		h.Write(data)
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Sorted returns the events ordered by (At, declaration order). The plan

@@ -10,8 +10,7 @@
 // owner, should it come back to life, discovers the higher epoch at its
 // next renewal (ErrFenced) and stops. Until then its journal appends
 // land in an epoch-suffixed shard file that nobody else writes, so a
-// zombie can never corrupt the live journal (see
-// checkpoint.ShardSet and docs/campaigns.md).
+// zombie can never corrupt the live journal (see checkpoint.ShardSet).
 //
 // Lease files use the same single-line CRC32 framing as checkpoint
 // journals, and the decoder treats *any* malformed content — torn
@@ -24,6 +23,10 @@
 // host/pid/random-token identity) and is exempted from memlint's
 // determinism check; it must never feed bytes into a reproducible
 // artifact.
+//
+// No command uses the package since the lease campaign (the memworker
+// fleet and paperfigs -shards) was removed; it stays, with its tests,
+// until its own removal (see ROADMAP.md).
 package lease
 
 import (

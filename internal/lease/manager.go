@@ -553,7 +553,7 @@ func (h *Held) Release() error {
 
 // Shards lists every shard index that currently has a lease file under
 // the manager's directory, sorted — a cheap overview for progress
-// reporting and the failure matrix in docs/campaigns.md.
+// reporting.
 func (m *Manager) Shards() ([]int, error) {
 	entries, err := os.ReadDir(m.cfg.Dir)
 	if err != nil {

@@ -2,10 +2,9 @@ package obs
 
 import "time"
 
-// Clock supplies wall timestamps. Injecting one makes time-stamped
-// artifacts (campaign event journals, fleet reports)
-// byte-reproducible: two identical runs that share a clock emit
-// identical timestamps.
+// Clock supplies wall timestamps. Injecting one makes time-dependent
+// state (memserve's request latencies, rolling windows) reproducible in
+// tests: two identical runs that share a clock see identical timestamps.
 type Clock func() time.Time
 
 // WallClock reads the operating-system clock. It is the repo's single

@@ -537,8 +537,7 @@ func (c *calibCache) calibrate(platform, kernel string) (*entry, error) {
 	}, nil
 }
 
-// profileFingerprint content-addresses a cache entry the way
-// faults.Plan.Fingerprint addresses fault plans: fnv64a over the
+// profileFingerprint content-addresses a cache entry: fnv64a over the
 // identifying inputs, rendered as fixed-width hex.
 func profileFingerprint(platform, kernel string, seed uint64, prof *memsys.Profile) string {
 	h := fnv.New64a()

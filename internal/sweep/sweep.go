@@ -31,8 +31,8 @@ func Map[T, R any](items []T, workers int, fn func(T) (R, error)) ([]R, error) {
 // MapCtx is Map with cooperative cancellation: once ctx is done no new
 // item is scheduled (in-flight jobs finish — fn observes ctx itself if it
 // wants to stop earlier) and the context error is reported alongside any
-// job errors. Campaign drivers rely on this to stop at a unit boundary on
-// SIGINT with every completed unit already journaled.
+// job errors. Campaign drivers rely on this to stop scheduling
+// evaluations on SIGINT.
 func MapCtx[T, R any](ctx context.Context, items []T, workers int, fn func(T) (R, error)) ([]R, error) {
 	if fn == nil {
 		return nil, errors.New("sweep: nil function")

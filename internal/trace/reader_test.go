@@ -34,8 +34,8 @@ func profiledEvents() []Event {
 }
 
 // TestJSONLRoundTrip: write → read → write must be byte-identical, for
-// every kind and field combination. Campaign resume stitches traces by
-// re-reading per-unit files; any asymmetry here would corrupt merges.
+// every kind and field combination. memprof -load re-reads written
+// traces; any asymmetry here would change what it analyzes.
 func TestJSONLRoundTrip(t *testing.T) {
 	events := profiledEvents()
 	var first bytes.Buffer

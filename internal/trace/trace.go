@@ -227,8 +227,8 @@ func (r *Recorder) Append(ev Event) {
 	r.events = append(r.events, ev)
 }
 
-// Ingest replays a recorded event stream through Append, e.g. to stitch
-// per-unit span files back into one recorder on campaign resume. The
+// Ingest replays a recorded event stream through Append, e.g. to load a
+// trace file back into a recorder for analysis (memprof -load). The
 // span-id allocator advances past every ingested span, so spans recorded
 // afterwards never collide with the stitched ones.
 func (r *Recorder) Ingest(events []Event) {
