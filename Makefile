@@ -67,10 +67,8 @@ fuzz:
 	$(GO) test -fuzz '^FuzzLoadPlatformFile$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz '^FuzzLoadProfileFile$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint/
-	$(GO) test -fuzz '^FuzzMergeShards$$' -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
-	$(GO) test -fuzz '^FuzzLeaseDecode$$' -fuzztime $(FUZZTIME) ./internal/lease/
 	$(GO) test -fuzz '^FuzzSolve$$' -fuzztime $(FUZZTIME) ./internal/memsys/
 	$(GO) test -fuzz '^FuzzIndentJSON$$' -fuzztime $(FUZZTIME) ./internal/export/
 	$(GO) test -fuzz '^FuzzAppendJSON$$' -fuzztime $(FUZZTIME) ./internal/eval/

@@ -91,6 +91,9 @@ func run(ctx context.Context, w io.Writer, o options, cli *obs.CLI) (err error) 
 	if o.workers < 0 {
 		return fmt.Errorf("-workers %d: must be a non-negative worker count (0: GOMAXPROCS)", o.workers)
 	}
+	if o.replications < 0 {
+		return fmt.Errorf("-replications %d: must be a non-negative seed count (0 or 1: one seed)", o.replications)
+	}
 	if err := cli.Start(); err != nil {
 		return err
 	}

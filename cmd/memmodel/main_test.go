@@ -51,7 +51,8 @@ func TestPredictionOutput(t *testing.T) {
 }
 
 // TestReplicationSweepOutput: -replications prints the mean ± CI table,
-// the same bytes on every run, and a negative -workers is refused.
+// the same bytes on every run, and a negative -workers or -replications
+// is refused.
 func TestReplicationSweepOutput(t *testing.T) {
 	o := testOptions()
 	o.replications = 2
@@ -74,5 +75,9 @@ func TestReplicationSweepOutput(t *testing.T) {
 	o.workers = -1
 	if err := run(context.Background(), &bytes.Buffer{}, o, &obs.CLI{}); err == nil {
 		t.Fatal("a negative -workers must be rejected")
+	}
+	o.workers, o.replications = 2, -1
+	if err := run(context.Background(), &bytes.Buffer{}, o, &obs.CLI{}); err == nil {
+		t.Fatal("a negative -replications must be rejected")
 	}
 }

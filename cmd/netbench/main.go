@@ -46,6 +46,9 @@ func main() {
 // run executes the sweep; split from main so tests can drive the full
 // command logic with their own context and output sink.
 func run(ctx context.Context, w io.Writer, platform string, node, iters int, csvOut bool, cli *obs.CLI) error {
+	if iters < 1 {
+		return fmt.Errorf("-iters %d: must be a positive round-trip count", iters)
+	}
 	if err := cli.Start(); err != nil {
 		return err
 	}

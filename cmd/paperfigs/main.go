@@ -94,6 +94,12 @@ func dispatch(ctx context.Context, w io.Writer, o options, reg *obs.Registry) er
 	if o.workers < 0 {
 		return fmt.Errorf("-workers %d: must be a non-negative worker count (0: GOMAXPROCS)", o.workers)
 	}
+	if o.table < 0 || o.table > 2 {
+		return fmt.Errorf("-table %d: must be 1 or 2 (0: every table and figure)", o.table)
+	}
+	if o.replications < 0 {
+		return fmt.Errorf("-replications %d: must be a non-negative seed count (0 or 1: one seed)", o.replications)
+	}
 	if o.table == 1 {
 		return eval.Table1(topology.Testbed()).WriteText(w)
 	}

@@ -59,15 +59,17 @@ func TestSeedReachesReports(t *testing.T) {
 	}
 }
 
-// TestDispatchRejectsBadUsage: a negative -workers, and -fig with
-// -replications > 1 (a figure shows one seed), are refused before any
-// evaluation runs; on the canceled context an evaluation would fail with
-// a cancellation instead.
+// TestDispatchRejectsBadUsage: a negative -workers, a -table other than
+// 1 or 2, a negative -replications, and -fig with -replications > 1 (a
+// figure shows one seed), are refused before any evaluation runs; on the
+// canceled context an evaluation would fail with a cancellation instead.
 func TestDispatchRejectsBadUsage(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, o := range []options{
 		{table: 1, seed: 1, workers: -1, replications: 1},
+		{table: 3, seed: 1, replications: 1},
+		{seed: 1, replications: -1},
 		{fig: 3, seed: 1, replications: 2},
 	} {
 		var out bytes.Buffer

@@ -141,9 +141,9 @@ type Config struct {
 	// BlockingCalls are functions and methods the ctxflow check treats as
 	// blocking operations on top of the built-in channel operations and
 	// sync.Cond.Wait/WaitGroup.Wait — named "importpath.FuncName" or
-	// "importpath.TypeName.Method". The repo lists its journal and lease
-	// I/O here: a function that drops its context while transitively
-	// reaching one of these cannot be cancelled mid-wait.
+	// "importpath.TypeName.Method". The repo lists its journal I/O here:
+	// a function that drops its context while transitively reaching one
+	// of these cannot be cancelled mid-wait.
 	BlockingCalls []string
 }
 
@@ -175,13 +175,6 @@ func DefaultConfig() *Config {
 			"memcontention/scripts/loadgen",
 			// slogx mints random run ids; identity, not simulation.
 			"memcontention/internal/obs/slogx",
-			// The lease coordination plane: owner identity (hostname,
-			// pid, random token) and wall-clock heartbeats are what
-			// fencing is MADE OF — they name which process is alive
-			// right now and never feed a reproducible artifact. The
-			// entry is exact: its subpackages and the campaign and
-			// checkpoint code stay under the full determinism check.
-			"memcontention/internal/lease",
 		},
 		SinkTypes: []string{
 			"memcontention/internal/trace.Recorder",
@@ -190,13 +183,10 @@ func DefaultConfig() *Config {
 		BlockingCalls: []string{
 			// Uncancellable sleeps: a dropped ctx cannot interrupt them.
 			"time.Sleep",
-			// The repo's journal and lease I/O: fsync-per-append journal
-			// writes and lease acquisition (which polls a TTL out of
-			// stale owners). Reaching these with a dropped ctx means an
-			// uninterruptible wait.
+			// The repo's journal I/O: fsync-per-append journal writes.
+			// Reaching one with a dropped ctx means an uninterruptible
+			// wait.
 			"memcontention/internal/checkpoint.Journal.Record",
-			"memcontention/internal/lease.Manager.Acquire",
-			"memcontention/internal/lease.Held.Renew",
 		},
 	}
 }

@@ -2,6 +2,9 @@ package analysis
 
 import (
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -76,12 +79,13 @@ func TestDeterminismExemptFixture(t *testing.T) {
 	}
 }
 
-// TestDeterminismLeaseExemptFixture proves the lease-plane
-// dispensation the same two ways — the fixture is full of findings
-// without an exemption, silent when listed — and then pins the scope
-// of the real DefaultConfig entry: it covers the lease package itself
-// and nothing else; its subpackages and the campaign and checkpoint
-// code stay under the full determinism check.
+// TestDeterminismLeaseExemptFixture proves an exact-entry dispensation
+// the same two ways on the process-identity fixture (hostname, pid,
+// wall clock) — full of findings without an exemption, silent when
+// listed — and then pins the scope of the real DefaultConfig entry
+// for the serving plane: it covers internal/serve itself and nothing
+// else; its subpackages and the campaign and checkpoint code stay under
+// the full determinism check.
 func TestDeterminismLeaseExemptFixture(t *testing.T) {
 	dir := fixtureDir(t, "leasepkg")
 	diags := RunFixture(t, dir, &Config{}, DeterminismAnalyzer)
@@ -103,8 +107,8 @@ func TestDeterminismLeaseExemptFixture(t *testing.T) {
 
 	cfg := DefaultConfig()
 	for pkgPath, want := range map[string]bool{
-		"memcontention/internal/lease":      true,
-		"memcontention/internal/lease/sub":  false,
+		"memcontention/internal/serve":      true,
+		"memcontention/internal/serve/sub":  false,
 		"memcontention/internal/campaign":   false,
 		"memcontention/internal/checkpoint": false,
 	} {
@@ -286,5 +290,88 @@ func TestCheckNames(t *testing.T) {
 	want := []string{"ctxflow", "determinism", "durable", "errhygiene", "goleak", "lockguard", "maprange", "nilhook", "suppress"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("CheckNames = %v, want %v", got, want)
+	}
+}
+
+// TestDefaultConfigNamesExist: every DefaultConfig entry inside the
+// module names something that exists. The analyzers match entries as
+// strings, so an entry naming a deleted package, type or function is
+// silently ignored; here it fails instead. A package entry must name a
+// directory with non-test Go files, and a "pkg.Name" or
+// "pkg.Type.Method" entry a declaration in those files.
+func TestDefaultConfigNamesExist(t *testing.T) {
+	root := filepath.Join("..", "..")
+	mod, err := ModulePath(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// declsOf returns the type, function and "Type.Method" names declared
+	// in the non-test files of a module package, or nil if it has none.
+	declsOf := func(pkgPath string) map[string]bool {
+		dir := filepath.Join(root, filepath.FromSlash(strings.TrimPrefix(pkgPath, mod)))
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names map[string]bool
+		fset := token.NewFileSet()
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if names == nil {
+				names = make(map[string]bool)
+			}
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					name := d.Name.Name
+					if d.Recv != nil {
+						name = receiverTypeName(nil, d) + "." + name
+					}
+					names[name] = true
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if ts, ok := spec.(*ast.TypeSpec); ok {
+							names[ts.Name.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return names
+	}
+
+	cfg := DefaultConfig()
+	for _, entries := range [][]string{cfg.DurableWriterPkgs, cfg.DeterminismExemptPkgs} {
+		for _, entry := range entries {
+			pkgPath := strings.TrimSuffix(entry, "/")
+			if strings.HasPrefix(pkgPath, mod+"/") && declsOf(pkgPath) == nil {
+				t.Errorf("DefaultConfig names package %q, which has no Go files", entry)
+			}
+		}
+	}
+	for _, entries := range [][]string{cfg.NilHookTypes, cfg.ClockInjectionPoints, cfg.SinkTypes, cfg.BlockingCalls} {
+		for _, entry := range entries {
+			if !strings.HasPrefix(entry, mod+"/") {
+				continue
+			}
+			slash := strings.LastIndex(entry, "/")
+			dot := strings.Index(entry[slash:], ".")
+			if dot < 0 {
+				t.Errorf("DefaultConfig entry %q names no declaration", entry)
+				continue
+			}
+			pkgPath, name := entry[:slash+dot], entry[slash+dot+1:]
+			if names := declsOf(pkgPath); names == nil {
+				t.Errorf("DefaultConfig entry %q: package %q has no Go files", entry, pkgPath)
+			} else if !names[name] {
+				t.Errorf("DefaultConfig entry %q: %s declares no %s", entry, pkgPath, name)
+			}
+		}
 	}
 }

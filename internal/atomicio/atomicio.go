@@ -26,37 +26,10 @@ import (
 // On any error the temporary file is removed and the previous content of
 // path is untouched.
 func WriteFile(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("atomicio: stage %s: %w", path, err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
-		return fmt.Errorf("atomicio: write %s: %w", path, err)
-	}
-	if err := tmp.Chmod(perm); err != nil {
-		return fmt.Errorf("atomicio: chmod %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("atomicio: sync %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("atomicio: close %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("atomicio: rename %s: %w", path, err)
-	}
-	tmp = nil // renamed away: nothing to clean up
-	if err := SyncDir(dir); err != nil {
-		return fmt.Errorf("atomicio: %s: %w", path, err)
-	}
-	return nil
+	return WriteStream(path, perm, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // WriteStream atomically and durably replaces path with whatever fn

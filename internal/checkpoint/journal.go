@@ -35,10 +35,8 @@ func EncodeEntry(e Entry) ([]byte, error) {
 	return FrameLine(rec), nil
 }
 
-// FrameLine wraps one record in the journal line framing shared by every
-// append-only stream in the repo (checkpoint journals, lease files): an
-// IEEE CRC32 of the record as 8 hex digits, a space, the record, a
-// newline.
+// FrameLine wraps one record in the journal line framing: an IEEE CRC32
+// of the record as 8 hex digits, a space, the record, a newline.
 func FrameLine(rec []byte) []byte {
 	return frame(append(make([]byte, 9, len(rec)+10), rec...))
 }
@@ -183,10 +181,9 @@ func parseHex8(b []byte) (uint32, bool) {
 	return v, true
 }
 
-// Journal is an open checkpoint journal, the write side of one shard
-// epoch: it appends units and remembers their keys, not their payloads,
-// since a campaign reads the payloads back from the files (MergeShards).
-// It is safe for concurrent use.
+// Journal is an open checkpoint journal: it appends units and remembers
+// their keys, not their payloads, which are read back from the file with
+// Decode. It is safe for concurrent use.
 type Journal struct {
 	mu   sync.Mutex
 	path string

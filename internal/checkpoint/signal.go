@@ -7,12 +7,10 @@
 // everything, byte for byte the same.
 //
 // The package also holds a crash-safe journal that no command records
-// into since the lease campaign was removed (see ROADMAP.md): an
-// append-only file of content-keyed entries (Journal), one line each,
-// CRC-protected and fsynced before Record returns, whose torn or corrupt
-// tail is truncated away on open; the per-(shard, fencing epoch) journal
-// files of a ShardSet; and their merge (MergeShardFiles). All methods
-// are safe on a nil *Journal and cost nothing.
+// into (see ROADMAP.md): an append-only file of content-keyed entries
+// (Journal), one line each, CRC-protected and fsynced before Record
+// returns, whose torn or corrupt tail is truncated away on open. All
+// methods are safe on a nil *Journal and cost nothing.
 package checkpoint
 
 import (
