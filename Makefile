@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/faults/
 	$(GO) test -fuzz '^FuzzLoadPlatformFile$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz '^FuzzLoadProfileFile$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -fuzz '^FuzzClusterProgram$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
