@@ -82,6 +82,10 @@ func run(ctx context.Context, w io.Writer, o options, cli *obs.CLI) error {
 	} else if plat, err = topology.ByName(o.platform); err != nil {
 		return err
 	}
+	placements, err := placementsFor(plat, o.comp, o.comm)
+	if err != nil {
+		return err
+	}
 	if o.profileFile != "" {
 		if prof, err = memcontention.LoadProfileFile(o.profileFile, plat); err != nil {
 			return err
@@ -116,10 +120,6 @@ func run(ctx context.Context, w io.Writer, o options, cli *obs.CLI) error {
 	if err != nil {
 		return err
 	}
-	placements := []model.Placement{{Comp: topology.NodeID(o.comp), Comm: topology.NodeID(o.comm)}}
-	if o.comp < 0 || o.comm < 0 {
-		placements = bench.AllPlacements(plat)
-	}
 	var curves []*bench.Curve
 	for _, pl := range placements {
 		c, err := runner.RunPlacement(pl)
@@ -146,6 +146,27 @@ func run(ctx context.Context, w io.Writer, o options, cli *obs.CLI) error {
 		fmt.Fprintln(w)
 	}
 	return cli.Finish(reg, nil, man)
+}
+
+// placementsFor resolves -comp and -comm: both -1, the default, select
+// every placement of plat, and two NUMA nodes of plat select one.
+// Anything else is a usage error, refused before any work.
+func placementsFor(plat *topology.Platform, comp, comm int) ([]model.Placement, error) {
+	for _, f := range []struct {
+		flag string
+		node int
+	}{{"-comp", comp}, {"-comm", comm}} {
+		if f.node < -1 || f.node >= plat.NNodes() {
+			return nil, fmt.Errorf("%s %d: must be a NUMA node of %s (0-%d), or -1 for every placement", f.flag, f.node, plat.Name, plat.NNodes()-1)
+		}
+	}
+	switch {
+	case comp < 0 && comm < 0:
+		return bench.AllPlacements(plat), nil
+	case comp < 0 || comm < 0:
+		return nil, fmt.Errorf("-comp %d -comm %d: give both placement nodes, or neither for every placement", comp, comm)
+	}
+	return []model.Placement{{Comp: topology.NodeID(comp), Comm: topology.NodeID(comm)}}, nil
 }
 
 func kernelByName(name string) (kernels.Kernel, error) {

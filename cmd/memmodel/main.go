@@ -94,6 +94,9 @@ func run(ctx context.Context, w io.Writer, o options, cli *obs.CLI) (err error) 
 	if o.replications < 0 {
 		return fmt.Errorf("-replications %d: must be a non-negative seed count (0 or 1: one seed)", o.replications)
 	}
+	if o.robustTrials < 1 {
+		return fmt.Errorf("-robust-trials %d: must be a positive trial count", o.robustTrials)
+	}
 	if err := cli.Start(); err != nil {
 		return err
 	}

@@ -81,3 +81,21 @@ func TestReplicationSweepOutput(t *testing.T) {
 		t.Fatal("a negative -replications must be rejected")
 	}
 }
+
+// TestRobustTrialsRejected: -robust-trials below 1 is a usage error,
+// refused before any work, instead of a report headed with a count the
+// robustness sweep did not average.
+func TestRobustTrialsRejected(t *testing.T) {
+	for _, trials := range []int{0, -2} {
+		o := testOptions()
+		o.robust, o.robustTrials = true, trials
+		var out bytes.Buffer
+		err := run(context.Background(), &out, o, &obs.CLI{})
+		if err == nil || !strings.HasPrefix(err.Error(), "-robust-trials ") {
+			t.Errorf("-robust-trials %d: err = %v, want a usage error", trials, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-robust-trials %d: rejected run wrote %q", trials, out.String())
+		}
+	}
+}

@@ -49,11 +49,14 @@ func run(ctx context.Context, w io.Writer, platform string, node, iters int, csv
 	if iters < 1 {
 		return fmt.Errorf("-iters %d: must be a positive round-trip count", iters)
 	}
-	if err := cli.Start(); err != nil {
-		return err
-	}
 	plat, err := topology.ByName(platform)
 	if err != nil {
+		return err
+	}
+	if node < 0 || node >= plat.NNodes() {
+		return fmt.Errorf("-node %d: must be a NUMA node of %s (0-%d)", node, plat.Name, plat.NNodes()-1)
+	}
+	if err := cli.Start(); err != nil {
 		return err
 	}
 	reg := cli.NewRegistry()

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"memcontention/internal/obs"
@@ -25,5 +26,21 @@ func TestRunRejectsNonPositiveIters(t *testing.T) {
 	}
 	if _, err := os.Stat(manifest); !os.IsNotExist(err) {
 		t.Errorf("rejected run wrote a manifest (stat: %v)", err)
+	}
+}
+
+// TestRunRejectsOutOfRangeNode: a -node the platform does not have is a
+// usage error, refused before any simulation, named once and without the
+// command's prefix, which main adds.
+func TestRunRejectsOutOfRangeNode(t *testing.T) {
+	for _, node := range []int{9, -1} {
+		var out bytes.Buffer
+		err := run(context.Background(), &out, "henri", node, 4, false, &obs.CLI{})
+		if err == nil || !strings.HasPrefix(err.Error(), "-node ") {
+			t.Errorf("-node %d: err = %v, want a usage error", node, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-node %d: rejected run wrote %q", node, out.String())
+		}
 	}
 }

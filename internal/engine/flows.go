@@ -154,14 +154,15 @@ func (f *Flows) SetRegistry(r *obs.Registry) {
 }
 
 // Handle is one transfer, active or completed: the flow manager's record
-// of it and the caller's handle on it are the same allocation.
+// of it and the caller's handle on it are the same storage. Start
+// allocates it; StartInto and StartAll start flows in storage the caller
+// owns, such as a fabric transfer's object, and allocate nothing.
 type Handle struct {
-	id        int
-	stream    memsys.Stream
-	remaining float64 // bytes
-	rate      float64 // GB/s, last solved
-	started   float64 // sim time
-	touched   float64 // sim time of the last progress integration
+	stream    memsys.Stream // its ID is the flow's id
+	remaining float64       // bytes
+	rate      float64       // GB/s, last solved
+	started   float64       // sim time
+	touched   float64       // sim time of the last progress integration
 	done      Signal
 	finished  bool
 	completed float64    // sim time at completion
@@ -172,7 +173,7 @@ type Handle struct {
 // NewFlows returns a flow manager bound to sim and sys.
 func NewFlows(sim *Sim, sys *memsys.System) *Flows {
 	f := &Flows{sim: sim, sys: sys}
-	f.completion = Timer{sim: sim, index: -1, fire: f.onCompletion}
+	f.completion.Bind(sim, actFunc(f.onCompletion))
 	return f
 }
 
@@ -180,27 +181,30 @@ func NewFlows(sim *Sim, sys *memsys.System) *Flows {
 func (f *Flows) System() *memsys.System { return f.sys }
 
 // Start begins a transfer of size bytes described by the stream template
-// (its ID field is overwritten with a fresh unique ID). It may be called
-// from process or scheduler context. A stream the solver rejects fails
-// the simulation: Sim.Run returns the solver's error.
+// (its ID field is overwritten with a fresh unique ID) and returns its
+// handle, the one allocation. It may be called from process or scheduler
+// context. A stream the solver rejects fails the simulation: Sim.Run
+// returns the solver's error.
 func (f *Flows) Start(st memsys.Stream, size units.ByteSize) *Handle {
-	return f.StartWithParent(st, size, 0)
-}
-
-// StartWithParent begins a transfer like Start, additionally parenting
-// the flow's causal span under parent (0 = root) when the observer
-// records spans. simnet parents the two DMA flows of a message under its
-// transfer span.
-func (f *Flows) StartWithParent(st memsys.Stream, size units.ByteSize, parent obs.SpanID) *Handle {
-	f.integrate()
 	h := new(Handle)
-	f.add(h, st, size, parent)
-	f.sim.deferResolve(f)
+	f.StartInto(h, st, size, 0)
 	return h
 }
 
+// StartInto begins a transfer like Start in storage the caller owns, and
+// parents the flow's causal span under parent (0 = root) when the
+// observer records spans. It allocates nothing. The caller may pass h
+// again once its transfer has completed, but not while it is active: the
+// manager holds a pointer to it. simnet starts the two DMA flows of a
+// message in the message's transfer object, under its transfer span.
+func (f *Flows) StartInto(h *Handle, st memsys.Stream, size units.ByteSize, parent obs.SpanID) {
+	f.integrate()
+	f.add(h, st, size, parent)
+	f.sim.deferResolve(f)
+}
+
 // StartAll begins one transfer of size bytes per stream template, in
-// order, exactly as that many StartWithParent calls would (same ids,
+// order, exactly as that many StartInto calls would (same ids,
 // observer and span notifications, one re-solve), and keeps the handles
 // in storage the caller owns: it returns hs[:len(streams)], growing hs
 // only when it is too short. The caller may pass the same storage again
@@ -225,7 +229,6 @@ func (f *Flows) add(h *Handle, st memsys.Stream, size units.ByteSize, parent obs
 	id := f.nextID
 	st.ID = id
 	*h = Handle{
-		id:        id,
 		stream:    st,
 		remaining: float64(size.Bytes()),
 		started:   f.sim.Now(),
@@ -267,17 +270,19 @@ func (h *Handle) Wait(p *Proc) {
 	}
 }
 
-// Then arranges for fn to run in scheduler context once the transfer
-// completes. The completion schedules it in the event slot where it wakes
-// a process waiting on the handle, so callbacks and waiters run in the
-// order they registered; no process is spawned or parked for it. On a
-// finished transfer fn is scheduled at the current time, like Sim.At.
-func (h *Handle) Then(fn func()) {
+// Then queues ev, an event the caller owns and has bound (Timer.Bind),
+// once the transfer completes. The completion queues it in the event slot
+// where it wakes a process waiting on the handle, so callbacks and
+// waiters run in the order they registered; no process is spawned or
+// parked for it, and nothing is allocated. On a finished transfer ev is
+// scheduled at the current time. ev must stay idle from the call until
+// it has fired.
+func (h *Handle) Then(ev *Timer) {
 	if h.finished {
-		h.done.sim.At(h.done.sim.now, fn)
+		ev.Schedule(h.done.sim.now)
 		return
 	}
-	h.done.add(waiter{fn: fn})
+	h.done.add(ev)
 }
 
 // Done reports whether the transfer has completed.
@@ -385,7 +390,7 @@ func (f *Flows) solve() float64 {
 			}
 		}
 		if applied != nil {
-			applied[fl.id] = fl.rate
+			applied[fl.stream.ID] = fl.rate
 		}
 		if fl.rate > 0 {
 			eta := now + fl.remaining/(fl.rate*units.BytesPerGB)
@@ -427,7 +432,7 @@ func (f *Flows) onCompletion() {
 		f.m.activeFlows.Set(float64(left))
 		f.m.avgRate.Observe(avg)
 		if f.observer != nil {
-			f.observer.FlowFinished(f.machine, fl.id, fl.completed, avg)
+			f.observer.FlowFinished(f.machine, fl.stream.ID, fl.completed, avg)
 		}
 		if f.spans != nil && fl.span != 0 {
 			f.spans.EndSpan(fl.span, fl.completed)

@@ -307,25 +307,30 @@ func TestStartAllMatchesStarts(t *testing.T) {
 	}
 }
 
-// TestThenRunsInWaiterSlot: a completion runs Then callbacks in the event
+// TestThenRunsInWaiterSlot: a completion queues Then events in the event
 // slots where it wakes waiting processes, in registration order; on a
-// finished transfer Then schedules fn at the current time, after events
-// already due then.
+// finished transfer Then schedules the event at the current time, after
+// events already due then.
 func TestThenRunsInWaiterSlot(t *testing.T) {
 	sim, flows, _ := newFlowsSim(t)
 	var log []string
 	note := func(s string) func() { return func() { log = append(log, s) } }
+	then := func(h *Handle, s string) {
+		ev := new(Timer)
+		ev.Bind(sim, actFunc(note(s)))
+		h.Then(ev)
+	}
 	var h *Handle
 	sim.Spawn("a", func(p *Proc) {
 		h = flows.Start(memsys.Stream{Kind: memsys.KindComm, Node: 0}, units.MiB)
-		h.Then(note("then-1"))
+		then(h, "then-1")
 		h.Wait(p)
 		note("a")()
 		sim.At(sim.Now(), note("at"))
-		h.Then(note("then-3"))
+		then(h, "then-3")
 	})
 	sim.Spawn("b", func(p *Proc) {
-		h.Then(note("then-2"))
+		then(h, "then-2")
 		h.Wait(p)
 		note("b")()
 	})
@@ -334,6 +339,31 @@ func TestThenRunsInWaiterSlot(t *testing.T) {
 	}
 	if want := []string{"then-1", "a", "then-2", "b", "at", "then-3"}; !slices.Equal(log, want) {
 		t.Errorf("completion ran %v, want %v", log, want)
+	}
+}
+
+// TestThenAllocs: a flow started in storage the caller owns, with a
+// caller-owned event queued at its completion, allocates nothing: not the
+// start, the re-solves, the completion, nor the event.
+func TestThenAllocs(t *testing.T) {
+	sim, flows, _ := newFlowsSim(t)
+	var h Handle
+	var ev Timer
+	fired := 0
+	ev.Bind(sim, actFunc(func() { fired++ }))
+	transfer := func() {
+		flows.StartInto(&h, memsys.Stream{Kind: memsys.KindComm, Node: 0}, units.MiB, 0)
+		h.Then(&ev)
+		if err := sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	transfer()
+	if got := testing.AllocsPerRun(100, transfer); got != 0 {
+		t.Errorf("a transfer with a Then event allocates %v times, want 0", got)
+	}
+	if fired != 102 || !h.Done() {
+		t.Errorf("the Then event fired %d times for 102 transfers (last done: %v)", fired, h.Done())
 	}
 }
 
@@ -361,7 +391,7 @@ func (r *finishProbe) RatesResolved(_ int, _ float64, rates map[int]float64) {
 	}
 	slices.Sort(rated)
 	for _, fl := range r.flows.active {
-		active = append(active, fl.id)
+		active = append(active, fl.stream.ID)
 	}
 	r.rated = append(r.rated, rated)
 	r.active = append(r.active, active)

@@ -21,8 +21,8 @@
 // queues that event at the reserved (time, seq) before it fires anything
 // the event could precede (Sim.flush). Re-solves in between would move no
 // bytes, since no time passes within an instant. Completion can wake
-// waiting processes or run callbacks (Handle.Then) in scheduler context,
-// which need no process of their own.
+// waiting processes or queue caller-owned events (Handle.Then), whose
+// actions run in scheduler context and need no process of their own.
 package engine
 
 import (
@@ -131,9 +131,11 @@ func (s *Sim) Now() float64 { return s.now }
 
 // At schedules fn to run in scheduler context at absolute time t (clamped
 // to now; a NaN time means now). It returns a handle that can cancel the
-// event; the handle is the only allocation.
+// event; the handle is the only allocation, one per call. A caller that
+// schedules per message or per callback owns its events instead
+// (Timer.Bind), which allocates nothing.
 func (s *Sim) At(t float64, fn func()) *Timer {
-	e := &Timer{sim: s, index: -1, fire: fn}
+	e := &Timer{sim: s, index: -1, act: actFunc(fn)}
 	s.queue(e, t)
 	return e
 }
@@ -195,21 +197,58 @@ func (s *Sim) flush() {
 	}
 }
 
+// Action is what a caller-owned event does when it fires: Act runs in
+// scheduler context. Storing a pointer in an Action allocates nothing,
+// so a per-message object can be the action of all of its events.
+type Action interface{ Act() }
+
+// actFunc is the Action of an event scheduled with Sim.At. A func value
+// is a pointer, so the conversion allocates nothing.
+type actFunc func()
+
+func (f actFunc) Act() { f() }
+
+// procWake is the Action of a process's wake-up event. Its Act does
+// nothing: the event loop hands control to the process instead.
+type procWake Proc
+
+func (*procWake) Act() {}
+
 // Timer is a scheduled event, and the handle that cancels it. Events at
 // equal times fire in scheduling order (seq), which keeps the simulation
-// deterministic. Sim.At and Sim.After allocate one per call; a process's
-// wake-up and a flow manager's next completion are events their owners
-// keep and re-queue, so they allocate nothing.
+// deterministic. Sim.At and Sim.After allocate one per call. Every other
+// event lives in its owner's storage, bound to an action once and queued
+// again and again without allocating: a process's wake-up, a flow
+// manager's next completion, and the events a caller binds with Bind,
+// such as the latency and drain events of a fabric transfer.
 type Timer struct {
 	sim  *Sim
 	time float64
 	seq  int64
 	// index is the event's position in the heap, -1 while not queued.
 	index int
-	// fire runs in scheduler context; when proc is set the event wakes
-	// that process instead.
-	fire func()
-	proc *Proc
+	// act runs in scheduler context when the event fires; a process's
+	// wake-up (procWake) hands control to the process instead.
+	act Action
+}
+
+// Bind makes t an idle event of s that runs a each time it fires. Bind
+// an event before its first Schedule or Then, and never while it is
+// queued.
+func (t *Timer) Bind(s *Sim, a Action) { *t = Timer{sim: s, index: -1, act: a} }
+
+// Schedule queues the idle event t at absolute time at (clamped to now;
+// a NaN time means now), after every event already due then. An event is
+// queued at most once at a time: scheduling it again before it has fired
+// or been cancelled is a bug, and panics.
+func (t *Timer) Schedule(at float64) {
+	if t.index >= 0 {
+		if p, ok := t.act.(*procWake); ok {
+			panic(fmt.Sprintf("engine: process %q woken twice", p.name))
+		}
+		panic("engine: event scheduled while queued")
+	}
+	t.sim.queue(t, at)
 }
 
 // Cancel prevents the event from firing by taking it out of the queue.
@@ -227,8 +266,10 @@ type Proc struct {
 	name string
 	fn   func(p *Proc)
 	// wakeup is the process's one wake-up event (Spawn, Sleep,
-	// Signal.Fire). Its goroutine starts at the first wake-up; resume
-	// carries control to it at every later one.
+	// Signal.Fire). A second pending wake-up would resume a process that
+	// is not parked, so scheduling it while queued panics. The goroutine
+	// starts at the first wake-up; resume carries control to it at every
+	// later one.
 	wakeup  Timer
 	started bool
 	resume  chan struct{}
@@ -272,10 +313,10 @@ func (p *Proc) Sim() *Sim { return p.sim }
 // It may be called before Run or from any running process.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{sim: s, name: name, fn: fn, resume: make(chan struct{})}
-	p.wakeup = Timer{sim: s, index: -1, proc: p}
+	p.wakeup.Bind(s, (*procWake)(p))
 	s.procs = append(s.procs, p)
 	s.m.procsSpawned.Inc()
-	s.wake(p, s.now)
+	p.wakeup.Schedule(s.now)
 	return p
 }
 
@@ -342,16 +383,6 @@ func (p *Proc) park() {
 	p.waitLazy = nil
 }
 
-// wake queues p's wake-up event at time t. A process has one: a second
-// pending wake-up would resume a process that is not parked, which only
-// a bug can cause, so it panics.
-func (s *Sim) wake(p *Proc, t float64) {
-	if p.wakeup.index >= 0 {
-		panic(fmt.Sprintf("engine: process %q woken twice", p.name))
-	}
-	s.queue(&p.wakeup, t)
-}
-
 // switchTo hands control to p, the process step returned: it starts p's
 // goroutine at its first wake-up and resumes it at every later one. A nil
 // p means the run has ended, and control goes back to Run's goroutine.
@@ -373,7 +404,7 @@ func (s *Sim) switchTo(p *Proc) {
 // Sleep suspends the process for d simulated seconds (d < 0 is treated as
 // zero, which still lets every event already due now run first).
 func (p *Proc) Sleep(d float64) {
-	p.sim.wake(p, p.sim.now+d)
+	p.wakeup.Schedule(p.sim.now + d)
 	p.SetWaitReason("sleep")
 	p.park()
 }
@@ -382,28 +413,21 @@ func (p *Proc) Sleep(d float64) {
 // ready to use: a Wait binds it to the waiting process's simulation.
 type Signal struct {
 	sim *Sim
-	// first and more hold the waiters, woken or run in registration
-	// order. The first sits inline, so a signal that never has two
-	// waiters at once never allocates.
-	first waiter
-	more  []waiter
+	// first and more hold the waiters' events, queued in registration
+	// order: a parked process's wake-up, or a caller-owned event
+	// (Handle.Then). The first sits inline, so a signal that never has
+	// two waiters at once never allocates.
+	first *Timer
+	more  []*Timer
 }
 
-// waiter is one registration on a Signal: a parked process, or, when proc
-// is nil, a callback to run in scheduler context (Handle.Then). The zero
-// waiter is no registration.
-type waiter struct {
-	proc *Proc
-	fn   func()
-}
-
-// add registers w after the current waiters.
-func (sg *Signal) add(w waiter) {
-	if sg.first.proc == nil && sg.first.fn == nil {
-		sg.first = w
+// add registers the event ev after the current waiters.
+func (sg *Signal) add(ev *Timer) {
+	if sg.first == nil {
+		sg.first = ev
 		return
 	}
-	sg.more = append(sg.more, w)
+	sg.more = append(sg.more, ev)
 }
 
 // NewSignal returns a signal bound to the simulation.
@@ -412,34 +436,25 @@ func (s *Sim) NewSignal() *Signal { return &Signal{sim: s} }
 // Wait parks the calling process until the next Fire.
 func (sg *Signal) Wait(p *Proc) {
 	sg.sim = p.sim
-	sg.add(waiter{proc: p})
+	sg.add(&p.wakeup)
 	p.park()
 }
 
-// Fire wakes every current waiter (in wait order) at the current time.
-// It may be called from process or scheduler context. A process's
-// wake-up is its own event; each callback is one new event. The waiter
-// list keeps its storage for the next Wait.
+// Fire queues every current waiter's event (in wait order) at the
+// current time. It may be called from process or scheduler context. The
+// events are the waiters' own, so firing allocates nothing, and the
+// waiter list keeps its storage for the next Wait.
 func (sg *Signal) Fire() {
-	if sg.first.proc == nil && sg.first.fn == nil {
+	if sg.first == nil {
 		return // no waiters, so none in more either
 	}
-	sg.first.schedule(sg.sim)
-	for _, w := range sg.more {
-		w.schedule(sg.sim)
+	sg.first.Schedule(sg.sim.now)
+	for _, ev := range sg.more {
+		ev.Schedule(sg.sim.now)
 	}
-	sg.first = waiter{}
+	sg.first = nil
 	clear(sg.more)
 	sg.more = sg.more[:0]
-}
-
-// schedule queues the waiter's event at the current time.
-func (w waiter) schedule(s *Sim) {
-	if w.proc != nil {
-		s.wake(w.proc, s.now)
-	} else {
-		s.At(s.now, w.fn)
-	}
 }
 
 // WaitState describes one blocked process: its name, why it parked (as
@@ -635,10 +650,10 @@ func (s *Sim) step() *Proc {
 		s.fired++
 		s.m.eventsFired.Inc()
 		s.m.virtualTime.Set(s.now)
-		if e.proc != nil {
-			return e.proc
+		if p, ok := e.act.(*procWake); ok {
+			return (*Proc)(p)
 		}
-		s.fire(e.fire)
+		s.fire(e.act)
 	}
 	if s.failure != nil {
 		return s.end(s.failure)
@@ -658,13 +673,13 @@ func (s *Sim) end(err error) *Proc {
 	return nil
 }
 
-// fire runs one callback. A panic in it fails the run, whichever
+// fire runs one event's action. A panic in it fails the run, whichever
 // goroutine holds the event loop at the time.
-func (s *Sim) fire(fn func()) {
+func (s *Sim) fire(a Action) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.fail(fmt.Errorf("engine: event at t=%.6fs panicked: %v", s.now, r))
 		}
 	}()
-	fn()
+	a.Act()
 }

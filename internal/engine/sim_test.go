@@ -315,7 +315,22 @@ func TestDoubleWakePanics(t *testing.T) {
 			t.Errorf("second wake-up recovered %v, want a panic naming the process", r)
 		}
 	}()
-	s.wake(p, s.Now())
+	p.wakeup.Schedule(s.Now())
+}
+
+// TestScheduleQueuedPanics: a bound event is queued at most once at a
+// time, so scheduling it again before it fires panics.
+func TestScheduleQueuedPanics(t *testing.T) {
+	s := NewSim()
+	var ev Timer
+	ev.Bind(s, actFunc(func() {}))
+	ev.Schedule(1)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "scheduled while queued") {
+			t.Errorf("second Schedule recovered %v, want a panic", r)
+		}
+	}()
+	ev.Schedule(2)
 }
 
 func TestRunTwice(t *testing.T) {

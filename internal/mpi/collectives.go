@@ -87,13 +87,18 @@ func binomialReduce(size, me, root int, value float64, op func(a, b float64) flo
 // Bcast broadcasts size bytes from root to all ranks. Data lands on (and
 // is sent from) the given NUMA node of each rank's machine. The root's
 // payload value is returned on every rank. Sends are posted non-blocking
-// so subtrees progress in parallel.
+// so subtrees progress in parallel; the rank keeps their requests in
+// storage it reuses.
 func (c *Ctx) Bcast(root int, size units.ByteSize, node topology.NodeID, payload any) (any, error) {
 	if err := c.checkRoot(root); err != nil {
 		return nil, err
 	}
 	tag := collectiveTagBase + 1
-	var reqs []*Request
+	reqs := c.rank.sends[:0]
+	defer func() {
+		clear(reqs)
+		c.rank.sends = reqs[:0]
+	}()
 	out, err := binomialBcast(c.world.Size(), c.Rank(), root, payload,
 		func(parent int) (any, error) {
 			st, err := c.Recv(parent, tag, size, node)

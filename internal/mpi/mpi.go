@@ -68,6 +68,9 @@ type rankState struct {
 	// phase returns only once all of its flows have completed.
 	streams []memsys.Stream
 	flows   []engine.Handle
+	// sends is Bcast's scratch: the send requests it waits for before it
+	// returns.
+	sends []*Request
 }
 
 // removePosted withdraws a receive request from the posted queue (used
@@ -81,16 +84,29 @@ func (rs *rankState) removePosted(req *Request) {
 	}
 }
 
-// envelope is a send seen from the receiving side.
+// envelope is one message: the send request Isend returns, and what the
+// receiving side needs to match and move the message, in one allocation.
+// It is the action of its own event and the simnet.Recipient of its
+// fabric transfers, so a message allocates nothing more on its way: a
+// send, a receive and a fabric transfer cost one allocation each.
 type envelope struct {
-	src, tag int
-	size     units.ByteSize
-	srcNode  topology.NodeID
-	payload  any
-	// sendReq completes when the data has been delivered (nil for
-	// eager sends, which complete at post time).
-	sendReq *Request
+	send    Request
+	payload any
+	// recv is the matched receive, set when the message starts moving.
+	recv *Request
+	// event completes an intra-machine message at the instant it is
+	// matched, or resends a dropped one after its backoff; attempt
+	// counts the resends.
+	event   engine.Timer
+	attempt int
 }
+
+// src reports the sending rank.
+func (env *envelope) src() int { return env.send.owner.id }
+
+// rendezvous reports whether the send completes only once the data has
+// been delivered; an eager send completes when it is posted.
+func (env *envelope) rendezvous() bool { return env.send.size > EagerLimit }
 
 // Status describes a completed receive.
 type Status struct {
@@ -103,26 +119,28 @@ type Status struct {
 	AvgRate units.Bandwidth
 }
 
-// Request is a non-blocking operation handle.
+// Request is a non-blocking operation handle. Irecv allocates one, and
+// Isend allocates its request inside the message's envelope. A
+// completed receive's Status is written into the request.
 type Request struct {
-	world    *World
-	done     bool
-	sig      engine.Signal
-	status   Status
-	err      error
-	isRecv   bool
-	src, tag int
+	world  *World
+	sig    engine.Signal
+	status Status
+	err    error
 	// peer is the other side: dst for sends, src for receives (may be
-	// AnySource). Used for diagnostics only.
-	peer    int
-	dstNode topology.NodeID
-	size    units.ByteSize
-	// owner is the rank that posted the request (for receive-queue
-	// removal on timeout).
+	// AnySource); a receive matches on it and on tag.
+	peer, tag int
+	// node is the NUMA node of the request's buffer on its rank's
+	// machine: the data's source for a send, its destination for a
+	// receive.
+	node topology.NodeID
+	size units.ByteSize
+	// owner is the rank that posted the request.
 	owner *rankState
 	// span is the operation's causal span, ended at completion (0 when
 	// spans are off).
-	span obs.SpanID
+	span         obs.SpanID
+	done, isRecv bool
 }
 
 // Test reports whether the request has completed.
@@ -224,6 +242,8 @@ func (c *Ctx) Sleep(d float64) { c.proc.Sleep(d) }
 
 // Isend posts a non-blocking send of size bytes living on srcNode of the
 // sender's machine. payload is an optional value handed to the receiver.
+// It allocates one object, the message's envelope, which holds the
+// returned request.
 func (c *Ctx) Isend(dst, tag int, size units.ByteSize, srcNode topology.NodeID, payload any) (*Request, error) {
 	if dst < 0 || dst >= c.world.Size() {
 		return nil, fmt.Errorf("mpi: rank %d: Isend to invalid rank %d", c.Rank(), dst)
@@ -234,22 +254,37 @@ func (c *Ctx) Isend(dst, tag int, size units.ByteSize, srcNode topology.NodeID, 
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: rank %d: Isend with non-positive size %d", c.Rank(), size)
 	}
+	if err := c.checkNode("Isend from", srcNode); err != nil {
+		return nil, err
+	}
 	if c.machineDown() {
 		return nil, c.downError(fmt.Sprintf("Send(dst=%d, tag=%d)", dst, tag))
 	}
-	req := &Request{world: c.world, tag: tag, size: size, peer: dst}
+	env := &envelope{
+		send:    Request{world: c.world, peer: dst, tag: tag, node: srcNode, size: size, owner: c.rank},
+		payload: payload,
+	}
+	env.event.Bind(c.world.sim, env)
+	req := &env.send
 	if c.world.spans != nil {
 		req.span = c.beginOpSpan(fmt.Sprintf("send→%d", dst), "mpi", srcNode)
 	}
-	env := &envelope{src: c.Rank(), tag: tag, size: size, srcNode: srcNode, payload: payload}
-	if size > EagerLimit {
-		env.sendReq = req
-	} else {
+	if !env.rendezvous() {
 		// Eager: the send buffer is considered reusable immediately.
 		req.complete(Status{Source: c.Rank(), Tag: tag, Size: size}, nil)
 	}
-	c.world.deliverEnvelope(c.world.ranks[dst], env)
+	c.world.ranks[dst].deliverEnvelope(env)
 	return req, nil
+}
+
+// checkNode refuses a NUMA node outside the calling rank's platform, when
+// the operation is posted rather than when its data moves.
+func (c *Ctx) checkNode(op string, node topology.NodeID) error {
+	plat := c.rank.machine.Sys.Platform()
+	if int(node) < 0 || int(node) >= plat.NNodes() {
+		return fmt.Errorf("mpi: rank %d: %s NUMA node %d, outside %s's nodes 0-%d", c.Rank(), op, node, plat.Name, plat.NNodes()-1)
+	}
+	return nil
 }
 
 // Send is the blocking version of Isend.
@@ -263,18 +298,19 @@ func (c *Ctx) Send(dst, tag int, size units.ByteSize, srcNode topology.NodeID, p
 }
 
 // Irecv posts a non-blocking receive into dstNode of the receiver's
-// machine. src may be AnySource and tag AnyTag.
+// machine. src may be AnySource and tag AnyTag. It allocates one object,
+// the returned request.
 func (c *Ctx) Irecv(src, tag int, size units.ByteSize, dstNode topology.NodeID) (*Request, error) {
 	if src != AnySource && (src < 0 || src >= c.world.Size()) {
 		return nil, fmt.Errorf("mpi: rank %d: Irecv from invalid rank %d", c.Rank(), src)
 	}
+	if err := c.checkNode("Irecv into", dstNode); err != nil {
+		return nil, err
+	}
 	if c.machineDown() {
 		return nil, c.downError(fmt.Sprintf("Recv(src=%s, tag=%s)", rankName(src), tagName(tag)))
 	}
-	req := &Request{
-		world: c.world, isRecv: true, src: src, tag: tag, peer: src, dstNode: dstNode, size: size,
-		owner: c.rank,
-	}
+	req := &Request{world: c.world, isRecv: true, peer: src, tag: tag, node: dstNode, size: size, owner: c.rank}
 	if c.world.spans != nil {
 		req.span = c.beginOpSpan(fmt.Sprintf("recv←%s", rankName(src)), "mpi", dstNode)
 	}
@@ -282,7 +318,7 @@ func (c *Ctx) Irecv(src, tag int, size units.ByteSize, dstNode topology.NodeID) 
 	for i, env := range c.rank.unexpected {
 		if req.matches(env) {
 			c.rank.unexpected = append(c.rank.unexpected[:i], c.rank.unexpected[i+1:]...)
-			c.world.startTransfer(c.rank, env, req)
+			env.move(req)
 			return req, nil
 		}
 	}
@@ -362,93 +398,100 @@ func (c *Ctx) WaitAll(reqs ...*Request) error {
 
 // matches implements MPI matching semantics for a posted receive.
 func (r *Request) matches(env *envelope) bool {
-	if r.src != AnySource && r.src != env.src {
+	if r.peer != AnySource && r.peer != env.src() {
 		return false
 	}
-	if r.tag != AnyTag && r.tag != env.tag {
+	if r.tag != AnyTag && r.tag != env.send.tag {
 		return false
 	}
 	return true
 }
 
-// deliverEnvelope routes a send envelope to the destination rank,
+// deliverEnvelope routes a send envelope to its destination rank rs,
 // matching a posted receive if one exists.
-func (w *World) deliverEnvelope(dst *rankState, env *envelope) {
-	for i, req := range dst.posted {
+func (rs *rankState) deliverEnvelope(env *envelope) {
+	for i, req := range rs.posted {
 		if req.matches(env) {
-			dst.posted = append(dst.posted[:i], dst.posted[i+1:]...)
-			w.startTransfer(dst, env, req)
+			rs.posted = append(rs.posted[:i], rs.posted[i+1:]...)
+			env.move(req)
 			return
 		}
 	}
-	dst.unexpected = append(dst.unexpected, env)
+	rs.unexpected = append(rs.unexpected, env)
 }
 
-// startTransfer moves the message data. Intra-machine messages are local
-// memory copies (modelled as instantaneous at this granularity);
-// inter-machine messages go through the fabric. Messages the fabric drops
-// are resent with exponential backoff, up to Resilience.MaxRetries times;
-// a final failure is reported to both sides as a structured OpError
-// naming their own rank and operation.
-func (w *World) startTransfer(dst *rankState, env *envelope, req *Request) {
-	srcMachine := w.ranks[env.src].machine
-	st := Status{Source: env.src, Tag: env.tag, Size: env.size, Payload: env.payload}
-	if srcMachine == dst.machine {
-		w.sim.After(0, func() {
-			req.complete(st, nil)
-			if env.sendReq != nil {
-				env.sendReq.complete(Status{Source: env.src, Tag: env.tag, Size: env.size}, nil)
-			}
-		})
+// move starts moving the message into the matched receive recv.
+// Intra-machine messages are local memory copies (modelled as
+// instantaneous at this granularity), which the message's event
+// completes at the current instant; inter-machine messages go through the
+// fabric.
+func (env *envelope) move(recv *Request) {
+	env.recv = recv
+	if env.local() {
+		env.event.Schedule(env.send.world.sim.Now())
 		return
 	}
+	env.deliver()
+}
+
+// local reports whether the sender and the receiver share a machine.
+func (env *envelope) local() bool { return env.send.owner.machine == env.recv.owner.machine }
+
+// deliver hands the message to the fabric. The wire transfer is causally
+// the send's; eager sends have already completed, so their data movement
+// hangs off the receive instead.
+func (env *envelope) deliver() {
 	xfer := simnet.Transfer{
-		Src: srcMachine, Dst: dst.machine,
-		SrcNode: env.srcNode, DstNode: req.dstNode,
-		Size: env.size,
+		Src: env.send.owner.machine, Dst: env.recv.owner.machine,
+		SrcNode: env.send.node, DstNode: env.recv.node,
+		Size:   env.send.size,
+		Parent: env.recv.span,
 	}
-	// The wire transfer is causally the send's; eager sends have already
-	// completed, so their data movement hangs off the receive instead.
-	if env.sendReq != nil && env.sendReq.span != 0 {
-		xfer.Parent = env.sendReq.span
-	} else {
-		xfer.Parent = req.span
+	if env.rendezvous() && env.send.span != 0 {
+		xfer.Parent = env.send.span
 	}
-	finish := func(res simnet.Result, err error) {
-		recvErr, sendErr := err, err
-		if err != nil {
-			recvErr = w.opError(dst.id, fmt.Sprintf("Recv(src=%d, tag=%d)", env.src, env.tag), err)
-			sendErr = w.opError(env.src, fmt.Sprintf("Send(dst=%d, tag=%d)", dst.id, env.tag), err)
-		}
-		st.AvgRate = res.AvgRate
-		req.complete(st, recvErr)
-		if env.sendReq != nil {
-			env.sendReq.complete(Status{Source: env.src, Tag: env.tag, Size: env.size}, sendErr)
-		}
-	}
-	if w.res.MaxRetries == 0 {
-		// Fast path: no retry machinery to allocate.
-		w.fabric.DeliverAsync(xfer, finish)
+	env.send.world.fabric.DeliverAsync(xfer, env)
+}
+
+// Delivered implements simnet.Recipient. A message the fabric dropped is
+// resent after an exponential backoff, up to Resilience.MaxRetries times;
+// any other outcome completes it.
+func (env *envelope) Delivered(res simnet.Result, err error) {
+	w := env.send.world
+	if errors.Is(err, simnet.ErrMessageDropped) && env.attempt < w.res.MaxRetries {
+		env.attempt++
+		env.event.Schedule(w.sim.Now() + w.res.backoff(env.attempt))
 		return
 	}
-	attempt := 0
-	var send func()
-	send = func() {
-		// A receive that already failed (timeout) frees the channel:
-		// stop resending into it.
-		if req.done {
-			return
-		}
-		w.fabric.DeliverAsync(xfer, func(res simnet.Result, err error) {
-			if errors.Is(err, simnet.ErrMessageDropped) && attempt < w.res.MaxRetries {
-				attempt++
-				w.sim.After(w.res.backoff(attempt), send)
-				return
-			}
-			finish(res, err)
-		})
+	env.complete(res.AvgRate, err)
+}
+
+// Act implements engine.Action for the message's event: it completes an
+// intra-machine message, and resends a dropped one unless its receive
+// has already failed (timed out), which frees the channel.
+func (env *envelope) Act() {
+	switch {
+	case env.local():
+		env.complete(0, nil)
+	case !env.recv.done:
+		env.deliver()
 	}
-	send()
+}
+
+// complete completes the receive, and the send if it is a rendezvous. A
+// failure is reported to both sides as a structured OpError naming their
+// own rank and operation.
+func (env *envelope) complete(rate units.Bandwidth, err error) {
+	w, src, dst, tag := env.send.world, env.src(), env.recv.owner.id, env.send.tag
+	recvErr, sendErr := err, err
+	if err != nil {
+		recvErr = w.opError(dst, fmt.Sprintf("Recv(src=%d, tag=%d)", src, tag), err)
+		sendErr = w.opError(src, fmt.Sprintf("Send(dst=%d, tag=%d)", dst, tag), err)
+	}
+	env.recv.complete(Status{Source: src, Tag: tag, Size: env.send.size, Payload: env.payload, AvgRate: rate}, recvErr)
+	if env.rendezvous() {
+		env.send.complete(Status{Source: src, Tag: tag, Size: env.send.size}, sendErr)
+	}
 }
 
 // Barrier blocks until every rank has entered it.

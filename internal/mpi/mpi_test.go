@@ -426,6 +426,81 @@ func TestComputeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestMessageAllocs pins what a message costs: its send and its receive
+// allocate one object each, and a message between machines one more, its
+// fabric transfer; no callback on the way allocates. Two ranks ping-pong
+// n round trips on a fresh world, and the difference between 2n and n
+// round trips cancels the set-up. The runtime recycles goroutines or not
+// from run to run, which moves a run by an allocation or so: the bound
+// allows a tenth of an allocation per message for it.
+func TestMessageAllocs(t *testing.T) {
+	sys := henriSystem(t)
+	for _, tc := range []struct {
+		name               string
+		machines, ranksPer int
+		size               units.ByteSize
+		want               float64
+	}{
+		{"eager intra-machine", 1, 2, 8, 2},
+		{"eager fabric", 2, 1, 8, 3},
+		{"rendezvous fabric", 2, 1, EagerLimit + 1, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pingPong := func(rounds int) float64 {
+				return testing.AllocsPerRun(5, func() {
+					sim, w := worldOn(t, sys, tc.machines, tc.ranksPer)
+					w.Launch(func(c *Ctx) {
+						peer := 1 - c.Rank()
+						for i := 0; i < rounds; i++ {
+							if c.Rank() == 1 {
+								if _, err := c.Recv(peer, 0, tc.size, 0); err != nil {
+									t.Error(err)
+								}
+							}
+							if err := c.Send(peer, 0, tc.size, 0, nil); err != nil {
+								t.Error(err)
+							}
+							if c.Rank() == 0 {
+								if _, err := c.Recv(peer, 0, tc.size, 0); err != nil {
+									t.Error(err)
+								}
+							}
+						}
+					})
+					if err := sim.Run(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			const n = 100
+			if got := (pingPong(2*n) - pingPong(n)) / (2 * n); got > tc.want+0.1 {
+				t.Errorf("a message allocates %v times, want at most %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestNodeOutOfRangeRefused: a send or receive buffer on a NUMA node the
+// rank's platform does not have is refused when the operation is posted,
+// naming the rank and the node, also for a message that never crosses
+// the fabric.
+func TestNodeOutOfRangeRefused(t *testing.T) {
+	sim, w := newWorld(t, 1, 2)
+	run(t, sim, w, func(c *Ctx) {
+		peer := 1 - c.Rank()
+		var err error
+		if c.Rank() == 0 {
+			_, err = c.Isend(peer, 0, units.KiB, 9, nil)
+		} else {
+			_, err = c.Irecv(peer, 0, units.KiB, -1)
+		}
+		want := map[int]string{0: "rank 0: Isend from NUMA node 9", 1: "rank 1: Irecv into NUMA node -1"}[c.Rank()]
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("rank %d: err = %v, want %q", c.Rank(), err, want)
+		}
+	})
+}
+
 func TestDeterministicSchedule(t *testing.T) {
 	trace := func() string {
 		sim, w := newWorld(t, 2, 2)

@@ -114,7 +114,7 @@ func tagName(t int) string {
 // opName describes the request's operation for errors and wait states.
 func (r *Request) opName() string {
 	if r.isRecv {
-		return fmt.Sprintf("Recv(src=%s, tag=%s)", rankName(r.src), tagName(r.tag))
+		return fmt.Sprintf("Recv(src=%s, tag=%s)", rankName(r.peer), tagName(r.tag))
 	}
 	return fmt.Sprintf("Send(dst=%s, tag=%s)", rankName(r.peer), tagName(r.tag))
 }

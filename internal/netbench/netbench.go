@@ -8,6 +8,7 @@ package netbench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"memcontention/internal/engine"
@@ -50,6 +51,9 @@ type Config struct {
 func (c Config) withDefaults() (Config, error) {
 	if c.Platform == nil {
 		return c, fmt.Errorf("netbench: nil platform")
+	}
+	if n := c.Platform.NNodes(); int(c.Node) < 0 || int(c.Node) >= n {
+		return c, fmt.Errorf("netbench: node %d out of range: %s has NUMA nodes 0-%d", c.Node, c.Platform.Name, n-1)
 	}
 	if c.Profile == nil {
 		prof, err := memsys.ProfileFor(c.Platform.Name)
@@ -129,35 +133,21 @@ func pingPongOne(cfg Config, size units.ByteSize) (Point, error) {
 		return Point{}, err
 	}
 
-	const tag = 99
 	var start, end float64
+	var errs [2]error
 	world.Launch(func(c *mpi.Ctx) {
-		switch c.Rank() {
-		case 0:
-			c.Barrier()
+		me := c.Rank()
+		c.Barrier()
+		if me == 0 {
 			start = c.Now()
-			for i := 0; i < cfg.Iterations; i++ {
-				if err := c.Send(1, tag, size, cfg.Node, nil); err != nil {
-					panic(err)
-				}
-				if _, err := c.Recv(1, tag, size, cfg.Node); err != nil {
-					panic(err)
-				}
-			}
+		}
+		errs[me] = roundTrips(c, cfg, size)
+		if me == 0 {
 			end = c.Now()
-		case 1:
-			c.Barrier()
-			for i := 0; i < cfg.Iterations; i++ {
-				if _, err := c.Recv(0, tag, size, cfg.Node); err != nil {
-					panic(err)
-				}
-				if err := c.Send(0, tag, size, cfg.Node, nil); err != nil {
-					panic(err)
-				}
-			}
 		}
 	})
-	if err := sim.Run(); err != nil {
+	runErr := sim.Run()
+	if err := errors.Join(runErr, errs[0], errs[1]); err != nil {
 		return Point{}, err
 	}
 	halfRTT := (end - start) / float64(2*cfg.Iterations)
@@ -169,4 +159,27 @@ func pingPongOne(cfg Config, size units.ByteSize) (Point, error) {
 		HalfRTT:   halfRTT,
 		Bandwidth: float64(size) / units.BytesPerGB / halfRTT,
 	}, nil
+}
+
+// roundTrips runs one rank's side of the ping-pong: rank 0 sends first
+// and rank 1 answers, cfg.Iterations times.
+func roundTrips(c *mpi.Ctx, cfg Config, size units.ByteSize) error {
+	const tag = 99
+	peer := 1 - c.Rank()
+	for i := 0; i < cfg.Iterations; i++ {
+		if c.Rank() == 0 {
+			if err := c.Send(peer, tag, size, cfg.Node, nil); err != nil {
+				return err
+			}
+		}
+		if _, err := c.Recv(peer, tag, size, cfg.Node); err != nil {
+			return err
+		}
+		if c.Rank() == 1 {
+			if err := c.Send(peer, tag, size, cfg.Node, nil); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package netbench
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"memcontention/internal/topology"
@@ -81,6 +82,12 @@ func TestPingPongValidation(t *testing.T) {
 	}
 	if _, err := PingPong(Config{Platform: custom}); err == nil {
 		t.Error("custom platform without profile must fail")
+	}
+	for _, node := range []topology.NodeID{-1, 9} {
+		_, err := PingPong(Config{Platform: topology.Henri(), Node: node})
+		if err == nil || !strings.Contains(err.Error(), "NUMA nodes 0-1") {
+			t.Errorf("node %d: err = %v, want it refused before a simulation", node, err)
+		}
 	}
 }
 

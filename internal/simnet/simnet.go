@@ -173,96 +173,134 @@ type Result struct {
 	AvgRate units.Bandwidth
 }
 
-// DeliverAsync performs a transfer and invokes done (in scheduler context)
-// once the data has fully landed in the destination memory. Errors are
-// reported through done: a crashed endpoint yields a *DownError, a message
-// lost by fault injection yields ErrMessageDropped (after the latency,
-// when the loss would be noticed). A transfer whose flow a crash froze
-// never completes, and done is not called.
-func (f *Fabric) DeliverAsync(t Transfer, done func(Result, error)) {
-	if err := f.check(t); err != nil {
-		f.sim.After(0, func() { done(Result{}, err) })
+// Recipient receives the outcome of a transfer (DeliverAsync):
+// Delivered runs once, in scheduler context. The MPI layer's message
+// object implements it, so that reporting allocates nothing.
+type Recipient interface {
+	Delivered(res Result, err error)
+}
+
+// DeliverAsync performs a transfer and calls to.Delivered (in scheduler
+// context) once the data has fully landed in the destination memory.
+// Errors are reported through Delivered: a crashed endpoint yields a
+// *DownError, a message lost by fault injection yields ErrMessageDropped
+// (after the latency, when the loss would be noticed). A transfer whose
+// flow a crash froze never completes, and Delivered is not called.
+//
+// A call allocates one object, which holds the latency event, both DMA
+// flows, their drain events and the count of flows still draining; with
+// spans off nothing else on the transfer's path allocates.
+func (f *Fabric) DeliverAsync(t Transfer, to Recipient) {
+	x := &transfer{fabric: f, t: t, to: to}
+	x.events[0].Bind(f.sim, x)
+	x.events[1].Bind(f.sim, x)
+	if x.err = f.check(t); x.err != nil {
+		x.events[0].Schedule(f.sim.Now())
 		return
 	}
-	start := f.sim.Now()
+	x.start = f.sim.Now()
 	f.nextXfer++
-	// The transfer span covers latency, faults and both DMA drains; fin
-	// closes it on every completion path, successful or not. span and fin
-	// are single-assignment so the closures below capture them by value —
-	// reassigning a captured variable would heap-allocate it on the
-	// span-free hot path.
-	span, fin := f.beginTransferSpan(t, start, done)
-	latency, wireCap := f.Latency, f.WireRate
+	// The transfer span covers latency, faults and both DMA drains; the
+	// report closes it on every path, successful or not.
+	if f.spans != nil {
+		x.span = f.spans.BeginSpan(t.Parent,
+			fmt.Sprintf("xfer m%d:n%d→m%d:n%d", t.Src.ID, t.SrcNode, t.Dst.ID, t.DstNode),
+			"transfer", x.start, obs.SpanAttrs{Machine: t.Src.ID, Rank: -1, Node: -1, Stream: "comm"})
+	}
+	latency := f.Latency
+	x.wire = f.WireRate
 	if f.faults != nil {
-		for _, m := range []*Machine{t.Src, t.Dst} {
-			if down, since := f.faults.MachineDown(m.ID, start); down {
-				derr := &DownError{Machine: m.ID, Since: since}
-				f.sim.After(0, func() { fin(Result{Start: start}, derr) })
+		for _, m := range [2]*Machine{t.Src, t.Dst} {
+			if down, since := f.faults.MachineDown(m.ID, x.start); down {
+				x.err = &DownError{Machine: m.ID, Since: since}
+				x.events[0].Schedule(x.start)
 				return
 			}
 		}
-		fault := f.faults.TransferFault(t.Src.ID, t.Dst.ID, f.nextXfer, float64(t.Size.Bytes()), start)
+		fault := f.faults.TransferFault(t.Src.ID, t.Dst.ID, f.nextXfer, float64(t.Size.Bytes()), x.start)
 		if fault.ExtraLatency > 0 {
 			latency += fault.ExtraLatency
 		}
 		if fault.WireFactor > 0 {
-			wireCap *= fault.WireFactor
+			x.wire *= fault.WireFactor
 		}
 		if fault.Drop {
-			f.sim.After(latency, func() { fin(Result{Start: start}, ErrMessageDropped) })
-			return
+			x.err = ErrMessageDropped
 		}
 	}
-	f.sim.After(latency, func() {
-		// The wire bounds both DMA paths; the memory systems may
-		// grant less.
-		wire := wireCap
-		remaining := 2
-		finish := func() {
-			remaining--
-			if remaining > 0 {
-				return
-			}
-			end := f.sim.Now()
-			res := Result{Start: start, End: end}
-			if end > start {
-				res.AvgRate = units.RateFor(t.Size, units.Seconds(end-start))
-			}
-			fin(res, nil)
-		}
-		// Sender-side read stream (KindComm on the sender's system).
-		srcDemand := math.Min(wire, t.Src.Sys.CommDemand(t.SrcNode))
-		srcH := t.Src.Flows.StartWithParent(memsys.Stream{
-			Kind:   memsys.KindComm,
-			Node:   t.SrcNode,
-			Demand: srcDemand,
-		}, t.Size, span)
-		// Receiver-side write stream.
-		dstDemand := math.Min(wire, t.Dst.Sys.CommDemand(t.DstNode))
-		dstH := t.Dst.Flows.StartWithParent(memsys.Stream{
-			Kind:   memsys.KindComm,
-			Node:   t.DstNode,
-			Demand: dstDemand,
-		}, t.Size, span)
-		srcH.Then(finish)
-		dstH.Then(finish)
-	})
+	x.events[0].Schedule(x.start + latency)
 }
 
-// beginTransferSpan opens the causal span of one transfer and returns it
-// with the completion callback that closes it; with spans off it returns
-// done unchanged at zero cost.
-func (f *Fabric) beginTransferSpan(t Transfer, start float64, done func(Result, error)) (obs.SpanID, func(Result, error)) {
-	if f.spans == nil {
-		return 0, done
+// transfer is one DeliverAsync in flight. It is the action of its own
+// events: events[0] first fires after the latency and lands the data
+// (starts both DMA flows) or reports the failure in err; once fired it is
+// the source flow's drain event, and events[1] the destination flow's.
+// The transfer completes at the second drain.
+type transfer struct {
+	fabric *Fabric
+	t      Transfer
+	to     Recipient
+	start  float64
+	// wire is the wire rate bounding both DMA flows; the memory systems
+	// may grant less.
+	wire float64
+	span obs.SpanID
+	// err, when set, is reported when events[0] fires, instead of
+	// landing the data.
+	err error
+	// left counts the DMA flows still draining: 0 until the data lands.
+	left     int
+	events   [2]engine.Timer
+	src, dst engine.Handle
+}
+
+// Act runs the transfer's event that has fired.
+func (x *transfer) Act() {
+	switch {
+	case x.err != nil:
+		x.report(Result{Start: x.start}, x.err)
+	case x.left == 0:
+		x.land()
+	default:
+		x.left--
+		if x.left > 0 {
+			return
+		}
+		end := x.fabric.sim.Now()
+		res := Result{Start: x.start, End: end}
+		if end > x.start {
+			res.AvgRate = units.RateFor(x.t.Size, units.Seconds(end-x.start))
+		}
+		x.report(res, nil)
 	}
-	span := f.spans.BeginSpan(t.Parent,
-		fmt.Sprintf("xfer m%d:n%d→m%d:n%d", t.Src.ID, t.SrcNode, t.Dst.ID, t.DstNode),
-		"transfer", start, obs.SpanAttrs{Machine: t.Src.ID, Rank: -1, Node: -1, Stream: "comm"})
-	return span, func(r Result, err error) {
-		f.spans.EndSpan(span, f.sim.Now())
-		done(r, err)
+}
+
+// land starts the sender-side read stream and the receiver-side write
+// stream (KindComm on each machine's system), each bounded by the wire.
+func (x *transfer) land() {
+	t := &x.t
+	x.left = 2
+	t.Src.Flows.StartInto(&x.src, memsys.Stream{
+		Kind:   memsys.KindComm,
+		Node:   t.SrcNode,
+		Demand: math.Min(x.wire, t.Src.Sys.CommDemand(t.SrcNode)),
+	}, t.Size, x.span)
+	t.Dst.Flows.StartInto(&x.dst, memsys.Stream{
+		Kind:   memsys.KindComm,
+		Node:   t.DstNode,
+		Demand: math.Min(x.wire, t.Dst.Sys.CommDemand(t.DstNode)),
+	}, t.Size, x.span)
+	x.src.Then(&x.events[0])
+	x.dst.Then(&x.events[1])
+}
+
+// report closes the transfer span, if any, and hands the outcome to the
+// recipient.
+func (x *transfer) report(res Result, err error) {
+	if x.span != 0 {
+		x.fabric.spans.EndSpan(x.span, x.fabric.sim.Now())
 	}
+	x.to.Delivered(res, err)
 }
 
 func (f *Fabric) check(t Transfer) error {

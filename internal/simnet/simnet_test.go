@@ -45,14 +45,19 @@ func twoMachines(tb testing.TB, sys *memsys.System, wire, latency float64) (*eng
 	return sim, fabric, ms[0], ms[1]
 }
 
+// recipient adapts a func to a Recipient.
+type recipient func(Result, error)
+
+func (r recipient) Delivered(res Result, err error) { r(res, err) }
+
 // deliver performs one transfer and parks p until the fabric reports its
 // outcome.
 func deliver(p *engine.Proc, f *Fabric, t Transfer) (res Result, err error) {
 	sig := p.Sim().NewSignal()
-	f.DeliverAsync(t, func(r Result, e error) {
+	f.DeliverAsync(t, recipient(func(r Result, e error) {
 		res, err = r, e
 		sig.Fire()
-	})
+	}))
 	sig.Wait(p)
 	return res, err
 }
@@ -176,7 +181,7 @@ func TestConcurrentTransfersContendOnPCIe(t *testing.T) {
 		remaining := 2
 		for i := 0; i < 2; i++ {
 			fabric.DeliverAsync(Transfer{Src: m0, Dst: m1, SrcNode: 0, DstNode: 0, Size: 64 * units.MiB},
-				func(r Result, err error) {
+				recipient(func(r Result, err error) {
 					if err != nil {
 						t.Error(err)
 					}
@@ -185,7 +190,7 @@ func TestConcurrentTransfersContendOnPCIe(t *testing.T) {
 					if remaining == 0 {
 						done.Fire()
 					}
-				})
+				}))
 		}
 		done.Wait(p)
 	})
@@ -194,6 +199,46 @@ func TestConcurrentTransfersContendOnPCIe(t *testing.T) {
 	}
 	if shared.AvgRate.GBps() >= alone.AvgRate.GBps() {
 		t.Errorf("shared transfer (%v) must be slower than alone (%v)", shared.AvgRate, alone.AvgRate)
+	}
+}
+
+// relay delivers its transfer again each time the last one lands, until
+// left transfers have landed.
+type relay struct {
+	fabric *Fabric
+	t      Transfer
+	left   int
+	err    error
+}
+
+func (r *relay) Delivered(_ Result, err error) {
+	if r.left--; err != nil {
+		r.err = err
+	} else if r.left > 0 {
+		r.fabric.DeliverAsync(r.t, r)
+	}
+}
+
+// TestDeliverAllocs pins what a fabric transfer costs: one allocation,
+// its transfer object, which holds its events and both DMA flows. The
+// difference between runs of 2n and n transfers cancels the set-up; the
+// bound allows a tenth of an allocation per transfer for the runtime's
+// own noise.
+func TestDeliverAllocs(t *testing.T) {
+	sys := henriSystem(t)
+	transfers := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			sim, fabric, m0, m1 := twoMachines(t, sys, 12.1, 1.5e-6)
+			r := &relay{fabric: fabric, t: Transfer{Src: m0, Dst: m1, Size: units.MiB}, left: n}
+			fabric.DeliverAsync(r.t, r)
+			if err := sim.Run(); err != nil || r.err != nil || r.left != 0 {
+				t.Fatalf("run: %v, transfer: %v, %d left", err, r.err, r.left)
+			}
+		})
+	}
+	const n = 100
+	if got := (transfers(2*n) - transfers(n)) / n; got > 1.1 {
+		t.Errorf("a transfer allocates %v times, want at most 1", got)
 	}
 }
 
@@ -224,7 +269,7 @@ func BenchmarkDeliver(b *testing.B) {
 		sim, fabric, m0, m1 := twoMachines(b, sys, 12.1, 1.5e-6)
 		var res Result
 		var err error
-		fabric.DeliverAsync(Transfer{Src: m0, Dst: m1, Size: 8 * units.MiB}, func(r Result, e error) { res, err = r, e })
+		fabric.DeliverAsync(Transfer{Src: m0, Dst: m1, Size: 8 * units.MiB}, recipient(func(r Result, e error) { res, err = r, e }))
 		if rerr := sim.Run(); rerr != nil {
 			b.Fatal(rerr)
 		}
