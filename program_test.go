@@ -19,8 +19,10 @@ import (
 	"memcontention/internal/kernels"
 	"memcontention/internal/memsys"
 	"memcontention/internal/obs"
+	"memcontention/internal/prof"
 	"memcontention/internal/topology"
 	"memcontention/internal/trace"
+	"memcontention/internal/units"
 )
 
 // programCorpus is FuzzClusterProgram's seed corpus, which plain `go test`
@@ -320,8 +322,35 @@ func checkProgramRates(run programRun) error {
 	return nil
 }
 
+// checkProgramBytes is check (c): every finished flow moved its bytes.
+// Its lifetime average times its duration equals its size to a relative
+// 1e-9, and so does the integral of its applied rates over the trace
+// (prof.BuildTimeline), give or take one byte: the flow manager completes
+// a flow with up to a byte left when another flow of its machine drains
+// and counts that byte as moved, and a flow of a few bytes integrates
+// the roundoff of the simulated times.
+func checkProgramBytes(run programRun) error {
+	tl, err := prof.BuildTimeline(run.events)
+	if err != nil {
+		return err
+	}
+	for _, fi := range tl.Flows {
+		d := fi.End - fi.Start
+		if !fi.Finished || d <= 0 {
+			continue
+		}
+		integral, avg := fi.MovedGB*units.BytesPerGB, fi.AvgRate*units.BytesPerGB*d
+		tol := 1e-9 * fi.Bytes
+		if math.Abs(integral-fi.Bytes) > 1+tol || math.Abs(avg-fi.Bytes) > tol {
+			return fmt.Errorf("machine %d flow %d (%s, %g bytes over %gs): rate integral %g bytes, average rate × duration %g bytes",
+				fi.Machine, fi.ID, fi.Kind, fi.Bytes, d, integral, avg)
+		}
+	}
+	return nil
+}
+
 // checkProgram runs p twice, and once more at GOMAXPROCS 1, and makes
-// checks (a), (b) and (d). It returns the first run.
+// checks (a) to (d). It returns the first run.
 func checkProgram(p clusterProgram) (programRun, error) {
 	first, err := p.run()
 	if err != nil {
@@ -348,6 +377,9 @@ func checkProgram(p clusterProgram) (programRun, error) {
 				i+2, i == 1, len(again.trace), len(first.trace), again.err, first.err)
 		}
 	}
+	if err := checkProgramBytes(first); err != nil {
+		return first, err
+	}
 	if p.plan == nil {
 		if err := checkProgramRates(first); err != nil {
 			return first, err
@@ -369,6 +401,7 @@ func programDigest(run programRun) string {
 // keep: (a) nothing panics, a fault-free program returns nil and a
 // faulted one nil, an *MPIOpError, a *DeadlockError or a *BudgetError;
 // (b) two runs, and a third at GOMAXPROCS 1, write the same trace bytes;
+// (c) every finished flow moved its bytes;
 // (d) without faults, every rate change equals SolveInto on the
 // machine's active streams, bit for bit. The trace of every program of
 // the seed corpus must also hash to the digest recorded for it in
@@ -389,9 +422,10 @@ func FuzzClusterProgram(f *testing.F) {
 	})
 }
 
-// programDigests returns the recorded trace digest of every program of
-// the seed corpus, keyed by its input; with -update it records them
-// first.
+// programDigests returns the recorded trace digests of the seed corpus,
+// keyed by input. A corpus file without a digest, such as a failing
+// input the fuzzer has added, is replayed unpinned until -update records
+// it.
 func programDigests(f *testing.F) map[string]string {
 	files, err := filepath.Glob(filepath.Join(programCorpus, "*"))
 	if err != nil || len(files) == 0 {
@@ -431,9 +465,6 @@ func programDigests(f *testing.F) map[string]string {
 			f.Fatalf("%s: line %q names no seed corpus file", programDigestFile, line)
 		}
 		recorded[data] = digest
-	}
-	if len(recorded) != len(files) {
-		f.Fatalf("%s holds %d digests, want one per seed corpus file (%d)", programDigestFile, len(recorded), len(files))
 	}
 	return recorded
 }
