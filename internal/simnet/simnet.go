@@ -174,8 +174,9 @@ type Result struct {
 }
 
 // Recipient receives the outcome of a transfer (DeliverAsync):
-// Delivered runs once, in scheduler context. The MPI layer's message
-// object implements it, so that reporting allocates nothing.
+// Delivered runs at most once per transfer, in scheduler context. The
+// MPI layer's message object implements it, so that reporting allocates
+// nothing.
 type Recipient interface {
 	Delivered(res Result, err error)
 }
