@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check lint vet gofmt memlint memlint-per-check lint-fixtures build test race repro bench benchdiff fuzz prof-smoke serve-smoke loadtest fmt
+.PHONY: check lint vet gofmt memlint memlint-per-check lint-fixtures build test race repro perfbench bench benchdiff fuzz prof-smoke serve-smoke loadtest fmt
 
-check: lint build race repro benchdiff ## pre-merge gate: lint + build + race tests + reproduction (+ advisory benchdiff)
+check: lint build race repro perfbench benchdiff ## pre-merge gate: lint + build + race tests + reproduction + benchmark module (+ advisory benchdiff)
 
 # lint is the static-analysis gate: go vet, gofmt, plus the repo's own memlint
 # suite (determinism, maprange, nilhook, durable, errhygiene, and the
@@ -56,6 +56,13 @@ race:
 
 repro:
 	$(GO) test -run TestReproduction ./...
+
+# perfbench vets and tests the benchmark module, _perfbench, which is a
+# separate module built against this one: a change to an API it calls, or
+# to a byte of the paperfigs artifacts it pins, fails here and not only
+# in the benchmark run.
+perfbench:
+	cd _perfbench && $(GO) vet . && $(GO) test .
 
 # fuzz gives every fuzz target a short smoke run (the regression corpora
 # under testdata/fuzz run on every plain `go test` regardless).

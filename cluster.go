@@ -231,7 +231,9 @@ func (c *Cluster) WithWatchdog(maxSimSeconds float64, maxEvents int64) *Cluster 
 // Machines returns the cluster's nodes.
 func (c *Cluster) Machines() []*simnet.Machine { return c.machines }
 
-// Platform returns the machines' platform description.
+// Platform returns the machines' platform description. For a cluster of
+// NewCluster it is the shared built-in platform (see PlatformByName) and
+// must not be modified.
 func (c *Cluster) Platform() *Platform { return c.machines[0].Sys.Platform() }
 
 // Run executes an MPI program with ranksPerMachine ranks on each machine

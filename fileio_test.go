@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"memcontention/internal/topology"
 )
 
 func TestPlatformFileRoundTrip(t *testing.T) {
@@ -114,7 +116,8 @@ func TestSaveRejectsInvalid(t *testing.T) {
 	if err := SaveModelFile(filepath.Join(dir, "m.json"), m); err == nil {
 		t.Error("invalid model saved")
 	}
-	plat := mustPlatform(t, "henri")
+	// A new platform: the built-in ones are shared and must not change.
+	plat := topology.Henri()
 	plat.Cores[0].Socket = 9
 	if err := SavePlatformFile(filepath.Join(dir, "p.json"), plat); err == nil {
 		t.Error("invalid platform saved")

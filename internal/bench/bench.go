@@ -154,9 +154,12 @@ type benchInstruments struct {
 	commBW     *obs.Histogram
 }
 
-// newBenchInstruments registers the runner's instruments (all nil when
-// r is nil).
+// newBenchInstruments registers the runner's instruments (all nil, and
+// nothing built, when r is nil).
 func newBenchInstruments(r *obs.Registry) benchInstruments {
+	if r == nil {
+		return benchInstruments{}
+	}
 	return benchInstruments{
 		points:     r.Counter("memcontention_bench_points_total", "Benchmark points measured (one per core count per placement).", nil),
 		solves:     r.Counter("memcontention_bench_solves_total", "Steady-state solver calls issued by the benchmark.", nil),

@@ -42,6 +42,15 @@ func TestMeasurePointAllocs(t *testing.T) {
 	}
 }
 
+// TestNilRegistryBuildsNoInstruments: a runner without a registry builds
+// nothing for its instruments. It used to build the bucket slices of two
+// histograms it never used: two allocations per runner.
+func TestNilRegistryBuildsNoInstruments(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() { _ = newBenchInstruments(nil) }); got != 0 {
+		t.Errorf("newBenchInstruments(nil) allocates %v times, want 0", got)
+	}
+}
+
 // TestNoiseMatchesLabels: the noise of every metric is the mean of
 // Repeats jitter draws from rng.New(seed, label).Derive("repK"), label
 // being fmt.Sprintf("%s|%s|%s|n=%d|%s", platform, kernel, placement, n,

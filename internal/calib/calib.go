@@ -63,28 +63,19 @@ func CalibrateWith(curve *bench.Curve, opts Options) (model.Params, error) {
 	if curve == nil || len(curve.Points) == 0 {
 		return model.Params{}, fmt.Errorf("calib: empty curve")
 	}
+	// The four series the recipe reads, in one block.
+	nCores := len(curve.Points)
+	block := make([]float64, 4*nCores)
+	compAlone := block[:nCores:nCores]
+	commAlone := block[nCores : 2*nCores : 2*nCores]
+	commPar := block[2*nCores : 3*nCores : 3*nCores]
+	totalPar := block[3*nCores:]
 	for i, pt := range curve.Points {
 		if pt.N != i+1 {
 			return model.Params{}, fmt.Errorf("calib: curve points must cover n=1..N densely (point %d has n=%d)", i, pt.N)
 		}
+		compAlone[i], commAlone[i], commPar[i], totalPar[i] = pt.CompAlone, pt.CommAlone, pt.CommPar, pt.TotalPar()
 	}
-	compAlone, err := curve.Series("comp_alone")
-	if err != nil {
-		return model.Params{}, err
-	}
-	commAlone, err := curve.Series("comm_alone")
-	if err != nil {
-		return model.Params{}, err
-	}
-	commPar, err := curve.Series("comm_par")
-	if err != nil {
-		return model.Params{}, err
-	}
-	totalPar, err := curve.Series("total_par")
-	if err != nil {
-		return model.Params{}, err
-	}
-	nCores := len(curve.Points)
 
 	var p model.Params
 

@@ -69,6 +69,20 @@ func TestCalibrateRecoversKnownParams(t *testing.T) {
 	}
 }
 
+// TestCalibrateWithAllocs: a calibration reads the curve's four series
+// into one block and allocates nothing else.
+func TestCalibrateWithAllocs(t *testing.T) {
+	curve := syntheticCurve(refParams(), 18)
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := CalibrateWith(curve, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 1 {
+		t.Errorf("CalibrateWith allocates %v times per call, want 1", got)
+	}
+}
+
 func TestCalibratePredictionFixedPoint(t *testing.T) {
 	// Predicting the synthetic curve with the recovered parameters must
 	// reproduce it closely (the pipeline is approximately idempotent).

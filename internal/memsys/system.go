@@ -103,7 +103,9 @@ func New(plat *topology.Platform, prof *Profile) (*System, error) {
 	}, nil
 }
 
-// Platform returns the underlying platform.
+// Platform returns the underlying platform. It may be a built-in
+// platform that topology.ByName shares with every caller, so it must not
+// be modified.
 func (s *System) Platform() *topology.Platform { return s.plat }
 
 // Profile returns the underlying hardware profile.

@@ -16,9 +16,26 @@ type Placement struct {
 }
 
 // String renders the placement the way the paper's subplot titles do.
+// Node ids 0–7, which cover every testbed platform, return a precomputed
+// name and allocate nothing.
 func (pl Placement) String() string {
-	return fmt.Sprintf("comp@%d/comm@%d", pl.Comp, pl.Comm)
+	if uint(pl.Comp) < uint(len(placementNames)) && uint(pl.Comm) < uint(len(placementNames)) {
+		return placementNames[pl.Comp][pl.Comm]
+	}
+	return fmt.Sprintf(placementFormat, pl.Comp, pl.Comm)
 }
+
+const placementFormat = "comp@%d/comm@%d"
+
+// placementNames holds Placement.String for node ids 0–7.
+var placementNames = func() (names [8][8]string) {
+	for comp := range names {
+		for comm := range names[comp] {
+			names[comp][comm] = fmt.Sprintf(placementFormat, comp, comm)
+		}
+	}
+	return names
+}()
 
 // Prediction is the model output for one (n, placement) input.
 type Prediction struct {

@@ -199,8 +199,23 @@ func TestModelJSONRoundTrip(t *testing.T) {
 }
 
 func TestPlacementString(t *testing.T) {
-	if got := (Placement{Comp: 2, Comm: 0}).String(); got != "comp@2/comm@0" {
-		t.Errorf("Placement.String() = %q", got)
+	for _, c := range []struct {
+		pl   Placement
+		want string
+	}{
+		{Placement{Comp: 2, Comm: 0}, "comp@2/comm@0"},
+		{Placement{Comp: 7, Comm: 7}, "comp@7/comm@7"},
+		{Placement{Comp: 8, Comm: 1}, "comp@8/comm@1"},
+		{Placement{Comp: 1, Comm: 12}, "comp@1/comm@12"},
+		{Placement{Comp: -1, Comm: 0}, "comp@-1/comm@0"},
+	} {
+		if got := c.pl.String(); got != c.want {
+			t.Errorf("%#v.String() = %q, want %q", c.pl, got, c.want)
+		}
+	}
+	// Node ids 0–7 cover every testbed platform: no allocation.
+	if got := testing.AllocsPerRun(100, func() { _ = Placement{Comp: 1, Comm: 3}.String() }); got != 0 {
+		t.Errorf("Placement.String allocates %v times per call, want 0", got)
 	}
 }
 

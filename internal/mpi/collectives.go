@@ -136,23 +136,39 @@ func (c *Ctx) Reduce(root int, size units.ByteSize, node topology.NodeID, value 
 	tag := collectiveTagBase + 2
 	out, err := binomialReduce(c.world.Size(), c.Rank(), root, value, op,
 		func(child int) (float64, error) {
-			st, err := c.Recv(child, tag, size, node)
-			if err != nil {
-				return 0, err
-			}
-			v, ok := st.Payload.(float64)
-			if !ok {
-				return 0, fmt.Errorf("non-float payload from %d", st.Source)
-			}
-			return v, nil
+			return c.recvValue(child, tag, size, node)
 		},
 		func(parent int, acc float64) error {
-			return c.Send(parent, tag, size, node, acc)
+			return c.sendValue(parent, tag, size, node, acc)
 		})
 	if err != nil {
 		return 0, fmt.Errorf("mpi: Reduce rank %d: %w", c.Rank(), err)
 	}
 	return out, nil
+}
+
+// sendValue is Send for a Reduce hop: the message carries value in its
+// request (Request.value) instead of a boxed payload.
+func (c *Ctx) sendValue(dst, tag int, size units.ByteSize, node topology.NodeID, value float64) error {
+	req, err := c.isend(dst, tag, size, node, nil, value)
+	if err != nil {
+		return err
+	}
+	_, err = c.Wait(req)
+	return err
+}
+
+// recvValue is Recv for a Reduce hop: it returns the value the matched
+// sendValue carried.
+func (c *Ctx) recvValue(src, tag int, size units.ByteSize, node topology.NodeID) (float64, error) {
+	req, err := c.Irecv(src, tag, size, node)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := c.Wait(req); err != nil {
+		return 0, err
+	}
+	return req.value, nil
 }
 
 // Allreduce is Reduce to rank 0 followed by Bcast.

@@ -234,18 +234,18 @@ func (v *CommView) Reduce(root int, size units.ByteSize, node topology.NodeID, v
 	}
 	return binomialReduce(v.Size(), v.Rank(), root, value, op,
 		func(child int) (float64, error) {
-			st, err := v.Recv(child, commReduceTag, size, node)
+			wr, err := v.WorldRank(child)
 			if err != nil {
 				return 0, err
 			}
-			f, ok := st.Payload.(float64)
-			if !ok {
-				return 0, fmt.Errorf("mpi: comm Reduce: non-float payload from %d", st.Source)
-			}
-			return f, nil
+			return v.ctx.recvValue(wr, v.tag(commReduceTag), size, node)
 		},
 		func(parent int, acc float64) error {
-			return v.Send(parent, commReduceTag, size, node, acc)
+			wr, err := v.WorldRank(parent)
+			if err != nil {
+				return err
+			}
+			return v.ctx.sendValue(wr, v.tag(commReduceTag), size, node, acc)
 		})
 }
 

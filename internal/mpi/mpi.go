@@ -135,6 +135,10 @@ type Request struct {
 	// receive.
 	node topology.NodeID
 	size units.ByteSize
+	// value is the partial result a Reduce hop carries: set on the send,
+	// and copied into the matched receive when the message completes, so
+	// a hop does not box it into Status.Payload.
+	value float64
 	// owner is the rank that posted the request.
 	owner *rankState
 	// span is the operation's causal span, ended at completion (0 when
@@ -245,6 +249,11 @@ func (c *Ctx) Sleep(d float64) { c.proc.Sleep(d) }
 // It allocates one object, the message's envelope, which holds the
 // returned request.
 func (c *Ctx) Isend(dst, tag int, size units.ByteSize, srcNode topology.NodeID, payload any) (*Request, error) {
+	return c.isend(dst, tag, size, srcNode, payload, 0)
+}
+
+// isend is Isend with the value a Reduce hop carries (see Request.value).
+func (c *Ctx) isend(dst, tag int, size units.ByteSize, srcNode topology.NodeID, payload any, value float64) (*Request, error) {
 	if dst < 0 || dst >= c.world.Size() {
 		return nil, fmt.Errorf("mpi: rank %d: Isend to invalid rank %d", c.Rank(), dst)
 	}
@@ -261,7 +270,7 @@ func (c *Ctx) Isend(dst, tag int, size units.ByteSize, srcNode topology.NodeID, 
 		return nil, c.downError(fmt.Sprintf("Send(dst=%d, tag=%d)", dst, tag))
 	}
 	env := &envelope{
-		send:    Request{world: c.world, peer: dst, tag: tag, node: srcNode, size: size, owner: c.rank},
+		send:    Request{world: c.world, peer: dst, tag: tag, node: srcNode, size: size, value: value, owner: c.rank},
 		payload: payload,
 	}
 	env.event.Bind(c.world.sim, env)
@@ -396,15 +405,18 @@ func (c *Ctx) WaitAll(reqs ...*Request) error {
 	return first
 }
 
-// matches implements MPI matching semantics for a posted receive.
+// matches implements MPI matching semantics for a posted receive. A
+// wildcard tag matches user tags only: as in MPI, collective and
+// communicator traffic, tagged from collectiveTagBase up, never matches
+// a point-to-point receive.
 func (r *Request) matches(env *envelope) bool {
 	if r.peer != AnySource && r.peer != env.src() {
 		return false
 	}
-	if r.tag != AnyTag && r.tag != env.send.tag {
-		return false
+	if r.tag == AnyTag {
+		return env.send.tag < collectiveTagBase
 	}
-	return true
+	return r.tag == env.send.tag
 }
 
 // deliverEnvelope routes a send envelope to its destination rank rs,
@@ -488,6 +500,7 @@ func (env *envelope) complete(rate units.Bandwidth, err error) {
 		recvErr = w.opError(dst, fmt.Sprintf("Recv(src=%d, tag=%d)", src, tag), err)
 		sendErr = w.opError(src, fmt.Sprintf("Send(dst=%d, tag=%d)", dst, tag), err)
 	}
+	env.recv.value = env.send.value
 	env.recv.complete(Status{Source: src, Tag: tag, Size: env.send.size, Payload: env.payload, AvgRate: rate}, recvErr)
 	if env.rendezvous() {
 		env.send.complete(Status{Source: src, Tag: tag, Size: env.send.size}, sendErr)

@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // This file encodes Table I of the paper: the six testbed platforms.
@@ -84,7 +85,7 @@ func Occigen() *Platform {
 }
 
 // testbed lists the constructor of every platform of Table I under its
-// name, in the table's order, so a lookup by name builds one platform.
+// name, in the table's order.
 var testbed = []struct {
 	name  string
 	build func() *Platform
@@ -97,13 +98,23 @@ var testbed = []struct {
 	{"occigen", Occigen},
 }
 
-// Testbed returns every platform of Table I, in the table's order.
-func Testbed() []*Platform {
+// shared holds the platforms of Table I in the table's order, built once,
+// on first use, by their named constructors. ByName and Testbed hand out
+// these instances to every caller in the process.
+var shared = sync.OnceValue(func() []*Platform {
 	ps := make([]*Platform, len(testbed))
 	for i, b := range testbed {
 		ps[i] = b.build()
 	}
 	return ps
+})
+
+// Testbed returns every platform of Table I, in the table's order, in a
+// new slice. The platforms are shared by every caller in the process and
+// must not be modified; a caller that needs a platform it can change
+// builds one with its named constructor (Henri, Dahu, …).
+func Testbed() []*Platform {
+	return append([]*Platform(nil), shared()...)
 }
 
 // Names returns the sorted names of the built-in platforms.
@@ -116,11 +127,14 @@ func Names() []string {
 	return names
 }
 
-// ByName builds the built-in platform with the given name.
+// ByName returns the built-in platform with the given name. The platform
+// is shared by every caller in the process and must not be modified; a
+// caller that needs a platform it can change builds one with its named
+// constructor (Henri, Dahu, …).
 func ByName(name string) (*Platform, error) {
-	for _, b := range testbed {
+	for i, b := range testbed {
 		if b.name == name {
-			return b.build(), nil
+			return shared()[i], nil
 		}
 	}
 	return nil, fmt.Errorf("topology: unknown platform %q (known: %v)", name, Names())

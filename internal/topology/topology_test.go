@@ -172,7 +172,7 @@ func TestByName(t *testing.T) {
 			t.Error("Names() must be sorted")
 		}
 	}
-	// ByName builds one platform from its own name table: it must agree
+	// ByName looks a platform up in its own name table: it must agree
 	// with Testbed on every platform, and Names with Testbed's names.
 	var built []string
 	for _, want := range Testbed() {
@@ -188,6 +188,44 @@ func TestByName(t *testing.T) {
 	sort.Strings(built)
 	if !reflect.DeepEqual(names, built) {
 		t.Errorf("Names() = %v, Testbed names %v", names, built)
+	}
+}
+
+// TestSharedPlatforms: ByName and Testbed hand out one platform per name,
+// built once, equal to what its named constructor builds; a lookup
+// allocates nothing, and Testbed only its slice.
+func TestSharedPlatforms(t *testing.T) {
+	build := map[string]func() *Platform{
+		"henri": Henri, "henri-subnuma": HenriSubnuma, "dahu": Dahu,
+		"diablo": Diablo, "pyxis": Pyxis, "occigen": Occigen,
+	}
+	tb := Testbed()
+	if len(tb) != len(build) {
+		t.Fatalf("Testbed has %d platforms, want %d", len(tb), len(build))
+	}
+	for i, p := range tb {
+		first, err := ByName(p.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := ByName(p.Name); again != first {
+			t.Errorf("ByName(%q) returned two platforms", p.Name)
+		}
+		if Testbed()[i] != first {
+			t.Errorf("Testbed()[%d] is not ByName(%q)", i, p.Name)
+		}
+		if !reflect.DeepEqual(first, build[p.Name]()) {
+			t.Errorf("shared %s differs from a new build", p.Name)
+		}
+		if first == build[p.Name]() {
+			t.Errorf("%s's named constructor returned the shared platform", p.Name)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() { _, _ = ByName("henri") }); got != 0 {
+		t.Errorf("ByName allocates %v times per call, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = Testbed() }); got != 1 {
+		t.Errorf("Testbed allocates %v times per call, want 1 (its slice)", got)
 	}
 }
 

@@ -109,10 +109,14 @@ func DefaultProfileFor(plat *Platform) *HardwareProfile { return memsys.DefaultP
 // Platforms lists the built-in testbed platform names (Table I).
 func Platforms() []string { return topology.Names() }
 
-// PlatformByName returns a built-in platform.
+// PlatformByName returns a built-in platform. The platform is shared by
+// every caller in the process and must not be modified; describe a
+// changed machine with NewPlatformBuilder instead.
 func PlatformByName(name string) (*Platform, error) { return topology.ByName(name) }
 
-// Testbed returns every built-in platform in Table I order.
+// Testbed returns every built-in platform in Table I order, in a new
+// slice. The platforms are shared, as PlatformByName's are, and must not
+// be modified.
 func Testbed() []*Platform { return topology.Testbed() }
 
 // ProfileFor returns the simulated hardware behaviour of a built-in
