@@ -60,9 +60,19 @@ repro:
 # perfbench vets and tests the benchmark module, _perfbench, which is a
 # separate module built against this one: a change to an API it calls, or
 # to a byte of the paperfigs artifacts it pins, fails here and not only
-# in the benchmark run.
+# in the benchmark run. It then runs every workload for 0.2 s through
+# run.sh, as the benchmark does, untraced and traced, and fails unless
+# each run's last line reports it correct with no failed op: a traced
+# replay that disagrees with the op it replays fails here too.
 perfbench:
 	cd _perfbench && $(GO) vet . && $(GO) test .
+	@for w in paper-testbed cluster-halo serve-mixed; do for t in 0 1; do \
+		last=$$(bash _perfbench/run.sh --workload $$w --seconds 0.2 --trace $$t | tail -n 1); \
+		case "$$last" in \
+		'{"correct":true,'*'"failed":0,'*) echo "== perfbench $$w --trace $$t: correct, 0 failed";; \
+		*) echo "perfbench: $$w --trace $$t ended with: $$last"; exit 1;; \
+		esac; \
+	done; done
 
 # fuzz gives every fuzz target a short smoke run (the regression corpora
 # under testdata/fuzz run on every plain `go test` regardless).

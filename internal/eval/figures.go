@@ -102,8 +102,19 @@ func appendGBsCells(b []byte, vals ...float64) []byte {
 }
 
 // csvField renders s as one CSV field, quoted exactly as encoding/csv
-// quotes it: platform names come from user platform files.
+// quotes it: platform names come from user platform files. A name of
+// printable ASCII without a comma, a quote or a leading space, other
+// than `\.`, is one encoding/csv writes as is, and is returned as is
+// without building a writer.
 func csvField(s string) (string, error) {
+	plain := s != `\.`
+	for i := 0; i < len(s) && plain; i++ {
+		c := s[i]
+		plain = c > ' ' && c <= '~' && c != ',' && c != '"' || c == ' ' && i > 0
+	}
+	if plain {
+		return s, nil
+	}
 	var b strings.Builder
 	cw := csv.NewWriter(&b)
 	if err := cw.Write([]string{s}); err != nil {

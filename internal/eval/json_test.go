@@ -39,14 +39,24 @@ func checkJSON(t testing.TB, name string, v any) {
 	t.Helper()
 	want, werr := stdlibJSON(v, 0)
 	got, err := export.MarshalIndent(v)
+	// WriteJSON appends into a bytes.Buffer's own storage, after what the
+	// buffer already holds, and leaves it alone on an error.
+	var buf bytes.Buffer
+	buf.WriteString("x")
+	bufErr := export.WriteJSON(&buf, v)
 	switch {
 	case werr != nil || err != nil:
 		if werr == nil || err == nil || err.Error() != werr.Error() {
 			t.Fatalf("%s: MarshalIndent error %v, json.Marshal error %v", name, err, werr)
 		}
+		if bufErr == nil || bufErr.Error() != err.Error() || buf.String() != "x" {
+			t.Fatalf("%s: WriteJSON to a bytes.Buffer returned %v and left %q", name, bufErr, buf.String())
+		}
 		return
 	case !bytes.Equal(got, want):
 		t.Fatalf("%s: MarshalIndent:\n%s\njson.Marshal + json.Indent:\n%s", name, got, want)
+	case bufErr != nil || !bytes.Equal(buf.Bytes()[1:], want):
+		t.Fatalf("%s: WriteJSON to a bytes.Buffer (%v):\n%s\njson.Marshal + json.Indent:\n%s", name, bufErr, buf.Bytes()[1:], want)
 	}
 	r, ok := v.(*PlatformResult)
 	if !ok {
@@ -202,6 +212,10 @@ func TestAppendJSONMatchesStdlib(t *testing.T) {
 
 // TestMarshalIndentResultsAllocs: table2.json allocates its output once;
 // the second allocation is the slice header boxed into the any argument.
+// Written to a bytes.Buffer, as the artifacts are, the output is appended
+// straight into the buffer's storage, so a buffer with room allocates
+// only the boxed header: when WriteJSON rendered into a slice of its own
+// and the buffer copied it, that slice was one more allocation.
 func TestMarshalIndentResultsAllocs(t *testing.T) {
 	results := []*PlatformResult{smallResult(), smallResult()}
 	if n := testing.AllocsPerRun(20, func() {
@@ -210,6 +224,15 @@ func TestMarshalIndentResultsAllocs(t *testing.T) {
 		}
 	}); n > 2 {
 		t.Errorf("WriteJSON of []*PlatformResult allocates %v times, want at most 2", n)
+	}
+	var buf bytes.Buffer
+	if n := testing.AllocsPerRun(20, func() {
+		buf.Reset()
+		if err := export.WriteJSON(&buf, results); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("WriteJSON of []*PlatformResult to a bytes.Buffer with room allocates %v times, want at most 1", n)
 	}
 }
 

@@ -104,7 +104,8 @@ func syntheticFigure(platform string, points int) *Figure {
 func TestFigureCSVMatchesEncodingCSV(t *testing.T) {
 	for _, name := range []string{
 		"henri", "a,b", `say "hi"`, "two\nlines", "car\rreturn", "crlf\r\n", " leading",
-		`\.`, "", "tab\there", "ünï ∥ code", "trailing ",
+		`\.`, "", "tab\there", "ünï ∥ code", "trailing ", "inner space", "\tlead", "\vlead",
+		"\u00a0nbsp", "ctl\x01char", "~", `\`, `\.\`, "henri-subnuma",
 	} {
 		f := syntheticFigure(name, 3)
 		var got strings.Builder
@@ -138,6 +139,21 @@ func TestStackedCSVMatchesEncodingCSV(t *testing.T) {
 	}
 	if got.String() != want.String() {
 		t.Errorf("stacked CSV:\n%s\nencoding/csv:\n%s", got.String(), want.String())
+	}
+}
+
+// TestCSVFieldPlainNameAllocs: a name encoding/csv writes unquoted, such
+// as every Table I platform's, is returned as is, without building a
+// CSV writer and its 4 KiB buffer.
+func TestCSVFieldPlainNameAllocs(t *testing.T) {
+	for _, plat := range topology.Testbed() {
+		if allocs := testing.AllocsPerRun(20, func() {
+			if got, err := csvField(plat.Name); err != nil || got != plat.Name {
+				t.Fatalf("csvField(%q) = %q, %v", plat.Name, got, err)
+			}
+		}); allocs != 0 {
+			t.Errorf("csvField(%q) allocates %v times, want 0", plat.Name, allocs)
+		}
 	}
 }
 

@@ -21,6 +21,7 @@
 package export
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -168,7 +169,21 @@ func (t *Table) String() string {
 }
 
 // WriteJSON pretty-prints any value as JSON, as MarshalIndent renders it.
+// A JSONAppender, or a slice of them, written to a *bytes.Buffer is
+// appended straight into the buffer's free space, grown to JSONSize's
+// bound, instead of into a slice of its own that the buffer then copies.
 func WriteJSON(w io.Writer, v any) error {
+	if b, ok := w.(*bytes.Buffer); ok {
+		if size, ok := appenderSize(v); ok {
+			b.Grow(size)
+			dst, err := appendAppender(b.AvailableBuffer(), v)
+			if err != nil {
+				return err
+			}
+			_, err = b.Write(dst)
+			return err
+		}
+	}
 	data, err := MarshalIndent(v)
 	if err != nil {
 		return err
@@ -185,15 +200,8 @@ func WriteJSON(w io.Writer, v any) error {
 // MarshalJSON methods, HTML escaping), and then this package's indent
 // pass.
 func MarshalIndent(v any) ([]byte, error) {
-	if a, ok := v.(JSONAppender); ok {
-		dst, err := a.AppendJSON(make([]byte, 0, a.JSONSize(0)+1), 0)
-		if err != nil {
-			return nil, err
-		}
-		return append(dst, '\n'), nil
-	}
-	if rv := reflect.ValueOf(v); rv.Kind() == reflect.Slice && rv.Type().Elem().Implements(appenderType) {
-		return marshalAppenders(rv)
+	if size, ok := appenderSize(v); ok {
+		return appendAppender(make([]byte, 0, size), v)
 	}
 	src, err := json.Marshal(v)
 	if err != nil {
@@ -217,34 +225,53 @@ type JSONAppender interface {
 
 var appenderType = reflect.TypeFor[JSONAppender]()
 
-// marshalAppenders is MarshalIndent of a slice of JSONAppenders: null for
-// a nil slice, [] for an empty one, else one element per line. A nil
-// element, a nil interface or pointer, writes null, as json.Marshal does.
-func marshalAppenders(rv reflect.Value) ([]byte, error) {
-	switch {
-	case rv.IsNil():
-		return []byte("null\n"), nil
-	case rv.Len() == 0:
-		return []byte("[]\n"), nil
+// appenderSize bounds the bytes appendAppender appends for v, and
+// reports whether v is a JSONAppender or a slice whose element type is
+// one; only then does appendAppender render it.
+func appenderSize(v any) (int, bool) {
+	if a, ok := v.(JSONAppender); ok {
+		return a.JSONSize(0) + 1, true
 	}
-	elem := func(i int) JSONAppender {
-		a, _ := rv.Index(i).Interface().(JSONAppender)
-		return a
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Slice || !rv.Type().Elem().Implements(appenderType) {
+		return 0, false
 	}
-	size := len("[\n]\n")
+	size := len("null\n")
 	for i := range rv.Len() {
 		size += len(",\n  ") + len("null")
-		if a := elem(i); a != nil {
+		if a := appenderAt(rv, i); a != nil {
 			size += a.JSONSize(1)
 		}
 	}
-	dst := append(make([]byte, 0, size), '[')
+	return size, true
+}
+
+// appendAppender appends MarshalIndent's bytes for v, a JSONAppender or
+// a slice of them, to dst. A slice is null when nil, [] when empty, else
+// one element per line; a nil element, a nil interface or pointer,
+// writes null, as json.Marshal does.
+func appendAppender(dst []byte, v any) ([]byte, error) {
+	if a, ok := v.(JSONAppender); ok {
+		dst, err := a.AppendJSON(dst, 0)
+		if err != nil {
+			return nil, err
+		}
+		return append(dst, '\n'), nil
+	}
+	rv := reflect.ValueOf(v)
+	switch {
+	case rv.IsNil():
+		return append(dst, "null\n"...), nil
+	case rv.Len() == 0:
+		return append(dst, "[]\n"...), nil
+	}
+	dst = append(dst, '[')
 	for i := range rv.Len() {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = AppendJSONNewline(dst, 1)
-		a := elem(i)
+		a := appenderAt(rv, i)
 		if a == nil {
 			dst = append(dst, "null"...)
 			continue
@@ -255,6 +282,13 @@ func marshalAppenders(rv reflect.Value) ([]byte, error) {
 		}
 	}
 	return append(AppendJSONNewline(dst, 0), ']', '\n'), nil
+}
+
+// appenderAt returns element i of a slice of JSONAppenders, nil for a
+// nil element.
+func appenderAt(rv reflect.Value, i int) JSONAppender {
+	a, _ := rv.Index(i).Interface().(JSONAppender)
+	return a
 }
 
 // AppendJSONFloat appends v as json.Marshal encodes a float64: the

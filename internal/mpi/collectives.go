@@ -16,26 +16,92 @@ import (
 // O(log P) fabric hops — good enough to study contention, which is a
 // per-node memory-system effect.
 
-// collectiveTagBase separates internal collective traffic from user tags.
+// collectiveTagBase separates internal collective traffic from user tags:
+// point-to-point tags lie below it, and collectives and communicators tag
+// their messages from it up.
 const collectiveTagBase = 1 << 20
+
+// hopData is what a collective hop carries besides its bytes: Bcast's
+// payload, or the float64 of a Reduce or Allreduce hop, which rides in
+// Request.value so that it is not boxed into the payload.
+type hopData struct {
+	payload any
+	value   float64
+}
+
+// take pops the last object of a free list, or allocates one when the
+// list is empty.
+func take[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return x
+}
+
+// postHop posts a message of a collective or a communicator: its tag is
+// not checked against the user tags, and its envelope comes from the
+// world's free list. It returns the send request of a rendezvous, which
+// the caller waits for. An eager hop's send completes when it is posted,
+// so it is not waited on, and the world takes its envelope back once its
+// receive has completed without error.
+func (c *Ctx) postHop(dst, tag int, size units.ByteSize, node topology.NodeID, d hopData) (*Request, error) {
+	req, err := c.isend(dst, tag, size, node, d.payload, d.value, true)
+	if err != nil || size <= EagerLimit {
+		return nil, err
+	}
+	return req, nil
+}
+
+// sendHop is the blocking postHop.
+func (c *Ctx) sendHop(dst, tag int, size units.ByteSize, node topology.NodeID, d hopData) error {
+	req, err := c.postHop(dst, tag, size, node, d)
+	if err != nil || req == nil {
+		return err
+	}
+	_, err = c.Wait(req)
+	return err
+}
+
+// recvHop receives a message of a collective or a communicator into a
+// request from the world's free list, and returns its status and the
+// value a Reduce hop carries. The request goes back to the list once the
+// message has arrived without error and has been read. A request that
+// failed is never reused: the late message of a timed-out receive still
+// completes it, which must stay a no-op.
+func (c *Ctx) recvHop(src, tag int, size units.ByteSize, node topology.NodeID) (Status, float64, error) {
+	req, err := c.irecv(src, tag, size, node, true)
+	if err != nil {
+		return Status{}, 0, err
+	}
+	st, err := c.Wait(req)
+	if err != nil {
+		return st, 0, err
+	}
+	v := req.value
+	c.world.recvs = append(c.world.recvs, req)
+	return st, v, nil
+}
 
 // binomialBcast runs the binomial broadcast over a group of size members
 // (local index me, root in group numbering); the closures perform the
-// actual transfers against group-local peer indices. Returns the payload
+// actual transfers against group-local peer indices. Returns the data
 // every member ends up holding.
-func binomialBcast(size, me, root int, payload any,
-	recvParent func(parent int) (any, error),
-	sendChild func(child int, payload any) error) (any, error) {
+func binomialBcast(size, me, root int, data hopData,
+	recvParent func(parent int) (hopData, error),
+	sendChild func(child int, data hopData) error) (hopData, error) {
 	// Virtual rank: rotate so the root is 0 in the tree.
 	vrank := (me - root + size) % size
 	if vrank != 0 {
 		// Receive from the parent: clear the lowest set bit.
 		parent := ((vrank & (vrank - 1)) + root) % size
-		p, err := recvParent(parent)
+		d, err := recvParent(parent)
 		if err != nil {
-			return nil, err
+			return hopData{}, err
 		}
-		payload = p
+		data = d
 	}
 	// Forward to children: vrank+bit for every power of two below my
 	// lowest set bit (all of them for the root), largest subtree first.
@@ -52,11 +118,11 @@ func binomialBcast(size, me, root int, payload any,
 			continue
 		}
 		child := (vrank + bit + root) % size
-		if err := sendChild(child, payload); err != nil {
-			return nil, err
+		if err := sendChild(child, data); err != nil {
+			return hopData{}, err
 		}
 	}
-	return payload, nil
+	return data, nil
 }
 
 // binomialReduce runs the binomial reduction mirror image: members receive
@@ -86,12 +152,19 @@ func binomialReduce(size, me, root int, value float64, op func(a, b float64) flo
 
 // Bcast broadcasts size bytes from root to all ranks. Data lands on (and
 // is sent from) the given NUMA node of each rank's machine. The root's
-// payload value is returned on every rank. Sends are posted non-blocking
-// so subtrees progress in parallel; the rank keeps their requests in
-// storage it reuses.
+// payload value is returned on every rank.
 func (c *Ctx) Bcast(root int, size units.ByteSize, node topology.NodeID, payload any) (any, error) {
+	out, err := c.bcast(root, size, node, hopData{payload: payload})
+	return out.payload, err
+}
+
+// bcast is Bcast of a hop's data, so that Allreduce broadcasts its
+// float64 without boxing it. Sends are posted non-blocking so subtrees
+// progress in parallel; the rank keeps the requests of rendezvous sends
+// in storage it reuses, and waits for them before it returns.
+func (c *Ctx) bcast(root int, size units.ByteSize, node topology.NodeID, data hopData) (hopData, error) {
 	if err := c.checkRoot(root); err != nil {
-		return nil, err
+		return hopData{}, err
 	}
 	tag := collectiveTagBase + 1
 	reqs := c.rank.sends[:0]
@@ -99,27 +172,23 @@ func (c *Ctx) Bcast(root int, size units.ByteSize, node topology.NodeID, payload
 		clear(reqs)
 		c.rank.sends = reqs[:0]
 	}()
-	out, err := binomialBcast(c.world.Size(), c.Rank(), root, payload,
-		func(parent int) (any, error) {
-			st, err := c.Recv(parent, tag, size, node)
-			if err != nil {
-				return nil, err
-			}
-			return st.Payload, nil
+	out, err := binomialBcast(c.world.Size(), c.Rank(), root, data,
+		func(parent int) (hopData, error) {
+			st, v, err := c.recvHop(parent, tag, size, node)
+			return hopData{payload: st.Payload, value: v}, err
 		},
-		func(child int, p any) error {
-			req, err := c.Isend(child, tag, size, node, p)
-			if err != nil {
-				return err
+		func(child int, d hopData) error {
+			req, err := c.postHop(child, tag, size, node, d)
+			if req != nil {
+				reqs = append(reqs, req)
 			}
-			reqs = append(reqs, req)
-			return nil
+			return err
 		})
-	if err != nil {
-		return nil, fmt.Errorf("mpi: Bcast rank %d: %w", c.Rank(), err)
+	if err == nil {
+		err = c.WaitAll(reqs...)
 	}
-	if err := c.WaitAll(reqs...); err != nil {
-		return nil, fmt.Errorf("mpi: Bcast rank %d: %w", c.Rank(), err)
+	if err != nil {
+		return hopData{}, fmt.Errorf("mpi: Bcast rank %d: %w", c.Rank(), err)
 	}
 	return out, nil
 }
@@ -136,39 +205,16 @@ func (c *Ctx) Reduce(root int, size units.ByteSize, node topology.NodeID, value 
 	tag := collectiveTagBase + 2
 	out, err := binomialReduce(c.world.Size(), c.Rank(), root, value, op,
 		func(child int) (float64, error) {
-			return c.recvValue(child, tag, size, node)
+			_, v, err := c.recvHop(child, tag, size, node)
+			return v, err
 		},
 		func(parent int, acc float64) error {
-			return c.sendValue(parent, tag, size, node, acc)
+			return c.sendHop(parent, tag, size, node, hopData{value: acc})
 		})
 	if err != nil {
 		return 0, fmt.Errorf("mpi: Reduce rank %d: %w", c.Rank(), err)
 	}
 	return out, nil
-}
-
-// sendValue is Send for a Reduce hop: the message carries value in its
-// request (Request.value) instead of a boxed payload.
-func (c *Ctx) sendValue(dst, tag int, size units.ByteSize, node topology.NodeID, value float64) error {
-	req, err := c.isend(dst, tag, size, node, nil, value)
-	if err != nil {
-		return err
-	}
-	_, err = c.Wait(req)
-	return err
-}
-
-// recvValue is Recv for a Reduce hop: it returns the value the matched
-// sendValue carried.
-func (c *Ctx) recvValue(src, tag int, size units.ByteSize, node topology.NodeID) (float64, error) {
-	req, err := c.Irecv(src, tag, size, node)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := c.Wait(req); err != nil {
-		return 0, err
-	}
-	return req.value, nil
 }
 
 // Allreduce is Reduce to rank 0 followed by Bcast.
@@ -177,15 +223,8 @@ func (c *Ctx) Allreduce(size units.ByteSize, node topology.NodeID, value float64
 	if err != nil {
 		return 0, err
 	}
-	out, err := c.Bcast(0, size, node, acc)
-	if err != nil {
-		return 0, err
-	}
-	v, ok := out.(float64)
-	if !ok {
-		return 0, fmt.Errorf("mpi: Allreduce rank %d: broadcast payload corrupted", c.Rank())
-	}
-	return v, nil
+	out, err := c.bcast(0, size, node, hopData{value: acc})
+	return out.value, err
 }
 
 // Gather collects every rank's payload at the root, each contribution
@@ -198,7 +237,7 @@ func (c *Ctx) Gather(root int, size units.ByteSize, node topology.NodeID, payloa
 	w := c.world
 	tag := collectiveTagBase + 3
 	if c.Rank() != root {
-		if err := c.Send(root, tag, size, node, rankedPayload{c.Rank(), payload}); err != nil {
+		if err := c.sendHop(root, tag, size, node, hopData{payload: rankedPayload{c.Rank(), payload}}); err != nil {
 			return nil, fmt.Errorf("mpi: Gather rank %d: %w", c.Rank(), err)
 		}
 		return nil, nil
@@ -206,7 +245,7 @@ func (c *Ctx) Gather(root int, size units.ByteSize, node topology.NodeID, payloa
 	out := make([]any, w.Size())
 	out[root] = payload
 	for i := 0; i < w.Size()-1; i++ {
-		st, err := c.Recv(AnySource, tag, size, node)
+		st, _, err := c.recvHop(AnySource, tag, size, node)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: Gather root: %w", err)
 		}
@@ -236,13 +275,13 @@ func (c *Ctx) Scatter(root int, size units.ByteSize, node topology.NodeID, parts
 			if r == root {
 				continue
 			}
-			if err := c.Send(r, tag, size, node, parts[r]); err != nil {
+			if err := c.sendHop(r, tag, size, node, hopData{payload: parts[r]}); err != nil {
 				return nil, fmt.Errorf("mpi: Scatter root: %w", err)
 			}
 		}
 		return parts[root], nil
 	}
-	st, err := c.Recv(root, tag, size, node)
+	st, _, err := c.recvHop(root, tag, size, node)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: Scatter rank %d: %w", c.Rank(), err)
 	}

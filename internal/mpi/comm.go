@@ -130,42 +130,65 @@ func (v *CommView) WorldRank(local int) (int, error) {
 	return v.comm.members[local], nil
 }
 
-// tag namespaces a user tag into the communicator's tag space.
-func (v *CommView) tag(userTag int) int {
-	// Communicator tags live above the collective range, striped by id.
-	return collectiveTagBase<<4 + v.comm.id*(collectiveTagBase>>4) + userTag
+// Communicator tags live above the collective range, in one stripe of
+// commTagStripe tags per communicator, taken by its id: the user's tags
+// [0, commUserTags), then the communicator's own Bcast and Reduce tags,
+// so that no user tag aliases them or another communicator's tags.
+const (
+	commTagBase   = collectiveTagBase << 4
+	commTagStripe = collectiveTagBase >> 4
+	commUserTags  = commTagStripe - 2
+	commBcastTag  = commUserTags
+	commReduceTag = commUserTags + 1
+)
+
+// tag maps a tag of the communicator's stripe into the world's tags.
+func (v *CommView) tag(t int) int { return commTagBase + v.comm.id*commTagStripe + t }
+
+// Send is a comm-scoped blocking send; tag must lie in [0, commUserTags).
+func (v *CommView) Send(dst, tag int, size units.ByteSize, node topology.NodeID, payload any) error {
+	if tag < 0 || tag >= commUserTags {
+		return fmt.Errorf("mpi: comm send with tag %d, outside the user tags [0, %d)", tag, commUserTags)
+	}
+	return v.send(dst, tag, size, node, hopData{payload: payload})
 }
 
-// Send is a comm-scoped blocking send.
-func (v *CommView) Send(dst, tag int, size units.ByteSize, node topology.NodeID, payload any) error {
-	if tag < 0 {
-		return fmt.Errorf("mpi: comm send with negative tag %d", tag)
-	}
+// send is Send without the tag check, so that the communicator's
+// collectives reach their own tags. The message is a hop of the world
+// layer: the send blocks, so no caller holds its request.
+func (v *CommView) send(dst, tag int, size units.ByteSize, node topology.NodeID, d hopData) error {
 	wr, err := v.WorldRank(dst)
 	if err != nil {
 		return err
 	}
-	return v.ctx.Send(wr, v.tag(tag), size, node, payload)
+	return v.ctx.sendHop(wr, v.tag(tag), size, node, d)
 }
 
-// Recv is a comm-scoped blocking receive (src may be AnySource within the
-// communicator; AnyTag is not supported in comm scope to keep tag spaces
-// disjoint).
+// Recv is a comm-scoped blocking receive: src may be AnySource within
+// the communicator, and tag must lie in [0, commUserTags); AnyTag is not
+// supported in comm scope, which keeps the tag spaces disjoint.
 func (v *CommView) Recv(src, tag int, size units.ByteSize, node topology.NodeID) (Status, error) {
-	if tag < 0 {
-		return Status{}, fmt.Errorf("mpi: comm receive needs a concrete tag")
+	if tag < 0 || tag >= commUserTags {
+		return Status{}, fmt.Errorf("mpi: comm receive with tag %d, outside the user tags [0, %d)", tag, commUserTags)
 	}
+	st, _, err := v.recv(src, tag, size, node)
+	return st, err
+}
+
+// recv is Recv without the tag check, which also returns the value a
+// Reduce hop carries.
+func (v *CommView) recv(src, tag int, size units.ByteSize, node topology.NodeID) (Status, float64, error) {
 	worldSrc := AnySource
 	if src != AnySource {
 		wr, err := v.WorldRank(src)
 		if err != nil {
-			return Status{}, err
+			return Status{}, 0, err
 		}
 		worldSrc = wr
 	}
-	st, err := v.ctx.Recv(worldSrc, v.tag(tag), size, node)
+	st, val, err := v.ctx.recvHop(worldSrc, v.tag(tag), size, node)
 	if err != nil {
-		return st, err
+		return st, 0, err
 	}
 	// Translate the source back to comm-local numbering.
 	for idx, wr := range v.comm.members {
@@ -175,7 +198,7 @@ func (v *CommView) Recv(src, tag int, size units.ByteSize, node topology.NodeID)
 		}
 	}
 	st.Tag = tag
-	return st, nil
+	return st, val, nil
 }
 
 // Barrier blocks until every member of the communicator has entered it.
@@ -211,17 +234,15 @@ func (v *CommView) Bcast(root int, size units.ByteSize, node topology.NodeID, pa
 	if root < 0 || root >= v.Size() {
 		return nil, fmt.Errorf("mpi: comm Bcast invalid root %d", root)
 	}
-	return binomialBcast(v.Size(), v.Rank(), root, payload,
-		func(parent int) (any, error) {
-			st, err := v.Recv(parent, commBcastTag, size, node)
-			if err != nil {
-				return nil, err
-			}
-			return st.Payload, nil
+	out, err := binomialBcast(v.Size(), v.Rank(), root, hopData{payload: payload},
+		func(parent int) (hopData, error) {
+			st, _, err := v.recv(parent, commBcastTag, size, node)
+			return hopData{payload: st.Payload}, err
 		},
-		func(child int, p any) error {
-			return v.Send(child, commBcastTag, size, node, p)
+		func(child int, d hopData) error {
+			return v.send(child, commBcastTag, size, node, d)
 		})
+	return out.payload, err
 }
 
 // Reduce combines float64 payloads onto the comm-local root.
@@ -234,23 +255,10 @@ func (v *CommView) Reduce(root int, size units.ByteSize, node topology.NodeID, v
 	}
 	return binomialReduce(v.Size(), v.Rank(), root, value, op,
 		func(child int) (float64, error) {
-			wr, err := v.WorldRank(child)
-			if err != nil {
-				return 0, err
-			}
-			return v.ctx.recvValue(wr, v.tag(commReduceTag), size, node)
+			_, val, err := v.recv(child, commReduceTag, size, node)
+			return val, err
 		},
 		func(parent int, acc float64) error {
-			wr, err := v.WorldRank(parent)
-			if err != nil {
-				return err
-			}
-			return v.ctx.sendValue(wr, v.tag(commReduceTag), size, node, acc)
+			return v.send(parent, commReduceTag, size, node, hopData{value: acc})
 		})
 }
-
-// Comm-internal tags (within the communicator's namespaced space).
-const (
-	commBcastTag  = 1
-	commReduceTag = 2
-)

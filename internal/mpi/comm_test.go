@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"strings"
 	"testing"
 
 	"memcontention/internal/units"
@@ -138,6 +139,89 @@ func TestCommTagIsolation(t *testing.T) {
 	})
 	if payloads[2] != "even" || payloads[3] != "odd" {
 		t.Errorf("communicator tags leaked: %v", payloads)
+	}
+}
+
+// TestCommCollectivesSkipUserTags: a communicator's Bcast and Reduce use
+// tags outside its user tags, so a user message in flight does not
+// match them. With user tags 1 and 2 mapped onto the communicator's own
+// Bcast and Reduce tags, rank 1's Bcast returned the user message and
+// its next Recv got the broadcast.
+func TestCommCollectivesSkipUserTags(t *testing.T) {
+	sim, w := newWorld(t, 2, 1)
+	var bcast, recv any
+	run(t, sim, w, func(c *Ctx) {
+		comm, err := c.Split(0, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if comm.Rank() == 0 {
+			if err := comm.Send(1, 1, units.KiB, 0, "user"); err != nil {
+				t.Error(err)
+			}
+		}
+		out, err := comm.Bcast(0, units.KiB, 0, "bcast")
+		if err != nil {
+			t.Error(err)
+		}
+		if comm.Rank() == 1 {
+			bcast = out
+			st, err := comm.Recv(0, 1, units.KiB, 0)
+			if err != nil {
+				t.Error(err)
+			}
+			recv = st.Payload
+		}
+	})
+	if bcast != "bcast" || recv != "user" {
+		t.Errorf("rank 1's Bcast got %v and its Recv %v, want bcast and user", bcast, recv)
+	}
+}
+
+// TestCommTagStripeBound: a communicator's user tags stay below its
+// stripe: a tag at or above the bound is refused at the call, naming it.
+// When it was accepted, tag 65536 of one communicator was tag 0 of the
+// next, and a receive of tag 0 there got the other communicator's
+// message.
+func TestCommTagStripeBound(t *testing.T) {
+	sim, w := newWorld(t, 2, 1)
+	var errs [3]error // a.Send(65536), a.Send(65534), a.Recv(65534)
+	var got any
+	run(t, sim, w, func(c *Ctx) {
+		a, err := c.Split(0, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		b, err := c.Split(0, 0)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		switch c.Rank() {
+		case 0:
+			errs[0] = a.Send(1, 65536, units.KiB, 0, "a")
+			errs[1] = a.Send(1, 65534, units.KiB, 0, "x")
+			if err := b.Send(1, 0, units.KiB, 0, "b"); err != nil {
+				t.Error(err)
+			}
+		case 1:
+			st, err := b.Recv(0, 0, units.KiB, 0)
+			if err != nil {
+				t.Error(err)
+			}
+			got = st.Payload
+			_, errs[2] = a.Recv(0, 65534, units.KiB, 0)
+		}
+	})
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "[0, 65534)") {
+			t.Errorf("comm call %d past the user tags returned %v, want an error naming [0, 65534)", i, err)
+		}
+	}
+	if got != "b" {
+		t.Errorf("the second communicator's Recv got %v, want b", got)
 	}
 }
 

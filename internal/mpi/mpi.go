@@ -50,6 +50,11 @@ type World struct {
 	splitRound   *splitRound
 	commSeq      int
 	commBarriers map[int]*commBarrier
+	// envs and recvs hold the envelopes and receive requests of finished
+	// hops, which later hops reuse (postHop, recvHop). The ranks run one
+	// at a time, so one list of each serves the whole world.
+	envs  []*envelope
+	recvs []*Request
 }
 
 // rankState is the communication state of one rank.
@@ -68,8 +73,8 @@ type rankState struct {
 	// phase returns only once all of its flows have completed.
 	streams []memsys.Stream
 	flows   []engine.Handle
-	// sends is Bcast's scratch: the send requests it waits for before it
-	// returns.
+	// sends is Bcast's scratch: the rendezvous send requests it waits
+	// for before it returns.
 	sends []*Request
 }
 
@@ -85,10 +90,9 @@ func (rs *rankState) removePosted(req *Request) {
 }
 
 // envelope is one message: the send request Isend returns, and what the
-// receiving side needs to match and move the message, in one allocation.
-// It is the action of its own event and the simnet.Recipient of its
-// fabric transfers, so a message allocates nothing more on its way: a
-// send, a receive and a fabric transfer cost one allocation each.
+// receiving side needs to match and move the message, in one object. It
+// is the action of its own event and the simnet.Recipient of its fabric
+// transfers, so a message allocates nothing more on its way.
 type envelope struct {
 	send    Request
 	payload any
@@ -120,8 +124,13 @@ type Status struct {
 }
 
 // Request is a non-blocking operation handle. Irecv allocates one, and
-// Isend allocates its request inside the message's envelope. A
-// completed receive's Status is written into the request.
+// Isend allocates its request inside the message's envelope; the caller
+// keeps both, so neither is ever reused. The requests of collective and
+// communicator hops, which no caller sees, come from the world's free
+// lists, and go back to them once the hop has completed without error:
+// a request that failed, a timed-out receive whose message lands late
+// included, is never handed out again. A completed receive's Status is
+// written into the request.
 type Request struct {
 	world  *World
 	sig    engine.Signal
@@ -135,9 +144,9 @@ type Request struct {
 	// receive.
 	node topology.NodeID
 	size units.ByteSize
-	// value is the partial result a Reduce hop carries: set on the send,
-	// and copied into the matched receive when the message completes, so
-	// a hop does not box it into Status.Payload.
+	// value is the float64 a Reduce or Allreduce hop carries: set on the
+	// send, and copied into the matched receive when the message
+	// completes, so a hop does not box it into Status.Payload.
 	value float64
 	// owner is the rank that posted the request.
 	owner *rankState
@@ -145,6 +154,11 @@ type Request struct {
 	// spans are off).
 	span         obs.SpanID
 	done, isRecv bool
+	// hop marks a request of a collective or communicator message, which
+	// no caller holds: it comes from the world's free lists, and the
+	// world takes an eager hop's envelope back once its receive has
+	// completed without error.
+	hop bool
 }
 
 // Test reports whether the request has completed.
@@ -245,20 +259,23 @@ func (c *Ctx) Now() float64 { return c.world.sim.Now() }
 func (c *Ctx) Sleep(d float64) { c.proc.Sleep(d) }
 
 // Isend posts a non-blocking send of size bytes living on srcNode of the
-// sender's machine. payload is an optional value handed to the receiver.
-// It allocates one object, the message's envelope, which holds the
-// returned request.
+// sender's machine. tag must lie in [0, collectiveTagBase): the tags
+// above it belong to collectives and communicators. payload is an
+// optional value handed to the receiver. It allocates one object, the
+// message's envelope, which holds the returned request.
 func (c *Ctx) Isend(dst, tag int, size units.ByteSize, srcNode topology.NodeID, payload any) (*Request, error) {
-	return c.isend(dst, tag, size, srcNode, payload, 0)
+	if tag < 0 || tag >= collectiveTagBase {
+		return nil, fmt.Errorf("mpi: rank %d: Isend with tag %d, outside the user tags [0, %d)", c.Rank(), tag, collectiveTagBase)
+	}
+	return c.isend(dst, tag, size, srcNode, payload, 0, false)
 }
 
-// isend is Isend with the value a Reduce hop carries (see Request.value).
-func (c *Ctx) isend(dst, tag int, size units.ByteSize, srcNode topology.NodeID, payload any, value float64) (*Request, error) {
+// isend is Isend without the tag check, with the value a Reduce hop
+// carries (see Request.value); a hop's envelope comes from the world's
+// free list.
+func (c *Ctx) isend(dst, tag int, size units.ByteSize, srcNode topology.NodeID, payload any, value float64, hop bool) (*Request, error) {
 	if dst < 0 || dst >= c.world.Size() {
 		return nil, fmt.Errorf("mpi: rank %d: Isend to invalid rank %d", c.Rank(), dst)
-	}
-	if tag < 0 {
-		return nil, fmt.Errorf("mpi: rank %d: Isend with negative tag %d (wildcards are receive-only)", c.Rank(), tag)
 	}
 	if size <= 0 {
 		return nil, fmt.Errorf("mpi: rank %d: Isend with non-positive size %d", c.Rank(), size)
@@ -269,8 +286,14 @@ func (c *Ctx) isend(dst, tag int, size units.ByteSize, srcNode topology.NodeID, 
 	if c.machineDown() {
 		return nil, c.downError(fmt.Sprintf("Send(dst=%d, tag=%d)", dst, tag))
 	}
-	env := &envelope{
-		send:    Request{world: c.world, peer: dst, tag: tag, node: srcNode, size: size, value: value, owner: c.rank},
+	var env *envelope
+	if hop {
+		env = take(&c.world.envs)
+	} else {
+		env = new(envelope)
+	}
+	*env = envelope{
+		send:    Request{world: c.world, peer: dst, tag: tag, node: srcNode, size: size, value: value, owner: c.rank, hop: hop},
 		payload: payload,
 	}
 	env.event.Bind(c.world.sim, env)
@@ -307,9 +330,19 @@ func (c *Ctx) Send(dst, tag int, size units.ByteSize, srcNode topology.NodeID, p
 }
 
 // Irecv posts a non-blocking receive into dstNode of the receiver's
-// machine. src may be AnySource and tag AnyTag. It allocates one object,
-// the returned request.
+// machine. src may be AnySource; tag is AnyTag, which matches user tags
+// only, or lies in [0, collectiveTagBase) like Isend's. It allocates one
+// object, the returned request.
 func (c *Ctx) Irecv(src, tag int, size units.ByteSize, dstNode topology.NodeID) (*Request, error) {
+	if tag != AnyTag && (tag < 0 || tag >= collectiveTagBase) {
+		return nil, fmt.Errorf("mpi: rank %d: Irecv with tag %d, outside the user tags [0, %d) and not AnyTag", c.Rank(), tag, collectiveTagBase)
+	}
+	return c.irecv(src, tag, size, dstNode, false)
+}
+
+// irecv is Irecv without the tag check; a hop's request comes from the
+// world's free list.
+func (c *Ctx) irecv(src, tag int, size units.ByteSize, dstNode topology.NodeID, hop bool) (*Request, error) {
 	if src != AnySource && (src < 0 || src >= c.world.Size()) {
 		return nil, fmt.Errorf("mpi: rank %d: Irecv from invalid rank %d", c.Rank(), src)
 	}
@@ -319,7 +352,13 @@ func (c *Ctx) Irecv(src, tag int, size units.ByteSize, dstNode topology.NodeID) 
 	if c.machineDown() {
 		return nil, c.downError(fmt.Sprintf("Recv(src=%s, tag=%s)", rankName(src), tagName(tag)))
 	}
-	req := &Request{world: c.world, isRecv: true, peer: src, tag: tag, node: dstNode, size: size, owner: c.rank}
+	var req *Request
+	if hop {
+		req = take(&c.world.recvs)
+	} else {
+		req = new(Request)
+	}
+	*req = Request{world: c.world, isRecv: true, peer: src, tag: tag, node: dstNode, size: size, owner: c.rank, hop: hop}
 	if c.world.spans != nil {
 		req.span = c.beginOpSpan(fmt.Sprintf("recv←%s", rankName(src)), "mpi", dstNode)
 	}
@@ -492,7 +531,9 @@ func (env *envelope) Act() {
 
 // complete completes the receive, and the send if it is a rendezvous. A
 // failure is reported to both sides as a structured OpError naming their
-// own rank and operation.
+// own rank and operation. An eager hop's envelope goes back to the
+// world's free list once it has completed its receive without error; the
+// envelope of a receive that had already failed (timed out) does not.
 func (env *envelope) complete(rate units.Bandwidth, err error) {
 	w, src, dst, tag := env.send.world, env.src(), env.recv.owner.id, env.send.tag
 	recvErr, sendErr := err, err
@@ -500,10 +541,14 @@ func (env *envelope) complete(rate units.Bandwidth, err error) {
 		recvErr = w.opError(dst, fmt.Sprintf("Recv(src=%d, tag=%d)", src, tag), err)
 		sendErr = w.opError(src, fmt.Sprintf("Send(dst=%d, tag=%d)", dst, tag), err)
 	}
+	late := env.recv.done
 	env.recv.value = env.send.value
 	env.recv.complete(Status{Source: src, Tag: tag, Size: env.send.size, Payload: env.payload, AvgRate: rate}, recvErr)
-	if env.rendezvous() {
+	switch {
+	case env.rendezvous():
 		env.send.complete(Status{Source: src, Tag: tag, Size: env.send.size}, sendErr)
+	case env.send.hop && err == nil && !late:
+		w.envs = append(w.envs, env)
 	}
 }
 

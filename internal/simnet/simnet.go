@@ -100,6 +100,10 @@ type Fabric struct {
 
 	machines map[int]*Machine
 	nextXfer int
+	// free heads the list of transfer objects that have reported to
+	// their Recipient, linked through transfer.next, which DeliverAsync
+	// reuses before it allocates.
+	free *transfer
 	// faults, when set, perturbs deliveries. Nil costs one comparison
 	// per transfer.
 	faults FaultModel
@@ -188,11 +192,21 @@ type Recipient interface {
 // (after the latency, when the loss would be noticed). A transfer whose
 // flow a crash froze never completes, and Delivered is not called.
 //
-// A call allocates one object, which holds the latency event, both DMA
-// flows, their drain events and the count of flows still draining; with
-// spans off nothing else on the transfer's path allocates.
+// A transfer lives in one object, which holds the latency event, both
+// DMA flows, their drain events and the count of flows still draining.
+// The fabric takes the object back just before it calls Delivered, so
+// Delivered may call DeliverAsync again, and reuses it for a later
+// transfer: once the fabric has as many objects as it ever had transfers
+// in flight, a call allocates nothing, with spans off. A transfer frozen
+// by a crash keeps its object.
 func (f *Fabric) DeliverAsync(t Transfer, to Recipient) {
-	x := &transfer{fabric: f, t: t, to: to}
+	x := f.free
+	if x != nil {
+		f.free = x.next
+		*x = transfer{fabric: f, t: t, to: to}
+	} else {
+		x = &transfer{fabric: f, t: t, to: to}
+	}
 	x.events[0].Bind(f.sim, x)
 	x.events[1].Bind(f.sim, x)
 	if x.err = f.check(t); x.err != nil {
@@ -253,6 +267,8 @@ type transfer struct {
 	left     int
 	events   [2]engine.Timer
 	src, dst engine.Handle
+	// next links the fabric's free transfer objects.
+	next *transfer
 }
 
 // Act runs the transfer's event that has fired.
@@ -295,13 +311,18 @@ func (x *transfer) land() {
 	x.dst.Then(&x.events[1])
 }
 
-// report closes the transfer span, if any, and hands the outcome to the
-// recipient.
+// report closes the transfer span, if any, gives the transfer object
+// back to its fabric and hands the outcome to the recipient. Both events
+// have fired and both flows have left their managers, so nothing else
+// holds the object; report does not touch it after giving it back, since
+// Delivered may reuse it at once.
 func (x *transfer) report(res Result, err error) {
+	f, to := x.fabric, x.to
 	if x.span != 0 {
-		x.fabric.spans.EndSpan(x.span, x.fabric.sim.Now())
+		f.spans.EndSpan(x.span, f.sim.Now())
 	}
-	x.to.Delivered(res, err)
+	x.next, f.free = f.free, x
+	to.Delivered(res, err)
 }
 
 func (f *Fabric) check(t Transfer) error {
