@@ -114,7 +114,7 @@ bench:
 # are noisy, so a flagged regression means "measure properly before
 # merging", not "blocked" (see docs/observability.md).
 BENCHDIFF_BASE ?= HEAD~1
-BENCHDIFF_PATTERN ?= BenchmarkClusterHaloExchange$$|BenchmarkTable1Platforms$$|BenchmarkTable2Errors$$|BenchmarkPredict$$|BenchmarkSolver$$|BenchmarkSolve$$|BenchmarkMeasurePoint$$|BenchmarkFlowsChurn$$|BenchmarkSimEvents$$|BenchmarkRenderArtifacts$$|BenchmarkWrite$$|BenchmarkCalibrateRunner$$|BenchmarkEvaluatePlatform$$|BenchmarkDeliver$$|BenchmarkSendRecv$$|BenchmarkAllreduce$$|BenchmarkComputePhase$$
+BENCHDIFF_PATTERN ?= BenchmarkClusterHaloExchange$$|BenchmarkTable1Platforms$$|BenchmarkTable2Errors$$|BenchmarkPredict$$|BenchmarkSolver$$|BenchmarkSolve$$|BenchmarkMeasurePoint$$|BenchmarkFlowsChurn$$|BenchmarkSimEvents$$|BenchmarkRenderArtifacts$$|BenchmarkWrite$$|BenchmarkCalibrateRunner$$|BenchmarkEvaluatePlatform$$|BenchmarkDeliver$$|BenchmarkSendRecv$$|BenchmarkAllreduce$$|BenchmarkComputePhase$$|BenchmarkHandlePredict$$|BenchmarkNewCluster$$
 benchdiff:
 	-GO=$(GO) bash scripts/benchdiff/run.sh '$(BENCHDIFF_PATTERN)' '$(BENCHDIFF_BASE)'
 

@@ -399,6 +399,18 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
+// BenchmarkNewCluster times building a 4-machine henri cluster, the
+// set-up of every cluster-halo job. The machines run on the platform's
+// shared memory system, so no platform, profile or System is built.
+func BenchmarkNewCluster(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewCluster("henri", 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkClusterHaloExchange measures the DES + MPI substrate: a two-
 // machine halo exchange with overlap.
 func BenchmarkClusterHaloExchange(b *testing.B) {

@@ -112,35 +112,40 @@ type Cluster struct {
 }
 
 // NewCluster builds n identical machines of the named built-in platform.
+// They share the platform's memory system (memsys.Builtin), so NewCluster
+// builds neither a platform nor a memory system.
 func NewCluster(platform string, n int) (*Cluster, error) {
 	plat, err := PlatformByName(platform)
 	if err != nil {
 		return nil, err
 	}
-	prof, err := ProfileFor(platform)
-	if err != nil {
-		return nil, err
-	}
-	return NewCustomCluster(plat, prof, n)
+	sys, _ := memsys.Builtin(plat)
+	return newCluster(sys, n)
 }
 
 // NewCustomCluster builds a cluster from an explicit platform and
 // hardware profile.
 func NewCustomCluster(plat *Platform, prof *HardwareProfile, n int) (*Cluster, error) {
+	sys, err := memsys.New(plat, prof)
+	if err != nil {
+		return nil, err
+	}
+	return newCluster(sys, n)
+}
+
+// newCluster builds n machines of the memory system sys.
+func newCluster(sys *memsys.System, n int) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("memcontention: cluster needs at least one machine, got %d", n)
 	}
 	sim := engine.NewSim()
+	plat := sys.Platform()
 	wire := simnet.WireRateFor(plat.NIC.Tech, plat.NIC.PCIeGen)
 	fabric, err := simnet.NewFabric(sim, wire, 1.5e-6)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := memsys.New(plat, prof)
-	if err != nil {
-		return nil, err
-	}
-	c := &Cluster{sim: sim, fabric: fabric}
+	c := &Cluster{sim: sim, fabric: fabric, machines: make([]*simnet.Machine, 0, n)}
 	for i := 0; i < n; i++ {
 		m, err := simnet.NewMachine(sim, i, sys)
 		if err != nil {

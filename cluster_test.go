@@ -6,6 +6,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"memcontention/internal/memsys"
 )
 
 // newTestCluster builds a small two-machine cluster or fails the test.
@@ -16,6 +18,33 @@ func newTestCluster(t *testing.T) *Cluster {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestNewClusterAllocs pins what NewCluster costs on a built-in
+// platform. Its machines run on the platform's shared memory system
+// (memsys.Builtin), so it builds no platform, profile or System: it
+// allocates at most 7 times for the simulation, the fabric and the
+// cluster, and 7 times per machine (the machine, its topology handle, its
+// flow manager, and the manager's active set, streams and rates, sized
+// from the platform).
+func TestNewClusterAllocs(t *testing.T) {
+	for _, n := range []int{1, 4} {
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := NewCluster("henri", n); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := float64(7 + 7*n); got > want {
+			t.Errorf("NewCluster(henri, %d) allocates %v times, want at most %v", n, got, want)
+		}
+	}
+	c := newTestCluster(t)
+	sys, _ := memsys.Builtin(c.Platform())
+	for _, m := range c.machines {
+		if m.Sys != sys {
+			t.Errorf("machine %d runs on its own memory system, not the built-in one", m.ID)
+		}
+	}
 }
 
 func TestRunRankPanic(t *testing.T) {

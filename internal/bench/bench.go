@@ -169,8 +169,17 @@ func newBenchInstruments(r *obs.Registry) benchInstruments {
 	}
 }
 
-// NewRunner validates the configuration and builds the machine.
+// NewRunner validates the configuration and builds the machine. A
+// built-in platform (topology.ByName) with no Profile runs on the
+// platform's shared memory system (memsys.Builtin), whose profile then
+// becomes Config().Profile and must not be modified.
 func NewRunner(cfg Config) (*Runner, error) {
+	var sys *memsys.System
+	if cfg.Profile == nil {
+		if b, ok := memsys.Builtin(cfg.Platform); ok {
+			sys, cfg.Profile = b, b.Profile()
+		}
+	}
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -178,9 +187,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err := cfg.Kernel.Validate(); err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
-	sys, err := memsys.New(cfg.Platform, cfg.Profile)
-	if err != nil {
-		return nil, fmt.Errorf("bench: %w", err)
+	if sys == nil {
+		if sys, err = memsys.New(cfg.Platform, cfg.Profile); err != nil {
+			return nil, fmt.Errorf("bench: %w", err)
+		}
 	}
 	r := &Runner{cfg: cfg, sys: sys, m: newBenchInstruments(cfg.Registry)}
 	if cores := cfg.Platform.CoresOfSocket(0); len(cores) > 0 {

@@ -45,8 +45,11 @@ type Flows struct {
 	sys *memsys.System
 	// active holds the in-progress transfers in ascending id order: ids
 	// only grow, so a start appends and a completion compacts in place.
-	active []*Handle
-	nextID int
+	// streams holds their streams, position for position, kept the same
+	// way, so a re-solve passes it to the solver as it is.
+	active  []*Handle
+	streams []memsys.Stream
+	nextID  int
 	// completion is the next-completion event, which calls onCompletion.
 	// A change takes it out of the queue and a re-solve queues it again
 	// at seq, the sequence number the last change reserved, so
@@ -71,11 +74,9 @@ type Flows struct {
 	limiter RateLimiter
 	// m holds the optional instruments; nil instruments record nothing.
 	m flowInstruments
-	// streams and rates are resolve's scratch, reused across re-solves:
-	// the active flows' streams and their solved rates, position for
-	// position.
-	streams []memsys.Stream
-	rates   []float64
+	// rates is solve's scratch, reused across re-solves: the active
+	// flows' solved rates, position for position.
+	rates []float64
 }
 
 // SetObserver installs a flow observer (nil removes it). An observer
@@ -170,12 +171,26 @@ type Handle struct {
 	span      obs.SpanID // causal span, 0 when spans are off
 }
 
-// NewFlows returns a flow manager bound to sim and sys.
+// NewFlows returns a flow manager bound to sim and sys. Its active set
+// holds a flow per core of the platform and one DMA flow each way before
+// it grows.
 func NewFlows(sim *Sim, sys *memsys.System) *Flows {
-	f := &Flows{sim: sim, sys: sys}
-	f.completion.Bind(sim, actFunc(f.onCompletion))
+	n := sys.Platform().NCores() + 2
+	f := &Flows{
+		sim:     sim,
+		sys:     sys,
+		active:  make([]*Handle, 0, n),
+		streams: make([]memsys.Stream, 0, n),
+		rates:   make([]float64, 0, n),
+	}
+	f.completion.Bind(sim, (*flowCompletion)(f))
 	return f
 }
+
+// flowCompletion is the Action of a flow manager's completion event.
+type flowCompletion Flows
+
+func (c *flowCompletion) Act() { (*Flows)(c).onCompletion() }
 
 // System returns the underlying memory system.
 func (f *Flows) System() *memsys.System { return f.sys }
@@ -235,6 +250,7 @@ func (f *Flows) add(h *Handle, st memsys.Stream, size units.ByteSize, parent obs
 		done:      Signal{sim: f.sim},
 	}
 	f.active = append(f.active, h)
+	f.streams = append(f.streams, st)
 	f.m.started.Inc()
 	f.m.activeFlows.Set(float64(len(f.active)))
 	if f.observer != nil {
@@ -361,10 +377,6 @@ func (f *Flows) solve() float64 {
 	if len(f.active) == 0 {
 		return math.Inf(1)
 	}
-	f.streams = f.streams[:0]
-	for _, fl := range f.active {
-		f.streams = append(f.streams, fl.stream)
-	}
 	f.rates = slices.Grow(f.rates[:0], len(f.active))[:len(f.active)]
 	if _, err := f.sys.SolveInto(f.streams, f.rates); err != nil {
 		f.sim.fail(fmt.Errorf("engine: flow solve failed: %w", err))
@@ -413,10 +425,11 @@ func (f *Flows) solve() float64 {
 func (f *Flows) onCompletion() {
 	f.integrate()
 	const eps = 1 // byte: guards float roundoff
-	live, left := f.active[:0], len(f.active)
-	for _, fl := range f.active {
+	live, streams, left := f.active[:0], f.streams[:0], len(f.active)
+	for i, fl := range f.active {
 		if fl.remaining > eps {
 			live = append(live, fl)
+			streams = append(streams, f.streams[i])
 			continue
 		}
 		fl.moved += fl.remaining
@@ -440,7 +453,7 @@ func (f *Flows) onCompletion() {
 		fl.done.Fire()
 	}
 	clear(f.active[len(live):])
-	f.active = live
+	f.active, f.streams = live, streams
 	f.sim.deferResolve(f)
 }
 

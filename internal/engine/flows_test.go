@@ -459,8 +459,53 @@ func TestFlowsResolveAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, resolve); got != 0 {
 		t.Errorf("a re-solve allocates %v, want 0", got)
 	}
-	if n := sim.events.Len(); n != 1 {
+	if n := len(sim.events); n != 1 {
 		t.Errorf("event heap holds %d events after the re-solves, want the one completion", n)
+	}
+}
+
+// TestFlowsSizedFromPlatform: a new flow manager holds a compute phase
+// on every core of its platform and a DMA flow each way without growing
+// its active set, its streams or its rates, on every built-in platform,
+// and the streams it hands the solver stay those of the active flows as
+// flows complete.
+func TestFlowsSizedFromPlatform(t *testing.T) {
+	for _, plat := range topology.Testbed() {
+		sys, _ := memsys.Builtin(plat)
+		sim := NewSim()
+		flows := NewFlows(sim, sys)
+		caps := func() [3]int { return [3]int{cap(flows.active), cap(flows.streams), cap(flows.rates)} }
+		before := caps()
+		var streams []memsys.Stream
+		for i, c := range plat.Cores {
+			// Sizes differ per core, so the flows complete at many times.
+			streams = append(streams, memsys.Stream{Kind: memsys.KindCompute, Core: c.ID, Node: c.Node, Demand: float64(1 + i%5)})
+		}
+		hs := flows.StartAll(nil, streams, units.MiB, 0)
+		var dma [2]Handle
+		for i := range dma {
+			flows.StartInto(&dma[i], memsys.Stream{Kind: memsys.KindComm, Node: topology.NodeID(i % plat.NNodes())}, units.MiB, 0)
+		}
+		sim.flush()
+		if got := caps(); got != before {
+			t.Errorf("%s: %d flows grew the active set, streams and rates from capacities %v to %v", plat.Name, len(plat.Cores)+2, before, got)
+		}
+		for len(sim.events) > 0 { // the event loop, one completion at a time
+			e := sim.events.pop()
+			sim.now = e.time
+			e.act.Act()
+			sim.flush()
+			for i, h := range flows.active {
+				if flows.streams[i] != h.stream {
+					t.Fatalf("%s: solver stream %d is %+v, active flow's %+v", plat.Name, i, flows.streams[i], h.stream)
+				}
+			}
+		}
+		for i := range hs {
+			if !hs[i].Done() {
+				t.Fatalf("%s: flow %d never completed", plat.Name, i)
+			}
+		}
 	}
 }
 
@@ -475,14 +520,14 @@ func TestCurrentRateFlushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := flows.Start(st, units.GiB)
-	if sim.pending != flows || sim.events.Len() != 0 {
-		t.Fatalf("Start re-solved at once (pending %v, %d queued events)", sim.pending, sim.events.Len())
+	if sim.pending != flows || len(sim.events) != 0 {
+		t.Fatalf("Start re-solved at once (pending %v, %d queued events)", sim.pending, len(sim.events))
 	}
 	if got := h.CurrentRate().GBps(); math.Float64bits(got) != math.Float64bits(want.Rate(1)) {
 		t.Errorf("CurrentRate %v GB/s, Solve grants %v", got, want.Rate(1))
 	}
-	if sim.pending != nil || sim.events.Len() != 1 {
-		t.Errorf("after CurrentRate: pending %v, %d queued events; want none pending and the completion", sim.pending, sim.events.Len())
+	if sim.pending != nil || len(sim.events) != 1 {
+		t.Errorf("after CurrentRate: pending %v, %d queued events; want none pending and the completion", sim.pending, len(sim.events))
 	}
 }
 

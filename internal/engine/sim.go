@@ -26,7 +26,6 @@
 package engine
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -36,35 +35,82 @@ import (
 	"memcontention/internal/obs"
 )
 
-// eventHeap orders queued events by (time, seq). Every event records its
-// position, so that Cancel can remove it in place.
-type eventHeap []*Timer
+// eventQueue is a binary min-heap of the queued events, ordered by
+// (time, seq). No two queued events share a key, so the events leave it
+// in one order whatever its layout. Every event records its position,
+// so that Cancel can remove it in place.
+type eventQueue []*Timer
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
-	}
-	return h[i].seq < h[j].seq
+// before reports whether a fires before b.
+func before(a, b *Timer) bool {
+	return a.time < b.time || a.time == b.time && a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// push queues e.
+func (q *eventQueue) push(e *Timer) {
+	*q = append(*q, e)
+	q.up(len(*q)-1, e)
 }
-func (h *eventHeap) Push(x any) {
-	e := x.(*Timer)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
+
+// pop takes the first event out of the non-empty queue.
+func (q *eventQueue) pop() *Timer {
+	e := (*q)[0]
+	q.remove(0)
 	return e
+}
+
+// remove takes the event at position i out of the queue: the last event
+// fills the hole and moves down or up to its place.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	n := len(h) - 1
+	h[i].index = -1
+	last := h[n]
+	h[n] = nil
+	*q = h[:n]
+	if i < n && !q.down(i, last) {
+		q.up(i, last)
+	}
+}
+
+// up places e, which belongs at position i or above, on the path from i
+// to the root.
+func (q eventQueue) up(i int, e *Timer) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(e, q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
+	}
+	q[i] = e
+	e.index = i
+}
+
+// down places e, which belongs at position i or below, under i. It
+// reports whether e moved.
+func (q eventQueue) down(i int, e *Timer) bool {
+	start, n := i, len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(q[r], q[c]) {
+			c = r
+		}
+		if !before(q[c], e) {
+			break
+		}
+		q[i] = q[c]
+		q[i].index = i
+		i = c
+	}
+	q[i] = e
+	e.index = i
+	return i > start
 }
 
 // Sim is a simulation instance. Create one with NewSim, spawn processes,
@@ -73,7 +119,7 @@ func (h *eventHeap) Pop() any {
 type Sim struct {
 	now    float64
 	seq    int64
-	events eventHeap
+	events eventQueue
 	procs  []*Proc
 	// ended hands control back to Run's goroutine when a run ends on a
 	// process's goroutine; outcome is the result Run then returns.
@@ -158,7 +204,7 @@ func (s *Sim) place(e *Timer, t float64, seq int64) {
 		t = s.now
 	}
 	e.time, e.seq = t, seq
-	heap.Push(&s.events, e)
+	s.events.push(e)
 }
 
 // deferResolve adds f to the pending flow managers unless it is there
@@ -255,7 +301,7 @@ func (t *Timer) Schedule(at float64) {
 // Cancelling a fired or already cancelled timer is a no-op.
 func (t *Timer) Cancel() {
 	if t != nil && t.index >= 0 {
-		heap.Remove(&t.sim.events, t.index)
+		t.sim.events.remove(t.index)
 	}
 }
 
@@ -636,7 +682,7 @@ func (s *Sim) step() *Proc {
 			default:
 			}
 		}
-		e := heap.Pop(&s.events).(*Timer)
+		e := s.events.pop()
 		if e.time < s.now {
 			return s.end(fmt.Errorf("engine: event time went backwards (%.9f < %.9f)", e.time, s.now))
 		}

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -86,6 +88,78 @@ func TestAtClampsNaN(t *testing.T) {
 	}
 	if want := []float64{0, 0, 0.5, 1}; !slices.Equal(at, want) || s.Now() != 1 {
 		t.Errorf("events fired at %v, ending at %v; want %v, ending at 1", at, s.Now(), want)
+	}
+}
+
+// TestEventQueueOrder: random interleavings of Schedule, At, Cancel and
+// pops drain the event queue in (time, seq) order, checked against a
+// reference the test sorts itself, and at every step an event that is
+// not queued reads index -1 and a queued one its position in the queue.
+// Times are drawn from a few values, so most pops break a tie by seq.
+func TestEventQueueOrder(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s := NewSim()
+		nop := actFunc(func() {})
+		bound := make([]Timer, 12)
+		var all, ref []*Timer // every event made; the queued ones
+		for i := range bound {
+			bound[i].Bind(s, nop)
+			all = append(all, &bound[i])
+		}
+		check := func(step string) {
+			t.Helper()
+			if len(s.events) != len(ref) {
+				t.Fatalf("seed %d, %s: %d events queued, want %d", seed, step, len(s.events), len(ref))
+			}
+			for _, e := range all {
+				queued := slices.Contains(ref, e)
+				if !queued && e.index != -1 || queued && (e.index < 0 || e.index >= len(s.events) || s.events[e.index] != e) {
+					t.Fatalf("seed %d, %s: event (%v, %d) has index %d, queued %v", seed, step, e.time, e.seq, e.index, queued)
+				}
+			}
+		}
+		pop := func() {
+			t.Helper()
+			slices.SortFunc(ref, func(a, b *Timer) int {
+				return cmp.Or(cmp.Compare(a.time, b.time), cmp.Compare(a.seq, b.seq))
+			})
+			want := ref[0]
+			ref = ref[1:]
+			if got := s.events.pop(); got != want {
+				t.Fatalf("seed %d: popped (%v, %d), want (%v, %d)", seed, got.time, got.seq, want.time, want.seq)
+			}
+			s.now = want.time
+			check("pop")
+		}
+		for op := 0; op < 300; op++ {
+			at := s.now + float64(r.Intn(4)) - 0.5 // now-0.5 clamps to now
+			switch r.Intn(4) {
+			case 0:
+				if e := &bound[r.Intn(len(bound))]; e.index < 0 {
+					e.Schedule(at)
+					ref = append(ref, e)
+				}
+				check("Schedule")
+			case 1:
+				e := s.At(at, func() {})
+				all = append(all, e)
+				ref = append(ref, e)
+				check("At")
+			case 2:
+				e := all[r.Intn(len(all))]
+				e.Cancel()
+				ref = slices.DeleteFunc(ref, func(q *Timer) bool { return q == e })
+				check("Cancel")
+			default:
+				if len(ref) > 0 {
+					pop()
+				}
+			}
+		}
+		for len(ref) > 0 {
+			pop()
+		}
 	}
 }
 

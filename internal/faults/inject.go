@@ -45,9 +45,10 @@ type Injector struct {
 	machines map[int]*machineState
 	flows    map[int]*engine.Flows
 
-	// active tracks which plan events are currently in effect, by their
-	// position in the sorted event list.
-	active map[int]Event
+	// events is the plan's event list in firing order (Plan.Sorted), and
+	// active marks the events currently in effect, by position in it.
+	events []Event
+	active []bool
 
 	// link-level aggregates, recomputed on every (de)activation.
 	wireFactor   float64
@@ -71,11 +72,13 @@ func New(plan *Plan) (*Injector, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
+	events := plan.Sorted()
 	return &Injector{
 		plan:       plan,
 		machines:   make(map[int]*machineState),
 		flows:      make(map[int]*engine.Flows),
-		active:     make(map[int]Event),
+		events:     events,
+		active:     make([]bool, len(events)),
 		wireFactor: 1,
 		rngDrop:    rng.New(plan.Seed, "faults/drop"),
 		rngDelay:   rng.New(plan.Seed, "faults/delay"),
@@ -120,7 +123,7 @@ func (in *Injector) Arm(sim *engine.Sim, fabric *simnet.Fabric, machines []*simn
 		m.Flows.SetRateLimiter(in.limiterFor(m.ID))
 		in.flows[m.ID] = m.Flows
 	}
-	for i, ev := range in.plan.Sorted() {
+	for i, ev := range in.events {
 		i, ev := i, ev
 		sim.At(ev.At, func() { in.activate(i, ev) })
 		if ev.Duration > 0 && ev.Kind != NodeCrash {
@@ -154,7 +157,7 @@ func (in *Injector) limiterFor(id int) engine.RateLimiter {
 
 // activate puts event i into effect.
 func (in *Injector) activate(i int, ev Event) {
-	in.active[i] = ev
+	in.active[i] = true
 	if ev.Kind == NodeCrash {
 		ms := in.machines[ev.Machine]
 		if !ms.crashed {
@@ -172,7 +175,7 @@ func (in *Injector) activate(i int, ev Event) {
 
 // deactivate ends event i.
 func (in *Injector) deactivate(i int, ev Event) {
-	delete(in.active, i)
+	in.active[i] = false
 	in.m.cleared.Inc()
 	in.refresh(ev)
 	if in.marker != nil {
@@ -182,7 +185,8 @@ func (in *Injector) deactivate(i int, ev Event) {
 
 // refresh recomputes every aggregate from the active event set and
 // re-solves flow rates where the change can matter. changed is the event
-// that toggled.
+// that toggled. The active events are aggregated in firing order, so
+// that every product and sum rounds the same way in every run.
 func (in *Injector) refresh(changed Event) {
 	in.wireFactor = 1
 	in.extraLatency = 0
@@ -195,7 +199,12 @@ func (in *Injector) refresh(changed Event) {
 		ms.nicStalls = 0
 	}
 	keepP := 1.0 // probability a message survives every active drop window
-	for _, ev := range in.active {
+	nActive := 0
+	for i, ev := range in.events {
+		if !in.active[i] {
+			continue
+		}
+		nActive++
 		switch ev.Kind {
 		case LinkDegrade:
 			in.wireFactor *= ev.Factor
@@ -218,7 +227,7 @@ func (in *Injector) refresh(changed Event) {
 		}
 	}
 	in.dropProb = 1 - keepP
-	in.m.active.Set(float64(len(in.active)))
+	in.m.active.Set(float64(nActive))
 	in.m.wire.Set(in.wireFactor)
 	in.m.extraLat.Set(in.extraLatency)
 	// Machine-level faults change rates mid-flight; re-solve the

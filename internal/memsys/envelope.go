@@ -20,7 +20,7 @@
 // percent instead of matching the simulator exactly.
 //
 // System.SolveInto applies the policy as a fixed sequence of proportional
-// stages, one pass over the streams each, whatever the node count:
+// stages over the streams, whatever the node count:
 //
 //  1. validation, in input order;
 //  2. classification: each stream's demand, kind and link crossing, and
@@ -32,6 +32,11 @@
 //  4. mesh pressure on comm streams whose node serves no compute stream;
 //  5. the inter-socket link cap on every stream crossing sockets;
 //  6. the PCIe cap on the NIC's streams, then the totals.
+//
+// Stages 1 to 3 take one pass each. One more pass applies stage 4 and
+// makes the sums stages 5 and 6 test, the totals among them; a cap that
+// binds takes one pass more to scale its streams and redo the sums after
+// it, and a cap that does not bind takes none.
 //
 // Every floating-point sum runs over the streams in ascending-ID order,
 // whatever their order in the caller's slice, so rates and totals are

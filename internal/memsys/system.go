@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"memcontention/internal/topology"
 )
@@ -103,12 +104,47 @@ func New(plat *topology.Platform, prof *Profile) (*System, error) {
 	}, nil
 }
 
+// builtin holds the memory systems of the built-in platforms, in
+// topology.Testbed's order, built once, on first use, from the shared
+// platforms and their hand-tuned profiles.
+var builtin = sync.OnceValue(func() []*System {
+	plats := topology.Testbed()
+	systems := make([]*System, len(plats))
+	for i, plat := range plats {
+		prof, err := ProfileFor(plat.Name)
+		if err == nil {
+			systems[i], err = New(plat, prof)
+		}
+		if err != nil {
+			panic(err) // every built-in platform has a valid profile
+		}
+	}
+	return systems
+})
+
+// Builtin returns the memory system of plat when plat is a built-in
+// platform as topology.ByName and topology.Testbed hand it out: one
+// System per platform, built once per process with the platform's
+// hand-tuned profile (ProfileFor) and shared by every caller. Neither
+// its platform nor its profile may be modified. Any other platform,
+// such as a new topology.Henri(), reports false.
+func Builtin(plat *topology.Platform) (*System, bool) {
+	for _, s := range builtin() {
+		if s.plat == plat {
+			return s, true
+		}
+	}
+	return nil, false
+}
+
 // Platform returns the underlying platform. It may be a built-in
 // platform that topology.ByName shares with every caller, so it must not
 // be modified.
 func (s *System) Platform() *topology.Platform { return s.plat }
 
-// Profile returns the underlying hardware profile.
+// Profile returns the underlying hardware profile. The profile of a
+// System that Builtin returned is shared with every caller, so it must
+// not be modified.
 func (s *System) Profile() *Profile { return s.prof }
 
 // ComputeDemand reports the unconstrained rate of one core's kernel stream
@@ -185,14 +221,15 @@ type controller struct {
 // returns the per-kind totals. rates must hold len(streams) elements, or
 // be nil when only the totals are wanted.
 //
-// It makes the fixed sequence of passes the package comment lists over
-// one slot per stream in ascending-ID order. A set whose IDs already
-// ascend, as engine.Flows and bench.Runner pass theirs, is taken in
-// input order; any other order is sorted by ID first. Sets of up to
-// stackStreams (128) streams on platforms of up to stackNodes (8) NUMA
-// nodes are solved in stack scratch sized to the set and cost no
-// allocation; a larger set spills one scratch slice to the heap. System
-// holds no mutable state, so SolveInto is safe for concurrent use.
+// It makes the passes the package comment lists over one slot per
+// stream in ascending-ID order: four, and one more for each of the link
+// and PCIe caps that binds. A set whose IDs already ascend, as
+// engine.Flows and bench.Runner pass theirs, is taken in input order;
+// any other order is sorted by ID first. Sets of up to stackStreams
+// (128) streams on platforms of up to stackNodes (8) NUMA nodes are
+// solved in stack scratch sized to the set and cost no allocation; a
+// larger set spills one scratch slice to the heap. System holds no
+// mutable state, so SolveInto is safe for concurrent use.
 func (s *System) SolveInto(streams []Stream, rates []float64) (Totals, error) {
 	if rates != nil && len(rates) != len(streams) {
 		return Totals{}, fmt.Errorf("memsys: %d rates for %d streams", len(rates), len(streams))
@@ -211,20 +248,30 @@ func (s *System) SolveInto(streams []Stream, rates []float64) (Totals, error) {
 
 // solve is SolveInto over o, a zeroed slot per stream.
 func (s *System) solve(streams []Stream, rates []float64, o []slot) (Totals, error) {
-	nn := s.plat.NNodes()
+	plat, prof := s.plat, s.prof
+	nn, nc := len(plat.Nodes), len(plat.Cores)
 	var buf [stackNodes]controller
 	ctl := buf[:min(nn, stackNodes)]
 	if nn > stackNodes {
 		ctl = make([]controller, nn)
 	}
 
-	// Validation, in input order, before anything is solved. It also
+	// Validation, in input order, before anything is solved; checkStream
+	// only builds the error of the first stream that fails. The pass also
 	// notes whether the IDs ascend and which nodes hold compute data.
 	ascending := true
 	for i := range streams {
 		st := &streams[i]
-		if err := s.checkStream(st); err != nil {
-			return Totals{}, err
+		ok := uint(st.Node) < uint(nn) && st.Demand >= 0 && st.Demand <= math.MaxFloat64
+		switch st.Kind {
+		case KindCompute:
+			ok = ok && uint(st.Core) < uint(nc)
+		case KindComm:
+		default:
+			ok = false
+		}
+		if !ok {
+			return Totals{}, s.checkStream(st)
 		}
 		if i > 0 && st.ID <= streams[i-1].ID {
 			ascending = false
@@ -253,7 +300,6 @@ func (s *System) solve(streams []Stream, rates []float64, o []slot) (Totals, err
 	// a remote node is latency-bound and holds as many mesh slots as a
 	// local stream would, so its occupancy counts its local-equivalent
 	// demand.
-	plat, prof := s.plat, s.prof
 	remoteOcc := prof.PerCoreLocal / prof.PerCoreRemote
 	occDemand, nCompute, allLocalClass := 0.0, 0, true
 	for k := range o {
@@ -263,10 +309,13 @@ func (s *System) solve(streams []Stream, rates []float64, o []slot) (Totals, err
 		sock := plat.Nodes[st.Node].Socket
 		sl.d = st.Demand
 		if st.Kind == KindCompute {
-			if sl.d == 0 {
-				sl.d = s.ComputeDemand(st.Core, st.Node)
-			}
 			cross := plat.Cores[st.Core].Socket != sock
+			if sl.d == 0 {
+				sl.d = prof.PerCoreLocal
+				if cross {
+					sl.d = prof.PerCoreRemote
+				}
+			}
 			c.compDemand += sl.d
 			occ := sl.d
 			if cross {
@@ -281,7 +330,7 @@ func (s *System) solve(streams []Stream, rates []float64, o []slot) (Totals, err
 			nCompute++
 		} else {
 			if sl.d == 0 {
-				sl.d = s.CommDemand(st.Node)
+				sl.d = prof.NominalComm(st.Node)
 			}
 			sl.flags = slotComm
 			if plat.NIC.Socket != sock {
@@ -317,41 +366,38 @@ func (s *System) solve(streams []Stream, rates []float64, o []slot) (Totals, err
 		}
 	}
 
-	// Mesh pressure on the mesh streams, then the link sum.
+	// Mesh pressure on the mesh streams, then the link cap on every
+	// stream whose path crosses sockets (they share LinkCap, and the
+	// excess is removed proportionally), then the PCIe cap on the NIC's
+	// DMA streams, whose rates the comm total sums. One pass applies the
+	// mesh scale and makes every sum; a cap that binds scales its streams
+	// and makes them again. A cap that does not bind would multiply by
+	// exactly 1, which changes no bit, so its pass is skipped.
 	meshScale := s.meshScale(nCompute, occDemand, allLocalClass, meshSum, meshFloor)
-	linkSum := 0.0
+	linkSum, t := scaleSum(o, slotMesh, meshScale, rates)
+	if scale := capScale(linkSum, prof.LinkCap); scale != 1 {
+		_, t = scaleSum(o, slotCross, scale, rates)
+	}
+	if scale := capScale(t.CommTotal, prof.PCIeCap); scale != 1 {
+		_, t = scaleSum(o, slotComm, scale, rates)
+	}
+	return t, nil
+}
+
+// scaleSum multiplies the rate of every slot flagged with flag by scale,
+// writes each rate to rates (unless nil) and returns the sum over the
+// slots that cross sockets and the totals, each summed in ascending-ID
+// order.
+func scaleSum(o []slot, flag uint8, scale float64, rates []float64) (linkSum float64, t Totals) {
 	for k := range o {
 		sl := &o[k]
-		if sl.flags&slotMesh != 0 {
-			sl.rate *= meshScale
+		if sl.flags&flag != 0 {
+			sl.rate *= scale
 		}
 		if sl.flags&slotCross != 0 {
 			linkSum += sl.rate
 		}
-	}
-
-	// The inter-socket link cap: every stream whose path crosses sockets
-	// shares LinkCap, and the excess is removed proportionally. Then the
-	// PCIe sum.
-	linkScale := capScale(linkSum, prof.LinkCap)
-	pcieSum := 0.0
-	for k := range o {
-		sl := &o[k]
-		if sl.flags&slotCross != 0 {
-			sl.rate *= linkScale
-		}
 		if sl.flags&slotComm != 0 {
-			pcieSum += sl.rate
-		}
-	}
-
-	// The PCIe cap on the NIC's DMA streams, then the totals.
-	pcieScale := capScale(pcieSum, prof.PCIeCap)
-	var t Totals
-	for k := range o {
-		sl := &o[k]
-		if sl.flags&slotComm != 0 {
-			sl.rate *= pcieScale
 			t.CommTotal += sl.rate
 		} else {
 			t.ComputeTotal += sl.rate
@@ -361,7 +407,7 @@ func (s *System) solve(streams []Stream, rates []float64, o []slot) (Totals, err
 			rates[sl.i] = sl.rate
 		}
 	}
-	return t, nil
+	return linkSum, t
 }
 
 func (s *System) checkStream(st *Stream) error {

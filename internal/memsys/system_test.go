@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -19,6 +20,53 @@ func henriSys(t *testing.T) *System {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// TestBuiltinSystems: Builtin returns one System per built-in platform,
+// the same pointer on every call and for topology.Testbed's and ByName's
+// platform alike, equal to one built with New from that platform and
+// its hand-tuned profile; a new build of a built-in platform, or nil,
+// gets none. A lookup allocates nothing.
+func TestBuiltinSystems(t *testing.T) {
+	seen := map[*System]string{}
+	for _, plat := range topology.Testbed() {
+		sys, ok := Builtin(plat)
+		if !ok {
+			t.Fatalf("%s: no built-in system", plat.Name)
+		}
+		byName, err := topology.ByName(plat.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := Builtin(byName); again != sys {
+			t.Errorf("%s: Builtin returned two systems", plat.Name)
+		}
+		if other, dup := seen[sys]; dup {
+			t.Errorf("%s and %s share a system", plat.Name, other)
+		}
+		seen[sys] = plat.Name
+		prof, err := ProfileFor(plat.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(byName, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sys, want) {
+			t.Errorf("%s: the built-in system differs from New(ByName, ProfileFor)", plat.Name)
+		}
+	}
+	if sys, ok := Builtin(topology.Henri()); ok || sys != nil {
+		t.Errorf("a new henri platform got the built-in system %p", sys)
+	}
+	if sys, ok := Builtin(nil); ok || sys != nil {
+		t.Errorf("a nil platform got the built-in system %p", sys)
+	}
+	henri, _ := topology.ByName("henri")
+	if got := testing.AllocsPerRun(100, func() { _, _ = Builtin(henri) }); got != 0 {
+		t.Errorf("Builtin allocates %v times, want 0", got)
+	}
 }
 
 // computeStreams builds n compute streams from socket 0 against node.

@@ -220,6 +220,27 @@ type Ctx struct {
 	world *World
 	rank  *rankState
 	proc  *engine.Proc
+	// watchdog is the OpTimeout event of waiting, the request the rank
+	// waits on in Wait. It is bound to the rank once (opTimeout), so a
+	// timed wait allocates nothing.
+	watchdog engine.Timer
+	waiting  *Request
+}
+
+// opTimeout is the Action of a rank's watchdog: the request the rank
+// waits on has stayed incomplete for OpTimeout, and fails with
+// ErrTimeout. A timed-out receive is withdrawn from the posted queue.
+type opTimeout Ctx
+
+func (t *opTimeout) Act() {
+	req := t.waiting
+	if req.done {
+		return
+	}
+	if req.isRecv && req.owner != nil {
+		req.owner.removePosted(req)
+	}
+	req.complete(Status{}, t.world.opError(t.rank.id, req.opName(), ErrTimeout))
 }
 
 // Launch spawns every rank with the given main function. Call sim.Run()
@@ -235,7 +256,9 @@ func (w *World) Launch(main func(*Ctx)) {
 					Node:    -1,
 				})
 			}
-			main(&Ctx{world: w, rank: rs, proc: p})
+			c := &Ctx{world: w, rank: rs, proc: p}
+			c.watchdog.Bind(w.sim, (*opTimeout)(c))
+			main(c)
 			if w.spans != nil && rs.span != 0 {
 				w.spans.EndSpan(rs.span, w.sim.Now())
 			}
@@ -410,18 +433,10 @@ func (c *Ctx) Wait(req *Request) (Status, error) {
 		return Status{}, fmt.Errorf("mpi: rank %d: Wait on nil request", c.Rank())
 	}
 	w := c.world
-	var watchdog *engine.Timer
-	if w.res.OpTimeout > 0 && !req.done {
-		rank := c.Rank()
-		watchdog = w.sim.After(w.res.OpTimeout, func() {
-			if req.done {
-				return
-			}
-			if req.isRecv && req.owner != nil {
-				req.owner.removePosted(req)
-			}
-			req.complete(Status{}, w.opError(rank, req.opName(), ErrTimeout))
-		})
+	timed := w.res.OpTimeout > 0 && !req.done
+	if timed {
+		c.waiting = req
+		c.watchdog.Schedule(w.sim.Now() + w.res.OpTimeout)
 	}
 	for !req.done {
 		// Lazy: the operation name is only rendered if this wait ends up
@@ -429,7 +444,10 @@ func (c *Ctx) Wait(req *Request) (Status, error) {
 		c.proc.SetWaitStringer(req)
 		req.sig.Wait(c.proc)
 	}
-	watchdog.Cancel()
+	if timed {
+		c.watchdog.Cancel()
+		c.waiting = nil
+	}
 	return req.status, req.err
 }
 

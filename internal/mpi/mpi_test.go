@@ -631,31 +631,38 @@ func TestMessageAllocs(t *testing.T) {
 }
 
 // TestAllreduceAllocs pins what an Allreduce over 2 machines × 2 ranks
-// allocates once the world has run one: nothing. Its 6 hops reuse the
-// envelopes and receive requests of earlier hops, the 2 that cross the
-// fabric reuse its transfer objects, and every hop, the broadcast's
-// included, carries the value in its requests instead of boxing it.
-// Before the hops' storage was reused, an Allreduce allocated 15 times.
+// allocates once the world has run one: nothing, also when an OpTimeout
+// guards every wait. Its 6 hops reuse the envelopes and receive requests
+// of earlier hops, the 2 that cross the fabric reuse its transfer
+// objects, every hop, the broadcast's included, carries the value in its
+// requests instead of boxing it, and a wait that parks queues its rank's
+// own watchdog event. Before the hops' storage was reused, an Allreduce
+// allocated 15 times.
 func TestAllreduceAllocs(t *testing.T) {
 	sys := henriSystem(t)
-	allreduce := func(rounds int) float64 {
-		return testing.AllocsPerRun(5, func() {
-			sim, w := worldOn(t, sys, 2, 2)
-			w.Launch(func(c *Ctx) {
-				for i := 0; i < rounds; i++ {
-					if _, err := c.Allreduce(8, 0, float64(c.Rank()+1), Sum); err != nil {
-						t.Error(err)
+	for _, res := range []Resilience{{}, {OpTimeout: 1}} {
+		allreduce := func(rounds int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				sim, w := worldOn(t, sys, 2, 2)
+				if err := w.SetResilience(res); err != nil {
+					t.Fatal(err)
+				}
+				w.Launch(func(c *Ctx) {
+					for i := 0; i < rounds; i++ {
+						if _, err := c.Allreduce(8, 0, float64(c.Rank()+1), Sum); err != nil {
+							t.Error(err)
+						}
 					}
+				})
+				if err := sim.Run(); err != nil {
+					t.Fatal(err)
 				}
 			})
-			if err := sim.Run(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	const n = 100
-	if got := (allreduce(2*n) - allreduce(n)) / n; got > 0.1 {
-		t.Errorf("an Allreduce allocates %v times, want 0", got)
+		}
+		const n = 100
+		if got := (allreduce(2*n) - allreduce(n)) / n; got > 0.1 {
+			t.Errorf("with OpTimeout %v, an Allreduce allocates %v times, want 0", res.OpTimeout, got)
+		}
 	}
 }
 

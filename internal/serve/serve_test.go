@@ -344,3 +344,40 @@ func TestPlatformsEndpoint(t *testing.T) {
 		t.Errorf("platforms = %s, want sorted [henri pyxis]", got)
 	}
 }
+
+// BenchmarkHandlePredict times the /predict handler in process: the
+// request goes through the Handler into an httptest.NewRecorder, with no
+// socket, so an op is decode, cache hit, model.Predict and encode, the
+// rung between the root package's BenchmarkPredict (model.Predict alone)
+// and the serve-mixed workload (the same requests over loopback). The
+// cache is warm, so no op calibrates; building the request is part of
+// the op.
+func BenchmarkHandlePredict(b *testing.B) {
+	s, err := New(Options{Platforms: []string{"henri"}, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Warm(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	for _, tc := range []struct{ name, method, target, body string }{
+		{"get", http.MethodGet, "/predict?platform=henri&n=12&mcomp=0&mcomm=1", ""},
+		{"post", http.MethodPost, "/predict", `{"platform":"henri","n":12,"mcomp":0,"mcomm":1}`},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var body io.Reader
+				if tc.body != "" {
+					body = strings.NewReader(tc.body)
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, body))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("%s %s: status %d, body %s", tc.method, tc.target, rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}

@@ -76,9 +76,10 @@ type Machine struct {
 
 // NewMachine assembles a machine of memory system sys inside the
 // simulation. Machines of the same platform and profile share one
-// System (memcontention.NewCustomCluster and netbench build one per
-// simulation): a System holds no mutable state, and each machine's flow
-// manager simulates its own flows over it.
+// System (memcontention.NewCluster runs every cluster of a built-in
+// platform on memsys.Builtin's; NewCustomCluster and netbench build one
+// per simulation): a System holds no mutable state, and each machine's
+// flow manager simulates its own flows over it.
 func NewMachine(sim *engine.Sim, id int, sys *memsys.System) (*Machine, error) {
 	topo, err := hwloc.FromPlatform(sys.Platform())
 	if err != nil {
