@@ -147,10 +147,7 @@ func newCluster(sys *memsys.System, n int) (*Cluster, error) {
 	}
 	c := &Cluster{sim: sim, fabric: fabric, machines: make([]*simnet.Machine, 0, n)}
 	for i := 0; i < n; i++ {
-		m, err := simnet.NewMachine(sim, i, sys)
-		if err != nil {
-			return nil, err
-		}
+		m := simnet.NewMachine(sim, i, sys)
 		if err := fabric.Attach(m); err != nil {
 			return nil, err
 		}

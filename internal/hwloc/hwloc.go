@@ -126,17 +126,21 @@ func (b *Buffer) String() string {
 // Topology wraps a platform with binding state.
 type Topology struct {
 	plat   *topology.Platform
-	bound  map[int]topology.CoreID // thread index -> core
+	bound  map[int]topology.CoreID // thread index -> core; made on first bind
 	allocs []*Buffer
 }
 
-// FromPlatform wraps a validated platform.
+// FromPlatform validates p and wraps it.
 func FromPlatform(p *topology.Platform) (*Topology, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("hwloc: %w", err)
 	}
-	return &Topology{plat: p, bound: make(map[int]topology.CoreID)}, nil
+	return Wrap(p), nil
 }
+
+// Wrap wraps a platform its caller has already validated, as memsys.New
+// does for the platform of every System.
+func Wrap(p *topology.Platform) *Topology { return &Topology{plat: p} }
 
 // Platform returns the wrapped platform.
 func (t *Topology) Platform() *topology.Platform { return t.plat }
@@ -198,6 +202,9 @@ func (t *Topology) Free(b *Buffer) error {
 func (t *Topology) BindThread(idx int, core topology.CoreID) error {
 	if int(core) < 0 || int(core) >= t.plat.NCores() {
 		return fmt.Errorf("hwloc: bind thread %d: core %d out of range [0,%d)", idx, core, t.plat.NCores())
+	}
+	if t.bound == nil {
+		t.bound = make(map[int]topology.CoreID)
 	}
 	t.bound[idx] = core
 	return nil

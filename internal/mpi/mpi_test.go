@@ -47,10 +47,7 @@ func worldOn(tb testing.TB, sys *memsys.System, nMachines, ranksPer int) (*engin
 	}
 	var machines []*simnet.Machine
 	for i := 0; i < nMachines; i++ {
-		m, err := simnet.NewMachine(sim, i, sys)
-		if err != nil {
-			tb.Fatal(err)
-		}
+		m := simnet.NewMachine(sim, i, sys)
 		if err := fabric.Attach(m); err != nil {
 			tb.Fatal(err)
 		}
@@ -492,7 +489,7 @@ func TestNewWorldValidation(t *testing.T) {
 	}
 	prof, _ := memsys.ProfileFor("henri")
 	sys, _ := memsys.New(topology.Henri(), prof)
-	m, _ := simnet.NewMachine(sim, 0, sys)
+	m := simnet.NewMachine(sim, 0, sys)
 	if _, err := NewWorld(sim, fabric, []*simnet.Machine{m}, 0); err == nil {
 		t.Error("zero ranks per machine must fail")
 	}

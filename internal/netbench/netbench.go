@@ -118,10 +118,7 @@ func pingPongOne(cfg Config, size units.ByteSize) (Point, error) {
 	}
 	var machines []*simnet.Machine
 	for i := 0; i < 2; i++ {
-		m, err := simnet.NewMachine(sim, i, sys)
-		if err != nil {
-			return Point{}, err
-		}
+		m := simnet.NewMachine(sim, i, sys)
 		if err := fabric.Attach(m); err != nil {
 			return Point{}, err
 		}

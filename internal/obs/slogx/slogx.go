@@ -6,9 +6,9 @@
 //
 // Correlation follows the run-manifest model: a process mints one RunID
 // at startup (random, since a serving process is not a reproducible
-// artifact), stamps it on every line, and derives per-request ids from it
-// with Logger.Request, so one request's lines — and the run manifest
-// written at exit carrying the same id — join up across the fleet's log
+// artifact) and stamps it on every line; the server derives per-request
+// ids from it, so one request's lines — and the run manifest written at
+// exit carrying the same id — join up across the fleet's log
 // aggregation.
 package slogx
 
@@ -16,18 +16,15 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"io"
 	"log/slog"
 	"strings"
-	"sync/atomic"
 )
 
 // Logger is a nil-safe wrapper around *slog.Logger. The zero of
 // *Logger (nil) drops everything without allocating.
 type Logger struct {
 	s   *slog.Logger
-	seq *atomic.Uint64 // request-id allocator, shared by With-derived loggers
 	run string
 }
 
@@ -48,7 +45,6 @@ func NewHandler(h slog.Handler) *Logger {
 	run := NewRunID()
 	return &Logger{
 		s:   slog.New(h).With(slog.String("run_id", run)),
-		seq: &atomic.Uint64{},
 		run: run,
 	}
 }
@@ -93,18 +89,7 @@ func (l *Logger) With(args ...any) *Logger {
 	if l == nil {
 		return nil
 	}
-	return &Logger{s: l.s.With(args...), seq: l.seq, run: l.run}
-}
-
-// Request returns a logger for one request, stamped with a correlation id
-// derived from the run id and a process-wide sequence number
-// ("<run_id>-000042"), plus the id itself for response headers.
-func (l *Logger) Request() (*Logger, string) {
-	if l == nil {
-		return nil, ""
-	}
-	id := fmt.Sprintf("%s-%06d", l.run, l.seq.Add(1))
-	return l.With(slog.String("req_id", id)), id
+	return &Logger{s: l.s.With(args...), run: l.run}
 }
 
 // Debug logs at debug level; a nil logger drops the line.
@@ -146,22 +131,4 @@ func (l *Logger) Enabled(level slog.Level) bool {
 		return false
 	}
 	return l.s.Enabled(context.Background(), level)
-}
-
-type ctxKey struct{}
-
-// IntoContext attaches the logger to a context; FromContext recovers it.
-// A request handler stores its Request-derived logger so downstream
-// helpers log with the same correlation id.
-func IntoContext(ctx context.Context, l *Logger) context.Context {
-	if l == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, l)
-}
-
-// FromContext returns the attached logger, or nil (inert) when absent.
-func FromContext(ctx context.Context) *Logger {
-	l, _ := ctx.Value(ctxKey{}).(*Logger)
-	return l
 }

@@ -2,7 +2,6 @@ package slogx
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"log/slog"
 	"strings"
@@ -60,28 +59,6 @@ func TestLoggerStampsRunID(t *testing.T) {
 	}
 }
 
-func TestRequestCorrelationIDs(t *testing.T) {
-	var buf bytes.Buffer
-	l := newTestLogger(&buf, slog.LevelInfo)
-	r1, id1 := l.Request()
-	r2, id2 := l.Request()
-	if id1 == id2 {
-		t.Fatalf("request ids collide: %s", id1)
-	}
-	if !strings.HasPrefix(id1, l.RunID()+"-") {
-		t.Errorf("request id %q not derived from run id %q", id1, l.RunID())
-	}
-	r1.Info("handled", "code", 200)
-	r2.Warn("rejected", "code", 429)
-	lines := decodeLines(t, &buf)
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
-	}
-	if lines[0]["req_id"] != id1 || lines[1]["req_id"] != id2 {
-		t.Errorf("req_id stamps wrong: %v / %v", lines[0]["req_id"], lines[1]["req_id"])
-	}
-}
-
 func TestNilLoggerIsInert(t *testing.T) {
 	var l *Logger
 	l.Debug("x")
@@ -90,9 +67,6 @@ func TestNilLoggerIsInert(t *testing.T) {
 	l.Error("x")
 	if l.With("k", "v") != nil {
 		t.Error("nil.With must stay nil")
-	}
-	if sub, id := l.Request(); sub != nil || id != "" {
-		t.Error("nil.Request must stay nil")
 	}
 	if l.RunID() != "" || l.Enabled(slog.LevelError) {
 		t.Error("nil logger must report empty state")
@@ -111,21 +85,6 @@ func TestParseLevel(t *testing.T) {
 		if got := ParseLevel(in); got != want {
 			t.Errorf("ParseLevel(%q) = %v, want %v", in, got, want)
 		}
-	}
-}
-
-func TestContextRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	l := newTestLogger(&buf, slog.LevelInfo)
-	ctx := IntoContext(context.Background(), l)
-	if FromContext(ctx) != l {
-		t.Error("context round trip lost the logger")
-	}
-	if FromContext(context.Background()) != nil {
-		t.Error("absent logger must come back nil")
-	}
-	if got := IntoContext(context.Background(), nil); got != context.Background() {
-		t.Error("attaching nil must not wrap the context")
 	}
 }
 

@@ -42,10 +42,7 @@ func profiledClusterRun(t testing.TB, platform string) (*trace.Recorder, float64
 	p := trace.NewRecorder()
 	var machines []*simnet.Machine
 	for i := 0; i < 2; i++ {
-		m, err := simnet.NewMachine(sim, i, sys)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := simnet.NewMachine(sim, i, sys)
 		if err := fabric.Attach(m); err != nil {
 			t.Fatal(err)
 		}

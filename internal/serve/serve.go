@@ -35,8 +35,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"log/slog"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -45,6 +47,7 @@ import (
 
 	"memcontention/internal/bench"
 	"memcontention/internal/calib"
+	"memcontention/internal/export"
 	"memcontention/internal/kernels"
 	"memcontention/internal/memsys"
 	"memcontention/internal/model"
@@ -129,7 +132,7 @@ type metricsSet struct {
 
 func newMetricsSet(reg *obs.Registry) *metricsSet {
 	m := &metricsSet{requests: make(map[int]*obs.Counter)}
-	for _, code := range []int{200, 400, 404, 405, 429, 500, 503} {
+	for _, code := range []int{200, 400, 404, 405, 413, 429, 500, 503} {
 		m.requests[code] = reg.Counter("memcontention_serve_requests_total",
 			"Prediction requests by HTTP status code.", obs.L{"code": strconv.Itoa(code)})
 	}
@@ -178,6 +181,8 @@ type Server struct {
 	allowed map[string]bool // served platform names; nil means all built-ins
 	runID   string
 	reqSeq  atomic.Uint64
+	// retryAfter is the Retry-After header of a shed request.
+	retryAfter []string
 }
 
 // New builds a server. Unknown platform names in opts.Platforms fail
@@ -195,16 +200,17 @@ func New(opts Options) (*Server, error) {
 		}
 	}
 	s := &Server{
-		opts:    opts,
-		reg:     opts.Registry,
-		probe:   &obs.Probe{},
-		rolling: obs.NewRolling(obs.LatencyBuckets(), opts.Window, opts.WindowSlices, opts.Clock),
-		metrics: newMetricsSet(opts.Registry),
-		logger:  opts.Logger,
-		sem:     make(chan struct{}, opts.MaxInFlight),
-		cache:   newCalibCache(opts.Registry, opts.Seed),
-		allowed: allowed,
-		runID:   opts.Logger.RunID(),
+		opts:       opts,
+		reg:        opts.Registry,
+		probe:      &obs.Probe{},
+		rolling:    obs.NewRolling(obs.LatencyBuckets(), opts.Window, opts.WindowSlices, opts.Clock),
+		metrics:    newMetricsSet(opts.Registry),
+		logger:     opts.Logger,
+		sem:        make(chan struct{}, opts.MaxInFlight),
+		cache:      newCalibCache(opts.Registry, opts.Seed),
+		allowed:    allowed,
+		runID:      opts.Logger.RunID(),
+		retryAfter: []string{strconv.Itoa(int((opts.RetryAfter + time.Second - 1) / time.Second))},
 	}
 	if s.runID == "" {
 		s.runID = slogx.NewRunID()
@@ -269,29 +275,131 @@ func (s *Server) Warm(ctx context.Context) error {
 
 // Response is the prediction reply.
 type Response struct {
-	Platform string          `json:"platform"`
-	N        int             `json:"n"`
-	MComp    int             `json:"mcomp"`
-	MComm    int             `json:"mcomm"`
-	Kernel   string          `json:"kernel"`
-	CompGBps float64         `json:"comp_gbps"`
-	CommGBps float64         `json:"comm_gbps"`
-	Model    string          `json:"model_fingerprint"`
-	Cached   bool            `json:"cached"`
-	Request  string          `json:"request_id,omitempty"`
-	place    model.Placement // kept for logging; not serialised
+	Platform string  `json:"platform"`
+	N        int     `json:"n"`
+	MComp    int     `json:"mcomp"`
+	MComm    int     `json:"mcomm"`
+	Kernel   string  `json:"kernel"`
+	CompGBps float64 `json:"comp_gbps"`
+	CommGBps float64 `json:"comm_gbps"`
+	Model    string  `json:"model_fingerprint"`
+	Cached   bool    `json:"cached"`
+	Request  string  `json:"request_id,omitempty"`
 }
 
-// apiError is the uniform JSON error body.
-type apiError struct {
-	Error string `json:"error"`
-}
+// jsonContentType is the Content-Type header of every reply, shared so
+// that setting it allocates nothing. Nothing may modify it.
+var jsonContentType = []string{"application/json"}
 
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v) // past the header, failures are client disconnects
+}
+
+// writeBody sends a /predict reply: body is the JSON json.Encoder would
+// have written, or nil after an encoding error, where it writes nothing.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	w.WriteHeader(code)
+	if body != nil {
+		_, _ = w.Write(body) // past the header, failures are client disconnects
+	}
+}
+
+// writeError sends the uniform error body {"error": msg}, encoded into
+// *buf.
+func writeError(w http.ResponseWriter, buf *[]byte, code int, msg string) {
+	*buf = appendError((*buf)[:0], msg)
+	writeBody(w, code, *buf)
+}
+
+// requestID names one request: the server's run id and the request's
+// sequence number, formatted "<run_id>-000042".
+type requestID struct {
+	run string
+	seq uint64
+}
+
+// appendTo appends the id's text. A run id is slogx.NewRunID's hex (or
+// its fixed fallback), so the text never needs JSON escaping.
+func (id requestID) appendTo(dst []byte) []byte {
+	dst = append(append(dst, id.run...), '-')
+	for d := uint64(100000); d > 1 && id.seq < d; d /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendUint(dst, id.seq, 10)
+}
+
+func (id requestID) String() string { return string(id.appendTo(nil)) }
+
+// appendResponse appends what json.NewEncoder(w).Encode writes for resp
+// with its Request set to id, trailing newline included, and the same
+// error for a NaN or infinite bandwidth.
+func appendResponse(dst []byte, resp *Response, id requestID) ([]byte, error) {
+	dst = append(dst, `{"platform":`...)
+	dst = export.AppendJSONString(dst, resp.Platform)
+	dst = append(dst, `,"n":`...)
+	dst = strconv.AppendInt(dst, int64(resp.N), 10)
+	dst = append(dst, `,"mcomp":`...)
+	dst = strconv.AppendInt(dst, int64(resp.MComp), 10)
+	dst = append(dst, `,"mcomm":`...)
+	dst = strconv.AppendInt(dst, int64(resp.MComm), 10)
+	dst = append(dst, `,"kernel":`...)
+	dst = export.AppendJSONString(dst, resp.Kernel)
+	dst = append(dst, `,"comp_gbps":`...)
+	dst, err := export.AppendJSONFloat(dst, resp.CompGBps)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, `,"comm_gbps":`...)
+	if dst, err = export.AppendJSONFloat(dst, resp.CommGBps); err != nil {
+		return dst, err
+	}
+	dst = append(dst, `,"model_fingerprint":`...)
+	dst = export.AppendJSONString(dst, resp.Model)
+	dst = append(dst, `,"cached":`...)
+	dst = strconv.AppendBool(dst, resp.Cached)
+	dst = append(dst, `,"request_id":"`...)
+	return append(id.appendTo(dst), "\"}\n"...), nil
+}
+
+// appendError appends what json.NewEncoder(w).Encode writes for the
+// error body {"error": msg}, trailing newline included.
+func appendError(dst []byte, msg string) []byte {
+	dst = append(dst, `{"error":`...)
+	return append(export.AppendJSONString(dst, msg), "}\n"...)
+}
+
+// maxBody bounds a /predict request body; a longer one is refused with
+// 413 before it is parsed.
+const maxBody = 1 << 16
+
+var errBodyTooLarge = fmt.Errorf("serve: request body larger than %d bytes", maxBody)
+
+// buffers hold the scratch bytes of a /predict request: its body is read
+// into one, then its reply is encoded into the same one.
+var buffers = sync.Pool{New: func() any { return new([]byte) }}
+
+// readBody appends r's bytes to dst until EOF, failing with
+// errBodyTooLarge once they exceed maxBody.
+func readBody(dst []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, 512)
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		switch {
+		case len(dst) > maxBody:
+			return dst, errBodyTooLarge
+		case errors.Is(err, io.EOF):
+			return dst, nil
+		case err != nil:
+			return dst, err
+		}
+	}
 }
 
 func (s *Server) handlePlatforms(w http.ResponseWriter, _ *http.Request) {
@@ -302,10 +410,16 @@ func (s *Server) handlePlatforms(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
+	buf := buffers.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= 4*maxBody { // a long error text is not kept
+			buffers.Put(buf)
+		}
+	}()
 	if r.Method != http.MethodGet && r.Method != http.MethodPost {
 		s.metrics.code(405).Inc()
 		w.Header().Set("Allow", "GET, POST")
-		s.writeJSON(w, http.StatusMethodNotAllowed, apiError{Error: "use GET with query parameters or POST with a JSON body"})
+		writeError(w, buf, http.StatusMethodNotAllowed, "use GET with query parameters or POST with a JSON body")
 		return
 	}
 	// Backpressure: shed immediately when saturated; a queued request
@@ -315,8 +429,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.metrics.shed.Inc()
 		s.metrics.code(429).Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.opts.RetryAfter+time.Second-1)/time.Second)))
-		s.writeJSON(w, http.StatusTooManyRequests, apiError{Error: "server saturated; retry after the indicated backoff"})
+		w.Header()["Retry-After"] = s.retryAfter
+		writeError(w, buf, http.StatusTooManyRequests, "server saturated; retry after the indicated backoff")
 		return
 	}
 	defer func() { <-s.sem }()
@@ -324,51 +438,63 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer s.metrics.inflight.Add(-1)
 
 	start := s.opts.Clock()
-	reqID := fmt.Sprintf("%s-%06d", s.runID, s.reqSeq.Add(1))
-	logger := s.logger.With("req_id", reqID)
-	code, resp, err := s.predict(r)
+	id := requestID{run: s.runID, seq: s.reqSeq.Add(1)}
+	code, resp, err := s.predict(r, buf)
 	elapsed := s.opts.Clock().Sub(start).Seconds()
 	s.rolling.Observe(elapsed)
 	s.metrics.latency.Observe(elapsed)
 	s.metrics.code(code).Inc()
 
 	if err != nil {
-		logger.Warn("predict rejected",
-			"method", r.Method, "code", code, "seconds", elapsed, "error", err.Error())
-		s.writeJSON(w, code, apiError{Error: err.Error()})
+		if s.logger.Enabled(slog.LevelWarn) {
+			s.logger.With("req_id", id.String()).Warn("predict rejected",
+				"method", r.Method, "code", code, "seconds", elapsed, "error", err.Error())
+		}
+		writeError(w, buf, code, err.Error())
 		return
 	}
-	resp.Request = reqID
-	logger.Info("predict",
-		"platform", resp.Platform, "n", resp.N, "placement", resp.place.String(),
-		"kernel", resp.Kernel, "code", code, "cached", resp.Cached, "seconds", elapsed)
-	s.writeJSON(w, code, resp)
+	if s.logger.Enabled(slog.LevelInfo) {
+		place := model.Placement{Comp: topology.NodeID(resp.MComp), Comm: topology.NodeID(resp.MComm)}
+		s.logger.With("req_id", id.String()).Info("predict",
+			"platform", resp.Platform, "n", resp.N, "placement", place.String(),
+			"kernel", resp.Kernel, "code", code, "cached", resp.Cached, "seconds", elapsed)
+	}
+	body, err := appendResponse((*buf)[:0], &resp, id)
+	*buf = body
+	if err != nil {
+		body = nil
+	}
+	writeBody(w, code, body)
 }
 
-// predict runs one decoded request through the cache and model, and
-// reports the HTTP status to attribute it to.
-func (s *Server) predict(r *http.Request) (int, *Response, error) {
+// predict runs one request through the cache and model, and reports the
+// HTTP status to attribute it to. It reads the body into *buf.
+func (s *Server) predict(r *http.Request, buf *[]byte) (int, Response, error) {
 	var body []byte
 	if r.Body != nil {
-		b, err := io.ReadAll(io.LimitReader(r.Body, 1<<16))
+		b, err := readBody((*buf)[:0], r.Body)
+		*buf = b
+		if errors.Is(err, errBodyTooLarge) {
+			return 413, Response{}, err
+		}
 		if err != nil {
-			return 400, nil, fmt.Errorf("reading request body: %w", err)
+			return 400, Response{}, fmt.Errorf("reading request body: %w", err)
 		}
 		body = b
 	}
-	q, err := DecodeRequest(body, r.URL.Query())
+	q, err := decodeHTTP(body, r.URL.RawQuery)
 	if err != nil {
-		return 400, nil, err
+		return 400, Response{}, err
 	}
 	if s.allowed != nil && !s.allowed[q.Platform] {
-		return 404, nil, fmt.Errorf("serve: platform %q is not served by this instance", q.Platform)
+		return 404, Response{}, fmt.Errorf("serve: platform %q is not served by this instance", q.Platform)
 	}
 	entry, cached, err := s.cache.get(q.Platform, q.Kernel)
 	if err != nil {
 		if _, nameErr := topology.ByName(q.Platform); nameErr != nil {
-			return 404, nil, nameErr
+			return 404, Response{}, nameErr
 		}
-		return 500, nil, err
+		return 500, Response{}, err
 	}
 	if cached {
 		s.metrics.hits.Inc()
@@ -377,9 +503,9 @@ func (s *Server) predict(r *http.Request) (int, *Response, error) {
 	}
 	pred, err := entry.model.Predict(q.N, q.Placement())
 	if err != nil {
-		return 400, nil, err
+		return 400, Response{}, err
 	}
-	return 200, &Response{
+	return 200, Response{
 		Platform: q.Platform,
 		N:        q.N,
 		MComp:    q.MComp,
@@ -389,7 +515,6 @@ func (s *Server) predict(r *http.Request) (int, *Response, error) {
 		CommGBps: pred.Comm,
 		Model:    entry.fingerprint,
 		Cached:   cached,
-		place:    q.Placement(),
 	}, nil
 }
 
@@ -440,10 +565,12 @@ type calibCache struct {
 
 	mu sync.Mutex
 	// memlint:guard mu
-	done map[string]*entry
+	done map[cacheKey]*entry
 	// memlint:guard mu
-	inflight map[string]*calibCall
+	inflight map[cacheKey]*calibCall
 }
+
+type cacheKey struct{ platform, kernel string }
 
 type calibCall struct {
 	ready chan struct{}
@@ -455,8 +582,8 @@ func newCalibCache(reg *obs.Registry, seed uint64) *calibCache {
 	return &calibCache{
 		reg:      reg,
 		seed:     seed,
-		done:     make(map[string]*entry),
-		inflight: make(map[string]*calibCall),
+		done:     make(map[cacheKey]*entry),
+		inflight: make(map[cacheKey]*calibCall),
 	}
 }
 
@@ -471,7 +598,7 @@ func (c *calibCache) coalescedCounter() *obs.Counter {
 // whether it was already cached. Concurrent misses for the same key share
 // one calibration run.
 func (c *calibCache) get(platform, kernel string) (*entry, bool, error) {
-	key := platform + "\x00" + kernel
+	key := cacheKey{platform, kernel}
 	c.mu.Lock()
 	if e, ok := c.done[key]; ok {
 		c.mu.Unlock()

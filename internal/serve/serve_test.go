@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +21,7 @@ import (
 	"memcontention/internal/kernels"
 	"memcontention/internal/model"
 	"memcontention/internal/obs"
+	"memcontention/internal/obs/slogx"
 	"memcontention/internal/topology"
 )
 
@@ -143,6 +147,7 @@ func TestPredictErrors(t *testing.T) {
 		{"bad json", http.MethodPost, "/predict", `{"platform":`, 400},
 		{"unknown field", http.MethodPost, "/predict", `{"platform":"henri","n":1,"x":2}`, 400},
 		{"method", http.MethodDelete, "/predict?platform=henri&n=1", "", 405},
+		{"oversized body", http.MethodPost, "/predict", oversizedBody, 413},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -345,6 +350,226 @@ func TestPlatformsEndpoint(t *testing.T) {
 	}
 }
 
+// oversizedBody is a well-formed request one byte longer than maxBody.
+var oversizedBody = `{"platform":"henri","n":1}` + strings.Repeat(" ", maxBody-len(`{"platform":"henri","n":1}`)+1)
+
+// cachedPredicts are a GET and a POST for a prediction Warm caches.
+var cachedPredicts = []struct{ name, method, target, body string }{
+	{"get", http.MethodGet, "/predict?platform=henri&n=12&mcomp=0&mcomm=1", ""},
+	{"post", http.MethodPost, "/predict", `{"platform":"henri","n":12,"mcomp":0,"mcomm":1}`},
+}
+
+func warmServer(tb testing.TB, opts Options) *Server {
+	tb.Helper()
+	s, err := New(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Warm(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// apiError is the uniform JSON error body, as json.Marshal writes it.
+type apiError struct {
+	Error string `json:"error"`
+}
+
+// TestPredictWireFormat checks that every /predict reply body is what
+// json.NewEncoder(w).Encode writes for it: json.Marshal's bytes and a
+// newline.
+func TestPredictWireFormat(t *testing.T) {
+	s := warmServer(t, Options{Platforms: []string{"henri"}, MaxInFlight: 1})
+	s.runID = "0123456789abcdef"
+	e, _, err := s.cache.get("henri", "nt-memset")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := e.model.Predict(12, model.Placement{Comp: 0, Comm: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok := func(seq string) Response {
+		return Response{Platform: "henri", N: 12, MComp: 0, MComm: 1, Kernel: "nt-memset",
+			CompGBps: pred.Comp, CommGBps: pred.Comm, Model: e.fingerprint, Cached: true,
+			Request: "0123456789abcdef-" + seq}
+	}
+	cases := []struct {
+		name, method, target, body string
+		saturated                  bool
+		code                       int
+		want                       any
+	}{
+		{"get", http.MethodGet, cachedPredicts[0].target, "", false, 200, ok("000001")},
+		{"post", http.MethodPost, "/predict", cachedPredicts[1].body, false, 200, ok("000002")},
+		{"400 quoted", http.MethodGet, "/predict?platform=henri&n=1&kernel=%3C%26%22%FF", "", false, 400,
+			apiError{`serve: unknown kernel "<&\"\xff" (want one of nt-memset, copy, triad, load)`}},
+		{"404 quoted", http.MethodGet, "/predict?platform=%3Cx%26y%22&n=1", "", false, 404,
+			apiError{`serve: platform "<x&y\"" is not served by this instance`}},
+		{"405", http.MethodPut, "/predict", "", false, 405,
+			apiError{"use GET with query parameters or POST with a JSON body"}},
+		{"413", http.MethodPost, "/predict", oversizedBody, false, 413,
+			apiError{"serve: request body larger than 65536 bytes"}},
+		{"429", http.MethodGet, cachedPredicts[0].target, "", true, 429,
+			apiError{"server saturated; retry after the indicated backoff"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var body io.Reader
+			if tc.body != "" {
+				body = strings.NewReader(tc.body)
+			}
+			if tc.saturated {
+				s.sem <- struct{}{}
+				defer func() { <-s.sem }()
+			}
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, body))
+			want, err := json.Marshal(tc.want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Code != tc.code || rec.Body.String() != string(want)+"\n" {
+				t.Errorf("got %d %q, want %d %q", rec.Code, rec.Body, tc.code, string(want)+"\n")
+			}
+			if got := rec.Header().Get("Content-Type"); got != "application/json" {
+				t.Errorf("Content-Type = %q", got)
+			}
+		})
+	}
+}
+
+// TestAppendMatchesMarshal checks the reply encoders against
+// json.Marshal on the strings and floats it escapes or formats in its
+// own way: HTML characters, quotes, control characters, invalid UTF-8,
+// U+2028, and floats on both sides of the 'e' notation thresholds.
+func TestAppendMatchesMarshal(t *testing.T) {
+	texts := []string{"", "plain", `<script>&"quoted"\`, "bad \xff utf-8", "line\u2028sep", "tab\tand\nnewline"}
+	for _, text := range texts {
+		want, _ := json.Marshal(apiError{Error: text})
+		if got := appendError(nil, text); string(got) != string(want)+"\n" {
+			t.Errorf("appendError(%q) = %q, want %q", text, got, want)
+		}
+	}
+	floats := []float64{0, math.Copysign(0, -1), 1e-7, 9.99e-7, 1e-6, 12.5, 1e20, 1e21, -3.25e22}
+	for i, text := range texts {
+		id := requestID{run: "0123456789abcdef", seq: []uint64{0, 1, 42, 999999, 1000000, 1234567}[i]}
+		resp := Response{Platform: text, N: 65536, MComp: i, MComm: 255, Kernel: text,
+			CompGBps: floats[i], CommGBps: floats[len(floats)-1-i], Model: text, Cached: i%2 == 0}
+		got, err := appendResponse(nil, &resp, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Request = fmt.Sprintf("%s-%06d", id.run, id.seq)
+		want, _ := json.Marshal(resp)
+		if string(got) != string(want)+"\n" {
+			t.Errorf("appendResponse = %q\nwant             %q", got, want)
+		}
+	}
+	if _, err := appendResponse(nil, &Response{CompGBps: math.NaN()}, requestID{}); err == nil {
+		t.Error("appendResponse encoded NaN")
+	}
+}
+
+// TestHandlePredictAllocs pins what a cached prediction allocates inside
+// the handler: the request is reused and the ResponseWriter allocates
+// nothing itself, so what remains is the handler's own.
+func TestHandlePredictAllocs(t *testing.T) {
+	s := warmServer(t, Options{Platforms: []string{"henri"}})
+	w := &reusedWriter{header: http.Header{}}
+	for _, tc := range cachedPredicts {
+		t.Run(tc.name, func(t *testing.T) {
+			body := &reusedBody{}
+			r := httptest.NewRequest(tc.method, tc.target, nil)
+			r.Body = body
+			got := testing.AllocsPerRun(100, func() {
+				body.Reset(tc.body)
+				w.code, w.body = 0, w.body[:0]
+				s.handlePredict(w, r)
+			})
+			if w.code != http.StatusOK {
+				t.Fatalf("status %d, body %s", w.code, w.body)
+			}
+			if got > 3 {
+				t.Errorf("a cached %s allocates %.1f times in the handler, want at most 3", tc.method, got)
+			}
+		})
+	}
+}
+
+// TestPredictLogLines checks the request log: a line carries the run id
+// and the request id the reply carries, the next request has the next
+// id, and a logger at warn keeps the rejection and drops the prediction.
+func TestPredictLogLines(t *testing.T) {
+	for _, level := range []slog.Level{slog.LevelInfo, slog.LevelWarn} {
+		var buf bytes.Buffer
+		logger := slogx.New(&buf, level)
+		s := warmServer(t, Options{Platforms: []string{"henri"}, Logger: logger})
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, cachedPredicts[0].target, nil))
+		var resp Response
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if want := logger.RunID() + "-000001"; resp.Request != want {
+			t.Fatalf("request_id = %q, want %q", resp.Request, want)
+		}
+		s.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/predict?platform=henri", nil))
+
+		want := []map[string]any{
+			{"msg": "predict", "req_id": resp.Request, "placement": "comp@0/comm@1", "code": 200.0, "cached": true},
+			{"msg": "predict rejected", "req_id": logger.RunID() + "-000002", "code": 400.0, "error": "serve: missing n"},
+		}
+		if level == slog.LevelWarn {
+			want = want[1:]
+		}
+		var got []map[string]any
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var m map[string]any
+			if err := json.Unmarshal([]byte(line), &m); err != nil {
+				t.Fatalf("log line %q: %v", line, err)
+			}
+			if strings.HasPrefix(m["msg"].(string), "predict") {
+				got = append(got, m)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("level %v: %d predict lines, want %d:\n%s", level, len(got), len(want), buf.String())
+		}
+		for i, line := range got {
+			if line["run_id"] != logger.RunID() {
+				t.Errorf("level %v, line %d: run_id = %v, want %s", level, i, line["run_id"], logger.RunID())
+			}
+			for k, v := range want[i] {
+				if line[k] != v {
+					t.Errorf("level %v, line %d: %s = %v, want %v", level, i, k, line[k], v)
+				}
+			}
+		}
+	}
+}
+
+// reusedWriter is an http.ResponseWriter that allocates nothing once its
+// header map and body have grown.
+type reusedWriter struct {
+	header http.Header
+	code   int
+	body   []byte
+}
+
+func (w *reusedWriter) Header() http.Header  { return w.header }
+func (w *reusedWriter) WriteHeader(code int) { w.code = code }
+func (w *reusedWriter) Write(b []byte) (int, error) {
+	w.body = append(w.body, b...)
+	return len(b), nil
+}
+
+// reusedBody is a request body that Reset refills.
+type reusedBody struct{ strings.Reader }
+
+func (*reusedBody) Close() error { return nil }
+
 // BenchmarkHandlePredict times the /predict handler in process: the
 // request goes through the Handler into an httptest.NewRecorder, with no
 // socket, so an op is decode, cache hit, model.Predict and encode, the
@@ -353,18 +578,9 @@ func TestPlatformsEndpoint(t *testing.T) {
 // cache is warm, so no op calibrates; building the request is part of
 // the op.
 func BenchmarkHandlePredict(b *testing.B) {
-	s, err := New(Options{Platforms: []string{"henri"}, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Warm(context.Background()); err != nil {
-		b.Fatal(err)
-	}
+	s := warmServer(b, Options{Platforms: []string{"henri"}, Seed: 1})
 	h := s.Handler()
-	for _, tc := range []struct{ name, method, target, body string }{
-		{"get", http.MethodGet, "/predict?platform=henri&n=12&mcomp=0&mcomm=1", ""},
-		{"post", http.MethodPost, "/predict", `{"platform":"henri","n":12,"mcomp":0,"mcomm":1}`},
-	} {
+	for _, tc := range cachedPredicts {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -79,15 +79,12 @@ type Machine struct {
 // System (memcontention.NewCluster runs every cluster of a built-in
 // platform on memsys.Builtin's; NewCustomCluster and netbench build one
 // per simulation): a System holds no mutable state, and each machine's
-// flow manager simulates its own flows over it.
-func NewMachine(sim *engine.Sim, id int, sys *memsys.System) (*Machine, error) {
-	topo, err := hwloc.FromPlatform(sys.Platform())
-	if err != nil {
-		return nil, fmt.Errorf("simnet: machine %d: %w", id, err)
-	}
+// flow manager simulates its own flows over it. memsys.New validated
+// the platform, so the machine's topology wraps it as it is.
+func NewMachine(sim *engine.Sim, id int, sys *memsys.System) *Machine {
 	flows := engine.NewFlows(sim, sys)
 	flows.SetMachine(id)
-	return &Machine{ID: id, Sys: sys, Flows: flows, Topo: topo}, nil
+	return &Machine{ID: id, Sys: sys, Flows: flows, Topo: hwloc.Wrap(sys.Platform())}
 }
 
 // Fabric is the interconnect between machines.

@@ -33,10 +33,7 @@ func twoMachines(tb testing.TB, sys *memsys.System, wire, latency float64) (*eng
 	}
 	var ms [2]*Machine
 	for i := range ms {
-		m, err := NewMachine(sim, i, sys)
-		if err != nil {
-			tb.Fatal(err)
-		}
+		m := NewMachine(sim, i, sys)
 		if err := fabric.Attach(m); err != nil {
 			tb.Fatal(err)
 		}
@@ -107,10 +104,7 @@ func TestWireRateBounds(t *testing.T) {
 
 func TestDeliverErrors(t *testing.T) {
 	sim, fabric, m0, m1 := twoMachines(t, henriSystem(t), 12.1, 0)
-	detached, err := NewMachine(sim, 7, m0.Sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	detached := NewMachine(sim, 7, m0.Sys)
 	cases := []struct {
 		name string
 		tr   Transfer
@@ -152,10 +146,7 @@ func TestFabricValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachine(sim, 0, sys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := NewMachine(sim, 0, sys)
 	if err := fabric.Attach(m); err != nil {
 		t.Fatal(err)
 	}

@@ -39,10 +39,7 @@ func (tc *testCluster) Run(ranksPerMachine int, main func(*mpi.Ctx)) (float64, e
 	}
 	var machines []*simnet.Machine
 	for i := 0; i < tc.machines; i++ {
-		m, err := simnet.NewMachine(sim, i, sys)
-		if err != nil {
-			return 0, err
-		}
+		m := simnet.NewMachine(sim, i, sys)
 		if err := fabric.Attach(m); err != nil {
 			return 0, err
 		}
