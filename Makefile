@@ -84,7 +84,6 @@ fuzz:
 	$(GO) test -fuzz '^FuzzLoadPlatformFile$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz '^FuzzLoadProfileFile$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -fuzz '^FuzzClusterProgram$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -fuzz '^FuzzReadJSONL$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -fuzz '^FuzzDecodeRequest$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	$(GO) test -fuzz '^FuzzSolve$$' -fuzztime $(FUZZTIME) ./internal/memsys/
@@ -106,7 +105,7 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' ./... | $(GO) run ./scripts/benchjson
 
 # benchdiff compares the working tree with BENCHDIFF_BASE (default
-# HEAD~1), checked out into a temporary git worktree: the
+# HEAD~1), extracted with git archive into a temporary directory: the
 # BENCHDIFF_PATTERN benchmarks run 3 alternating rounds per side, and
 # scripts/benchdiff compares each benchmark's median ns/op and allocs/op,
 # failing beyond 15% growth. BENCH_baseline.json (`make bench`) stays the

@@ -25,8 +25,6 @@ type (
 	MPIRequest = mpi.Request
 	// Machine is one simulated cluster node.
 	Machine = simnet.Machine
-	// Buffer is a NUMA-bound memory region.
-	Buffer = hwloc.Buffer
 	// Assignment places a kernel on cores and a NUMA node.
 	Assignment = kernels.Assignment
 	// ByteSize is an amount of data.

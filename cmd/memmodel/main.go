@@ -97,6 +97,12 @@ func run(ctx context.Context, w io.Writer, o options, cli *obs.CLI) (err error) 
 	if o.robustTrials < 1 {
 		return fmt.Errorf("-robust-trials %d: must be a positive trial count", o.robustTrials)
 	}
+	if o.n < 0 {
+		return fmt.Errorf("-n %d: must be a positive core count (0: no single prediction)", o.n)
+	}
+	if o.n == 0 && (o.comp != 0 || o.comm != 0) {
+		return fmt.Errorf("-comp %d -comm %d: they place the -n prediction; give -n", o.comp, o.comm)
+	}
 	if err := cli.Start(); err != nil {
 		return err
 	}

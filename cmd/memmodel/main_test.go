@@ -82,20 +82,30 @@ func TestReplicationSweepOutput(t *testing.T) {
 	}
 }
 
-// TestRobustTrialsRejected: -robust-trials below 1 is a usage error,
-// refused before any work, instead of a report headed with a count the
-// robustness sweep did not average.
+// TestRobustTrialsRejected: -robust-trials below 1, a negative -n and a
+// placement node without -n are usage errors, refused before any work,
+// instead of output headed with a count the robustness sweep did not
+// average or a calibration table that silently drops the flag.
 func TestRobustTrialsRejected(t *testing.T) {
-	for _, trials := range []int{0, -2} {
+	for _, tc := range []struct {
+		want string // the error's prefix
+		set  func(*options)
+	}{
+		{"-robust-trials 0:", func(o *options) { o.robust, o.robustTrials = true, 0 }},
+		{"-robust-trials -2:", func(o *options) { o.robust, o.robustTrials = true, -2 }},
+		{"-n -1:", func(o *options) { o.n = -1 }},
+		{"-comp 7 -comm 0:", func(o *options) { o.comp = 7 }},
+		{"-comp 0 -comm 1:", func(o *options) { o.comm = 1 }},
+	} {
 		o := testOptions()
-		o.robust, o.robustTrials = true, trials
+		tc.set(&o)
 		var out bytes.Buffer
 		err := run(context.Background(), &out, o, &obs.CLI{})
-		if err == nil || !strings.HasPrefix(err.Error(), "-robust-trials ") {
-			t.Errorf("-robust-trials %d: err = %v, want a usage error", trials, err)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("want an error starting %q, got %v", tc.want, err)
 		}
 		if out.Len() != 0 {
-			t.Errorf("-robust-trials %d: rejected run wrote %q", trials, out.String())
+			t.Errorf("%q: rejected run wrote %q", tc.want, out.String())
 		}
 	}
 }

@@ -79,12 +79,25 @@ func main() {
 // drive the full path with its own context and read the bound address
 // through onReady.
 func run(ctx context.Context, stdout, logw io.Writer, o options, cli *obs.CLI, onReady func(addr string)) error {
+	if o.maxInFlight < 1 {
+		return fmt.Errorf("-max-inflight %d: must be a positive request count", o.maxInFlight)
+	}
+	if o.window <= 0 {
+		return fmt.Errorf("-window %v: must be a positive duration", o.window)
+	}
+	if o.drain <= 0 {
+		return fmt.Errorf("-drain-timeout %v: must be a positive duration", o.drain)
+	}
+	level, err := slogx.ParseLevel(o.logLevel)
+	if err != nil {
+		return fmt.Errorf("-log-level %s: %w", o.logLevel, err)
+	}
 	if err := cli.Start(); err != nil {
 		return err
 	}
 	var logger *slogx.Logger
 	if !o.quiet {
-		logger = slogx.New(logw, slogx.ParseLevel(o.logLevel))
+		logger = slogx.New(logw, level)
 	}
 	reg := cli.NewRegistry()
 	if reg == nil {

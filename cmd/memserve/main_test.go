@@ -108,13 +108,34 @@ func TestMemserveSmoke(t *testing.T) {
 }
 
 // TestMemserveRunRejectsUnknownPlatform keeps flag validation honest
-// without binding a socket.
+// without binding a socket: an unknown platform, and a flag value the
+// server would replace with its default, are refused before any work.
+// The context is canceled, so a case run accepts ends at once instead of
+// serving.
 func TestMemserveRunRejectsUnknownPlatform(t *testing.T) {
-	o := options{addr: "127.0.0.1:0", platforms: "cray-1", quiet: true,
-		maxInFlight: 1, window: time.Second, drain: time.Second}
-	err := run(context.Background(), io.Discard, io.Discard, o, &obs.CLI{}, nil)
-	if err == nil || !strings.Contains(err.Error(), "cray-1") {
-		t.Fatalf("run accepted unknown platform: %v", err)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		want string
+		set  func(*options)
+	}{
+		{"cray-1", func(o *options) { o.platforms = "cray-1" }},
+		{"-max-inflight 0:", func(o *options) { o.maxInFlight = 0 }},
+		{"-window 0s:", func(o *options) { o.window = 0 }},
+		{"-drain-timeout -1s:", func(o *options) { o.drain = -time.Second }},
+		{"-log-level bogus:", func(o *options) { o.logLevel = "bogus" }},
+	} {
+		o := options{addr: "127.0.0.1:0", platforms: "henri", quiet: true,
+			maxInFlight: 1, window: time.Second, drain: time.Second, logLevel: "info"}
+		tc.set(&o)
+		var out bytes.Buffer
+		err := run(ctx, &out, io.Discard, o, &obs.CLI{}, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("want %q, got %v", tc.want, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%q: rejected run wrote %q", tc.want, out.String())
+		}
 	}
 }
 

@@ -5,13 +5,16 @@
 //
 //	platforms                 # table of all platforms
 //	platforms -name henri     # detailed description of one platform
+//	platforms -name henri -topo   # ... with its lstopo-style drawing
 //	platforms -profiles       # include hardware-profile summaries
+//	platforms -export dir     # every platform and profile as JSON files
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -24,45 +27,62 @@ import (
 	"memcontention/internal/topology"
 )
 
+// options are platforms' parsed command-line inputs.
+type options struct {
+	name      string
+	profiles  bool
+	topo      bool
+	exportDir string
+}
+
 func main() {
-	name := flag.String("name", "", "describe a single platform")
-	profiles := flag.Bool("profiles", false, "show simulated hardware profiles")
-	topo := flag.Bool("topo", false, "draw the lstopo-style ASCII topology")
-	exportDir := flag.String("export", "", "write <name>.platform.json and <name>.profile.json files into this directory")
+	var o options
+	flag.StringVar(&o.name, "name", "", "describe a single platform")
+	flag.BoolVar(&o.profiles, "profiles", false, "show simulated hardware profiles")
+	flag.BoolVar(&o.topo, "topo", false, "draw the lstopo-style ASCII topology of the -name platform")
+	flag.StringVar(&o.exportDir, "export", "", "write <name>.platform.json and <name>.profile.json files into this directory")
 	var cli obs.CLI
 	cli.Register(flag.CommandLine, false)
 	flag.Parse()
 
 	ctx, stop := checkpoint.SignalContext()
-	err := runCLI(ctx, *name, *profiles, *topo, *exportDir, &cli)
+	err := run(ctx, os.Stdout, o, &cli)
 	stop()
 	if code := checkpoint.Report(os.Stderr, "platforms", err); code != 0 {
 		os.Exit(code)
 	}
 }
 
-func runCLI(ctx context.Context, name string, profiles, topo bool, exportDir string, cli *obs.CLI) error {
+// run executes the command core; split from main so tests can drive it
+// with their own context and output sink.
+func run(ctx context.Context, w io.Writer, o options, cli *obs.CLI) error {
+	if o.exportDir != "" && (o.name != "" || o.topo || o.profiles) {
+		return fmt.Errorf("-export %s: writes every platform's files; -name, -topo and -profiles do not apply", o.exportDir)
+	}
+	if o.topo && o.name == "" {
+		return fmt.Errorf("-topo: draws one platform; name it with -name")
+	}
 	if err := cli.Start(); err != nil {
 		return err
 	}
 	var err error
-	if exportDir != "" {
-		err = exportAll(ctx, exportDir)
+	if o.exportDir != "" {
+		err = exportAll(ctx, w, o.exportDir)
 	} else {
-		err = run(name, profiles, topo)
+		err = describe(w, o.name, o.profiles, o.topo)
 	}
 	if err != nil {
 		return err
 	}
 	man := obs.NewManifest("platforms")
-	man.Platform = name
+	man.Platform = o.name
 	man.Args = os.Args[1:]
 	return cli.Finish(cli.NewRegistry(), nil, man)
 }
 
 // exportAll dumps every built-in platform and profile as JSON files that
 // membench/memmodel can load back with -platformfile/-profilefile.
-func exportAll(ctx context.Context, dir string) error {
+func exportAll(ctx context.Context, w io.Writer, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -83,37 +103,34 @@ func exportAll(ctx context.Context, dir string) error {
 			return err
 		}
 	}
-	fmt.Printf("wrote %d platform/profile pairs to %s\n", len(topology.Testbed()), dir)
+	fmt.Fprintf(w, "wrote %d platform/profile pairs to %s\n", len(topology.Testbed()), dir)
 	return nil
 }
 
-func run(name string, profiles, topo bool) error {
+func describe(w io.Writer, name string, profiles, topo bool) error {
 	if name != "" {
 		p, err := topology.ByName(name)
 		if err != nil {
 			return err
 		}
-		fmt.Print(p.Describe())
+		fmt.Fprint(w, p.Describe())
 		if topo {
-			t, err := hwloc.FromPlatform(p)
-			if err != nil {
-				return err
-			}
-			fmt.Println()
-			fmt.Print(t.Render())
+			// A built-in platform was validated when it was built.
+			fmt.Fprintln(w)
+			fmt.Fprint(w, hwloc.Wrap(p).Render())
 		}
 		if profiles {
-			return printProfile(p.Name)
+			return printProfile(w, p.Name)
 		}
 		return nil
 	}
-	if err := eval.Table1(topology.Testbed()).WriteText(os.Stdout); err != nil {
+	if err := eval.Table1(topology.Testbed()).WriteText(w); err != nil {
 		return err
 	}
 	if profiles {
 		for _, p := range topology.Testbed() {
-			fmt.Println()
-			if err := printProfile(p.Name); err != nil {
+			fmt.Fprintln(w)
+			if err := printProfile(w, p.Name); err != nil {
 				return err
 			}
 		}
@@ -121,17 +138,17 @@ func run(name string, profiles, topo bool) error {
 	return nil
 }
 
-func printProfile(name string) error {
+func printProfile(w io.Writer, name string) error {
 	prof, err := memsys.ProfileFor(name)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Hardware profile %s:\n", name)
-	fmt.Printf("  per-core stream: %.1f GB/s local, %.1f GB/s remote\n", prof.PerCoreLocal, prof.PerCoreRemote)
-	fmt.Printf("  NIC nominal:     %v GB/s by node, floor %.0f %%, decay %.1f GB/s per core\n",
+	fmt.Fprintf(w, "Hardware profile %s:\n", name)
+	fmt.Fprintf(w, "  per-core stream: %.1f GB/s local, %.1f GB/s remote\n", prof.PerCoreLocal, prof.PerCoreRemote)
+	fmt.Fprintf(w, "  NIC nominal:     %v GB/s by node, floor %.0f %%, decay %.1f GB/s per core\n",
 		prof.CommNominal, 100*prof.CommFloorFrac, prof.CommDecayPerCore)
-	fmt.Printf("  controller:      core-alone %.0f GB/s, mixed %.0f GB/s (local plateaus)\n",
+	fmt.Fprintf(w, "  controller:      core-alone %.0f GB/s, mixed %.0f GB/s (local plateaus)\n",
 		prof.Caps.CoreLocal.Plateau, prof.Caps.MixLocal.Plateau)
-	fmt.Printf("  link / PCIe:     %.0f / %.1f GB/s\n", prof.LinkCap, prof.PCIeCap)
+	fmt.Fprintf(w, "  link / PCIe:     %.0f / %.1f GB/s\n", prof.LinkCap, prof.PCIeCap)
 	return nil
 }

@@ -10,11 +10,11 @@
 //     declared clock-injection points, and no map iteration feeding an
 //     exporter without a sort — two identical runs must emit
 //     byte-identical artifacts (check "determinism", "maprange");
-//   - nil-hook safety: the observability/fault/checkpoint hook types are
+//   - nil-hook safety: the observability/trace/fault hook types are
 //     documented as inert when nil, so every exported method that touches
 //     receiver state must open with a nil-receiver guard (check
 //     "nilhook");
-//   - durable writes: artifacts and journals are only written through
+//   - durable writes: artifacts are only written through
 //     internal/atomicio's stage+fsync+rename path, never with a direct
 //     os.WriteFile/os.Create/os.Rename that can tear on crash (check
 //     "durable");
@@ -141,9 +141,9 @@ type Config struct {
 	// BlockingCalls are functions and methods the ctxflow check treats as
 	// blocking operations on top of the built-in channel operations and
 	// sync.Cond.Wait/WaitGroup.Wait — named "importpath.FuncName" or
-	// "importpath.TypeName.Method". The repo lists its journal I/O here:
-	// a function that drops its context while transitively reaching one
-	// of these cannot be cancelled mid-wait.
+	// "importpath.TypeName.Method". A function that drops its context
+	// while transitively reaching one of these cannot be cancelled
+	// mid-wait.
 	BlockingCalls []string
 }
 
@@ -157,11 +157,9 @@ func DefaultConfig() *Config {
 			"memcontention/internal/obs.Histogram",
 			"memcontention/internal/trace.Recorder",
 			"memcontention/internal/faults.Plan",
-			"memcontention/internal/checkpoint.Journal",
 		},
 		DurableWriterPkgs: []string{
 			"memcontention/internal/atomicio",
-			"memcontention/internal/checkpoint",
 		},
 		ClockInjectionPoints: []string{
 			// The one sanctioned wall-clock read: the default obs.Clock.
@@ -183,10 +181,6 @@ func DefaultConfig() *Config {
 		BlockingCalls: []string{
 			// Uncancellable sleeps: a dropped ctx cannot interrupt them.
 			"time.Sleep",
-			// The repo's journal I/O: fsync-per-append journal writes.
-			// Reaching one with a dropped ctx means an uninterruptible
-			// wait.
-			"memcontention/internal/checkpoint.Journal.Record",
 		},
 	}
 }

@@ -11,7 +11,7 @@ import (
 // anything it reaches through the module call graph, goroutines
 // included) performs a blocking operation — a channel send/receive, a
 // select without default, sync.Cond.Wait / WaitGroup.Wait, or one of
-// the configured blocking calls (the repo's journal I/O, time.Sleep).
+// the configured blocking calls (time.Sleep in DefaultConfig).
 // Such a function advertises cancellability it does not
 // deliver: the caller's deadline can never unblock it. Either thread
 // the ctx into the blocking path or drop the parameter.

@@ -6,10 +6,9 @@ import (
 
 // DurableAnalyzer flags direct use of os.WriteFile, os.Create and
 // os.Rename outside the packages that implement the durable write path
-// (internal/atomicio's stage→fsync→rename→dir-fsync sequence and
-// internal/checkpoint's append-only journal). A direct write can be
-// observed truncated or half-written after a crash, which must never
-// happen to an artifact; every artifact or journal write elsewhere must
+// (internal/atomicio's stage→fsync→rename→dir-fsync sequence). A direct
+// write can be observed truncated or half-written after a crash, which
+// must never happen to an artifact; every artifact write elsewhere must
 // go through internal/atomicio.
 //
 // Intentional non-artifact uses (a scratch file in a tool, a

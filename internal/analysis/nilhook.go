@@ -6,7 +6,7 @@ import (
 )
 
 // NilHookAnalyzer enforces the repo's nil-hook contract: the
-// observability, tracing, profiling, fault and checkpoint hook types are
+// observability, tracing, profiling and fault hook types are
 // documented as inert when nil — `var r *trace.Recorder; r.Append(ev)`
 // must be a no-op, never a panic — so instrumentation can be threaded
 // unconditionally and cost nothing when disabled (the halo-exchange

@@ -5,12 +5,6 @@
 // once. Nothing is resumed: artifacts are written atomically, so an
 // interrupted run leaves no torn file, and a rerun recomputes
 // everything, byte for byte the same.
-//
-// The package also holds a crash-safe journal that no command records
-// into (see ROADMAP.md): an append-only file of content-keyed entries
-// (Journal), one line each, CRC-protected and fsynced before Record
-// returns, whose torn or corrupt tail is truncated away on open. All
-// methods are safe on a nil *Journal and cost nothing.
 package checkpoint
 
 import (

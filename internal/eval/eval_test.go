@@ -183,27 +183,6 @@ func TestStackedFor(t *testing.T) {
 	}
 }
 
-func TestFigureNameFor(t *testing.T) {
-	cases := map[string]string{
-		"henri":         "figure3",
-		"henri-subnuma": "figure4",
-		"diablo":        "figure5",
-		"occigen":       "figure6",
-		"pyxis":         "figure7",
-		"dahu":          "figure8",
-		"custom":        "figure-custom",
-	}
-	for in, want := range cases {
-		if got := FigureNameFor(in); got != want {
-			t.Errorf("FigureNameFor(%s) = %s, want %s", in, got, want)
-		}
-	}
-	// report.Write calls it once per platform report.
-	if n := testing.AllocsPerRun(100, func() { _ = FigureNameFor("dahu") }); n != 0 {
-		t.Errorf("FigureNameFor allocates %v times per call, want 0", n)
-	}
-}
-
 func TestTestbedConfigs(t *testing.T) {
 	cfgs := TestbedConfigs(9)
 	if len(cfgs) != 6 {

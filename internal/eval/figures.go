@@ -226,15 +226,3 @@ func (f PaperFigure) WriteCSV(w io.Writer, r *PlatformResult) error {
 	}
 	return st.WriteCSV(w)
 }
-
-// FigureNameFor maps platform names to the paper's figure numbering: the
-// name of the one of Figures 3–8 that draws the platform, "figure-<name>"
-// for a platform the paper does not draw.
-func FigureNameFor(platform string) string {
-	for _, f := range PaperFigures {
-		if !f.Stacked && f.Platform == platform {
-			return f.Name
-		}
-	}
-	return "figure-" + platform
-}

@@ -48,8 +48,11 @@ func BenchmarkRenderArtifacts(b *testing.B) {
 		return st.WriteCSV(io.Discard)
 	})
 	run("figure3-8.csv", func() error {
-		for _, p := range []string{"henri", "henri-subnuma", "diablo", "occigen", "pyxis", "dahu"} {
-			if err := FigureFor(FigureNameFor(p), byName[p]).WriteCSV(io.Discard); err != nil {
+		for _, f := range PaperFigures {
+			if f.Stacked {
+				continue
+			}
+			if err := FigureFor(f.Name, byName[f.Platform]).WriteCSV(io.Discard); err != nil {
 				return err
 			}
 		}

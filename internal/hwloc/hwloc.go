@@ -1,10 +1,11 @@
-// Package hwloc mirrors the role hwloc plays in the paper's benchmark
-// (§IV-A1): binding threads to cores, binding memory buffers to specific
-// NUMA nodes, and answering locality queries against the topology.
+// Package hwloc answers the question hwloc answers for the paper's
+// benchmark (§IV-A1), "which cores?", and draws the machine the way
+// lstopo does.
 //
-// Nothing here touches real OS affinity — bindings are bookkeeping that
-// the simulator consumes — but the API shapes match what an HPC runtime
-// needs, so the examples read like real hwloc-using code.
+// Nothing here binds anything. Locality reaches the simulator through a
+// kernels.Assignment (its cores and the node of its buffer) and the node
+// of each message; a Topology only picks the cores of a socket or NUMA
+// node and renders the platform.
 package hwloc
 
 import (
@@ -13,7 +14,6 @@ import (
 	"strings"
 
 	"memcontention/internal/topology"
-	"memcontention/internal/units"
 )
 
 // CPUSet is a set of cores, kept sorted and deduplicated.
@@ -36,41 +36,6 @@ func NewCPUSet(cores ...topology.CoreID) CPUSet {
 func (s CPUSet) Contains(c topology.CoreID) bool {
 	i := sort.Search(len(s), func(i int) bool { return s[i] >= c })
 	return i < len(s) && s[i] == c
-}
-
-// Union returns the union of two sets.
-func (s CPUSet) Union(o CPUSet) CPUSet {
-	return NewCPUSet(append(append([]topology.CoreID(nil), s...), o...)...)
-}
-
-// Intersect returns the intersection of two sets.
-func (s CPUSet) Intersect(o CPUSet) CPUSet {
-	var out []topology.CoreID
-	for _, c := range s {
-		if o.Contains(c) {
-			out = append(out, c)
-		}
-	}
-	return NewCPUSet(out...)
-}
-
-// Minus returns s without the elements of o.
-func (s CPUSet) Minus(o CPUSet) CPUSet {
-	var out []topology.CoreID
-	for _, c := range s {
-		if !o.Contains(c) {
-			out = append(out, c)
-		}
-	}
-	return NewCPUSet(out...)
-}
-
-// First returns the lowest core and true, or 0 and false when empty.
-func (s CPUSet) First() (topology.CoreID, bool) {
-	if len(s) == 0 {
-		return 0, false
-	}
-	return s[0], true
 }
 
 // Take returns the first n cores of the set (fewer if the set is smaller).
@@ -110,36 +75,13 @@ func (s CPUSet) String() string {
 	return strings.Join(parts, ",")
 }
 
-// Buffer is a memory region explicitly bound to one NUMA node, the way the
-// paper's benchmark binds its computation and communication buffers.
-type Buffer struct {
-	Name string
-	Node topology.NodeID
-	Size units.ByteSize
-}
-
-// String implements fmt.Stringer.
-func (b *Buffer) String() string {
-	return fmt.Sprintf("%s[%s on node %d]", b.Name, b.Size, b.Node)
-}
-
-// Topology wraps a platform with binding state.
+// Topology wraps a platform for core-set queries and rendering.
 type Topology struct {
-	plat   *topology.Platform
-	bound  map[int]topology.CoreID // thread index -> core; made on first bind
-	allocs []*Buffer
+	plat *topology.Platform
 }
 
-// FromPlatform validates p and wraps it.
-func FromPlatform(p *topology.Platform) (*Topology, error) {
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("hwloc: %w", err)
-	}
-	return Wrap(p), nil
-}
-
-// Wrap wraps a platform its caller has already validated, as memsys.New
-// does for the platform of every System.
+// Wrap wraps a validated platform: every built-in platform and every
+// System's platform is one.
 func Wrap(p *topology.Platform) *Topology { return &Topology{plat: p} }
 
 // Platform returns the wrapped platform.
@@ -160,81 +102,3 @@ func (t *Topology) NodeSet(n topology.NodeID) CPUSet {
 	}
 	return NewCPUSet(cores...)
 }
-
-// AllocOnNode creates a buffer bound to the given NUMA node.
-func (t *Topology) AllocOnNode(name string, size units.ByteSize, node topology.NodeID) (*Buffer, error) {
-	if int(node) < 0 || int(node) >= t.plat.NNodes() {
-		return nil, fmt.Errorf("hwloc: alloc %q: node %d out of range [0,%d)", name, node, t.plat.NNodes())
-	}
-	if size <= 0 {
-		return nil, fmt.Errorf("hwloc: alloc %q: non-positive size %d", name, size)
-	}
-	free := units.ByteSize(t.plat.Nodes[node].MemoryGB) * units.GiB
-	used := units.ByteSize(0)
-	for _, b := range t.allocs {
-		if b.Node == node {
-			used += b.Size
-		}
-	}
-	if used+size > free {
-		return nil, fmt.Errorf("hwloc: alloc %q: node %d out of memory (%s used of %s, want %s)", name, node, used, free, size)
-	}
-	b := &Buffer{Name: name, Node: node, Size: size}
-	t.allocs = append(t.allocs, b)
-	return b, nil
-}
-
-// Free releases a buffer. Freeing an unknown buffer is an error.
-func (t *Topology) Free(b *Buffer) error {
-	for i, have := range t.allocs {
-		if have == b {
-			t.allocs = append(t.allocs[:i], t.allocs[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("hwloc: free of unknown buffer %v", b)
-}
-
-// BindThread records that software thread idx runs on the given core.
-// Binding two threads to one core is allowed (it happens with
-// oversubscription) but binding one thread twice replaces the previous
-// binding.
-func (t *Topology) BindThread(idx int, core topology.CoreID) error {
-	if int(core) < 0 || int(core) >= t.plat.NCores() {
-		return fmt.Errorf("hwloc: bind thread %d: core %d out of range [0,%d)", idx, core, t.plat.NCores())
-	}
-	if t.bound == nil {
-		t.bound = make(map[int]topology.CoreID)
-	}
-	t.bound[idx] = core
-	return nil
-}
-
-// ThreadCore reports the core thread idx is bound to.
-func (t *Topology) ThreadCore(idx int) (topology.CoreID, bool) {
-	c, ok := t.bound[idx]
-	return c, ok
-}
-
-// Distance reports an ACPI-SLIT-style relative memory distance between a
-// core and a node: 10 for local, 21 across the interconnect.
-func (t *Topology) Distance(core topology.CoreID, node topology.NodeID) (int, error) {
-	if int(core) < 0 || int(core) >= t.plat.NCores() {
-		return 0, fmt.Errorf("hwloc: core %d out of range", core)
-	}
-	if int(node) < 0 || int(node) >= t.plat.NNodes() {
-		return 0, fmt.Errorf("hwloc: node %d out of range", node)
-	}
-	if t.plat.CrossesLink(t.plat.Cores[core].Socket, node) {
-		return 21, nil
-	}
-	return 10, nil
-}
-
-// ClosestNode reports the NUMA node nearest to a core (its local node).
-func (t *Topology) ClosestNode(core topology.CoreID) (topology.NodeID, error) {
-	return t.plat.NodeOfCore(core)
-}
-
-// NICNode reports the NUMA node the network interface is attached to.
-func (t *Topology) NICNode() topology.NodeID { return t.plat.NIC.Node }

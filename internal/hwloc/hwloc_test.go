@@ -2,20 +2,9 @@ package hwloc
 
 import (
 	"testing"
-	"testing/quick"
 
 	"memcontention/internal/topology"
-	"memcontention/internal/units"
 )
-
-func henriTopo(t *testing.T) *Topology {
-	t.Helper()
-	topo, err := FromPlatform(topology.Henri())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return topo
-}
 
 func TestCPUSetBasics(t *testing.T) {
 	s := NewCPUSet(3, 1, 2, 1, 3)
@@ -38,22 +27,6 @@ func TestCPUSetBasics(t *testing.T) {
 
 func TestCPUSetOps(t *testing.T) {
 	a := NewCPUSet(1, 2, 3)
-	b := NewCPUSet(3, 4)
-	if got := a.Union(b); len(got) != 4 {
-		t.Errorf("Union = %v", got)
-	}
-	if got := a.Intersect(b); len(got) != 1 || got[0] != 3 {
-		t.Errorf("Intersect = %v", got)
-	}
-	if got := a.Minus(b); len(got) != 2 || got.Contains(3) {
-		t.Errorf("Minus = %v", got)
-	}
-	if first, ok := a.First(); !ok || first != 1 {
-		t.Error("First broken")
-	}
-	if _, ok := NewCPUSet().First(); ok {
-		t.Error("First on empty must report false")
-	}
 	if got := a.Take(2); len(got) != 2 || got[1] != 2 {
 		t.Errorf("Take = %v", got)
 	}
@@ -65,40 +38,8 @@ func TestCPUSetOps(t *testing.T) {
 	}
 }
 
-func TestCPUSetProperties(t *testing.T) {
-	toSet := func(xs []uint8) CPUSet {
-		cores := make([]topology.CoreID, len(xs))
-		for i, x := range xs {
-			cores[i] = topology.CoreID(x % 64)
-		}
-		return NewCPUSet(cores...)
-	}
-	idempotent := func(xs []uint8) bool {
-		s := toSet(xs)
-		return s.Union(s).String() == s.String() && s.Intersect(s).String() == s.String()
-	}
-	if err := quick.Check(idempotent, nil); err != nil {
-		t.Error("union/intersect must be idempotent:", err)
-	}
-	commutative := func(xs, ys []uint8) bool {
-		a, b := toSet(xs), toSet(ys)
-		return a.Union(b).String() == b.Union(a).String() &&
-			a.Intersect(b).String() == b.Intersect(a).String()
-	}
-	if err := quick.Check(commutative, nil); err != nil {
-		t.Error("union/intersect must be commutative:", err)
-	}
-	minusDisjoint := func(xs, ys []uint8) bool {
-		a, b := toSet(xs), toSet(ys)
-		return len(a.Minus(b).Intersect(b)) == 0
-	}
-	if err := quick.Check(minusDisjoint, nil); err != nil {
-		t.Error("a−b must be disjoint from b:", err)
-	}
-}
-
 func TestSocketAndNodeSets(t *testing.T) {
-	topo := henriTopo(t)
+	topo := Wrap(topology.Henri())
 	s0 := topo.SocketSet(0)
 	if len(s0) != 18 || s0[0] != 0 || s0[17] != 17 {
 		t.Errorf("SocketSet(0) = %v", s0)
@@ -107,110 +48,7 @@ func TestSocketAndNodeSets(t *testing.T) {
 	if n0.String() != s0.String() {
 		t.Error("on henri, node 0's cores are socket 0's cores")
 	}
-	sub, err := FromPlatform(topology.HenriSubnuma())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sub.NodeSet(0); len(got) != 9 {
+	if got := Wrap(topology.HenriSubnuma()).NodeSet(0); len(got) != 9 {
 		t.Errorf("subnuma node 0 has %d cores, want 9", len(got))
-	}
-}
-
-func TestAllocAccounting(t *testing.T) {
-	topo := henriTopo(t)
-	b1, err := topo.AllocOnNode("a", 40*units.GiB, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Node 0 has 48 GiB; a second 40 GiB allocation must fail.
-	if _, err := topo.AllocOnNode("b", 40*units.GiB, 0); err == nil {
-		t.Error("over-allocation must fail")
-	}
-	// But fits on the other node.
-	if _, err := topo.AllocOnNode("b", 40*units.GiB, 1); err != nil {
-		t.Errorf("allocation on free node failed: %v", err)
-	}
-	// Free and retry.
-	if err := topo.Free(b1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := topo.AllocOnNode("c", 40*units.GiB, 0); err != nil {
-		t.Errorf("allocation after free failed: %v", err)
-	}
-	if err := topo.Free(b1); err == nil {
-		t.Error("double free must fail")
-	}
-}
-
-func TestAllocValidation(t *testing.T) {
-	topo := henriTopo(t)
-	if _, err := topo.AllocOnNode("bad", units.MiB, 99); err == nil {
-		t.Error("allocation on unknown node must fail")
-	}
-	if _, err := topo.AllocOnNode("bad", 0, 0); err == nil {
-		t.Error("zero-size allocation must fail")
-	}
-}
-
-func TestThreadBinding(t *testing.T) {
-	topo := henriTopo(t)
-	if err := topo.BindThread(0, 5); err != nil {
-		t.Fatal(err)
-	}
-	if c, ok := topo.ThreadCore(0); !ok || c != 5 {
-		t.Errorf("ThreadCore = (%v,%v)", c, ok)
-	}
-	if err := topo.BindThread(0, 7); err != nil { // rebind replaces
-		t.Fatal(err)
-	}
-	if c, _ := topo.ThreadCore(0); c != 7 {
-		t.Error("rebind must replace")
-	}
-	if _, ok := topo.ThreadCore(42); ok {
-		t.Error("unbound thread must report false")
-	}
-	if err := topo.BindThread(1, 999); err == nil {
-		t.Error("binding to unknown core must fail")
-	}
-}
-
-func TestDistance(t *testing.T) {
-	topo := henriTopo(t)
-	if d, err := topo.Distance(0, 0); err != nil || d != 10 {
-		t.Errorf("local distance = %d (%v), want 10", d, err)
-	}
-	if d, err := topo.Distance(0, 1); err != nil || d != 21 {
-		t.Errorf("remote distance = %d (%v), want 21", d, err)
-	}
-	if _, err := topo.Distance(99, 0); err == nil {
-		t.Error("unknown core must error")
-	}
-	if _, err := topo.Distance(0, 99); err == nil {
-		t.Error("unknown node must error")
-	}
-}
-
-func TestClosestAndNICNode(t *testing.T) {
-	topo := henriTopo(t)
-	if n, err := topo.ClosestNode(17); err != nil || n != 0 {
-		t.Errorf("ClosestNode(17) = %v (%v)", n, err)
-	}
-	if topo.NICNode() != 1 {
-		t.Errorf("henri NIC node = %d, want 1", topo.NICNode())
-	}
-}
-
-func TestBufferString(t *testing.T) {
-	b := &Buffer{Name: "halo", Node: 1, Size: 64 * units.MiB}
-	if got := b.String(); got != "halo[64 MiB on node 1]" {
-		t.Errorf("Buffer.String() = %q", got)
-	}
-}
-
-func TestFromPlatformRejectsInvalid(t *testing.T) {
-	p := topology.Henri()
-	p.Cores[0].Socket = 99
-	if _, err := FromPlatform(p); err == nil {
-		t.Error("invalid platform must be rejected")
 	}
 }

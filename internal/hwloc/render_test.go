@@ -8,11 +8,7 @@ import (
 )
 
 func TestRenderHenriSubnuma(t *testing.T) {
-	topo, err := FromPlatform(topology.HenriSubnuma())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := topo.Render()
+	out := Wrap(topology.HenriSubnuma()).Render()
 	for _, want := range []string{
 		"Socket 0", "Socket 1",
 		"NUMANode 0", "NUMANode 3",
@@ -36,11 +32,7 @@ func TestRenderHenriSubnuma(t *testing.T) {
 
 func TestRenderAllPlatforms(t *testing.T) {
 	for _, p := range topology.Testbed() {
-		topo, err := FromPlatform(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := topo.Render()
+		out := Wrap(p).Render()
 		if !strings.Contains(out, p.Name) || !strings.Contains(out, p.Link.Name) {
 			t.Errorf("%s: incomplete render", p.Name)
 		}

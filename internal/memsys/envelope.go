@@ -122,9 +122,6 @@ func (t *envTable) eval(n int) float64 {
 	return t.env.At(float64(n))
 }
 
-// Flat returns a constant-capacity envelope.
-func Flat(cap float64) Envelope { return Envelope{Plateau: cap} }
-
 // Validate checks envelope invariants.
 func (e Envelope) Validate() error {
 	for _, f := range [...]float64{e.Plateau, e.Slope1, e.Slope2, e.Knee1, e.Knee2, e.Soft} {

@@ -43,18 +43,6 @@ func TestProfileForReturnsCopy(t *testing.T) {
 	}
 }
 
-func TestProfilesListsAll(t *testing.T) {
-	names := Profiles()
-	if len(names) != 6 {
-		t.Errorf("Profiles() lists %d entries, want 6", len(names))
-	}
-	for _, n := range names {
-		if _, err := ProfileFor(n); err != nil {
-			t.Errorf("listed profile %q not loadable: %v", n, err)
-		}
-	}
-}
-
 func TestDefaultProfileValid(t *testing.T) {
 	plat, err := topology.NewBuilder("custom").
 		CPU(topology.Intel, "Custom 12c").
@@ -115,7 +103,7 @@ func TestNominalCommOutOfRange(t *testing.T) {
 // TestProfileShapeConsistency checks cross-field relationships the
 // simulator's realism depends on.
 func TestProfileShapeConsistency(t *testing.T) {
-	for _, name := range Profiles() {
+	for _, name := range topology.Names() {
 		prof, err := ProfileFor(name)
 		if err != nil {
 			t.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"log/slog"
 	"strings"
@@ -69,19 +70,20 @@ func (l *Logger) RunID() string {
 	return l.run
 }
 
-// ParseLevel maps the conventional level names onto slog levels,
-// defaulting to info for unknown input.
-func ParseLevel(s string) slog.Level {
+// ParseLevel maps the conventional level names onto slog levels and
+// rejects any other input.
+func ParseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "debug":
-		return slog.LevelDebug
+		return slog.LevelDebug, nil
+	case "info":
+		return slog.LevelInfo, nil
 	case "warn", "warning":
-		return slog.LevelWarn
+		return slog.LevelWarn, nil
 	case "error":
-		return slog.LevelError
-	default:
-		return slog.LevelInfo
+		return slog.LevelError, nil
 	}
+	return slog.LevelInfo, fmt.Errorf("unknown log level %q (known: debug, info, warn, error)", s)
 }
 
 // With returns a logger carrying extra attributes (nil stays nil).

@@ -79,11 +79,16 @@ func TestNilLoggerIsInert(t *testing.T) {
 func TestParseLevel(t *testing.T) {
 	cases := map[string]slog.Level{
 		"debug": slog.LevelDebug, "info": slog.LevelInfo, "WARN": slog.LevelWarn,
-		"warning": slog.LevelWarn, "error": slog.LevelError, "bogus": slog.LevelInfo,
+		"warning": slog.LevelWarn, "error": slog.LevelError,
 	}
 	for in, want := range cases {
-		if got := ParseLevel(in); got != want {
-			t.Errorf("ParseLevel(%q) = %v, want %v", in, got, want)
+		if got, err := ParseLevel(in); err != nil || got != want {
+			t.Errorf("ParseLevel(%q) = %v, %v, want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"bogus", ""} {
+		if _, err := ParseLevel(in); err == nil {
+			t.Errorf("ParseLevel(%q) accepted an unknown level", in)
 		}
 	}
 }

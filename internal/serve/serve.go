@@ -228,9 +228,6 @@ func New(opts Options) (*Server, error) {
 // artifacts).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Probe exposes the readiness probe.
-func (s *Server) Probe() *obs.Probe { return s.probe }
-
 // Handler returns the full route set: prediction API plus live plane.
 func (s *Server) Handler() http.Handler { return s.mux }
 

@@ -147,15 +147,6 @@ func (f *Fabric) Attach(m *Machine) error {
 	return nil
 }
 
-// Machine returns an attached machine by id.
-func (f *Fabric) Machine(id int) (*Machine, error) {
-	m, ok := f.machines[id]
-	if !ok {
-		return nil, fmt.Errorf("simnet: unknown machine %d", id)
-	}
-	return m, nil
-}
-
 // Transfer describes one message movement between machines.
 type Transfer struct {
 	Src, Dst         *Machine

@@ -161,30 +161,6 @@ func MAPE(actual, predicted []float64) (float64, error) {
 	return 100 * sum / float64(n), nil
 }
 
-// LinearFit fits y = a + b·x by least squares and returns (a, b).
-// It requires at least two points with distinct x values.
-func LinearFit(xs, ys []float64) (a, b float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, errors.New("stats: LinearFit length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, 0, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, sxy float64
-	for i := range xs {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx == 0 {
-		return 0, 0, errors.New("stats: LinearFit degenerate x")
-	}
-	b = sxy / sxx
-	a = my - b*mx
-	return a, b, nil
-}
-
 // ArgmaxTolerant returns the index of the *first* element whose value is
 // within relTol (relative) of the global maximum. The paper's calibration
 // "mostly looks for minima and maxima" on noisy plateaus; picking the first
@@ -252,16 +228,4 @@ func Clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// Lerp linearly interpolates between a and b by t in [0,1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }
-
-// AbsRelErr returns |actual−predicted|/|actual| (the per-point MAPE term),
-// or 0 when actual is zero.
-func AbsRelErr(actual, predicted float64) float64 {
-	if actual == 0 {
-		return 0
-	}
-	return math.Abs(actual-predicted) / math.Abs(actual)
 }

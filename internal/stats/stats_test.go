@@ -99,24 +99,6 @@ func TestMAPEProperties(t *testing.T) {
 	}
 }
 
-func TestLinearFit(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{3, 5, 7, 9} // y = 1 + 2x
-	a, b, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(a, 1) || !almost(b, 2) {
-		t.Errorf("LinearFit = (%v,%v), want (1,2)", a, b)
-	}
-	if _, _, err := LinearFit([]float64{1, 1}, []float64{2, 3}); err == nil {
-		t.Error("degenerate x must error")
-	}
-	if _, _, err := LinearFit([]float64{1}, []float64{2}); err == nil {
-		t.Error("single point must error")
-	}
-}
-
 func TestArgmaxTolerant(t *testing.T) {
 	// Plateau: 10, 50, 49.9, 50.1 — first within 0.5% of 50.1 is index 1.
 	xs := []float64{10, 50, 49.9, 50.1}
@@ -168,18 +150,6 @@ func TestMovingAverage(t *testing.T) {
 func TestClampLerp(t *testing.T) {
 	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
 		t.Error("Clamp broken")
-	}
-	if !almost(Lerp(10, 20, 0.25), 12.5) {
-		t.Error("Lerp broken")
-	}
-}
-
-func TestAbsRelErr(t *testing.T) {
-	if !almost(AbsRelErr(10, 9), 0.1) {
-		t.Error("AbsRelErr(10,9) must be 0.1")
-	}
-	if AbsRelErr(0, 5) != 0 {
-		t.Error("AbsRelErr with zero actual must be 0")
 	}
 }
 

@@ -109,14 +109,6 @@ scheduling:
 	return results, nil
 }
 
-// Each is Map without results.
-func Each[T any](items []T, workers int, fn func(T) error) error {
-	_, err := Map(items, workers, func(t T) (struct{}, error) {
-		return struct{}{}, fn(t)
-	})
-	return err
-}
-
 // safeCall converts panics in worker functions into errors so one bad item
 // cannot take down the whole sweep.
 func safeCall[T, R any](fn func(T) (R, error), item T) (r R, err error) {

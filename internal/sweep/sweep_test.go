@@ -70,22 +70,6 @@ func TestMapPanicBecomesError(t *testing.T) {
 	}
 }
 
-func TestEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := Each([]int{1, 2, 3, 4}, 2, func(x int) error {
-		sum.Add(int64(x))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 10 {
-		t.Errorf("sum = %d", sum.Load())
-	}
-	if err := Each([]int{1}, 1, func(int) error { return errors.New("e") }); err == nil {
-		t.Error("Each must propagate errors")
-	}
-}
-
 func TestWorkerClamping(t *testing.T) {
 	// More workers than items and non-positive workers must both work.
 	for _, workers := range []int{-1, 0, 1, 100} {

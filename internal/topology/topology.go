@@ -367,6 +367,9 @@ func (b *Builder) LinkName(name string) *Builder {
 
 // Build assembles and validates the platform.
 func (b *Builder) Build() (*Platform, error) {
+	if b.nodesPerSocket < 1 {
+		return nil, fmt.Errorf("topology: build %s: %d NUMA nodes per socket, want at least 1", b.name, b.nodesPerSocket)
+	}
 	p := &Platform{
 		Name:    b.name,
 		Vendor:  b.vendor,
@@ -394,7 +397,7 @@ func (b *Builder) Build() (*Platform, error) {
 		p.Sockets = append(p.Sockets, sk)
 	}
 	// NIC socket is derived from its node.
-	if int(p.NIC.Node) < len(p.Nodes) {
+	if int(p.NIC.Node) >= 0 && int(p.NIC.Node) < len(p.Nodes) {
 		p.NIC.Socket = p.Nodes[p.NIC.Node].Socket
 	}
 	if err := p.Validate(); err != nil {

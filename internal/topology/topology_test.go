@@ -287,16 +287,29 @@ func TestDescribeAndString(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsBadNIC: a NIC on a node the platform lacks, and a
+// socket without NUMA nodes, are build errors, never panics.
 func TestBuildRejectsBadNIC(t *testing.T) {
-	_, err := NewBuilder("bad").
-		CPU(Intel, "x").
-		Sockets(2).NodesPerSocket(1).CoresPerSocket(4).
-		MemoryPerNodeGB(8).
-		NICOn("nic", InfiniBand, 7, 3). // node 7 does not exist
-		LinkName("UPI").
-		Build()
-	if err == nil {
-		t.Error("builder must reject NIC on nonexistent node")
+	for _, tc := range []struct {
+		name           string
+		nodesPerSocket int
+		nicNode        NodeID
+	}{
+		{"nic on node 7", 1, 7},
+		{"nic on node -1", 1, -1},
+		{"zero nodes per socket", 0, 0},
+		{"negative nodes per socket", -1, 0},
+	} {
+		_, err := NewBuilder("bad").
+			CPU(Intel, "x").
+			Sockets(2).NodesPerSocket(tc.nodesPerSocket).CoresPerSocket(4).
+			MemoryPerNodeGB(8).
+			NICOn("nic", InfiniBand, tc.nicNode, 3).
+			LinkName("UPI").
+			Build()
+		if err == nil {
+			t.Errorf("%s: builder accepted it", tc.name)
+		}
 	}
 }
 

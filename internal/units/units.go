@@ -164,15 +164,6 @@ func (d Duration) String() string {
 	}
 }
 
-// TransferTime reports how long moving size bytes at bandwidth b takes.
-// A zero bandwidth yields +Inf, reported as an invalid duration by Valid.
-func TransferTime(size ByteSize, b Bandwidth) Duration {
-	if b <= 0 {
-		return Duration(math.Inf(1))
-	}
-	return Duration(float64(size) / b.BytesPerSecond())
-}
-
 // RateFor reports the bandwidth that moves size bytes in d seconds.
 func RateFor(size ByteSize, d Duration) Bandwidth {
 	if d <= 0 {

@@ -119,17 +119,6 @@ func TestParseByteSizeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTransferTime(t *testing.T) {
-	d := TransferTime(64*MiB, GBps(1))
-	want := float64(64*MiB) / 1e9
-	if math.Abs(d.Seconds()-want) > 1e-12 {
-		t.Errorf("TransferTime(64MiB, 1GB/s) = %v s, want %v s", d.Seconds(), want)
-	}
-	if TransferTime(MiB, 0).Valid() {
-		t.Error("transfer at zero bandwidth must be invalid (infinite)")
-	}
-}
-
 func TestRateForInvertsTransferTime(t *testing.T) {
 	f := func(sizeKiB uint16, tenthGBps uint8) bool {
 		if sizeKiB == 0 || tenthGBps == 0 {
@@ -137,7 +126,7 @@ func TestRateForInvertsTransferTime(t *testing.T) {
 		}
 		size := ByteSize(sizeKiB) * KiB
 		bw := GBps(float64(tenthGBps) / 10)
-		d := TransferTime(size, bw)
+		d := Duration(float64(size) / bw.BytesPerSecond())
 		back := RateFor(size, d)
 		return math.Abs(back.GBps()-bw.GBps()) < 1e-9
 	}

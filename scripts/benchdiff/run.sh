@@ -3,8 +3,9 @@
 #
 #   bash scripts/benchdiff/run.sh '<benchmark regexp>' [base revision, default HEAD~1]
 #
-# The base revision is checked out into a temporary git worktree, which is
-# removed on every exit path. The matching benchmarks run 3 rounds at
+# The base revision is extracted with git archive into a temporary
+# directory, which is removed on every exit path; nothing under .git is
+# written. The matching benchmarks run 3 rounds at
 # -benchtime 300ms, alternating which side goes first, and
 # scripts/benchdiff compares each benchmark's median per side. Run it
 # from the repository root; GO overrides the go command.
@@ -13,14 +14,10 @@ pattern=$1
 base=${2:-HEAD~1}
 go=${GO:-go}
 tmp=$(mktemp -d)
-cleanup() {
-	git worktree remove --force "$tmp/base" 2>/dev/null || true
-	rm -rf "$tmp"
-	git worktree prune
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 trap 'exit 130' INT TERM HUP
-git worktree add --quiet --detach "$tmp/base" "$base"
+mkdir "$tmp/base"
+git archive "$base" | tar -x -C "$tmp/base"
 
 # bench runs the benchmarks in directory $1 and appends their output to $2.
 bench() {
